@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import SPLIT_TEST, FeatureDataset, SyntheticConfig, generate, sample_labeled_subset
+from .datagen import NO_LABEL, SPLIT_TEST, FeatureDataset, SyntheticConfig, generate, sample_labeled_subset
 from .hierarchy import Hierarchy
 from .metrics import confidence_accuracy_bins
 from .prohoc import predict_nodes, subtree_confidences
@@ -114,13 +114,10 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     preds = predict_nodes(probs)
     conf = subtree_confidences(probs, hierarchy)
 
-    ood_rows = [i for i, p in enumerate(preds) if not hierarchy.is_leaf(int(p))]
-    confs, correct = [], []
-    for i in ood_rows:
-        pred = int(preds[i])
-        gt = int(dataset.labels[idx[i]])
-        confs.append(conf[i, pred])
-        correct.append(gt in hierarchy.subtree(pred))
-    if not confs:
+    ood = np.flatnonzero(~hierarchy.is_leaf(preds))
+    if not len(ood):
         return None, None
-    return confidence_accuracy_bins(confs, correct, n_bins=n_bins), float(np.mean(correct))
+    gts = dataset.labels[idx[ood]]
+    known = gts != NO_LABEL
+    correct = known & hierarchy.in_subtree(np.where(known, gts, 0), preds[ood])
+    return confidence_accuracy_bins(conf[ood, preds[ood]], correct, n_bins=n_bins), float(np.mean(correct))

@@ -24,7 +24,6 @@ from .datagen import (
     NO_LABEL,
     SPLIT_TEST,
     SPLIT_UNLABELED,
-    FeatureFileError,
     SyntheticConfig,
     generate,
     load_features,
@@ -32,11 +31,11 @@ from .datagen import (
     save_features,
 )
 from .heads import DepthHeads
-from .hierarchy import HierarchyError, hierarchy_hash, load_hierarchy, save_hierarchy
+from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
 from .prohoc import format_prediction_line, predict_nodes, subtree_confidences
-from .spl import AgeGateState, SplChain, SplLog, apply_gating
-from .trainer import METHODS, TrainConfig, load_checkpoint, predict_dataset, run_training
+from .spl import AgeGateState
+from .trainer import METHODS, TrainConfig, format_field, load_checkpoint, predict_dataset, run_training
 
 
 class UsageError(Exception):
@@ -63,17 +62,10 @@ def _prepare_out_dir(path: str, force: bool) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(float(v))  # plain-float repr even for numpy scalars
-        return str(v)
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_field(v) for v in row) + "\n")
 
 
 # -- gen --------------------------------------------------------------------------
@@ -150,16 +142,18 @@ def _load_train_config(args) -> TrainConfig:
         raise UsageError(str(exc))
 
 
+def _load(what: str, loader, *args):
+    """Run a file loader; an unreadable or malformed file exits 2 with a
+    message that starts with `what`."""
+    try:
+        return loader(*args)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{what}: {exc}")
+
+
 def _load_inputs(args):
-    try:
-        hierarchy = load_hierarchy(args.hierarchy)
-    except (OSError, HierarchyError) as exc:
-        raise DataError(f"hierarchy file: {exc}")
-    try:
-        dataset = load_features(args.features, hierarchy)
-    except (OSError, FeatureFileError) as exc:
-        raise DataError(f"feature file: {exc}")
-    return hierarchy, dataset
+    hierarchy = _load("hierarchy file", load_hierarchy, args.hierarchy)
+    return hierarchy, _load("feature file", load_features, args.features, hierarchy)
 
 
 def cmd_train(args) -> int:
@@ -167,12 +161,7 @@ def cmd_train(args) -> int:
     hierarchy, dataset = _load_inputs(args)
     out = _prepare_out_dir(args.out, args.force)
 
-    resume = None
-    if args.resume:
-        try:
-            resume = load_checkpoint(args.resume)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"checkpoint: {exc}")
+    resume = _load("checkpoint", load_checkpoint, args.resume) if args.resume else None
 
     def log_fn(report):
         parts = [f"epoch {report.epoch}"]
@@ -223,10 +212,8 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
         )
 
     exact = preds == gts
-    in_subtree = np.array(
-        [bool(known[i]) and int(gts[i]) in hierarchy.subtree(int(preds[i])) for i in range(len(preds))]
-    )
-    is_id = np.array([hierarchy.is_leaf(int(p)) for p in preds])
+    in_subtree = known & hierarchy.in_subtree(np.where(known, gts, 0), preds)
+    is_id = hierarchy.is_leaf(preds)
     bin_rows = []
     for mode, confs, correct in (("node", node_conf, exact), ("subtree", sub_conf, in_subtree)):
         for panel in ("id", "ood"):
@@ -266,7 +253,6 @@ def _eval_from_probs(out, hierarchy, dataset, idx, probs, bins):
     node_conf = probs[np.arange(len(preds)), preds]
     sub_conf = conf[np.arange(len(preds)), preds]
     _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins)
-    return preds
 
 
 def cmd_eval(args) -> int:
@@ -277,10 +263,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"split {args.split!r} is empty")
 
     if args.checkpoint:
-        try:
-            state = load_checkpoint(args.checkpoint)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"checkpoint: {exc}")
+        state = _load("checkpoint", load_checkpoint, args.checkpoint)
         if state["hierarchy_hash"] != hierarchy_hash(hierarchy):
             raise DataError("checkpoint hierarchy hash does not match --hierarchy")
         if dataset.hierarchy_hash != state["hierarchy_hash"]:
@@ -299,48 +282,39 @@ def cmd_eval(args) -> int:
 
 
 def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
-    """Purity / FPR / coverage diagnostics from the checkpointed log state."""
-    history = state.get("history") or []
-    log = SplLog()
-    log.load_state_dict(state["log"])
+    """Purity / FPR / coverage diagnostics from the checkpointed log state.
+
+    Correctness comes from the --features ground truth: an assignment is
+    incorrect when the sample's ground truth lies outside the node's
+    subtree, and of unknown correctness (never a false positive) when the
+    sample has no ground truth.
+    """
+    log, history = state["log"], state["history"]
+    if not len(history["node"]) and not len(log["node"]):
+        return
     gate = AgeGateState()
     gate.load_state_dict(state["gate"])
-    if not history and not log.by_sample:
-        return
+    cutoffs = gate.vector(hierarchy.n_nodes)
 
-    gt_by_sid = {int(g): int(c) for g, c in zip(dataset.sample_ids, dataset.labels)}
-    records = []
-    for node, g, epoch, correct in history:
-        if correct is None and g in gt_by_sid and gt_by_sid[g] != NO_LABEL:
-            correct = gt_by_sid[g] in hierarchy.subtree(node)
-        records.append((node, epoch, bool(correct)))
-    gate_report = gate_fpr_coverage(records, gate)
+    gts = dataset.labels_of(history["sample_id"])
+    known = gts != NO_LABEL
+    incorrect = known & ~hierarchy.in_subtree(np.where(known, gts, 0), history["node"])
+    gate_report = gate_fpr_coverage(history["node"], history["epoch"], incorrect, cutoffs)
 
-    chains, gts = {}, {}
-    for g, entries in log.by_sample.items():
-        if g not in gt_by_sid or gt_by_sid[g] == NO_LABEL or hierarchy.is_leaf(gt_by_sid[g]):
-            continue
-        nodes = sorted(entries, key=lambda c: (int(hierarchy.depths[c]), c))
-        chain = apply_gating(SplChain(tuple(nodes), 0.95), log, gate, g)
-        chains[g] = chain
-        gts[g] = gt_by_sid[g]
-    purity_depth = spl_purity_and_depth(chains, gts, hierarchy) if chains else None
+    # the gated current log of samples whose ground truth is an internal node
+    gts = dataset.labels_of(log["sample_id"])
+    known = gts != NO_LABEL
+    keep = known & ~hierarchy.is_leaf(np.where(known, gts, 0)) & (log["epoch"] <= cutoffs[log["node"]])
+    _, first, rows = np.unique(log["sample_id"][keep], return_index=True, return_inverse=True)
+    gated = np.zeros((len(first), hierarchy.n_nodes), dtype=bool)
+    gated[rows, log["node"][keep]] = True
+    purity_depth = spl_purity_and_depth(gated, gts[keep][first], hierarchy)
+    purity, avg_depth = (None, None) if purity_depth is None else purity_depth
 
-    _write_csv(
-        out / "diagnostics.csv",
-        ["purity", "avg_depth", "gate_fpr", "gate_coverage", "n_assignments", "n_incorrect", "fpr_defined"],
-        [
-            [
-                None if purity_depth is None else purity_depth[0],
-                None if purity_depth is None else purity_depth[1],
-                gate_report.fpr,
-                gate_report.coverage,
-                gate_report.n_assignments,
-                gate_report.n_incorrect,
-                int(gate_report.fpr_defined),
-            ]
-        ],
-    )
+    header = ["purity", "avg_depth", "gate_fpr", "gate_coverage", "n_assignments", "n_incorrect", "fpr_defined"]
+    row = [purity, avg_depth, gate_report.fpr, gate_report.coverage]
+    row += [gate_report.n_assignments, gate_report.n_incorrect, int(gate_report.fpr_defined)]
+    _write_csv(out / "diagnostics.csv", header, [row])
 
 
 def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) -> None:
@@ -390,33 +364,24 @@ def cmd_inspect(args) -> int:
     shown = False
     hierarchy = None
     if args.hierarchy:
-        try:
-            hierarchy = load_hierarchy(args.hierarchy)
-        except (OSError, HierarchyError) as exc:
-            raise DataError(f"hierarchy file: {exc}")
+        hierarchy = _load("hierarchy file", load_hierarchy, args.hierarchy)
         print(f"== {args.hierarchy}")
         print(hierarchy.summary())
         print(f"content hash: {hierarchy_hash(hierarchy):#018x}")
         shown = True
     if args.features:
-        try:
-            dataset = load_features(args.features, hierarchy)
-        except (OSError, FeatureFileError) as exc:
-            raise DataError(f"feature file: {exc}")
+        dataset = _load("feature file", load_features, args.features, hierarchy)
         print(f"== {args.features}")
         print(dataset.summary(hierarchy))
         print(f"hierarchy hash: {dataset.hierarchy_hash:#018x}")
         shown = True
     if args.checkpoint:
-        try:
-            state = load_checkpoint(args.checkpoint)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"checkpoint: {exc}")
+        state = _load("checkpoint", load_checkpoint, args.checkpoint)
         print(f"== {args.checkpoint}")
         print(f"epochs completed: {state['epoch']}")
         print(f"hierarchy hash: {state['hierarchy_hash']:#018x}")
         print(f"config: {json.dumps(state['config'], sort_keys=True)}")
-        print(f"log entries: {sum(len(v) for v in state['log']['by_sample'].values())}")
+        print(f"log entries: {len(state['log']['node'])}")
         finite = [t for t in state["gate"]["cutoffs"].values() if t != float("inf")]
         print(f"finite cutoffs: {len(finite)}")
         shown = True

@@ -58,6 +58,15 @@ class FeatureDataset:
     def indices(self, split: int) -> np.ndarray:
         return np.nonzero(self.mask(split))[0]
 
+    def labels_of(self, sample_ids) -> np.ndarray:
+        """Ground truth per sample id; NO_LABEL for ids this dataset lacks."""
+        sample_ids = np.asarray(sample_ids, dtype=self.sample_ids.dtype)
+        present = np.isin(sample_ids, self.sample_ids)
+        order = np.argsort(self.sample_ids)
+        out = np.full(len(sample_ids), NO_LABEL, dtype=np.int64)
+        out[present] = self.labels[order[np.searchsorted(self.sample_ids, sample_ids[present], sorter=order)]]
+        return out
+
     def validate(self, hierarchy: Hierarchy) -> None:
         if len(np.unique(self.sample_ids)) != len(self):
             raise FeatureFileError("duplicate sample ids")
@@ -66,12 +75,10 @@ class FeatureDataset:
             lo, hi = self.labels[known].min(), self.labels[known].max()
             if lo < 0 or hi >= hierarchy.n_nodes:
                 raise FeatureFileError(f"ground-truth node id {hi if hi >= hierarchy.n_nodes else lo} unknown")
-        for i in np.nonzero(self.mask(SPLIT_LABELED))[0]:
-            c = int(self.labels[i])
-            if c not in hierarchy.id_leaves:
-                raise FeatureFileError(
-                    f"sample {int(self.sample_ids[i])}: labeled-train ground truth must be an ID leaf"
-                )
+        bad = np.flatnonzero(self.mask(SPLIT_LABELED) & ~np.isin(self.labels, list(hierarchy.id_leaves)))
+        if len(bad):
+            sample = int(self.sample_ids[bad[0]])
+            raise FeatureFileError(f"sample {sample}: labeled-train ground truth must be an ID leaf")
 
     def summary(self, hierarchy: Hierarchy | None = None) -> str:
         lines = [f"samples: {len(self)}  dim: {self.dim}"]
@@ -81,15 +88,12 @@ class FeatureDataset:
             if hierarchy is not None and m.any():
                 labels = self.labels[m]
                 known = labels != NO_LABEL
-                is_leaf = np.array([c != NO_LABEL and hierarchy.is_leaf(int(c)) for c in labels])
+                is_leaf = known & hierarchy.is_leaf(np.where(known, labels, 0))
                 row += f" (ID {int(is_leaf.sum())}, OOD {int((known & ~is_leaf).sum())})"
             lines.append(row)
         if hierarchy is not None:
-            ood_nodes = {
-                int(c)
-                for c in self.labels
-                if c != NO_LABEL and not hierarchy.is_leaf(int(c))
-            }
+            labeled = self.labels[self.labels != NO_LABEL]
+            ood_nodes = np.unique(labeled[~hierarchy.is_leaf(labeled)])
             lines.append(f"distinct OOD ground-truth nodes: {len(ood_nodes)}")
         return "\n".join(lines)
 
@@ -307,9 +311,8 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
             raise FeatureFileError(
                 f"hierarchy hash mismatch: file has {h_hash:#018x}, hierarchy is {expected:#018x}"
             )
-        known = labels != NO_LABEL
-        for i in np.nonzero(known)[0]:
-            if labels[i] >= hierarchy.n_nodes:
-                raise FeatureFileError(f"record {i + 1}: unknown node id {int(labels[i])}")
+        bad = np.flatnonzero(labels >= hierarchy.n_nodes)  # NO_LABEL is negative
+        if len(bad):
+            raise FeatureFileError(f"record {bad[0] + 1}: unknown node id {int(labels[bad[0]])}")
         dataset.validate(hierarchy)
     return dataset

@@ -2,21 +2,30 @@
 
 A hierarchy is a rooted tree over dense integer node ids 0..n-1 (root is 0).
 Leaf nodes carrying labeled training data form the ID class set; internal
-nodes are the possible out-of-distribution prediction targets. On top of the
-tree we build, for each depth d in 1..D:
+nodes are the possible out-of-distribution prediction targets.
 
-* the classification space at depth d: nodes at exactly depth d, plus ID
-  leaves that sit shallower than d (so every depth head can always place an
-  ID sample somewhere);
-* the relatives-at-depth mapping: the ancestors-or-self and descendants of a
-  node intersected with the depth-d space;
-* the uniform target distribution over that mapping, used as the
-  cross-entropy target when a sample is supervised at node granularity.
+Every tree fact is held once, as an array precomputed from the parent links,
+so that queries work on single nodes and on whole batches alike:
+
+* Euler-tour intervals `tin`/`tout`: x lies in subtree(c) exactly when
+  tin[c] <= tin[x] < tout[c];
+* the ancestor table `ancestors[c, d]`: the ancestor of c at depth d, or c
+  itself for d deeper than c, from which `lca` and `tree_distance` follow;
+* for each depth d in 1..D, the classification space at depth d: nodes at
+  exactly depth d, plus ID leaves that sit shallower than d (so every depth
+  head can always place an ID sample somewhere), with `columns[d-1, c]` the
+  column of node c in that space (-1 when absent);
+* the target matrices `Q[d-1]` (n_nodes x |space_d|): row c is the uniform
+  distribution over the ancestors-or-self and descendants of c inside space
+  d, the cross-entropy target when a sample is supervised at node c, and all
+  zeros when no such relative exists. Restricted to the rows of the space's
+  own nodes, Q[d-1] is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,20 +44,10 @@ class DepthSpace:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def index_of(self, node: int) -> int:
-        return self.nodes.index(node)
 
-
-@dataclass(frozen=True)
-class TargetDistribution:
-    """Probability vector over one DepthSpace, uniform on its support."""
-
-    depth: int
-    probs: np.ndarray  # float64 over the DepthSpace ordering
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.probs))
+def _scalar_or_array(value):
+    """Python scalar for a 0-d result, the array otherwise."""
+    return value.item() if np.ndim(value) == 0 else value
 
 
 class Hierarchy:
@@ -70,25 +69,32 @@ class Hierarchy:
         self.n_nodes = len(parents)
         self._validate_shape()
 
-        self.depths = self._compute_depths()
-        self.max_depth = int(self.depths.max())
         children: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for c in range(1, self.n_nodes):
             children[parents[c]].append(c)
         self.children = tuple(tuple(ch) for ch in children)
-        self.leaves = frozenset(c for c in range(self.n_nodes) if not self.children[c])
+        self.leaf_mask = np.array([not ch for ch in self.children])
+        self._euler_tour()
+        self.max_depth = int(self.depths.max())
         self._validate_id_set()
 
-        # Topological order with parents before children (root first).
+        # Topological order with parents before children (root first), which
+        # is also ascending (depth, id).
         self.topo_order = tuple(int(i) for i in np.argsort(self.depths, kind="stable"))
+        self.ancestors = np.empty((self.n_nodes, self.max_depth + 1), dtype=np.int64)
+        for c in self.topo_order:
+            if c:
+                self.ancestors[c] = self.ancestors[self.parents[c]]
+            self.ancestors[c, self.depths[c] :] = c
+
+        carried = np.isin(np.arange(self.n_nodes), list(self.id_leaves))  # ID leaves, present below their depth
         self._depth_spaces = tuple(
-            DepthSpace(d, self._depth_space_members(d)) for d in range(1, self.max_depth + 1)
+            DepthSpace(d, tuple(np.flatnonzero((self.depths == d) | (carried & (self.depths < d))).tolist()))
+            for d in range(1, self.max_depth + 1)
         )
-        # node -> column index inside each depth space, -1 when absent
-        self._space_index = np.full((self.max_depth, self.n_nodes), -1, dtype=np.int64)
+        self.columns = np.full((self.max_depth, self.n_nodes), -1, dtype=np.int64)
         for d, space in enumerate(self._depth_spaces, start=1):
-            for j, c in enumerate(space.nodes):
-                self._space_index[d - 1, c] = j
+            self.columns[d - 1, list(space.nodes)] = np.arange(len(space))
 
     # -- construction helpers -------------------------------------------------
 
@@ -107,96 +113,83 @@ class Hierarchy:
         if bad:
             raise HierarchyError(f"node {bad[0]} has an invalid parent id")
 
-    def _compute_depths(self) -> np.ndarray:
-        depths = np.full(self.n_nodes, -1, dtype=np.int64)
-        depths[0] = 0
-        for c in range(self.n_nodes):
-            path = []
-            node = c
-            while depths[node] < 0:
-                path.append(node)
-                node = int(self.parents[node])
-                if len(path) > self.n_nodes:
-                    raise HierarchyError("parent links contain a cycle")
-            base = depths[node]
-            for k, p in enumerate(reversed(path), start=1):
-                depths[p] = base + k
-        return depths
-
     def _validate_id_set(self) -> None:
         for c in self.id_leaves:
             if not 0 <= c < self.n_nodes:
                 raise HierarchyError(f"ID class id {c} out of range")
-            if c not in self.leaves:
+            if not self.leaf_mask[c]:
                 raise HierarchyError(f"ID class {self.names[c]!r} is not a leaf")
         if not self.id_leaves:
             raise HierarchyError("at least one ID class required")
         if len(self.id_leaves) == self.n_nodes:
             raise HierarchyError("ID classes must be a strict subset of the nodes")
 
-    def _depth_space_members(self, d: int) -> tuple[int, ...]:
-        members = [c for c in range(self.n_nodes) if self.depths[c] == d]
-        members += [c for c in self.id_leaves if self.depths[c] < d]
-        return tuple(sorted(members))
+    def _euler_tour(self) -> None:
+        """Depth, preorder entry index and subtree end per node, from one walk
+        down from the root; a node the walk misses sits on a parent cycle."""
+        preorder, stack = [], [0]
+        self.depths = np.zeros(self.n_nodes, dtype=np.int64)
+        while stack:
+            c = stack.pop()
+            preorder.append(c)
+            self.depths[list(self.children[c])] = self.depths[c] + 1
+            stack.extend(reversed(self.children[c]))
+        if len(preorder) != self.n_nodes:
+            raise HierarchyError("parent links contain a cycle")
+        self.tin = np.empty(self.n_nodes, dtype=np.int64)
+        self.tin[preorder] = np.arange(self.n_nodes)
+        size = np.ones(self.n_nodes, dtype=np.int64)
+        for c in reversed(preorder[1:]):
+            size[self.parents[c]] += size[c]
+        self.tout = self.tin + size
 
-    # -- basic queries ---------------------------------------------------------
+    # -- node queries: each takes a node id or an array of them ------------------
 
-    def _check_node(self, c: int) -> int:
-        c = int(c)
-        if not 0 <= c < self.n_nodes:
-            raise ValueError(f"invalid node id {c}")
+    def _check_node(self, c) -> np.ndarray:
+        c = np.asarray(c, dtype=np.int64)
+        bad = (c < 0) | (c >= self.n_nodes)
+        if bad.any():
+            raise ValueError(f"invalid node id {c[bad].flat[0]}")
         return c
 
-    def is_leaf(self, c: int) -> bool:
-        return self._check_node(c) in self.leaves
-
-    def name_to_id(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+    def is_leaf(self, c):
+        return _scalar_or_array(self.leaf_mask[self._check_node(c)])
 
     def ancestors_or_self(self, c: int) -> tuple[int, ...]:
         """Path from the root down to c, inclusive."""
-        c = self._check_node(c)
+        c = int(self._check_node(c))
         path = []
         while c != -1:
             path.append(c)
             c = int(self.parents[c])
         return tuple(reversed(path))
 
-    def ancestor_at_depth(self, c: int, d: int) -> int:
-        c = self._check_node(c)
-        if not 0 <= d <= self.depths[c]:
-            raise ValueError(f"node {c} has no ancestor at depth {d}")
-        while self.depths[c] > d:
-            c = int(self.parents[c])
-        return c
-
     def subtree(self, c: int) -> frozenset[int]:
         """The node together with all of its descendants."""
         c = self._check_node(c)
-        out = [c]
-        stack = [c]
-        while stack:
-            for ch in self.children[stack.pop()]:
-                out.append(ch)
-                stack.append(ch)
-        return frozenset(out)
+        return frozenset(np.flatnonzero(self.in_subtree(np.arange(self.n_nodes), c)).tolist())
 
-    def lca(self, a: int, b: int) -> int:
-        """Deepest node that is an ancestor-or-self of both arguments."""
+    def in_subtree(self, x, c):
+        """Whether x lies in subtree(c), elementwise over broadcast arrays."""
+        x, c = self._check_node(x), self._check_node(c)
+        return _scalar_or_array((self.tin[c] <= self.tin[x]) & (self.tin[x] < self.tout[c]))
+
+    def lca(self, a, b):
+        """Deepest node that is an ancestor-or-self of both arguments.
+
+        The ancestor-table rows of a and b agree exactly on the depths
+        0..depth(lca), except that they agree everywhere when a == b; either
+        way the last agreeing column holds the answer.
+        """
         a, b = self._check_node(a), self._check_node(b)
-        while self.depths[a] > self.depths[b]:
-            a = int(self.parents[a])
-        while self.depths[b] > self.depths[a]:
-            b = int(self.parents[b])
-        while a != b:
-            a = int(self.parents[a])
-            b = int(self.parents[b])
-        return a
+        agree = (self.ancestors[a] == self.ancestors[b]).sum(axis=-1)
+        return _scalar_or_array(self.ancestors[a, agree - 1])
 
-    def tree_distance(self, a: int, b: int) -> int:
+    def tree_distance(self, a, b):
         """Number of edges on the path between two nodes."""
         anc = self.lca(a, b)
-        return int(self.depths[a] + self.depths[b] - 2 * self.depths[anc])
+        a, b = self._check_node(a), self._check_node(b)
+        return _scalar_or_array(self.depths[a] + self.depths[b] - 2 * self.depths[anc])
 
     # -- depth spaces and targets ----------------------------------------------
 
@@ -209,50 +202,25 @@ class Hierarchy:
     def depth_space(self, d: int) -> DepthSpace:
         return self._depth_spaces[self._check_depth(d) - 1]
 
-    def space_index(self, c: int, d: int) -> int:
-        """Column of node c inside depth space d, or -1 when absent."""
-        return int(self._space_index[self._check_depth(d) - 1, self._check_node(c)])
-
-    def s_mapping(self, c: int, d: int) -> frozenset[int]:
-        """Ancestors-or-self and descendants of c present at depth d."""
-        c = self._check_node(c)
-        d = self._check_depth(d)
-        relatives = self.subtree(c) | set(self.ancestors_or_self(c))
-        return frozenset(relatives & set(self.depth_space(d).nodes))
-
-    def target_distribution(self, c: int, d: int) -> TargetDistribution | None:
-        """Uniform distribution over s_mapping(c, d); None when that is empty."""
-        support = self.s_mapping(c, d)
-        if not support:
-            return None
-        space = self.depth_space(d)
-        probs = np.zeros(len(space), dtype=np.float64)
-        mass = 1.0 / len(support)
-        for node in support:
-            probs[self._space_index[d - 1, node]] = mass
-        return TargetDistribution(d, probs)
-
-    def target_matrix(self, nodes, d: int) -> np.ndarray:
-        """Stacked target rows for several nodes at one depth.
-
-        Rows for nodes with an empty mapping at this depth are all-zero, so
-        they contribute nothing to a cross-entropy sum.
-        """
-        space = self.depth_space(d)
-        out = np.zeros((len(nodes), len(space)), dtype=np.float64)
-        for i, c in enumerate(nodes):
-            t = self.target_distribution(c, d)
-            if t is not None:
-                out[i] = t.probs
-        return out
+    @cached_property
+    def Q(self) -> tuple[np.ndarray, ...]:
+        """Target matrices, one per depth; built on first use."""
+        nodes = np.arange(self.n_nodes)
+        out = []
+        for space in self._depth_spaces:
+            cols = np.asarray(space.nodes)
+            support = self.in_subtree(cols[None, :], nodes[:, None]) | self.in_subtree(nodes[:, None], cols[None, :])
+            size = support.sum(axis=1)
+            out.append(support * (1.0 / np.maximum(size, 1))[:, None])
+        return tuple(out)
 
     def summary(self) -> str:
-        n_internal = self.n_nodes - len(self.leaves)
+        n_leaves = int(self.leaf_mask.sum())
         lines = [
             f"nodes: {self.n_nodes}",
             f"max depth: {self.max_depth}",
-            f"leaves: {len(self.leaves)} (ID classes: {len(self.id_leaves)})",
-            f"internal nodes: {n_internal}",
+            f"leaves: {n_leaves} (ID classes: {len(self.id_leaves)})",
+            f"internal nodes: {self.n_nodes - n_leaves}",
             "depth space sizes: "
             + ", ".join(f"d{d}={len(self.depth_space(d))}" for d in range(1, self.max_depth + 1)),
         ]
@@ -326,26 +294,16 @@ def load_hierarchy(path) -> Hierarchy:
 
 def save_hierarchy(hierarchy: Hierarchy, path) -> None:
     """Write the edge-list format; inverse of load_hierarchy."""
-    lines = []
-    for c in range(1, hierarchy.n_nodes):
-        lines.append(f"{hierarchy.names[c]}\t{hierarchy.names[hierarchy.parents[c]]}")
-    lines.append("#id")
-    lines.extend(hierarchy.names[c] for c in sorted(hierarchy.id_leaves))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(hierarchy_bytes(hierarchy))
 
 
 def hierarchy_bytes(hierarchy: Hierarchy) -> bytes:
-    """Canonical file content of a hierarchy, used for content hashing."""
-    import io
-
-    buf = io.StringIO()
-    for c in range(1, hierarchy.n_nodes):
-        buf.write(f"{hierarchy.names[c]}\t{hierarchy.names[hierarchy.parents[c]]}\n")
-    buf.write("#id\n")
-    for c in sorted(hierarchy.id_leaves):
-        buf.write(f"{hierarchy.names[c]}\n")
-    return buf.getvalue().encode("utf-8")
+    """Canonical file content of a hierarchy, as saved and as hashed."""
+    names = hierarchy.names
+    lines = [f"{names[c]}\t{names[hierarchy.parents[c]]}" for c in range(1, hierarchy.n_nodes)]
+    lines += ["#id"] + [names[c] for c in sorted(hierarchy.id_leaves)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def hierarchy_hash(hierarchy: Hierarchy) -> int:

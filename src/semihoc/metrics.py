@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import Hierarchy
-from .spl import AgeGateState, SplChain
 
 
 @dataclass(frozen=True)
@@ -33,14 +32,15 @@ class BmhdReport:
 
 def bmhd(predictions, ground_truths, hierarchy: Hierarchy) -> BmhdReport:
     """Class-balanced mean tree distance, split by leaf/internal ground truth."""
-    per_class: dict[int, list[int]] = {}
-    for pred, gt in zip(predictions, ground_truths):
-        per_class.setdefault(int(gt), []).append(hierarchy.tree_distance(int(pred), int(gt)))
-    id_means = [np.mean(v) for c, v in sorted(per_class.items()) if hierarchy.is_leaf(c)]
-    ood_means = [np.mean(v) for c, v in sorted(per_class.items()) if not hierarchy.is_leaf(c)]
+    predictions = np.asarray(predictions, dtype=np.int64)
+    ground_truths = np.asarray(ground_truths, dtype=np.int64)
+    classes, inverse = np.unique(ground_truths, return_inverse=True)
+    distance = hierarchy.tree_distance(predictions, ground_truths)
+    means = np.bincount(inverse, weights=distance, minlength=len(classes)) / np.bincount(inverse)
+    is_id = hierarchy.is_leaf(classes)
     return BmhdReport(
-        id=float(np.mean(id_means)) if id_means else None,
-        ood=float(np.mean(ood_means)) if ood_means else None,
+        id=float(np.mean(means[is_id])) if is_id.any() else None,
+        ood=float(np.mean(means[~is_id])) if not is_id.all() else None,
     )
 
 
@@ -54,43 +54,35 @@ def decomposition_matrix(predictions, ground_truths, hierarchy: Hierarchy, subse
     """
     if subset not in ("id", "ood"):
         raise ValueError("subset must be 'id' or 'ood'")
-    size = hierarchy.max_depth + 1
-    counts = np.zeros((size, size))
-    total = 0
-    for pred, gt in zip(predictions, ground_truths):
-        pred, gt = int(pred), int(gt)
-        if hierarchy.is_leaf(pred) != (subset == "id"):
-            continue
-        anc = hierarchy.lca(pred, gt)
-        under = hierarchy.tree_distance(anc, gt)
-        over = hierarchy.tree_distance(anc, pred)
-        counts[under, over] += 1
-        total += 1
-    if total == 0:
+    predictions = np.asarray(predictions, dtype=np.int64)
+    ground_truths = np.asarray(ground_truths, dtype=np.int64)
+    keep = hierarchy.is_leaf(predictions) == (subset == "id")
+    pred, gt = predictions[keep], ground_truths[keep]
+    if len(pred) == 0:
         return np.zeros((0, 0))
-    return counts * (100.0 / total)
+    anc_depth = hierarchy.depths[hierarchy.lca(pred, gt)]
+    under = hierarchy.depths[gt] - anc_depth
+    over = hierarchy.depths[pred] - anc_depth
+    size = hierarchy.max_depth + 1
+    counts = np.bincount(under * size + over, minlength=size * size).reshape(size, size)
+    return counts * (100.0 / len(pred))
 
 
-def spl_purity_and_depth(
-    chains: dict[int, SplChain], ground_truths: dict[int, int], hierarchy: Hierarchy
-) -> tuple[float, float] | None:
-    """Purity and mean depth of the deepest assigned node, or None when no
-    sample has a non-empty chain.
+def spl_purity_and_depth(assigned: np.ndarray, ground_truths, hierarchy: Hierarchy) -> tuple[float, float] | None:
+    """Purity and mean depth of the deepest assigned node, over the rows of an
+    assignment mask; None when no row has an assignment.
 
-    Purity counts a sample as correct when its ground truth lies inside the
-    subtree of the deepest assigned node.
+    The deepest node is the assigned one largest by (depth, id). Purity
+    counts a sample as correct when its ground truth lies inside that node's
+    subtree.
     """
-    pure, depths = [], []
-    for g, chain in chains.items():
-        deepest = chain.deepest()
-        if deepest is None:
-            continue
-        gt = ground_truths[g]
-        pure.append(gt in hierarchy.subtree(deepest))
-        depths.append(int(hierarchy.depths[deepest]))
-    if not depths:
+    key = np.where(assigned, hierarchy.depths * hierarchy.n_nodes + np.arange(hierarchy.n_nodes), -1)
+    has = key.max(axis=1) >= 0
+    if not has.any():
         return None
-    return float(np.mean(pure)), float(np.mean(depths))
+    deepest = key[has].argmax(axis=1)
+    pure = hierarchy.in_subtree(np.asarray(ground_truths)[has], deepest)
+    return float(np.mean(pure)), float(np.mean(hierarchy.depths[deepest]))
 
 
 @dataclass(frozen=True)
@@ -105,26 +97,21 @@ class GateReport:
         return self.n_incorrect > 0
 
 
-def gate_fpr_coverage(records, gate: AgeGateState) -> GateReport:
+def gate_fpr_coverage(nodes, epochs, incorrect, cutoffs: np.ndarray) -> GateReport:
     """Micro-averaged gate quality over first-assignment records.
 
-    `records` holds (node, epoch, correct) triples; an assignment passes the
-    gate when its epoch does not exceed the node's cutoff. FPR is the
+    Record i assigned node nodes[i] at epochs[i]; it passes the gate when
+    that epoch does not exceed the node's entry in `cutoffs`. FPR is the
     fraction of incorrect assignments that pass (reported as 0 when there
     are none, flagged via fpr_defined); coverage is the fraction of all
     assignments that pass.
     """
-    total = passed = incorrect = incorrect_passed = 0
-    for node, epoch, correct in records:
-        ok = epoch <= gate.cutoff(node)
-        total += 1
-        passed += ok
-        if not correct:
-            incorrect += 1
-            incorrect_passed += ok
-    coverage = passed / total if total else 1.0
-    fpr = incorrect_passed / incorrect if incorrect else 0.0
-    return GateReport(fpr=fpr, coverage=coverage, n_assignments=total, n_incorrect=incorrect)
+    passed = np.asarray(epochs) <= cutoffs[np.asarray(nodes, dtype=np.int64)]
+    incorrect = np.asarray(incorrect, dtype=bool)
+    total, n_incorrect = len(passed), int(incorrect.sum())
+    coverage = int(passed.sum()) / total if total else 1.0
+    fpr = int((passed & incorrect).sum()) / n_incorrect if n_incorrect else 0.0
+    return GateReport(fpr=fpr, coverage=coverage, n_assignments=total, n_incorrect=n_incorrect)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,11 @@ outputs to a normalized node distribution could be swapped in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hierarchy import Hierarchy
 
 STOP_EPS = 1e-4
-
-
-@dataclass(frozen=True)
-class HierarchicalDistribution:
-    """Probability per hierarchy node (root, internal nodes and leaves)."""
-
-    probs: np.ndarray  # float64, length n_nodes
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
 
 def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float = STOP_EPS) -> np.ndarray:
@@ -71,11 +59,8 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
             probs[:, a] = mass[:, a]  # leaves stop with probability one
             continue
         d = int(hierarchy.depths[a]) + 1
-        branch = np.zeros((n, len(children)))
-        for j, c in enumerate(children):
-            col = hierarchy.space_index(c, d)
-            if col >= 0:
-                branch[:, j] = outputs[d - 1][:, col]
+        cols = hierarchy.columns[d - 1, list(children)]
+        branch = np.where(cols >= 0, outputs[d - 1][:, cols], 0.0)
         total = branch.sum(axis=1, keepdims=True)
         uniform = total[:, 0] <= 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -94,19 +79,9 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
     return probs
 
 
-def fuse(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float = STOP_EPS) -> HierarchicalDistribution:
-    """Single-sample fusion; depth_outputs are vectors over the depth spaces."""
-    return HierarchicalDistribution(fuse_batch(depth_outputs, hierarchy, eps)[0])
-
-
-def predict_node(dist: HierarchicalDistribution | np.ndarray) -> int:
-    """Argmax node; exact ties go to the smallest node id."""
-    probs = dist.probs if isinstance(dist, HierarchicalDistribution) else np.asarray(dist)
-    return int(np.argmax(probs))
-
-
 def predict_nodes(probs: np.ndarray) -> np.ndarray:
-    """Row-wise argmax over a batch of node distributions."""
+    """Row-wise argmax over a batch of node distributions; exact ties go to
+    the smallest node id."""
     return np.argmax(probs, axis=1)
 
 
@@ -125,15 +100,12 @@ def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     return conf[0] if single else conf
 
 
-def root_to_node_path(hierarchy: Hierarchy, node: int) -> tuple[int, ...]:
-    return hierarchy.ancestors_or_self(node)
-
-
 def format_prediction_line(
     hierarchy: Hierarchy, sample_id: int, probs: np.ndarray, subtree_conf: np.ndarray
 ) -> str:
     """One prediction-dump row: id, argmax node, its probability, and the
     subtree-confidence chain along the root-to-argmax path."""
-    node = predict_node(probs)
-    chain = ",".join(f"{c}:{float(subtree_conf[c])!r}" for c in root_to_node_path(hierarchy, node))
+    node = int(np.argmax(probs))
+    path = hierarchy.ancestors[node, : hierarchy.depths[node] + 1]
+    chain = ",".join(f"{c}:{float(subtree_conf[c])!r}" for c in path)
     return f"{sample_id}\t{node}\t{float(probs[node])!r}\t{chain}"

@@ -6,6 +6,12 @@ exceeds a threshold; with a threshold above one half the assigned nodes of a
 sample always form a single root-anchored path, because sibling subtree
 confidences cannot both exceed 1/2.
 
+Everything here works on whole batches of boolean assignment masks (rows x
+nodes; the root column is never set). The log is a dense array of
+first-assignment epochs over (unlabeled row, node), -1 where the pair is
+not currently assigned; checkpoints keep only its set entries, as
+(sample id, node, epoch) triples.
+
 Age-gating counters a failure mode of self-training on open-set data: nodes
 keep collecting new, increasingly deep assignments late in training, well
 after the initial wave of correct ones. Per node we detect the first
@@ -31,83 +37,73 @@ class SplChain:
     """Assigned non-root nodes for one sample, ordered shallow to deep."""
 
     nodes: tuple[int, ...]
-    tau: float
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def deepest(self) -> int | None:
-        return self.nodes[-1] if self.nodes else None
 
-
-def compute_spls(probs: np.ndarray, hierarchy: Hierarchy, tau: float) -> SplChain:
-    """Nodes whose subtree confidence strictly exceeds tau (root excluded).
+def assign(probs: np.ndarray, hierarchy: Hierarchy, tau: float) -> np.ndarray:
+    """Mask of nodes whose subtree confidence strictly exceeds tau, root excluded.
 
     tau = 1 is allowed and assigns nothing: the strict comparison makes it
     the degenerate supervised-only setting.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
-    conf = subtree_confidences(np.asarray(probs, dtype=np.float64), hierarchy)
-    assigned = [c for c in range(1, hierarchy.n_nodes) if conf[c] > tau]
-    assigned.sort(key=lambda c: (int(hierarchy.depths[c]), c))
-    return SplChain(tuple(assigned), tau)
+    assigned = subtree_confidences(probs, hierarchy) > tau
+    assigned[..., 0] = False
+    return assigned
 
 
 def compute_spls_batch(probs: np.ndarray, hierarchy: Hierarchy, tau: float) -> list[SplChain]:
-    """compute_spls over a batch of node distributions."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0, 1]")
-    conf = subtree_confidences(probs, hierarchy)
-    order = sorted(range(1, hierarchy.n_nodes), key=lambda c: (int(hierarchy.depths[c]), c))
-    chains = []
-    for row in conf:
-        chains.append(SplChain(tuple(c for c in order if row[c] > tau), tau))
-    return chains
+    """The assignments of a batch of node distributions as chains, one per
+    row, nodes in ascending (depth, id) order."""
+    order = np.asarray(hierarchy.topo_order)
+    return [SplChain(tuple(order[row].tolist())) for row in assign(probs, hierarchy, tau)[:, order]]
+
+
+def epoch_dtype(epochs: int) -> np.dtype:
+    """Smallest signed integer type that holds every epoch of a run and -1."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= epochs)
 
 
 class SplLog:
-    """Mapping (node, sample id) -> epoch of first assignment.
+    """First-assignment epoch per (row, node), -1 for none; row r belongs to
+    the sample sample_ids[r]."""
 
-    Entries exist only while the pair keeps being reassigned: a node missing
-    from a sample's current chain drops the entry, and a later reassignment
-    re-enters with the later epoch.
-    """
-
-    def __init__(self):
-        self.by_sample: dict[int, dict[int, int]] = {}
-
-    def get(self, node: int, sample_id: int) -> int | None:
-        return self.by_sample.get(sample_id, {}).get(node)
+    def __init__(self, sample_ids: np.ndarray, n_nodes: int, dtype=np.int64):
+        self.sample_ids = sample_ids
+        self.first = np.full((len(sample_ids), n_nodes), -1, dtype=dtype)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.by_sample.values())
-
-    def epochs_per_node(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for entries in self.by_sample.values():
-            for node, epoch in entries.items():
-                out.setdefault(node, []).append(epoch)
-        return out
+        return int(np.count_nonzero(self.first >= 0))
 
     def state_dict(self) -> dict:
-        return {"by_sample": {g: dict(v) for g, v in self.by_sample.items()}}
+        """The set entries as (sample id, node, epoch) arrays."""
+        rows, nodes = np.nonzero(self.first >= 0)
+        return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.first[rows, nodes]}
 
     def load_state_dict(self, state: dict) -> None:
-        self.by_sample = {int(g): {int(c): int(e) for c, e in v.items()} for g, v in state["by_sample"].items()}
+        if not np.isin(state["sample_id"], self.sample_ids).all():
+            raise ValueError("checkpoint log names samples this log has no row for")
+        order = np.argsort(self.sample_ids)
+        rows = order[np.searchsorted(self.sample_ids, state["sample_id"], sorter=order)]
+        self.first[...] = -1
+        self.first[rows, state["node"]] = state["epoch"]
 
 
-def update_log(log: SplLog, sample_id: int, chain: SplChain, epoch: int) -> None:
-    """First-assignment epochs are kept; nodes absent from the chain drop out."""
-    entries = log.by_sample.setdefault(sample_id, {})
-    chain_nodes = set(chain.nodes)
-    for node in chain.nodes:
-        if node not in entries:
-            entries[node] = epoch
-    for node in [c for c in entries if c not in chain_nodes]:
-        del entries[node]
-    if not entries:
-        del log.by_sample[sample_id]
+def update_log(log: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
+    """First-assignment epochs are kept; pairs no longer assigned drop out,
+    so a later reassignment re-enters with the later epoch."""
+    current = log.first[rows]
+    log.first[rows] = np.where(assigned, np.where(current < 0, epoch, current), -1)
+
+
+def update_history(history: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
+    """Like update_log, but an entry once made is never dropped: the epoch of
+    the first assignment ever."""
+    current = history.first[rows]
+    history.first[rows] = np.where(assigned & (current < 0), epoch, current)
 
 
 def detect_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: float) -> float:
@@ -123,15 +119,14 @@ def detect_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: fl
         raise ValueError("bin width must be >= 1")
     if not 0.0 < drop_threshold < 1.0:
         raise ValueError("drop threshold must be in (0, 1)")
-    n_bins = current_epoch // bin_width + 1
-    counts = [0] * n_bins
-    for e in epochs:
-        if not 0 <= e <= current_epoch:
-            raise ValueError(f"assignment epoch {e} outside [0, {current_epoch}]")
-        counts[e // bin_width] += 1
+    epochs = np.asarray(epochs, dtype=np.int64)
+    outside = (epochs < 0) | (epochs > current_epoch)
+    if outside.any():
+        raise ValueError(f"assignment epoch {epochs[outside][0]} outside [0, {current_epoch}]")
+    counts = np.bincount(epochs // bin_width, minlength=current_epoch // bin_width + 1)
 
     max_count = 0
-    for i, count in enumerate(counts):
+    for i, count in enumerate(counts.tolist()):
         if count > max_count:
             max_count = count
         elif count < drop_threshold * max_count:
@@ -147,8 +142,11 @@ class AgeGateState:
     drop_threshold: float = 0.01
     cutoffs: dict[int, float] = field(default_factory=dict)
 
-    def cutoff(self, node: int) -> float:
-        return self.cutoffs.get(node, math.inf)
+    def vector(self, n_nodes: int) -> np.ndarray:
+        """Cutoff per node id, infinity where none is set."""
+        out = np.full(n_nodes, math.inf)
+        out[list(self.cutoffs)] = list(self.cutoffs.values())
+        return out
 
     def state_dict(self) -> dict:
         return {
@@ -164,19 +162,18 @@ class AgeGateState:
 
 
 def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> None:
-    """End-of-epoch cutoff detection; a cutoff can only ever decrease."""
-    for node, epochs in log.epochs_per_node().items():
-        detected = detect_cutoff(epochs, current_epoch, state.bin_width, state.drop_threshold)
-        if detected < state.cutoff(node):
+    """End-of-epoch cutoff detection over each node's logged epochs; a cutoff
+    can only ever decrease."""
+    nodes, rows = np.nonzero(log.first.T >= 0)  # grouped by node
+    epochs = log.first[rows, nodes]
+    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+    for node, node_epochs in zip(nodes[starts].tolist(), np.split(epochs, starts[1:])):
+        detected = detect_cutoff(node_epochs, current_epoch, state.bin_width, state.drop_threshold)
+        if detected < state.cutoffs.get(node, math.inf):
             state.cutoffs[node] = detected
 
 
-def apply_gating(chain: SplChain, log: SplLog, state: AgeGateState, sample_id: int) -> SplChain:
-    """Drop chain nodes whose logged assignment is strictly past the cutoff."""
-    kept = []
-    for node in chain.nodes:
-        epoch = log.get(node, sample_id)
-        if epoch is not None and epoch > state.cutoff(node):
-            continue
-        kept.append(node)
-    return SplChain(tuple(kept), chain.tau)
+def apply_gating(assigned: np.ndarray, first: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Drop assignments whose logged first epoch is strictly past the node's
+    cutoff; `first` holds the log rows of the assigned mask's rows."""
+    return assigned & ~(first > cutoffs)

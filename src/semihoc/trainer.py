@@ -13,6 +13,11 @@ head's hidden ReLUs dead for good (seen on the reference benchmark, where a
 depth-1 head collapsed to a uniform output and every prediction stopped at
 the root). Cutoff detection runs at every epoch end.
 
+Targets come from the hierarchy's per-depth matrices: a labeled sample at
+node c is supervised at depth d by row c of Q_d. Pseudo-labels are boolean
+assignment masks A (rows x nodes), and their depth-d targets are
+A @ (Q_d * appears_d[:, None]), which is A's columns for depth space d.
+
 Determinism contract: all randomness flows through named substreams of the
 run seed (weight init, labeled/unlabeled shuffling, labeled/unlabeled
 dropout), so two runs with the same config produce byte-identical metrics,
@@ -41,7 +46,7 @@ from .hierarchy import Hierarchy, hierarchy_hash
 from .metrics import bmhd, spl_purity_and_depth
 from .prohoc import fuse_batch, predict_nodes
 from .rng import StreamSet
-from .spl import AgeGateState, SplChain, SplLog, apply_gating, compute_spls_batch, update_cutoffs, update_log
+from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, update_cutoffs, update_history, update_log
 
 METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-depth", "spl-oracle")
 
@@ -49,7 +54,7 @@ METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-dept
 GRAD_CLIP_NORM = 5.0
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -108,7 +113,6 @@ class EpochReport:
     method: str
     loss_labeled: tuple[float, ...]
     loss_unlabeled: tuple[float, ...]
-    spl_node_counts: dict[int, int]
     spl_total: int
     gated_count: int
     coverage: float | None
@@ -179,53 +183,37 @@ class Trainer:
         self.heads.init_params(self.streams.get("init"))
         self.opt = OptimizerParams(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
-        self.log = SplLog()
         self.gate = AgeGateState(config.gate_bin_width, config.gate_drop_threshold)
         self.gating_active = config.method == "semihoc"
-        # analysis instrumentation: first assignment ever per (node, sample)
-        self.history: dict[tuple[int, int], tuple[int, bool | None]] = {}
         self.epoch = 0
 
         self.labeled_idx = dataset.indices(SPLIT_LABELED)
         self.unlabeled_idx = dataset.indices(SPLIT_UNLABELED)
         self.test_idx = dataset.indices(SPLIT_TEST)
+        # Pseudo-label state over (unlabeled row, node): the current log, and
+        # for analysis the epoch of the first assignment ever.
+        unlabeled_ids, dtype = dataset.sample_ids[self.unlabeled_idx], epoch_dtype(config.epochs)
+        self.log = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
+        self.history = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
+        gts = dataset.labels[self.unlabeled_idx]
+        known = gts != NO_LABEL
+        self._ood_rows = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
         if len(self.labeled_idx) == 0:
             raise ValueError("training needs a non-empty labeled split")
-        if config.method == "spl-oracle":
-            gts = self.dataset.labels[self.unlabeled_idx]
-            if (gts == NO_LABEL).any():
-                raise ValueError("spl-oracle needs ground truth for every unlabeled sample")
+        if config.method == "spl-oracle" and not known.all():
+            raise ValueError("spl-oracle needs ground truth for every unlabeled sample")
 
         self.loader = _LabeledLoader(
             self.labeled_idx, config.labeled_batch_size, self.streams.get("shuffle/labeled")
         )
-        self._qcache: dict[tuple[int, int], np.ndarray] = {}
-        self._subtree_cache: dict[int, frozenset[int]] = {}
-        self._gt_by_sid = {int(g): int(c) for g, c in zip(dataset.sample_ids, dataset.labels)}
 
     # -- small helpers -----------------------------------------------------------
 
     @property
     def depths(self) -> list[int]:
         return self.heads.depths
-
-    def _q_row(self, node: int, d: int) -> np.ndarray:
-        key = (node, d)
-        if key not in self._qcache:
-            t = self.hierarchy.target_distribution(node, d)
-            size = len(self.hierarchy.depth_space(d))
-            self._qcache[key] = t.probs if t is not None else np.zeros(size)
-        return self._qcache[key]
-
-    def _subtree(self, node: int) -> frozenset[int]:
-        if node not in self._subtree_cache:
-            self._subtree_cache[node] = self.hierarchy.subtree(node)
-        return self._subtree_cache[node]
-
-    def _labeled_targets(self, d: int, labels: np.ndarray) -> np.ndarray:
-        return np.stack([self._q_row(int(c), d) for c in labels])
 
     def _steps_per_epoch(self) -> int:
         batch = self.config.labeled_batch_size * self.config.unlabeled_ratio
@@ -238,52 +226,51 @@ class Trainer:
 
     # -- per-method unlabeled target construction ---------------------------------
 
-    def _chains_semihoc(self, x_u: np.ndarray, sample_ids, gts) -> tuple[list[SplChain], list[SplChain]]:
+    def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> np.ndarray:
+        """Log this batch's subtree pseudo-labels and return them gated."""
         fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
-        chains = compute_spls_batch(fused, self.hierarchy, self.config.tau)
-        for chain, g, gt in zip(chains, sample_ids, gts):
-            update_log(self.log, g, chain, self.epoch)
-            for node in chain.nodes:
-                if (node, g) not in self.history:
-                    correct = None if gt == NO_LABEL else gt in self._subtree(node)
-                    self.history[(node, g)] = (self.epoch, correct)
-        gated = [apply_gating(chain, self.log, self.gate, g) for chain, g in zip(chains, sample_ids)]
-        return chains, gated
+        assigned = assign(fused, self.hierarchy, self.config.tau)
+        rows = np.searchsorted(self.unlabeled_idx, batch_u)
+        update_log(self.log, rows, assigned, self.epoch)
+        update_history(self.history, rows, assigned, self.epoch)
+        gated = apply_gating(assigned, self.log.first[rows], self.gate.vector(self.hierarchy.n_nodes))
+        stats["spl_total"] += int(assigned.sum())
+        stats["gated"] += int(assigned.sum() - gated.sum())
+        ood = self._ood_rows[rows]
+        stats["ood"].append((gated[ood], self.dataset.labels[batch_u][ood]))
+        return gated
 
-    def _chains_oracle(self, gts) -> list[SplChain]:
-        chains = []
-        for gt in gts:
-            path = self.hierarchy.ancestors_or_self(int(gt))[1:]
-            chains.append(SplChain(tuple(path), self.config.tau))
-        return chains
+    def _assign_oracle(self, gts: np.ndarray) -> np.ndarray:
+        """Every non-root ancestor-or-self of the ground truth."""
+        assigned = self.hierarchy.in_subtree(gts[:, None], np.arange(self.hierarchy.n_nodes))
+        assigned[:, 0] = False
+        return assigned
 
-    def _targets_from_chains(self, chains: list[SplChain], d: int) -> np.ndarray:
-        size = len(self.hierarchy.depth_space(d))
-        out = np.zeros((len(chains), size))
-        for i, chain in enumerate(chains):
-            for node in chain.nodes:
-                if self.hierarchy.space_index(node, d) >= 0:
-                    out[i] += self._q_row(node, d)
-        return out
+    def _pseudo_targets(self, assigned: np.ndarray) -> list[np.ndarray]:
+        """Per-depth targets A @ (Q_d * appears_d[:, None]) of an assignment
+        mask A, where appears_d marks the nodes of depth space d. Q_d is the
+        identity on those rows, so this is A's depth-space-d columns."""
+        return [assigned[:, list(self.hierarchy.depth_space(d).nodes)].astype(np.float64) for d in self.depths]
 
-    def _targets_ssl_node(self, x_u: np.ndarray, d_targets: list[np.ndarray]) -> None:
-        fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
-        preds = predict_nodes(fused)
-        conf = fused[np.arange(len(preds)), preds]
-        passing = conf > self.config.tau
-        for i in np.nonzero(passing)[0]:
-            node = int(preds[i])
-            for d in self.depths:
-                d_targets[d - 1][i] += self._q_row(node, d)
-
-    def _targets_ssl_perdepth(self, x_u: np.ndarray, d_targets: list[np.ndarray]) -> None:
+    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> list[np.ndarray]:
+        cfg = self.config
+        if cfg.method in ("semihoc", "semihoc-no-gate"):
+            return self._pseudo_targets(self._assign_semihoc(batch_u, x_u, stats))
+        if cfg.method == "spl-oracle":
+            return self._pseudo_targets(self._assign_oracle(self.dataset.labels[batch_u]))
+        if cfg.method == "ssl-node":
+            # the confident argmax node supervises every depth, like a label
+            fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
+            preds = predict_nodes(fused)
+            passing = fused[np.arange(len(preds)), preds] > cfg.tau
+            return [self.hierarchy.Q[d - 1][preds] * passing[:, None] for d in self.depths]
+        targets = []  # ssl-per-depth: each depth's own confident argmax
         for d in self.depths:
             probs = heads_mod.forward(self.heads.teacher(d), x_u, mode="eval")
             preds = np.argmax(probs, axis=1)
-            conf = probs[np.arange(len(preds)), preds]
-            space = self.hierarchy.depth_space(d)
-            for i in np.nonzero(conf > self.config.tau)[0]:
-                d_targets[d - 1][i] += self._q_row(int(space.nodes[preds[i]]), d)
+            passing = probs[np.arange(len(preds)), preds] > cfg.tau
+            targets.append(((preds[:, None] == np.arange(probs.shape[1])) & passing[:, None]).astype(np.float64))
+        return targets
 
     # -- one optimization step ------------------------------------------------------
 
@@ -297,37 +284,14 @@ class Trainer:
         x_u = self._features(batch_u) if uses_unlabeled else None
         m_u = len(batch_u) if uses_unlabeled else 0
 
-        d_targets: list[np.ndarray] | None = None
-        if uses_unlabeled:
-            d_targets = [np.zeros((m_u, len(self.hierarchy.depth_space(d)))) for d in self.depths]
-            sample_ids = [int(g) for g in self.dataset.sample_ids[batch_u]]
-            gts = [int(c) for c in self.dataset.labels[batch_u]]
-            if cfg.method in ("semihoc", "semihoc-no-gate"):
-                chains, gated = self._chains_semihoc(x_u, sample_ids, gts)
-                for chain, gchain, g, gt in zip(chains, gated, sample_ids, gts):
-                    stats["spl_total"] += len(chain)
-                    stats["gated"] += len(chain) - len(gchain)
-                    for node in chain.nodes:
-                        stats["node_counts"][node] = stats["node_counts"].get(node, 0) + 1
-                    if gt != NO_LABEL and not self.hierarchy.is_leaf(gt):
-                        stats["ood_chains"][g] = gchain
-                for d in self.depths:
-                    d_targets[d - 1] = self._targets_from_chains(gated, d)
-            elif cfg.method == "spl-oracle":
-                chains = self._chains_oracle(gts)
-                for d in self.depths:
-                    d_targets[d - 1] = self._targets_from_chains(chains, d)
-            elif cfg.method == "ssl-node":
-                self._targets_ssl_node(x_u, d_targets)
-            elif cfg.method == "ssl-per-depth":
-                self._targets_ssl_perdepth(x_u, d_targets)
+        d_targets = self._unlabeled_targets(batch_u, x_u, stats) if uses_unlabeled else None
 
         drop_l = self.streams.get("dropout/labeled")
         drop_u = self.streams.get("dropout/unlabeled")
         loss_l_out, loss_u_out = [], []
         for d in self.depths:
             student = self.heads.student(d)
-            t_l = self._labeled_targets(d, labels_l)
+            t_l = self.hierarchy.Q[d - 1][labels_l]
             masks_l = heads_mod.sample_masks(student, n_l, drop_l)
             loss_l, grads = heads_mod.ce_loss_and_grad(student, x_l, t_l, mode="train", masks=masks_l)
             for g in grads:
@@ -353,7 +317,7 @@ class Trainer:
     def run_epoch(self) -> EpochReport:
         cfg = self.config
         start = time.perf_counter()
-        stats = {"spl_total": 0, "gated": 0, "node_counts": {}, "ood_chains": {}}
+        stats = {"spl_total": 0, "gated": 0, "ood": []}
         sum_l = np.zeros(len(self.depths))
         sum_u = np.zeros(len(self.depths))
 
@@ -375,9 +339,9 @@ class Trainer:
             update_cutoffs(self.gate, self.log, self.epoch)
 
         purity = avg_depth = None
-        if stats["ood_chains"]:
-            gts = {g: self._gt_by_sid[g] for g in stats["ood_chains"]}
-            result = spl_purity_and_depth(stats["ood_chains"], gts, self.hierarchy)
+        if stats["ood"]:
+            gated, gts = (np.concatenate(parts) for parts in zip(*stats["ood"]))
+            result = spl_purity_and_depth(gated, gts, self.hierarchy)
             if result is not None:
                 purity, avg_depth = result
 
@@ -387,7 +351,6 @@ class Trainer:
             method=cfg.method,
             loss_labeled=tuple(sum_l / n_steps),
             loss_unlabeled=tuple(sum_u / n_steps),
-            spl_node_counts=stats["node_counts"],
             spl_total=stats["spl_total"],
             gated_count=stats["gated"],
             coverage=(stats["spl_total"] - stats["gated"]) / stats["spl_total"] if stats["spl_total"] else None,
@@ -422,7 +385,7 @@ class Trainer:
             "streams": self.streams.state_dict(),
             "log": self.log.state_dict(),
             "gate": self.gate.state_dict(),
-            "history": [(c, g, e, ok) for (c, g), (e, ok) in self.history.items()],
+            "history": self.history.state_dict(),
             "loader": self.loader.state_dict(),
         }
 
@@ -436,7 +399,7 @@ class Trainer:
         self.streams.load_state_dict(state["streams"])
         self.log.load_state_dict(state["log"])
         self.gate.load_state_dict(state["gate"])
-        self.history = {(c, g): (e, ok) for c, g, e, ok in state["history"]}
+        self.history.load_state_dict(state["history"])
         self.loader.load_state_dict(state["loader"])
 
 
@@ -460,22 +423,26 @@ def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarra
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
-    payload = pickle.dumps(trainer.state_dict(), protocol=4)
+    """Magic, version u32, then the pickled state, streamed to the file."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(payload)
+        pickle.dump(trainer.state_dict(), fh, protocol=4)
 
 
 def load_checkpoint(path) -> dict:
+    """The state saved by save_checkpoint; ValueError naming the file when it
+    is not a complete checkpoint of this version."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return pickle.loads(fh.read())
+        try:
+            if fh.read(4) != CHECKPOINT_MAGIC:
+                raise ValueError("not a checkpoint file")
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            return pickle.load(fh)
+        except (ValueError, pickle.UnpicklingError, EOFError, struct.error) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- metrics CSV ------------------------------------------------------------------
@@ -489,7 +456,8 @@ def metrics_columns(n_depths: int) -> list[str]:
     return cols
 
 
-def _fmt(value) -> str:
+def format_field(value) -> str:
+    """CSV field: empty for None, plain-float repr for floats (numpy scalars too)."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -498,13 +466,10 @@ def _fmt(value) -> str:
 
 
 def metrics_row(report: EpochReport) -> list[str]:
-    row = [str(report.epoch), report.method]
-    row += [repr(float(v)) for v in report.loss_labeled]
-    row += [repr(float(v)) for v in report.loss_unlabeled]
-    row += [str(report.spl_total), str(report.gated_count)]
-    row += [_fmt(report.coverage), _fmt(report.purity), _fmt(report.avg_depth)]
-    row += [_fmt(report.bmhd_id), _fmt(report.bmhd_ood), _fmt(report.bmhd_mix)]
-    return row
+    row = [report.epoch, report.method, *map(float, report.loss_labeled + report.loss_unlabeled)]
+    row += [report.spl_total, report.gated_count, report.coverage, report.purity, report.avg_depth]
+    row += [report.bmhd_id, report.bmhd_ood, report.bmhd_mix]
+    return [format_field(v) for v in row]
 
 
 def run_training(

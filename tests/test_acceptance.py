@@ -174,14 +174,14 @@ def test_criterion_5_target_distribution_properties():
                         n for n in range(tree.n_nodes) if depths[n] == d
                     } | {n for n in tree.id_leaves if depths[n] < d}
                     support = relatives & space
-                    t = tree.target_distribution(c, d)
+                    t = tree.Q[d - 1][c]
                     if not support:
-                        assert t is None
+                        assert not t.any()
                         continue
-                    assert abs(t.probs.sum() - 1.0) <= 1e-9
-                    nonzero = {tree.depth_space(d).nodes[j] for j in np.nonzero(t.probs)[0]}
+                    assert abs(t.sum() - 1.0) <= 1e-9
+                    nonzero = {tree.depth_space(d).nodes[j] for j in np.nonzero(t)[0]}
                     assert nonzero == support
-                    assert (len(support) == 1) == (t.probs.max() == 1.0)
+                    assert (len(support) == 1) == (t.max() == 1.0)
 
 
 # -- criterion 6 -------------------------------------------------------------------

@@ -201,3 +201,53 @@ class TestOracleCheck:
         first = capsys.readouterr().out
         assert run("oracle-check", "--cases", 15, "--seed", 3) == 0
         assert capsys.readouterr().out == first
+
+
+def read_diagnostics(path):
+    header, row = path.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+class TestGateDiagnostics:
+    def test_unknown_ground_truth_is_never_a_false_positive(self, workspace, tmp_path):
+        """Unlabeled samples without ground truth count toward the assignments
+        and the coverage, never toward the incorrect ones."""
+        from dataclasses import replace
+
+        from semihoc.datagen import NO_LABEL, SPLIT_UNLABELED, save_features
+
+        hierarchy = load_hierarchy(workspace / "data" / "hierarchy.txt")
+        dataset = load_features(workspace / "data" / "features.bin", hierarchy)
+        labels = dataset.labels.copy()
+        labels[dataset.splits == SPLIT_UNLABELED] = NO_LABEL
+        save_features(replace(dataset, labels=labels), tmp_path / "stripped.bin")
+        inputs = ["--features", tmp_path / "stripped.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        assert run(
+            "train", *inputs, "--out", tmp_path / "run", "--method", "semihoc", "--epochs", 3,
+            "--labeled-batch-size", 8, "--unlabeled-ratio", 2, "--lr", 0.05, "--hidden-dim", 32,
+            "--seed", 0, "--tau", 0.6, "--quiet",
+        ) == 0
+        assert run(
+            "eval", "--checkpoint", tmp_path / "run" / "ckpt_epoch0003.bin", *inputs,
+            "--out", tmp_path / "ev", "--split", "all",
+        ) == 0
+        diagnostics = read_diagnostics(tmp_path / "ev" / "diagnostics.csv")
+        assert int(diagnostics["n_assignments"]) > 0
+        assert diagnostics["n_incorrect"] == "0" and diagnostics["fpr_defined"] == "0"
+
+
+class TestBrokenCheckpoint:
+    @pytest.mark.parametrize("kind", ["truncated", "six-byte"])
+    def test_eval_and_inspect_exit_two(self, workspace, tmp_path, capsys, kind):
+        original = (workspace / "run" / "ckpt_epoch0003.bin").read_bytes()
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(original[: len(original) // 2] if kind == "truncated" else b"SHCK\x02\x00")
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev"],
+            ["inspect", "--checkpoint", broken],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert "checkpoint:" in err and str(broken) in err and "Traceback" not in err

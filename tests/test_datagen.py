@@ -30,7 +30,7 @@ class TestGenerate:
         # 81 leaves before pruning, round(0.2 * 81) = 16 pruned (frozen seed:
         # the keep-one-leaf-per-parent repair did not trigger)
         assert len(hierarchy.id_leaves) == 65
-        assert len(hierarchy.leaves) == 65
+        assert hierarchy.leaf_mask.sum() == 65
         assert hierarchy.max_depth == 4
 
     def test_ood_ground_truth_is_internal(self, reference):

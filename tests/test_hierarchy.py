@@ -115,48 +115,50 @@ class TestDepthSpaces:
             assert list(nodes) == sorted(nodes)
 
 
+def support(tree, c, d):
+    """Nodes of depth space d where the target row of node c is non-zero."""
+    return {tree.depth_space(d).nodes[j] for j in np.flatnonzero(tree.Q[d - 1][c])}
+
+
 class TestSMapping:
     def test_ancestor(self, animals):
-        assert animals.s_mapping(JUNCO, 1) == {BIRD}
+        assert support(animals, JUNCO, 1) == {BIRD}
 
     def test_descendants(self, animals):
-        assert animals.s_mapping(MAMMAL, 2) == {CAT, DOG}
+        assert support(animals, MAMMAL, 2) == {CAT, DOG}
 
     def test_self(self, animals):
-        assert animals.s_mapping(MAMMAL, 1) == {MAMMAL}
+        assert support(animals, MAMMAL, 1) == {MAMMAL}
 
     @given(trees())
     @settings(max_examples=30, deadline=None)
     def test_members_lie_in_depth_space(self, tree):
         for c in range(tree.n_nodes):
             for d in range(1, tree.max_depth + 1):
-                assert tree.s_mapping(c, d) <= set(tree.depth_space(d).nodes)
+                assert support(tree, c, d) <= set(tree.depth_space(d).nodes)
 
 
 class TestTargetDistribution:
     def test_leaf_one_hot_on_ancestor(self, animals):
-        t = animals.target_distribution(JUNCO, 1)
-        space = animals.depth_space(1)
-        assert t.probs[space.index_of(BIRD)] == 1.0
-        assert t.probs.sum() == 1.0
+        t = animals.Q[0][JUNCO]
+        assert t[animals.columns[0, BIRD]] == 1.0
+        assert t.sum() == 1.0
 
     def test_internal_uniform_over_descendants(self, animals):
-        t = animals.target_distribution(MAMMAL, 2)
-        space = animals.depth_space(2)
-        assert t.probs[space.index_of(CAT)] == 0.5
-        assert t.probs[space.index_of(DOG)] == 0.5
+        t = animals.Q[1][MAMMAL]
+        assert t[animals.columns[1, CAT]] == 0.5
+        assert t[animals.columns[1, DOG]] == 0.5
 
     def test_internal_one_hot_at_own_depth(self, animals):
-        t = animals.target_distribution(MAMMAL, 1)
-        assert t.probs[animals.depth_space(1).index_of(MAMMAL)] == 1.0
+        assert animals.Q[0][MAMMAL][animals.columns[0, MAMMAL]] == 1.0
 
     def test_empty_mapping_returns_none(self):
         # non-ID leaf at depth 1 dead-ends: no relatives at depth 2
         names = ["r", "L", "a", "b"]
         parents = [-1, 0, 0, 2]
         tree = Hierarchy(parents, names, id_leaves=[3])
-        assert tree.s_mapping(1, 2) == frozenset()
-        assert tree.target_distribution(1, 2) is None
+        assert support(tree, 1, 2) == set()
+        assert not tree.Q[1][1].any()
 
     @given(trees())
     @settings(max_examples=30, deadline=None)
@@ -164,16 +166,58 @@ class TestTargetDistribution:
         for c in range(tree.n_nodes):
             relatives = tree.subtree(c) | set(tree.ancestors_or_self(c))
             for d in range(1, tree.max_depth + 1):
-                t = tree.target_distribution(c, d)
-                support = relatives & set(tree.depth_space(d).nodes)
-                if not support:
-                    assert t is None
+                t = tree.Q[d - 1][c]
+                expected = relatives & set(tree.depth_space(d).nodes)
+                if not expected:
+                    assert not t.any()
                     continue
-                assert abs(t.probs.sum() - 1.0) < 1e-9
-                nonzero = {tree.depth_space(d).nodes[j] for j in np.nonzero(t.probs)[0]}
-                assert nonzero == support
-                if len(support) == 1:
-                    assert t.probs.max() == 1.0
+                assert abs(t.sum() - 1.0) < 1e-9
+                assert support(tree, c, d) == expected
+                if len(expected) == 1:
+                    assert t.max() == 1.0
+
+    @given(trees())
+    @settings(max_examples=30, deadline=None)
+    def test_identity_on_space_nodes(self, tree):
+        """Pseudo-label targets rely on Q_d restricted to space d being I."""
+        for d in range(1, tree.max_depth + 1):
+            nodes = list(tree.depth_space(d).nodes)
+            assert np.array_equal(tree.Q[d - 1][nodes], np.eye(len(nodes)))
+            assert np.array_equal(tree.columns[d - 1, nodes], np.arange(len(nodes)))
+
+
+class TestArrayQueries:
+    """Scalar and array forms of the node queries agree."""
+
+    @given(trees())
+    @settings(max_examples=30, deadline=None)
+    def test_batch_matches_scalar(self, tree):
+        gen = np.random.default_rng(tree.n_nodes + 2)
+        a, b = gen.integers(tree.n_nodes, size=20), gen.integers(tree.n_nodes, size=20)
+        lca, dist = tree.lca(a, b), tree.tree_distance(a, b)
+        inside, leaf = tree.in_subtree(a, b), tree.is_leaf(a)
+        for i in range(20):
+            x, y = int(a[i]), int(b[i])
+            assert lca[i] == tree.lca(x, y) and dist[i] == tree.tree_distance(x, y)
+            assert inside[i] == (x in tree.subtree(y)) == tree.in_subtree(x, y)
+            assert leaf[i] == (not tree.children[x]) == tree.is_leaf(x)
+
+    def test_scalars_come_back_as_python_values(self, animals):
+        assert type(animals.lca(CAT, DOG)) is int
+        assert type(animals.tree_distance(CAT, DOG)) is int
+        assert type(animals.is_leaf(CAT)) is bool
+
+    def test_euler_intervals(self, animals):
+        for c in range(7):
+            inside = {x for x in range(7) if animals.tin[c] <= animals.tin[x] < animals.tout[c]}
+            assert inside == animals.subtree(c)
+
+    def test_invalid_ids_in_arrays(self, animals):
+        for call in (animals.is_leaf, lambda x: animals.lca(x, CAT), lambda x: animals.in_subtree(CAT, x)):
+            with pytest.raises(ValueError, match="invalid node id"):
+                call(np.array([CAT, 7]))
+            with pytest.raises(ValueError, match="invalid node id"):
+                call(-1)
 
 
 class TestValidation:

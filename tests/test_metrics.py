@@ -10,9 +10,23 @@ from semihoc.metrics import (
     gate_fpr_coverage,
     spl_purity_and_depth,
 )
-from semihoc.spl import AgeGateState, SplChain
+from semihoc.spl import AgeGateState
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
+
+
+def masks(*chains):
+    """Assignment mask over the animal tree, one row per node tuple."""
+    out = np.zeros((len(chains), 7), dtype=bool)
+    for i, chain in enumerate(chains):
+        out[i, list(chain)] = True
+    return out
+
+
+def gate_report(records, gate):
+    """gate_fpr_coverage over (node, epoch, correct) records."""
+    nodes, epochs, correct = (np.array(column) for column in zip(*records))
+    return gate_fpr_coverage(nodes, epochs, ~correct, gate.vector(7))
 
 
 def micro_mean_distance(preds, gts, tree):
@@ -98,54 +112,68 @@ class TestDecomposition:
         assert m[0, 0] == pytest.approx(100.0 * exact)
 
 
+class TestDeepestNode:
+    def test_deepest_is_max_by_depth_then_id(self, animals):
+        # two depth-2 nodes on different branches: the larger id wins
+        assert spl_purity_and_depth(masks((MAMMAL, CAT, JUNCO)), [JUNCO], animals) == (1.0, 2.0)
+        assert spl_purity_and_depth(masks((BIRD, CAT)), [CAT], animals) == (1.0, 2.0)
+
+
 class TestPurityAndDepth:
     def test_pure_at_internal(self, animals):
-        out = spl_purity_and_depth({1: SplChain((MAMMAL,), 0.95)}, {1: MAMMAL}, animals)
+        out = spl_purity_and_depth(masks((MAMMAL,)), [MAMMAL], animals)
         assert out == (1.0, 1.0)
 
     def test_wrong_branch_impure(self, animals):
-        out = spl_purity_and_depth({1: SplChain((BIRD,), 0.95)}, {1: MAMMAL}, animals)
+        out = spl_purity_and_depth(masks((BIRD,)), [MAMMAL], animals)
         assert out[0] == 0.0
 
     def test_overprediction_impure_at_depth_two(self, animals):
-        out = spl_purity_and_depth({1: SplChain((MAMMAL, CAT), 0.95)}, {1: MAMMAL}, animals)
+        out = spl_purity_and_depth(masks((MAMMAL, CAT)), [MAMMAL], animals)
         assert out == (0.0, 2.0)
 
     def test_empty_chains_excluded(self, animals):
-        chains = {1: SplChain((), 0.95), 2: SplChain((MAMMAL,), 0.95)}
-        out = spl_purity_and_depth(chains, {1: MAMMAL, 2: MAMMAL}, animals)
+        out = spl_purity_and_depth(masks((), (MAMMAL,)), [MAMMAL, MAMMAL], animals)
         assert out == (1.0, 1.0)
 
     def test_no_assigned_samples(self, animals):
-        assert spl_purity_and_depth({1: SplChain((), 0.95)}, {1: MAMMAL}, animals) is None
+        assert spl_purity_and_depth(masks(()), [MAMMAL], animals) is None
 
 
 class TestGateFprCoverage:
     def test_gate_passes_everything(self):
         gate = AgeGateState(1, 0.2)
         records = [(1, 3, True), (1, 5, False), (2, 7, False)]
-        out = gate_fpr_coverage(records, gate)
+        out = gate_report(records, gate)
         assert out.coverage == 1.0 and out.fpr == 1.0 and out.fpr_defined
 
     def test_gate_blocks_everything(self):
         gate = AgeGateState(1, 0.2, cutoffs={1: -1.0, 2: -1.0})
         records = [(1, 3, True), (1, 5, False), (2, 7, False)]
-        out = gate_fpr_coverage(records, gate)
+        out = gate_report(records, gate)
         assert out.coverage == 0.0 and out.fpr == 0.0
 
     def test_counting(self):
         gate = AgeGateState(1, 0.2, cutoffs={1: 5.0})
         records = [(1, e, e != 6) for e in range(1, 9)] + [(2, 1, False), (2, 1, True)]
         # node 1: epochs 1..8, cutoff 5 -> 5 pass; node 2: both pass
-        out = gate_fpr_coverage(records, gate)
+        out = gate_report(records, gate)
         assert out.coverage == 7 / 10
         # incorrect: (1, 6) blocked, (2, 1) passes -> fpr 1/2
         assert out.fpr == 0.5
 
     def test_no_incorrect_flagged(self):
         gate = AgeGateState(1, 0.2)
-        out = gate_fpr_coverage([(1, 3, True)], gate)
+        out = gate_report([(1, 3, True)], gate)
         assert out.fpr == 0.0 and not out.fpr_defined
+
+
+class TestGateUnknownCorrectness:
+    def test_unknown_counts_toward_coverage_only(self):
+        gate = AgeGateState(1, 0.2, cutoffs={1: 3.0})
+        out = gate_fpr_coverage([1, 1, 2], [3, 5, 7], [False, False, False], gate.vector(3))
+        assert out.n_assignments == 3 and out.n_incorrect == 0 and not out.fpr_defined
+        assert out.coverage == 2 / 3 and out.fpr == 0.0
 
 
 class TestConfidenceBins:
@@ -169,13 +197,45 @@ class TestConfidenceBins:
 
     def test_subtree_conf_at_least_node_conf(self, animals):
         # superset sum: argmax node's subtree confidence >= its own mass
-        from semihoc.prohoc import fuse, predict_node, subtree_confidences
+        from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 
         rng = np.random.default_rng(4)
         for _ in range(20):
             d1 = rng.random(2) + 1e-9
             d2 = rng.random(4) + 1e-9
-            dist = fuse([d1 / d1.sum(), d2 / d2.sum()], animals)
-            node = predict_node(dist)
-            conf = subtree_confidences(dist.probs, animals)
-            assert conf[node] >= dist.probs[node]
+            probs = fuse_batch([d1 / d1.sum(), d2 / d2.sum()], animals)[0]
+            node = predict_nodes(probs[None])[0]
+            conf = subtree_confidences(probs, animals)
+            assert conf[node] >= probs[node]
+
+
+class TestAgainstOracles:
+    """The array forms of bmhd and the decomposition, recomputed per sample
+    with the brute-force tree oracles."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_trees(self, seed):
+        from semihoc.hierarchy import random_tree
+        from semihoc.oracles import ancestor_set_lca, bfs_distance
+
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(5, 60)))
+        preds = rng.integers(0, tree.n_nodes, 80)
+        gts = rng.integers(0, tree.n_nodes, 80)
+        groups = {}
+        for p, g in zip(preds, gts):
+            groups.setdefault(int(g), []).append(bfs_distance(tree, int(p), int(g)))
+        id_means = [np.mean(v) for c, v in sorted(groups.items()) if not tree.children[c]]
+        ood_means = [np.mean(v) for c, v in sorted(groups.items()) if tree.children[c]]
+        report = bmhd(preds, gts, tree)
+        assert report.id == (float(np.mean(id_means)) if id_means else None)
+        assert report.ood == (float(np.mean(ood_means)) if ood_means else None)
+
+        for subset in ("id", "ood"):
+            rows = [i for i in range(80) if (not tree.children[int(preds[i])]) == (subset == "id")]
+            expected = np.zeros((tree.max_depth + 1, tree.max_depth + 1))
+            for i in rows:
+                anc = ancestor_set_lca(tree, int(preds[i]), int(gts[i]))
+                expected[bfs_distance(tree, anc, int(gts[i])), bfs_distance(tree, anc, int(preds[i]))] += 1
+            got = decomposition_matrix(preds, gts, tree, subset)
+            assert np.array_equal(got, expected * (100.0 / len(rows)) if rows else np.zeros((0, 0)))

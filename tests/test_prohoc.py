@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihoc.hierarchy import random_tree
-from semihoc.prohoc import STOP_EPS, fuse, fuse_batch, predict_node, subtree_confidences
+from semihoc.prohoc import STOP_EPS, fuse_batch, predict_nodes, subtree_confidences
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
 EPS = STOP_EPS
@@ -24,48 +24,46 @@ def tree_with_outputs(draw):
 
 class TestFuse:
     def test_uniform_outputs_stop_at_root(self, animals):
-        dist = fuse([np.full(2, 0.5), np.full(4, 0.25)], animals)
-        p = dist.probs
+        p = fuse_batch([np.full(2, 0.5), np.full(4, 0.25)], animals)[0]
         assert np.isclose(p[ROOT], 1 - EPS)
         # symmetry groups: both internals equal, all four leaves equal
         assert np.isclose(p[MAMMAL], EPS * 0.5 * (1 - EPS))
         assert p[MAMMAL] == p[BIRD]
         assert np.isclose(p[CAT], 0.25 * EPS * EPS)
         assert p[CAT] == p[DOG] == p[EAGLE] == p[JUNCO]
-        assert predict_node(dist) == ROOT
+        assert predict_nodes(p[None])[0] == ROOT
 
     def test_one_hot_path_concentrates_on_leaf(self, animals):
-        dist = fuse([np.array([0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0])], animals)
-        p = dist.probs
+        p = fuse_batch([np.array([0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0])], animals)[0]
         assert p[JUNCO] >= 1 - 3 * EPS
         assert p.sum() - p[JUNCO] <= 3 * EPS
-        assert predict_node(dist) == JUNCO
+        assert predict_nodes(p[None])[0] == JUNCO
 
     def test_always_normalized(self, animals):
         rng = np.random.default_rng(0)
         for _ in range(20):
             d1 = rng.random(2) + 1e-9
             d2 = rng.random(4) + 1e-9
-            dist = fuse([d1 / d1.sum(), d2 / d2.sum()], animals)
-            assert abs(dist.probs.sum() - 1.0) <= 1e-9
+            p = fuse_batch([d1 / d1.sum(), d2 / d2.sum()], animals)[0]
+            assert abs(p.sum() - 1.0) <= 1e-9
 
     def test_misshapen_input_rejected(self, animals):
         import pytest
 
         with pytest.raises(ValueError):
-            fuse([np.full(3, 1 / 3), np.full(4, 0.25)], animals)
+            fuse_batch([np.full(3, 1 / 3), np.full(4, 0.25)], animals)
         with pytest.raises(ValueError):
-            fuse([np.full(2, 0.5)], animals)
+            fuse_batch([np.full(2, 0.5)], animals)
 
     def test_single_child_stop_is_eps(self):
         from semihoc.hierarchy import Hierarchy
 
         # chain r -> a -> b with one ID leaf
         tree = Hierarchy([-1, 0, 1], ["r", "a", "b"], id_leaves=[2])
-        dist = fuse([np.array([1.0]), np.array([1.0])], tree)
-        assert np.isclose(dist.probs[0], EPS)
-        assert np.isclose(dist.probs[1], (1 - EPS) * EPS)
-        assert np.isclose(dist.probs[2], (1 - EPS) * (1 - EPS))
+        p = fuse_batch([np.array([1.0]), np.array([1.0])], tree)[0]
+        assert np.isclose(p[0], EPS)
+        assert np.isclose(p[1], (1 - EPS) * EPS)
+        assert np.isclose(p[2], (1 - EPS) * (1 - EPS))
 
     @given(tree_with_outputs())
     @settings(max_examples=60, deadline=None)
@@ -82,7 +80,7 @@ class TestFuse:
         # all depth outputs one-hot along Cat's ancestor path
         d1 = np.array([1.0, 0.0])
         d2 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert predict_node(fuse([d1, d2], animals)) == CAT
+        assert predict_nodes(fuse_batch([d1, d2], animals))[0] == CAT
 
     def test_batch_matches_single(self, animals):
         rng = np.random.default_rng(1)
@@ -92,19 +90,19 @@ class TestFuse:
         d2 /= d2.sum(axis=1, keepdims=True)
         batch = fuse_batch([d1, d2], animals)
         for i in range(4):
-            single = fuse([d1[i], d2[i]], animals)
-            assert np.array_equal(batch[i], single.probs)
+            single = fuse_batch([d1[i], d2[i]], animals)[0]
+            assert np.array_equal(batch[i], single)
 
 
 class TestPredictNode:
     def test_concentrated(self, animals):
         p = np.zeros(7)
         p[JUNCO] = 1.0
-        assert predict_node(p) == JUNCO
+        assert predict_nodes(p[None])[0] == JUNCO
 
     def test_tie_breaks_to_smaller_id(self):
         p = np.array([0.1, 0.4, 0.4, 0.1, 0.0])
-        assert predict_node(p) == 1
+        assert predict_nodes(p[None])[0] == 1
 
 
 class TestSubtreeConfidences:

@@ -10,49 +10,81 @@ from semihoc.oracles import histogram_scan_cutoff
 from semihoc.prohoc import fuse_batch
 from semihoc.spl import (
     AgeGateState,
-    SplChain,
     SplLog,
     apply_gating,
-    compute_spls,
+    assign,
+    compute_spls_batch,
     detect_cutoff,
     update_cutoffs,
+    update_history,
     update_log,
 )
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
 
 
+def chain_of(p, tree, tau):
+    """Assigned nodes of one node distribution, shallow to deep."""
+    return compute_spls_batch(p[None], tree, tau)[0].nodes
+
+
+def mask(*nodes):
+    """One-row assignment mask over the animal tree."""
+    out = np.zeros((1, 7), dtype=bool)
+    out[0, list(nodes)] = True
+    return out
+
+
+def new_log():
+    """Log over the animal tree whose row r holds sample id r."""
+    return SplLog(np.arange(12, dtype=np.uint64), 7)
+
+
+def logged(log, node, sample):
+    epoch = int(log.first[sample, node])
+    return None if epoch < 0 else epoch
+
+
+def log_chain(log, sample, chain, epoch):
+    update_log(log, np.array([sample]), mask(*chain), epoch)
+
+
+def gate_chain(chain, log, gate, sample):
+    gated = apply_gating(mask(*chain), log.first[[sample]], gate.vector(7))
+    return tuple(np.flatnonzero(gated[0]).tolist())
+
+
 class TestComputeSpls:
     def test_full_mass_on_leaf(self, animals):
         p = np.zeros(7)
         p[JUNCO] = 1.0
-        assert compute_spls(p, animals, 0.95).nodes == (BIRD, JUNCO)
+        assert chain_of(p, animals, 0.95) == (BIRD, JUNCO)
 
     def test_mass_split_between_siblings(self, animals):
         p = np.zeros(7)
         p[CAT], p[DOG], p[MAMMAL] = 0.5, 0.46, 0.04
-        assert compute_spls(p, animals, 0.95).nodes == (MAMMAL,)
+        assert chain_of(p, animals, 0.95) == (MAMMAL,)
 
     def test_uniform_assigns_nothing(self, animals):
         p = np.full(7, 1 / 7)
-        assert compute_spls(p, animals, 0.95).nodes == ()
+        assert chain_of(p, animals, 0.95) == ()
 
     def test_root_never_assigned(self, animals):
         p = np.zeros(7)
         p[ROOT] = 1.0
-        assert compute_spls(p, animals, 0.5).nodes == ()
+        assert chain_of(p, animals, 0.5) == ()
 
     def test_strictness_at_threshold(self, animals):
         p = np.zeros(7)
         p[CAT] = 0.95
         p[JUNCO] = 0.05
         # subtree conf at Mammal and Cat is exactly 0.95: strict > fails
-        assert compute_spls(p, animals, 0.95).nodes == ()
+        assert chain_of(p, animals, 0.95) == ()
 
     def test_tau_one_assigns_nothing(self, animals):
         p = np.zeros(7)
         p[JUNCO] = 1.0
-        assert compute_spls(p, animals, 1.0).nodes == ()
+        assert chain_of(p, animals, 1.0) == ()
 
     @given(st.integers(0, 5_000), st.floats(0.55, 0.99))
     @settings(max_examples=60, deadline=None)
@@ -64,46 +96,73 @@ class TestComputeSpls:
             raw = rng.random((1, len(tree.depth_space(d)))) ** 4 + 1e-9
             outputs.append(raw / raw.sum(axis=1, keepdims=True))
         probs = fuse_batch(outputs, tree)[0]
-        chain = compute_spls(probs, tree, tau)
-        for shallow, deep in zip(chain.nodes, chain.nodes[1:]):
+        chain = chain_of(probs, tree, tau)
+        for shallow, deep in zip(chain, chain[1:]):
             assert int(tree.parents[deep]) == shallow
-        if chain.nodes:
-            assert int(tree.parents[chain.nodes[0]]) == 0
+        if chain:
+            assert int(tree.parents[chain[0]]) == 0
+
+    def test_chains_list_the_mask(self, animals):
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.full(7, 0.2), size=30)
+        assigned = assign(probs, animals, 0.6)
+        for row, chain in zip(assigned, compute_spls_batch(probs, animals, 0.6)):
+            assert set(chain.nodes) == set(np.flatnonzero(row).tolist())
+            assert list(chain.nodes) == sorted(chain.nodes, key=lambda c: (animals.depths[c], c))
 
 
 class TestSplLog:
     def test_first_assignment_inserted(self):
-        log = SplLog()
-        update_log(log, 11, SplChain((BIRD,), 0.95), epoch=7)
-        assert log.get(BIRD, 11) == 7
+        log = new_log()
+        log_chain(log, 11, (BIRD,), epoch=7)
+        assert logged(log, BIRD, 11) == 7
 
     def test_reassignment_keeps_first_epoch(self):
-        log = SplLog()
-        update_log(log, 11, SplChain((BIRD,), 0.95), epoch=3)
-        update_log(log, 11, SplChain((BIRD,), 0.95), epoch=7)
-        assert log.get(BIRD, 11) == 3
+        log = new_log()
+        log_chain(log, 11, (BIRD,), epoch=3)
+        log_chain(log, 11, (BIRD,), epoch=7)
+        assert logged(log, BIRD, 11) == 3
 
     def test_removal_and_reassignment(self):
-        log = SplLog()
-        update_log(log, 11, SplChain((BIRD,), 0.95), epoch=3)
-        update_log(log, 11, SplChain((), 0.95), epoch=7)
-        assert log.get(BIRD, 11) is None
-        update_log(log, 11, SplChain((BIRD,), 0.95), epoch=9)
-        assert log.get(BIRD, 11) == 9
+        log = new_log()
+        log_chain(log, 11, (BIRD,), epoch=3)
+        log_chain(log, 11, (), epoch=7)
+        assert logged(log, BIRD, 11) is None
+        log_chain(log, 11, (BIRD,), epoch=9)
+        assert logged(log, BIRD, 11) == 9
 
     def test_other_samples_untouched(self):
-        log = SplLog()
-        update_log(log, 1, SplChain((BIRD,), 0.95), epoch=1)
-        update_log(log, 2, SplChain((BIRD, JUNCO), 0.95), epoch=2)
-        update_log(log, 1, SplChain((), 0.95), epoch=3)
-        assert log.get(BIRD, 2) == 2 and log.get(JUNCO, 2) == 2
+        log = new_log()
+        log_chain(log, 1, (BIRD,), epoch=1)
+        log_chain(log, 2, (BIRD, JUNCO), epoch=2)
+        log_chain(log, 1, (), epoch=3)
+        assert logged(log, BIRD, 2) == 2 and logged(log, JUNCO, 2) == 2
         assert len(log) == 2
 
     def test_epochs_per_node(self):
-        log = SplLog()
-        update_log(log, 1, SplChain((BIRD,), 0.95), epoch=1)
-        update_log(log, 2, SplChain((BIRD,), 0.95), epoch=4)
-        assert sorted(log.epochs_per_node()[BIRD]) == [1, 4]
+        log = new_log()
+        log_chain(log, 1, (BIRD,), epoch=1)
+        log_chain(log, 2, (BIRD,), epoch=4)
+        column = log.first[:, BIRD]
+        assert sorted(column[column >= 0].tolist()) == [1, 4]
+
+    def test_history_keeps_first_assignment_ever(self):
+        history = new_log()
+        for chain, epoch in (((BIRD,), 2), ((), 3), ((BIRD, JUNCO), 5)):
+            update_history(history, np.array([4]), mask(*chain), epoch)
+        assert logged(history, BIRD, 4) == 2 and logged(history, JUNCO, 4) == 5
+
+    def test_sparse_state_roundtrip(self):
+        log = SplLog(np.array([30, 10, 20], dtype=np.uint64), 7, dtype=np.int8)
+        update_log(log, np.array([0, 2]), np.vstack([mask(BIRD, JUNCO), mask(MAMMAL)]), 6)
+        state = log.state_dict()
+        assert state["sample_id"].tolist() == [30, 30, 20]
+        assert state["node"].tolist() == [BIRD, JUNCO, MAMMAL]
+        back = SplLog(np.array([20, 30, 10], dtype=np.uint64), 7, dtype=np.int8)
+        back.load_state_dict(state)
+        assert back.first[1].tolist() == log.first[0].tolist() and back.first[0].tolist() == log.first[2].tolist()
+        with pytest.raises(ValueError, match="no row"):
+            SplLog(np.array([10], dtype=np.uint64), 7).load_state_dict(state)
 
 
 class TestDetectCutoff:
@@ -148,55 +207,51 @@ class TestDetectCutoff:
 class TestUpdateCutoffs:
     def test_no_entries_keeps_infinity(self):
         gate = AgeGateState(1, 0.2)
-        update_cutoffs(gate, SplLog(), 10)
-        assert gate.cutoff(BIRD) == math.inf
+        update_cutoffs(gate, new_log(), 10)
+        assert gate.vector(7)[BIRD] == math.inf
 
     def test_detection_sets_cutoff(self):
         gate = AgeGateState(1, 0.2)
-        log = SplLog()
+        log = new_log()
         for g, e in enumerate([1, 1, 2, 2, 2, 3, 10]):
-            update_log(log, g, SplChain((BIRD,), 0.95), epoch=e)
+            log_chain(log, g, (BIRD,), epoch=e)
         update_cutoffs(gate, log, 10)
-        assert gate.cutoff(BIRD) == 4
+        assert gate.vector(7)[BIRD] == 4
 
     def test_cutoff_never_loosens(self):
         gate = AgeGateState(1, 0.2)
         gate.cutoffs[BIRD] = 4.0
-        log = SplLog()
+        log = new_log()
         for g, e in enumerate([5, 5, 5]):
-            update_log(log, g, SplChain((BIRD,), 0.95), epoch=e)
+            log_chain(log, g, (BIRD,), epoch=e)
         update_cutoffs(gate, log, 12)  # detector alone would say 6
-        assert gate.cutoff(BIRD) == 4.0
+        assert gate.vector(7)[BIRD] == 4.0
 
 
 class TestApplyGating:
     def test_post_cutoff_nodes_dropped(self):
-        log = SplLog()
-        update_log(log, 5, SplChain((BIRD,), 0.95), epoch=2)
-        update_log(log, 5, SplChain((BIRD, JUNCO), 0.95), epoch=9)
+        log = new_log()
+        log_chain(log, 5, (BIRD,), epoch=2)
+        log_chain(log, 5, (BIRD, JUNCO), epoch=9)
         gate = AgeGateState(1, 0.2, cutoffs={JUNCO: 4.0})
-        gated = apply_gating(SplChain((BIRD, JUNCO), 0.95), log, gate, 5)
-        assert gated.nodes == (BIRD,)
+        assert gate_chain((BIRD, JUNCO), log, gate, 5) == (BIRD,)
 
     def test_all_infinite_cutoffs_identity(self):
-        log = SplLog()
-        update_log(log, 5, SplChain((BIRD, JUNCO), 0.95), epoch=2)
+        log = new_log()
+        log_chain(log, 5, (BIRD, JUNCO), epoch=2)
         gate = AgeGateState(1, 0.2)
-        gated = apply_gating(SplChain((BIRD, JUNCO), 0.95), log, gate, 5)
-        assert gated.nodes == (BIRD, JUNCO)
+        assert gate_chain((BIRD, JUNCO), log, gate, 5) == (BIRD, JUNCO)
 
     def test_boundary_epoch_kept(self):
-        log = SplLog()
-        update_log(log, 5, SplChain((JUNCO,), 0.95), epoch=4)
+        log = new_log()
+        log_chain(log, 5, (JUNCO,), epoch=4)
         gate = AgeGateState(1, 0.2, cutoffs={JUNCO: 4.0})
-        gated = apply_gating(SplChain((JUNCO,), 0.95), log, gate, 5)
-        assert gated.nodes == (JUNCO,)
+        assert gate_chain((JUNCO,), log, gate, 5) == (JUNCO,)
 
     def test_reassignment_after_cutoff_blocked(self):
-        log = SplLog()
-        update_log(log, 5, SplChain((JUNCO,), 0.95), epoch=2)
-        update_log(log, 5, SplChain((), 0.95), epoch=6)  # removed
-        update_log(log, 5, SplChain((JUNCO,), 0.95), epoch=8)  # re-added late
+        log = new_log()
+        log_chain(log, 5, (JUNCO,), epoch=2)
+        log_chain(log, 5, (), epoch=6)  # removed
+        log_chain(log, 5, (JUNCO,), epoch=8)  # re-added late
         gate = AgeGateState(1, 0.2, cutoffs={JUNCO: 4.0})
-        gated = apply_gating(SplChain((JUNCO,), 0.95), log, gate, 5)
-        assert gated.nodes == ()
+        assert gate_chain((JUNCO,), log, gate, 5) == ()

@@ -8,11 +8,13 @@ from semihoc import spl as spl_mod
 from semihoc.benchmark import reference_dataset, reference_train_config
 from semihoc.datagen import NO_LABEL, SPLIT_UNLABELED
 from semihoc.heads import DepthHeads
+from semihoc.prohoc import fuse_batch
 from semihoc.trainer import (
     GRAD_CLIP_NORM,
     TrainConfig,
     Trainer,
     load_checkpoint,
+    predict_dataset,
     run_training,
     save_checkpoint,
 )
@@ -68,7 +70,7 @@ class TestLossContract:
         for head in trainer.heads.students:
             for w in head.weights:
                 w[...] = 0.0
-        stats = {"spl_total": 0, "gated": 0, "node_counts": {}, "ood_chains": {}}
+        stats = {"spl_total": 0, "gated": 0, "ood": []}
         batch_l = trainer.loader.next_batch()
         loss_l, _ = trainer._train_step(batch_l, np.empty(0, dtype=np.int64), stats)
         for d, loss in zip(trainer.depths, loss_l):
@@ -93,7 +95,7 @@ class TestGradientClipping:
             for w in head.weights:
                 w[...] = 0.0
         for trainer in (fresh, zeroed):
-            stats = {"spl_total": 0, "gated": 0, "node_counts": {}, "ood_chains": {}}
+            stats = {"spl_total": 0, "gated": 0, "ood": []}
             batch_u = trainer.unlabeled_idx[: trainer.config.labeled_batch_size * trainer.config.unlabeled_ratio]
             trainer._train_step(trainer.loader.next_batch(), batch_u, stats)
 
@@ -143,13 +145,14 @@ class TestSteps:
         """A depth-1 chain node only contributes where it lives in a space."""
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
-        from semihoc.spl import SplChain
 
         depth1_node = hierarchy.children[0][0]
-        targets = trainer._targets_from_chains([SplChain((depth1_node,), 0.95)], 1)
-        assert targets.any()
+        assigned = np.zeros((1, hierarchy.n_nodes), dtype=bool)
+        assigned[0, depth1_node] = True
+        targets = trainer._pseudo_targets(assigned)
+        assert targets[0].any()
         for d in trainer.depths[1:]:
-            deeper = trainer._targets_from_chains([SplChain((depth1_node,), 0.95)], d)
+            deeper = targets[d - 1]
             assert not deeper.any()
 
     def test_semihoc_targets_supported_inside_subtree(self, tiny_data):
@@ -157,25 +160,35 @@ class TestSteps:
         their support sits inside Subtree(node) ∩ depth space d."""
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
-        from semihoc.spl import SplChain
 
         for c in range(1, hierarchy.n_nodes):
-            chain = SplChain(tuple(hierarchy.ancestors_or_self(c)[1:]), 0.95)
+            chain = hierarchy.ancestors_or_self(c)[1:]
+            assigned = np.zeros((1, hierarchy.n_nodes), dtype=bool)
+            assigned[0, list(chain)] = True
             for d in trainer.depths:
-                targets = trainer._targets_from_chains([chain], d)[0]
+                targets = trainer._pseudo_targets(assigned)[d - 1][0]
                 space = hierarchy.depth_space(d).nodes
                 support = {space[j] for j in np.nonzero(targets)[0]}
                 allowed = set().union(
-                    *(hierarchy.subtree(n) for n in chain.nodes if hierarchy.space_index(n, d) >= 0)
+                    *(hierarchy.subtree(n) for n in chain if hierarchy.columns[d - 1, n] >= 0)
                 ) if support else set()
                 assert support <= (allowed & set(space))
+
+    def test_pseudo_targets_equal_the_matrix_product(self, tiny_data):
+        """A @ (Q_d * appears_d[:, None]) for a random assignment mask A."""
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(), hierarchy, dataset)
+        assigned = np.random.default_rng(0).random((20, hierarchy.n_nodes)) < 0.3
+        for d, targets in zip(trainer.depths, trainer._pseudo_targets(assigned)):
+            appears = hierarchy.columns[d - 1] >= 0
+            assert np.array_equal(targets, assigned @ (hierarchy.Q[d - 1] * appears[:, None]))
 
     def test_oracle_chain_is_ancestor_path(self, tiny_data):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(method="spl-oracle"), hierarchy, dataset)
         some_leaf = sorted(hierarchy.id_leaves)[0]
-        chain = trainer._chains_oracle([some_leaf])[0]
-        assert chain.nodes == hierarchy.ancestors_or_self(some_leaf)[1:]
+        assigned = trainer._assign_oracle(np.array([some_leaf]))[0]
+        assert set(np.flatnonzero(assigned).tolist()) == set(hierarchy.ancestors_or_self(some_leaf)[1:])
 
     def test_oracle_refuses_missing_ground_truth(self, tiny_data):
         hierarchy, dataset = tiny_data
@@ -247,12 +260,62 @@ class TestEpochAccounting:
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(tau=0.5), hierarchy, dataset)
         seen = []
-        original = trainer._chains_semihoc
+        original = trainer._assign_semihoc
 
-        def spy(x_u, sample_ids, gts):
-            seen.extend(sample_ids)
-            return original(x_u, sample_ids, gts)
+        def spy(batch_u, x_u, stats):
+            seen.extend(int(g) for g in dataset.sample_ids[batch_u])
+            return original(batch_u, x_u, stats)
 
-        trainer._chains_semihoc = spy
+        trainer._assign_semihoc = spy
         trainer.run_epoch()
         assert sorted(seen) == sorted(int(g) for g in dataset.sample_ids[dataset.indices(SPLIT_UNLABELED)])
+
+
+class TestDenseLog:
+    def test_log_and_history_match_a_per_sample_replay(self, tiny_data):
+        """The dense log and history hold what a per-sample dict log would."""
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(tau=0.5, epochs=5), hierarchy, dataset)
+        replay_log, replay_history = {}, {}
+        original = trainer._assign_semihoc
+
+        def spy(batch_u, x_u, stats):
+            gated = original(batch_u, x_u, stats)
+            fused = fuse_batch(trainer.heads.teacher_forward_all(x_u), hierarchy)
+            for g, row in zip(dataset.sample_ids[batch_u], spl_mod.assign(fused, hierarchy, 0.5)):
+                nodes = set(np.flatnonzero(row).tolist())
+                entries = {c: e for c, e in replay_log.get(int(g), {}).items() if c in nodes}
+                replay_log[int(g)] = {c: entries.get(c, trainer.epoch) for c in nodes}
+                for c in nodes:
+                    replay_history.setdefault((int(g), c), trainer.epoch)
+            return gated
+
+        trainer._assign_semihoc = spy
+        for _ in range(5):
+            trainer.run_epoch()
+        state = trainer.state_dict()
+        logged = {(int(g), int(c)): int(e) for g, c, e in zip(*state["log"].values())}
+        assert logged == {(g, c): e for g, entries in replay_log.items() for c, e in entries.items()}
+        history = {(int(g), int(c)): int(e) for g, c, e in zip(*state["history"].values())}
+        assert history == replay_history and len(history) >= len(logged) > 0
+
+    def test_smallest_epoch_dtype(self, tiny_data):
+        hierarchy, dataset = tiny_data
+        assert Trainer(config(epochs=127), hierarchy, dataset).log.first.dtype == np.int8
+        assert Trainer(config(epochs=400), hierarchy, dataset).history.first.dtype == np.int16
+
+
+class TestBenchmarkContract:
+    """What the benchmark harness reads from the package."""
+
+    def test_cutoffs_dict_and_chain_rows(self, tiny_data):
+        hierarchy, dataset = tiny_data
+        _, trainer = run_training(config(epochs=3), hierarchy, dataset)
+        cutoffs = dict(trainer.gate.cutoffs)
+        assert all(isinstance(c, int) and isinstance(t, float) for c, t in cutoffs.items())
+        fused = predict_dataset(trainer.heads, trainer.hierarchy, dataset.features[trainer.unlabeled_idx])
+        chains = spl_mod.compute_spls_batch(fused, trainer.hierarchy, 0.95)
+        assert len(chains) == len(trainer.unlabeled_idx) and any(len(c.nodes) for c in chains)
+        for chain in chains:
+            path = hierarchy.ancestors_or_self(chain.nodes[-1])[1:] if chain.nodes else ()
+            assert tuple(chain.nodes) == path
