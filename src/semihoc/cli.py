@@ -15,6 +15,7 @@ if os.environ.get("SEMIHOC_THREADS"):
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -117,22 +118,7 @@ def _load_train_config(args) -> TrainConfig:
             raise UsageError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
-    overrides = {
-        "method": args.method,
-        "epochs": args.epochs,
-        "labeled_batch_size": args.labeled_batch_size,
-        "unlabeled_ratio": args.unlabeled_ratio,
-        "lr": args.lr,
-        "dropout": args.dropout,
-        "weight_decay": args.weight_decay,
-        "tau": args.tau,
-        "gate_bin_width": args.gate_bin_width,
-        "gate_drop_threshold": args.gate_drop_threshold,
-        "hidden_dim": args.hidden_dim,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "checkpoint_every": args.checkpoint_every,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
     data.update({k: v for k, v in overrides.items() if v is not None})
     if args.no_age_gating and data.get("method", "semihoc") == "semihoc":
         data["method"] = "semihoc-no-gate"
@@ -205,11 +191,7 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
     for subset in ("id", "ood"):
         matrix = decomposition_matrix(preds[known], gts[known], hierarchy, subset)
         header = ["under_dist"] + [f"over_{j}" for j in range(matrix.shape[1])]
-        _write_csv(
-            out / f"decomposition_{subset}.csv",
-            header,
-            [[i] + [float(v) for v in row] for i, row in enumerate(matrix)],
-        )
+        _write_csv(out / f"decomposition_{subset}.csv", header, [[i, *map(float, row)] for i, row in enumerate(matrix)])
 
     exact = preds == gts
     in_subtree = known & hierarchy.in_subtree(np.where(known, gts, 0), preds)
@@ -222,23 +204,11 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
                 continue
             table = confidence_accuracy_bins(confs[sel], correct[sel], n_bins=bins)
             for b in range(bins):
-                acc = table.accuracy[b]
-                bin_rows.append(
-                    [
-                        mode,
-                        panel,
-                        float(table.edges[b]),
-                        float(table.edges[b + 1]),
-                        None if np.isnan(acc) else float(acc),
-                        float(table.frequency[b]),
-                        int(table.counts[b]),
-                    ]
-                )
-    _write_csv(
-        out / "confidence_bins.csv",
-        ["mode", "panel", "bin_lo", "bin_hi", "accuracy", "frequency", "count"],
-        bin_rows,
-    )
+                acc = None if np.isnan(table.accuracy[b]) else float(table.accuracy[b])
+                edges = map(float, table.edges[b : b + 2])
+                bin_rows.append([mode, panel, *edges, acc, float(table.frequency[b]), int(table.counts[b])])
+    header = ["mode", "panel", "bin_lo", "bin_hi", "accuracy", "frequency", "count"]
+    _write_csv(out / "confidence_bins.csv", header, bin_rows)
 
 
 def _eval_from_probs(out, hierarchy, dataset, idx, probs, bins):
@@ -264,13 +234,13 @@ def cmd_eval(args) -> int:
 
     if args.checkpoint:
         state = _load("checkpoint", load_checkpoint, args.checkpoint)
-        if state["hierarchy_hash"] != hierarchy_hash(hierarchy):
+        meta = state["meta"]
+        # load_features has matched the feature file's hash to the hierarchy
+        if meta["hierarchy_hash"] != hierarchy_hash(hierarchy):
             raise DataError("checkpoint hierarchy hash does not match --hierarchy")
-        if dataset.hierarchy_hash != state["hierarchy_hash"]:
-            raise DataError("checkpoint hierarchy hash does not match the feature file")
-        config = TrainConfig.from_dict(state["config"])
+        config = TrainConfig.from_dict(meta["config"])
         heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
-        heads.load_state_dict(state["heads"])
+        _load(f"checkpoint: {args.checkpoint}", heads.load_state_dict, state)
         probs = predict_dataset(heads, hierarchy, dataset.features[idx])
         _eval_from_probs(out, hierarchy, dataset, idx, probs, args.bins)
         if args.split in ("train", "all"):
@@ -289,11 +259,11 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
     subtree, and of unknown correctness (never a false positive) when the
     sample has no ground truth.
     """
-    log, history = state["log"], state["history"]
+    log, history = ({k: state[f"{name}.{k}"] for k in ("sample_id", "node", "epoch")} for name in ("log", "history"))
     if not len(history["node"]) and not len(log["node"]):
         return
     gate = AgeGateState()
-    gate.load_state_dict(state["gate"])
+    gate.load_state_dict(state["meta"]["gate"])
     cutoffs = gate.vector(hierarchy.n_nodes)
 
     gts = dataset.labels_of(history["sample_id"])
@@ -346,15 +316,8 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
 
     if not preds:
         raise DataError("prediction dump covers no samples of the selected split")
-    _write_eval_reports(
-        out,
-        hierarchy,
-        np.array(preds, dtype=np.int64),
-        np.array(gts, dtype=np.int64),
-        np.array(node_conf),
-        np.array(sub_conf),
-        bins,
-    )
+    preds, gts = np.array(preds, dtype=np.int64), np.array(gts, dtype=np.int64)
+    _write_eval_reports(out, hierarchy, preds, gts, np.array(node_conf), np.array(sub_conf), bins)
 
 
 # -- inspect ----------------------------------------------------------------------
@@ -377,12 +340,13 @@ def cmd_inspect(args) -> int:
         shown = True
     if args.checkpoint:
         state = _load("checkpoint", load_checkpoint, args.checkpoint)
+        meta = state["meta"]
         print(f"== {args.checkpoint}")
-        print(f"epochs completed: {state['epoch']}")
-        print(f"hierarchy hash: {state['hierarchy_hash']:#018x}")
-        print(f"config: {json.dumps(state['config'], sort_keys=True)}")
-        print(f"log entries: {len(state['log']['node'])}")
-        finite = [t for t in state["gate"]["cutoffs"].values() if t != float("inf")]
+        print(f"epochs completed: {meta['epoch']}")
+        print(f"hierarchy hash: {meta['hierarchy_hash']:#018x}")
+        print(f"config: {json.dumps(meta['config'], sort_keys=True)}")
+        print(f"log entries: {len(state['log.node'])}")
+        finite = [t for t in meta["gate"]["cutoffs"].values() if t != float("inf")]
         print(f"finite cutoffs: {len(finite)}")
         shown = True
     if not shown:
@@ -434,21 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with TrainConfig keys")
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--labeled-batch-size", type=int, default=None)
-    p.add_argument("--unlabeled-ratio", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--gate-bin-width", type=int, default=None)
-    p.add_argument("--gate-drop-threshold", type=float, default=None)
+    for f in fields(TrainConfig):  # a flag per field, except the two momenta
+        if f.name not in ("momentum", "ema_momentum"):
+            choices = METHODS if f.name == "method" else None
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), choices=choices, default=None)
     p.add_argument("--no-age-gating", action="store_true")
-    p.add_argument("--hidden-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--resume", help="checkpoint file to continue from")
     p.add_argument("--force", action="store_true")
     p.add_argument("--quiet", action="store_true")

@@ -11,6 +11,7 @@ truth, which makes them out-of-distribution at internal nodes.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -70,11 +71,9 @@ class FeatureDataset:
     def validate(self, hierarchy: Hierarchy) -> None:
         if len(np.unique(self.sample_ids)) != len(self):
             raise FeatureFileError("duplicate sample ids")
-        known = self.labels != NO_LABEL
-        if known.any():
-            lo, hi = self.labels[known].min(), self.labels[known].max()
-            if lo < 0 or hi >= hierarchy.n_nodes:
-                raise FeatureFileError(f"ground-truth node id {hi if hi >= hierarchy.n_nodes else lo} unknown")
+        bad = np.flatnonzero((self.labels != NO_LABEL) & ((self.labels < 0) | (self.labels >= hierarchy.n_nodes)))
+        if len(bad):
+            raise FeatureFileError(f"record {bad[0] + 1}: unknown node id {int(self.labels[bad[0]])}")
         bad = np.flatnonzero(self.mask(SPLIT_LABELED) & ~np.isin(self.labels, list(hierarchy.id_leaves)))
         if len(bad):
             sample = int(self.sample_ids[bad[0]])
@@ -165,12 +164,8 @@ def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
         kids = [c for c in range(len(full_parents)) if full_parents[c] == p]
         if all(k in prune for k in kids):
             prune.discard(int(rng.choice(kids)))
-    id_per_parent = {}
-    for leaf in leaves:
-        if leaf not in prune:
-            id_per_parent.setdefault(int(full_parents[leaf]), 0)
-            id_per_parent[int(full_parents[leaf])] += 1
-    if any(v < 2 for v in id_per_parent.values()):
+    id_per_parent = np.bincount([full_parents[leaf] for leaf in leaves if leaf not in prune])
+    if (id_per_parent == 1).any():
         warnings.warn("some internal nodes keep only one ID leaf after pruning")
 
     # Dense re-index of the surviving nodes, original (breadth-first) order.
@@ -249,25 +244,29 @@ def sample_labeled_subset(
 # -- binary feature file ----------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIQIQ")
-_SAMPLE_HEAD = struct.Struct("<QIB")
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("sample_id", "<u8"), ("label", "<u4"), ("split", "u1"), ("features", "<f4", (dim,))])
 
 
 def save_features(dataset: FeatureDataset, path) -> None:
+    records = np.empty(len(dataset), dtype=_record_dtype(dataset.dim))
+    records["sample_id"] = dataset.sample_ids
+    records["label"] = np.where(dataset.labels == NO_LABEL, _NO_LABEL_U32, dataset.labels)
+    records["split"] = dataset.splits
+    records["features"] = dataset.features
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(FILE_MAGIC, FILE_VERSION, len(dataset), dataset.dim, dataset.hierarchy_hash)
-        )
-        for i in range(len(dataset)):
-            label = int(dataset.labels[i])
-            stored = _NO_LABEL_U32 if label == NO_LABEL else label
-            fh.write(_SAMPLE_HEAD.pack(int(dataset.sample_ids[i]), stored, int(dataset.splits[i])))
-            fh.write(dataset.features[i].astype("<f4").tobytes())
+        fh.write(_HEADER.pack(FILE_MAGIC, FILE_VERSION, len(dataset), dataset.dim, dataset.hierarchy_hash))
+        records.tofile(fh)
 
 
 def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
     """Read a feature file; validates against a hierarchy when given.
 
-    Errors mention the 1-based record number of the offending sample.
+    The header's record count is checked against the file size before
+    anything is allocated. Errors mention the 1-based record number of the
+    offending sample.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -278,41 +277,34 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
             raise FeatureFileError("not a feature file (bad magic)")
         if version != FILE_VERSION:
             raise FeatureFileError(f"unsupported format version {version}")
-
-        features = np.empty((count, dim), dtype=np.float32)
-        labels = np.empty(count, dtype=np.int64)
-        sample_ids = np.empty(count, dtype=np.uint64)
-        splits = np.empty(count, dtype=np.uint8)
-        row_bytes = _SAMPLE_HEAD.size + 4 * dim
-        for i in range(count):
-            row = fh.read(row_bytes)
-            if len(row) < row_bytes:
-                raise FeatureFileError(f"record {i + 1}: truncated file")
-            sid, stored, split = _SAMPLE_HEAD.unpack_from(row)
-            if split not in (SPLIT_LABELED, SPLIT_UNLABELED, SPLIT_TEST):
-                raise FeatureFileError(f"record {i + 1}: invalid split tag {split}")
-            sample_ids[i] = sid
-            labels[i] = NO_LABEL if stored == _NO_LABEL_U32 else stored
-            splits[i] = split
-            features[i] = np.frombuffer(row, dtype="<f4", offset=_SAMPLE_HEAD.size)
-        if fh.read(1):
+        record = _record_dtype(dim)
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body < count * record.itemsize:
+            raise FeatureFileError(f"record {body // record.itemsize + 1}: truncated file")
+        if body > count * record.itemsize:
             raise FeatureFileError("trailing bytes after the declared sample count")
+        records = np.fromfile(fh, dtype=record, count=count)
 
-    seen = {}
-    for i, sid in enumerate(sample_ids):
-        if sid in seen:
-            raise FeatureFileError(f"record {i + 1}: duplicate sample id {int(sid)}")
-        seen[int(sid)] = i
+    bad = np.flatnonzero(records["split"] > SPLIT_TEST)
+    if len(bad):
+        raise FeatureFileError(f"record {bad[0] + 1}: invalid split tag {records['split'][bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
+    if len(bad):
+        raise FeatureFileError(f"record {bad[0] + 1}: non-finite feature value")
+    sample_ids = records["sample_id"]
+    order = np.argsort(sample_ids, kind="stable")
+    repeats = order[1:][sample_ids[order[1:]] == sample_ids[order[:-1]]]
+    if len(repeats):
+        raise FeatureFileError(f"record {repeats.min() + 1}: duplicate sample id {sample_ids[repeats.min()]}")
 
-    dataset = FeatureDataset(features, labels, sample_ids, splits, h_hash)
+    labels = records["label"].astype(np.int64)
+    labels[labels == _NO_LABEL_U32] = NO_LABEL
+    dataset = FeatureDataset(records["features"], labels, sample_ids, records["split"], h_hash)
     if hierarchy is not None:
         expected = hierarchy_hash(hierarchy)
         if expected != h_hash:
             raise FeatureFileError(
                 f"hierarchy hash mismatch: file has {h_hash:#018x}, hierarchy is {expected:#018x}"
             )
-        bad = np.flatnonzero(labels >= hierarchy.n_nodes)  # NO_LABEL is negative
-        if len(bad):
-            raise FeatureFileError(f"record {bad[0] + 1}: unknown node id {int(labels[bad[0]])}")
         dataset.validate(hierarchy)
     return dataset

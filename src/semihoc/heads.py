@@ -17,6 +17,24 @@ import numpy as np
 
 LOGIT_CLIP = 50.0
 N_LAYERS = 4
+ROLES = ("student", "teacher", "velocity")
+
+
+def param_shapes(in_dim: int, out_dim: int, hidden: int) -> list[tuple[int, ...]]:
+    """Shapes of one head's parameters: w0, b0, w1, b1, ..."""
+    widths = [in_dim] + [hidden] * (N_LAYERS - 1) + [out_dim]
+    return [shape for i in range(N_LAYERS) for shape in ((widths[i], widths[i + 1]), (widths[i + 1],))]
+
+
+def entry_shapes(feature_dim: int, classes: list[int], hidden: int) -> dict[str, tuple[int, ...]]:
+    """Checkpoint name (`teacher.d2.w0`) -> shape of every array of heads with
+    classes[d - 1] outputs at depth d, in DepthHeads.state_dict order."""
+    return {
+        f"{role}.d{d}.{'wb'[i % 2]}{i // 2}": shape
+        for d, n_classes in enumerate(classes, start=1)
+        for role in ROLES
+        for i, shape in enumerate(param_shapes(feature_dim, n_classes, hidden))
+    }
 
 
 class MlpHead:
@@ -29,9 +47,8 @@ class MlpHead:
         self.out_dim = out_dim
         self.hidden = hidden
         self.dropout = dropout
-        widths = [in_dim] + [hidden] * (N_LAYERS - 1) + [out_dim]
-        self.weights = [np.zeros((widths[i], widths[i + 1])) for i in range(N_LAYERS)]
-        self.biases = [np.zeros(widths[i + 1]) for i in range(N_LAYERS)]
+        params = [np.zeros(shape) for shape in param_shapes(in_dim, out_dim, hidden)]
+        self.weights, self.biases = params[0::2], params[1::2]
 
     def init_params(self, rng: np.random.Generator) -> None:
         """He-uniform fan-in initialization, biases zero."""
@@ -42,10 +59,7 @@ class MlpHead:
             b[...] = 0.0
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy_from(self, other: "MlpHead") -> None:
         for dst, src in zip(self.parameters(), other.parameters()):
@@ -77,9 +91,7 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
     masks=None means evaluation mode (no dropout); in training mode the
     masks are applied with inverted scaling 1/(1 - rate).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     scale = 1.0 / (1.0 - head.dropout) if masks is not None else 1.0
     cache: dict = {"masks": masks, "scale": scale}
 
@@ -105,10 +117,8 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Class probabilities for a batch (or a single vector)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    single = np.ndim(x) == 1
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != head.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != head input dim {head.in_dim}")
     masks = None
@@ -154,12 +164,8 @@ def ce_loss_and_grad(
     as when several pseudo-labels supervise the same depth) or to zero (the
     sample contributes nothing at this depth).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if mode == "train":
         if masks is None:
             if rng is None:
@@ -243,34 +249,34 @@ class DepthHeads:
         return [forward(t, x, mode="eval") for t in self.teachers]
 
     def sgd_step(self, d: int, grads: list[np.ndarray], opt: OptimizerParams, scale: float = 1.0) -> None:
-        sgd_step(
-            self.student(d).parameters(),
-            self.velocities[d - 1],
-            grads,
-            lr=opt.lr,
-            momentum=opt.momentum,
-            weight_decay=opt.weight_decay,
-            scale=scale,
-        )
+        params = self.student(d).parameters()
+        sgd_step(params, self.velocities[d - 1], grads, opt.lr, opt.momentum, opt.weight_decay, scale)
 
     def ema_update_all(self, momentum: float) -> None:
         for teacher, student in zip(self.teachers, self.students):
             ema_update(teacher, student, momentum)
 
-    def state_dict(self) -> dict:
-        return {
-            "students": [[p.copy() for p in h.parameters()] for h in self.students],
-            "teachers": [[p.copy() for p in h.parameters()] for h in self.teachers],
-            "velocities": [[v.copy() for v in vs] for vs in self.velocities],
-        }
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Every student, teacher and velocity array under its checkpoint
+        name: the live buffers, not copies."""
+        heads = zip(self.students, self.teachers, self.velocities)
+        live = [a for s, t, v in heads for a in (*s.parameters(), *t.parameters(), *v)]
+        classes = [head.out_dim for head in self.students]
+        return dict(zip(entry_shapes(self.feature_dim, classes, self.students[0].hidden), live))
 
     def load_state_dict(self, state: dict) -> None:
-        for head, params in zip(self.students, state["students"]):
-            for dst, src in zip(head.parameters(), params):
-                dst[...] = src
-        for head, params in zip(self.teachers, state["teachers"]):
-            for dst, src in zip(head.parameters(), params):
-                dst[...] = src
-        for vs, saved in zip(self.velocities, state["velocities"]):
-            for dst, src in zip(vs, saved):
-                dst[...] = src
+        """Copy the saved arrays into the live ones once each is known to
+        exist with the live shape and dtype; ValueError naming the depth and
+        the parameter otherwise."""
+        live = self.state_dict()
+        for name, dst in live.items():
+            src = state.get(name)
+            if src is None or (src.shape, src.dtype) != (dst.shape, dst.dtype):
+                role, depth, param = name.split(".")
+                found = "nothing" if src is None else f"{src.dtype} {src.shape}"
+                raise ValueError(
+                    f"depth {depth[1:]} {role} parameter {param}: checkpoint has {found}, "
+                    f"model needs {dst.dtype} {dst.shape}"
+                )
+        for name, dst in live.items():
+            dst[...] = state[name]

@@ -49,5 +49,7 @@ class StreamSet:
 
     def load_state_dict(self, states: dict) -> None:
         for name, state in states.items():
-            gen = self.get(name)
-            gen.bit_generator.state = state
+            try:
+                self.get(name).bit_generator.state = state
+            except (TypeError, KeyError) as exc:
+                raise ValueError(f"RNG stream {name!r}: invalid state ({exc})") from exc

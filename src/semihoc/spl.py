@@ -24,7 +24,7 @@ purpose of the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,8 +84,9 @@ class SplLog:
         return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.first[rows, nodes]}
 
     def load_state_dict(self, state: dict) -> None:
-        if not np.isin(state["sample_id"], self.sample_ids).all():
-            raise ValueError("checkpoint log names samples this log has no row for")
+        rows_known = np.isin(state["sample_id"], self.sample_ids).all()
+        if not rows_known or np.any((state["node"] < 0) | (state["node"] >= self.first.shape[1])):
+            raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
         order = np.argsort(self.sample_ids)
         rows = order[np.searchsorted(self.sample_ids, state["sample_id"], sorter=order)]
         self.first[...] = -1
@@ -149,11 +150,7 @@ class AgeGateState:
         return out
 
     def state_dict(self) -> dict:
-        return {
-            "bin_width": self.bin_width,
-            "drop_threshold": self.drop_threshold,
-            "cutoffs": dict(self.cutoffs),
-        }
+        return asdict(self)
 
     def load_state_dict(self, state: dict) -> None:
         self.bin_width = int(state["bin_width"])

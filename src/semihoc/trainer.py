@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, fields
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import heads as heads_mod
 from .datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
-from .heads import DepthHeads, OptimizerParams
+from .heads import DepthHeads, OptimizerParams, entry_shapes
 from .hierarchy import Hierarchy, hierarchy_hash
 from .metrics import bmhd, spl_purity_and_depth
 from .prohoc import fuse_batch, predict_nodes
@@ -54,7 +54,11 @@ METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-dept
 GRAD_CLIP_NORM = 5.0
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
+_META_TYPES = dict(
+    config=dict, hierarchy_hash=int, epoch=int, feature_dim=int, classes=list, streams=dict, loader_pos=int, gate=dict
+)
 
 
 @dataclass
@@ -152,13 +156,6 @@ class _LabeledLoader:
             self.pos += take
             need -= take
         return np.concatenate(out)
-
-    def state_dict(self) -> dict:
-        return {"perm": self.perm.copy(), "pos": self.pos}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.perm = np.asarray(state["perm"], dtype=np.int64)
-        self.pos = int(state["pos"])
 
 
 class Trainer:
@@ -377,30 +374,30 @@ class Trainer:
     # -- checkpointing ---------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "hierarchy_hash": self.hash,
-            "epoch": self.epoch,
-            "heads": self.heads.state_dict(),
-            "streams": self.streams.state_dict(),
-            "log": self.log.state_dict(),
-            "gate": self.gate.state_dict(),
-            "history": self.history.state_dict(),
-            "loader": self.loader.state_dict(),
-        }
+        """The checkpoint entries by name: `meta`, the scalar state as a
+        JSON-able dict, and the arrays. Head, velocity and loader arrays are
+        the live buffers, not copies; the logs are their sparse triples."""
+        meta = {"config": asdict(self.config), "hierarchy_hash": self.hash, "epoch": self.epoch}
+        meta.update(feature_dim=self.dataset.dim, classes=[len(self.hierarchy.depth_space(d)) for d in self.depths])
+        meta.update(streams=self.streams.state_dict(), loader_pos=self.loader.pos, gate=self.gate.state_dict())
+        state = {"meta": meta, **self.heads.state_dict(), "loader.perm": self.loader.perm}
+        for name, log in (("log", self.log), ("history", self.history)):
+            state.update({f"{name}.{key}": array for key, array in log.state_dict().items()})
+        return state
 
     def load_state_dict(self, state: dict) -> None:
-        if state["hierarchy_hash"] != self.hash:
+        meta = state["meta"]
+        if meta["hierarchy_hash"] != self.hash:
             raise ValueError("checkpoint was trained against a different hierarchy")
-        if state["config"] != asdict(self.config):
+        if meta["config"] != asdict(self.config):
             raise ValueError("checkpoint config does not match the requested config")
-        self.epoch = int(state["epoch"])
-        self.heads.load_state_dict(state["heads"])
-        self.streams.load_state_dict(state["streams"])
-        self.log.load_state_dict(state["log"])
-        self.gate.load_state_dict(state["gate"])
-        self.history.load_state_dict(state["history"])
-        self.loader.load_state_dict(state["loader"])
+        self.heads.load_state_dict(state)
+        for name, log in (("log", self.log), ("history", self.history)):
+            log.load_state_dict({key: state[f"{name}.{key}"] for key in _LOG_KEYS})
+        self.epoch, self.loader.pos = meta["epoch"], meta["loader_pos"]
+        self.loader.perm = np.array(state["loader.perm"], dtype=np.int64)
+        self.streams.load_state_dict(meta["streams"])
+        self.gate.load_state_dict(meta["gate"])
 
 
 def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
@@ -423,16 +420,24 @@ def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarra
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
-    """Magic, version u32, then the pickled state, streamed to the file."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        pickle.dump(trainer.state_dict(), fh, protocol=4)
+    """Magic, version u32, then an uncompressed .npz of trainer.state_dict()
+    with `meta` as a JSON string. It is written beside `path` and renamed
+    into place, so `path` never holds a partial checkpoint."""
+    state, path = trainer.state_dict(), Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
+            np.savez(fh, **{**state, "meta": np.array(json.dumps(state["meta"]))})
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> dict:
-    """The state saved by save_checkpoint; ValueError naming the file when it
-    is not a complete checkpoint of this version."""
+    """The state saved by save_checkpoint, every entry checked; ValueError
+    naming the file and the entry when it is not a complete checkpoint of
+    this version."""
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != CHECKPOINT_MAGIC:
@@ -440,9 +445,50 @@ def load_checkpoint(path) -> dict:
             (version,) = struct.unpack("<I", fh.read(4))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            return pickle.load(fh)
-        except (ValueError, pickle.UnpicklingError, EOFError, struct.error) as exc:
+            state = {}
+            with np.load(fh) as npz:  # object arrays are refused by default
+                for name in npz.files:
+                    try:
+                        state[name] = np.asarray(npz[name])  # an entry that is no .npy reads as bytes
+                    except Exception as exc:
+                        raise ValueError(f"entry {name}: {exc}") from exc
+            _check_entries(state)
+            return state
+        except Exception as exc:  # zipfile and numpy fail on damaged bytes in many ways
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def _check_entries(state: dict) -> None:
+    """Parse `meta` in place, then require exactly the arrays it implies:
+    float64 heads of the recorded shapes, and 1-D integer loader and log
+    arrays."""
+    if "meta" not in state:
+        raise ValueError("missing entry meta")
+    try:
+        meta = state["meta"] = json.loads(state["meta"].item())
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        for key, kind in _META_TYPES.items():
+            if not isinstance(meta.get(key), kind):
+                raise ValueError(f"{key!r} is missing or not a JSON {kind.__name__}")
+        TrainConfig.from_dict(meta["config"])
+        AgeGateState().load_state_dict(meta["gate"])
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"entry meta: {exc}") from exc
+    expected = entry_shapes(meta["feature_dim"], meta["classes"], meta["config"]["hidden_dim"])
+    expected.update({f"{name}.{key}": None for name in ("log", "history") for key in _LOG_KEYS})
+    expected["loader.perm"] = None
+    for name in sorted(expected.keys() | (state.keys() - {"meta"})):
+        if name not in state or name not in expected:
+            raise ValueError(f"{'missing' if name not in state else 'unexpected'} entry {name}")
+        array, shape = state[name], expected[name]
+        if shape is None and (array.dtype.kind not in "iu" or array.ndim != 1):
+            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not a 1-D integer array")
+        if shape is not None and (array.dtype, array.shape) != (np.float64, shape):
+            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not float64 {shape}")
+    for name in ("log", "history"):
+        if len({len(state[f"{name}.{key}"]) for key in _LOG_KEYS}) != 1:
+            raise ValueError(f"entries {name}.* differ in length")
 
 
 # -- metrics CSV ------------------------------------------------------------------

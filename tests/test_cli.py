@@ -1,10 +1,13 @@
 import json
+import pickle
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semihoc.cli import main
-from semihoc.datagen import load_features
+from semihoc.datagen import load_features, save_features
 from semihoc.hierarchy import load_hierarchy
 
 
@@ -251,3 +254,124 @@ class TestBrokenCheckpoint:
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "checkpoint:" in err and str(broken) in err and "Traceback" not in err
+
+
+def read_entries(path):
+    """The arrays of a checkpoint file, read past its 8-byte prefix."""
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        with np.load(fh) as npz:
+            return {name: npz[name] for name in npz.files}
+
+
+def write_checkpoint(path, entries):
+    with open(path, "wb") as fh:
+        fh.write(b"SHCK" + struct.pack("<I", 3))
+        np.savez(fh, **entries)
+
+
+class TestCheckpointEntries:
+    """A checkpoint that lacks or mistypes an entry exits 2 from every
+    command that reads it, naming the file and the entry."""
+
+    @pytest.mark.parametrize(
+        "kind, named",
+        [
+            ("no-meta", "meta"),
+            ("no-head-array", "teacher.d2.b1"),
+            ("meta-not-object", "meta"),
+            ("object-entry", "loader.perm"),
+            ("mis-shaped", "student.d1.w0"),
+            ("mis-typed", "velocity.d3.b3"),
+            ("version-2-pickle", "unsupported checkpoint version 2"),
+        ],
+    )
+    def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        if kind == "no-meta":
+            del entries["meta"]
+        elif kind == "no-head-array":
+            del entries["teacher.d2.b1"]
+        elif kind == "meta-not-object":
+            entries["meta"] = np.array("[1, 2]")
+        elif kind == "object-entry":
+            entries["loader.perm"] = np.array([None, 1], dtype=object)
+        elif kind == "mis-shaped":
+            entries["student.d1.w0"] = entries["student.d1.w0"][:1]
+        elif kind == "mis-typed":
+            entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float32)
+        broken = tmp_path / "broken.bin"
+        if kind == "version-2-pickle":
+            broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))
+        else:
+            write_checkpoint(broken, entries)
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (
+            ["inspect", "--checkpoint", broken],
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev"],
+            ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, "--quiet"],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"checkpoint: {broken}" in err and named in err and "Traceback" not in err
+
+    def test_layout(self, workspace):
+        """Named arrays plus one JSON meta string; the log stays sparse."""
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        meta = json.loads(entries.pop("meta").item())
+        assert meta["epoch"] == 3 and meta["config"]["hidden_dim"] == 32
+        assert {"hierarchy_hash", "feature_dim", "classes", "streams", "loader_pos", "gate"} <= meta.keys()
+        depths = len(meta["classes"])
+        assert sum(name.split(".")[0] in ("student", "teacher", "velocity") for name in entries) == 3 * 8 * depths
+        assert entries["student.d1.w0"].shape == (meta["feature_dim"], 32)
+        lengths = {len(entries[f"log.{key}"]) for key in ("sample_id", "node", "epoch")}
+        assert len(lengths) == 1 and all(entries[name].dtype != object for name in entries)
+
+
+TRAIN_SMALL = ["--method", "semihoc", "--epochs", 1, "--labeled-batch-size", 8, "--unlabeled-ratio", 2]
+TRAIN_SMALL += ["--hidden-dim", 16, "--seed", 0, "--quiet"]
+
+
+class TestHeadShapes:
+    """A checkpoint's head arrays must match the model the feature file
+    implies; numpy broadcasting used to hide a mismatch."""
+
+    @pytest.fixture(scope="class")
+    def narrow(self, workspace, tmp_path_factory):
+        """Copies of the workspace features cut to 1 and 4 columns, and a
+        1-epoch run on the 1-column copy."""
+        root = tmp_path_factory.mktemp("narrow")
+        dataset = load_features(workspace / "data" / "features.bin")
+        for cols in (1, 4):
+            save_features(replace(dataset, features=dataset.features[:, :cols].copy()), root / f"dim{cols}.bin")
+        hierarchy = workspace / "data" / "hierarchy.txt"
+        assert run("train", "--features", root / "dim1.bin", "--hierarchy", hierarchy, "--out", root / "run", *TRAIN_SMALL) == 0
+        return root
+
+    def test_eval_refuses_narrow_checkpoint_on_wide_features(self, workspace, narrow, tmp_path, capsys):
+        code = run(
+            "eval", "--checkpoint", narrow / "run" / "ckpt_epoch0001.bin",
+            "--features", workspace / "data" / "features.bin",
+            "--hierarchy", workspace / "data" / "hierarchy.txt", "--out", tmp_path / "ev",
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "checkpoint:" in err and "depth 1 student parameter w0" in err
+
+    def test_eval_refuses_wide_checkpoint_on_narrow_features(self, workspace, narrow, tmp_path, capsys):
+        code = run(
+            "eval", "--checkpoint", workspace / "run" / "ckpt_epoch0003.bin",
+            "--features", narrow / "dim4.bin",
+            "--hierarchy", workspace / "data" / "hierarchy.txt", "--out", tmp_path / "ev",
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "depth 1 student parameter w0" in err
+
+    def test_resume_refuses_mismatched_heads(self, workspace, narrow, tmp_path, capsys):
+        code = run(
+            "train", "--features", workspace / "data" / "features.bin",
+            "--hierarchy", workspace / "data" / "hierarchy.txt", "--out", tmp_path / "tr",
+            "--resume", narrow / "run" / "ckpt_epoch0001.bin", *TRAIN_SMALL,
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "depth 1 student parameter w0" in err

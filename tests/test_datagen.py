@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,7 +190,7 @@ class TestFeatureFile:
             type(dataset)(dataset.features, dataset.labels, ids, dataset.splits, dataset.hierarchy_hash),
             path,
         )
-        with pytest.raises(FeatureFileError, match="duplicate"):
+        with pytest.raises(FeatureFileError, match="record 2: duplicate"):
             load_features(path)
 
     def test_hash_mismatch_detected(self, reference, tmp_path):
@@ -212,3 +215,58 @@ class TestFeatureFile:
         )
         back = load_features(path, hierarchy)
         assert (back.labels[unl] == NO_LABEL).all()
+
+    def test_bytes_follow_the_record_layout(self, reference, tmp_path):
+        """Header, then per record: sample id u64, label u32 (0xFFFFFFFF for
+        none), split u8 and the features as little-endian f32."""
+        _, dataset = reference
+        labels = dataset.labels.copy()
+        labels[::7] = NO_LABEL
+        dataset = replace(dataset, labels=labels)
+        expected = [struct.pack("<4sIQIQ", b"SHOC", 1, len(dataset), dataset.dim, dataset.hierarchy_hash)]
+        for i in range(len(dataset)):
+            label = 0xFFFFFFFF if labels[i] == NO_LABEL else int(labels[i])
+            expected.append(struct.pack("<QIB", int(dataset.sample_ids[i]), label, int(dataset.splits[i])))
+            expected.append(dataset.features[i].astype("<f4").tobytes())
+        save_features(dataset, tmp_path / "f.bin")
+        assert (tmp_path / "f.bin").read_bytes() == b"".join(expected)
+
+    def test_huge_count_refused_before_allocating(self, tmp_path, monkeypatch):
+        """A 28-byte file whose header claims 2**40 samples."""
+        path = tmp_path / "f.bin"
+        path.write_bytes(struct.pack("<4sIQIQ", b"SHOC", 1, 2**40, 16, 0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated for a sample count the file size rules out")
+
+        for name in ("empty", "zeros", "fromfile", "frombuffer"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(FeatureFileError, match="record 1: truncated"):
+            load_features(path)
+
+    def test_trailing_bytes(self, reference, tmp_path):
+        _, dataset = reference
+        path = tmp_path / "f.bin"
+        save_features(dataset, path)
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(FeatureFileError, match="trailing"):
+            load_features(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_refused(self, reference, tmp_path, value):
+        _, dataset = reference
+        features = dataset.features.copy()
+        features[4, 2] = value
+        path = tmp_path / "f.bin"
+        save_features(replace(dataset, features=features), path)
+        with pytest.raises(FeatureFileError, match="record 5: non-finite"):
+            load_features(path)
+
+    def test_invalid_split_tag(self, reference, tmp_path):
+        _, dataset = reference
+        splits = dataset.splits.copy()
+        splits[9] = 7
+        path = tmp_path / "f.bin"
+        save_features(replace(dataset, splits=splits), path)
+        with pytest.raises(FeatureFileError, match="record 10: invalid split tag 7"):
+            load_features(path)

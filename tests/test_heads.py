@@ -189,3 +189,34 @@ class TestEma:
             H.ema_update(t, s, momentum=m)
         gap = max(np.abs(a - b).max() for a, b in zip(t.parameters(), s.parameters()))
         assert gap <= gap0 * m**10 * (1 + 1e-9)
+
+
+class TestDepthHeadsState:
+    def test_roundtrip_copies_every_array(self, animals):
+        src = H.DepthHeads(animals, 5, hidden=6)
+        src.init_params(np.random.default_rng(0))
+        dst = H.DepthHeads(animals, 5, hidden=6)
+        dst.load_state_dict(src.state_dict())
+        for name, array in dst.state_dict().items():
+            assert np.array_equal(array, src.state_dict()[name]) and array is not src.state_dict()[name]
+
+    def test_names_and_shapes(self, animals):
+        heads = H.DepthHeads(animals, 5, hidden=6)
+        shapes = {name: a.shape for name, a in heads.state_dict().items()}
+        assert shapes == H.entry_shapes(5, [len(animals.depth_space(d)) for d in heads.depths], 6)
+        assert shapes["teacher.d2.w0"] == (5, 6) and shapes["velocity.d1.b3"] == (2,)
+
+    @pytest.mark.parametrize("in_dim, hidden", [(4, 6), (5, 7)])
+    def test_mismatch_names_depth_and_parameter(self, animals, in_dim, hidden):
+        saved = H.DepthHeads(animals, in_dim, hidden=hidden).state_dict()
+        live = H.DepthHeads(animals, 5, hidden=6)
+        before = {name: a.copy() for name, a in live.state_dict().items()}
+        with pytest.raises(ValueError, match="depth 1 student parameter w0"):
+            live.load_state_dict(saved)
+        assert all(np.array_equal(a, before[name]) for name, a in live.state_dict().items())
+
+    def test_wrong_dtype_refused(self, animals):
+        state = H.DepthHeads(animals, 5, hidden=6).state_dict()
+        state["teacher.d2.b1"] = state["teacher.d2.b1"].astype(np.float32)
+        with pytest.raises(ValueError, match="depth 2 teacher parameter b1"):
+            H.DepthHeads(animals, 5, hidden=6).load_state_dict(state)

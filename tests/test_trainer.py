@@ -239,6 +239,37 @@ class TestDeterminismAndResume:
         assert a.loss_labeled == b.loss_labeled
         assert a.loss_unlabeled == b.loss_unlabeled
 
+    def test_state_holds_the_live_arrays(self, tiny_data):
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(), hierarchy, dataset)
+        state = trainer.state_dict()
+        assert state["student.d1.w0"] is trainer.heads.students[0].weights[0]
+        assert state[f"velocity.d{hierarchy.max_depth}.b3"] is trainer.heads.velocities[-1][-1]
+        assert state["loader.perm"] is trainer.loader.perm
+
+    def test_failed_save_leaves_no_partial_file(self, tiny_data, tmp_path, monkeypatch):
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(), hierarchy, dataset)
+        path = tmp_path / "ckpt_epoch0001.bin"
+
+        def fail_partway(fh, **entries):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(trainer, path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        save_checkpoint(trainer, path)
+        saved = path.read_bytes()
+        monkeypatch.setattr(np, "savez", fail_partway)
+        trainer.run_epoch()
+        with pytest.raises(OSError):
+            save_checkpoint(trainer, path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == saved
+
     def test_wrong_config_resume_rejected(self, tiny_data, tmp_path):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
@@ -294,9 +325,14 @@ class TestDenseLog:
         for _ in range(5):
             trainer.run_epoch()
         state = trainer.state_dict()
-        logged = {(int(g), int(c)): int(e) for g, c, e in zip(*state["log"].values())}
+
+        def sparse(name):
+            triples = zip(state[f"{name}.sample_id"], state[f"{name}.node"], state[f"{name}.epoch"])
+            return {(int(g), int(c)): int(e) for g, c, e in triples}
+
+        logged = sparse("log")
         assert logged == {(g, c): e for g, entries in replay_log.items() for c, e in entries.items()}
-        history = {(int(g), int(c)): int(e) for g, c, e in zip(*state["history"].values())}
+        history = sparse("history")
         assert history == replay_history and len(history) >= len(logged) > 0
 
     def test_smallest_epoch_dtype(self, tiny_data):
