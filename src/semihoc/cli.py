@@ -287,37 +287,57 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
     _write_csv(out / "diagnostics.csv", header, [row])
 
 
+_DUMP_DTYPE = [("line", "i8"), ("sample_id", "u8"), ("node", "i8"), ("confidence", "f8"), ("subtree_confidence", "f8")]
+_DUMP_FIELDS = (("sample id", int), ("node", int), ("confidence", float), ("subtree confidence", float))
+
+
+def _prediction_fields(line: str, n_nodes: int) -> list:
+    """Sample id, node, node confidence and subtree confidence (the last
+    chain entry's) of one prediction-dump line; ValueError naming the field."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    last = fields[3].rpartition(",")[2]
+    if ":" not in last:
+        raise ValueError(f"chain entry {last!r} is not node:confidence")
+    fields[3] = last.partition(":")[2]
+    for i, (name, kind) in enumerate(_DUMP_FIELDS):
+        try:
+            fields[i] = kind(fields[i])
+        except ValueError:
+            raise ValueError(f"{name} {fields[i]!r} is not {'an integer' if kind is int else 'a number'}") from None
+    if not 0 <= fields[0] < 2**64:
+        raise ValueError(f"sample id {fields[0]} is out of range")
+    if not 0 <= fields[1] < n_nodes:
+        raise ValueError(f"unknown node id {fields[1]}")
+    return fields
+
+
 def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) -> None:
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise DataError(f"prediction dump: {exc}")
-    gt_by_sid = {int(g): int(c) for g, c in zip(dataset.sample_ids, dataset.labels)}
-    wanted = {int(g) for g in dataset.sample_ids[idx]}
-
-    preds, gts, node_conf, sub_conf = [], [], [], []
+    records = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"prediction dump line {lineno}: expected 4 tab-separated fields")
-        g, node = int(parts[0]), int(parts[1])
-        if g not in gt_by_sid:
-            raise DataError(f"prediction dump line {lineno}: unknown sample id {g}")
-        if g not in wanted:
-            continue
-        if not 0 <= node < hierarchy.n_nodes:
-            raise DataError(f"prediction dump line {lineno}: unknown node id {node}")
-        preds.append(node)
-        gts.append(gt_by_sid[g])
-        node_conf.append(float(parts[2]))
-        sub_conf.append(float(parts[3].split(",")[-1].split(":")[1]))
-
-    if not preds:
+        try:
+            if line.strip():
+                records.append((lineno, *_prediction_fields(line, hierarchy.n_nodes)))
+        except ValueError as exc:
+            raise DataError(f"prediction dump line {lineno}: {exc}") from None
+    if not records:
         raise DataError("prediction dump covers no samples of the selected split")
-    preds, gts = np.array(preds, dtype=np.int64), np.array(gts, dtype=np.int64)
-    _write_eval_reports(out, hierarchy, preds, gts, np.array(node_conf), np.array(sub_conf), bins)
+
+    dump = np.array(records, dtype=_DUMP_DTYPE)
+    unknown = ~np.isin(dump["sample_id"], dataset.sample_ids)
+    if unknown.any():
+        first = dump[np.argmax(unknown)]
+        raise DataError(f"prediction dump line {first['line']}: unknown sample id {first['sample_id']}")
+    dump = dump[np.isin(dump["sample_id"], dataset.sample_ids[idx])]
+    if not len(dump):
+        raise DataError("prediction dump covers no samples of the selected split")
+    gts = dataset.labels_of(dump["sample_id"])
+    _write_eval_reports(out, hierarchy, dump["node"], gts, dump["confidence"], dump["subtree_confidence"], bins)
 
 
 # -- inspect ----------------------------------------------------------------------

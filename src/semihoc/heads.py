@@ -1,12 +1,18 @@
 """Depth-specific MLP classifiers with explicit forward/backward passes.
 
 Four affine layers with ReLU in between, softmax output, inverted dropout on
-the input features and on every hidden activation. All training arithmetic
-is 64-bit so analytic gradients can be checked against central finite
-differences at tight tolerances. The per-depth student is trained with SGD
-plus momentum and weight decay; the teacher is an exponential moving average
-of the student and is the model actually used for pseudo-labels and
-evaluation.
+the input features and on every hidden activation. A dropout mask already
+carries the inverted-dropout scale: each entry is 0 or 1/(1 - rate), so one
+multiply applies it. All training arithmetic is 64-bit so analytic gradients
+can be checked against central finite differences at tight tolerances.
+The cross-entropy runs forward and backward on the rows that carry a target
+only: a row whose target is all zero has a logit gradient of exactly zero,
+so skipping it changes the loss and gradients only in the order of their
+sums. The per-depth student is trained with SGD plus momentum and weight
+decay; the teacher is an exponential moving average of the student and is
+the model actually used for pseudo-labels and evaluation. Forward, backward,
+SGD and EMA work in place on fresh buffers wherever the result is the same
+float as the out-of-place expression.
 """
 
 from __future__ import annotations
@@ -72,42 +78,46 @@ class MlpHead:
 
 
 def sample_masks(head: MlpHead, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Dropout keep-masks for a batch: input plus each hidden activation."""
+    """Dropout masks for a batch, input plus each hidden activation: the
+    keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate)."""
     shapes = [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
-    return [rng.random(shape) >= head.dropout for shape in shapes]
+    scale = 1.0 / (1.0 - head.dropout)
+    masks = [rng.random(shape) for shape in shapes]
+    for m in masks:
+        np.multiply(m >= head.dropout, scale, out=m)
+    return masks
 
 
 def _softmax_clipped(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clip_mask = np.abs(logits) < LOGIT_CLIP
     z = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True), clip_mask
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z, clip_mask
 
 
 def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> dict:
-    """Forward pass keeping every intermediate needed for backprop.
+    """Forward pass keeping every intermediate needed for backprop: the
+    input of each layer, the output probabilities and the logit clip mask.
 
-    masks=None means evaluation mode (no dropout); in training mode the
-    masks are applied with inverted scaling 1/(1 - rate).
+    masks=None means evaluation mode (no dropout); in training mode each
+    activation is multiplied by its mask from sample_masks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    scale = 1.0 / (1.0 - head.dropout) if masks is not None else 1.0
-    cache: dict = {"masks": masks, "scale": scale}
-
-    a = x * masks[0] * scale if masks is not None else x
-    cache["inputs"] = [a]
-    cache["pre_relu"] = []
+    a = x * masks[0] if masks is not None else x
+    inputs = [a]
     for layer in range(N_LAYERS - 1):
-        z = a @ head.weights[layer] + head.biases[layer]
-        cache["pre_relu"].append(z)
-        a = np.maximum(z, 0.0)
+        a = a @ head.weights[layer]
+        a += head.biases[layer]
+        np.maximum(a, 0.0, out=a)
         if masks is not None:
-            a = a * masks[layer + 1] * scale
-        cache["inputs"].append(a)
-    logits = a @ head.weights[-1] + head.biases[-1]
-    cache["probs"], cache["clip_mask"] = _softmax_clipped(logits)
-    return cache
+            a *= masks[layer + 1]
+        inputs.append(a)
+    logits = a @ head.weights[-1]
+    logits += head.biases[-1]
+    probs, clip_mask = _softmax_clipped(logits)
+    return {"masks": masks, "inputs": inputs, "probs": probs, "clip_mask": clip_mask}
 
 
 def forward(
@@ -134,18 +144,18 @@ def forward(
 
 def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
     """Gradients w.r.t. all parameters given the loss gradient at the logits."""
-    masks, scale = cache["masks"], cache["scale"]
+    masks, inputs = cache["masks"], cache["inputs"]
     grads: list[np.ndarray | None] = [None] * (2 * N_LAYERS)
     delta = d_logits * cache["clip_mask"]
     for layer in range(N_LAYERS - 1, -1, -1):
-        grads[2 * layer] = cache["inputs"][layer].T @ delta
+        grads[2 * layer] = inputs[layer].T @ delta
         grads[2 * layer + 1] = delta.sum(axis=0)
         if layer == 0:
             break
-        da = delta @ head.weights[layer].T
+        delta = delta @ head.weights[layer].T
         if masks is not None:
-            da = da * masks[layer] * scale
-        delta = da * (cache["pre_relu"][layer - 1] > 0)
+            delta *= masks[layer]
+        delta *= inputs[layer] > 0  # the ReLU gate: a masked unit reads 0 too
     return grads  # type: ignore[return-value]
 
 
@@ -162,7 +172,8 @@ def ce_loss_and_grad(
     `targets` has one row per sample over the head's classes; a row may sum
     to one (a single target), to an integer k (k unit-mass targets merged,
     as when several pseudo-labels supervise the same depth) or to zero (the
-    sample contributes nothing at this depth).
+    sample contributes nothing at this depth, and its row of `x` and of each
+    mask is left out of forward and backward).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -176,10 +187,15 @@ def ce_loss_and_grad(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    live = targets.any(axis=1)
+    if not live.all():  # an all-zero target row has d_logits = 0 exactly
+        x, targets = x[live], targets[live]
+        masks = None if masks is None else [m[live] for m in masks]
     cache = forward_cached(head, x, masks)
     p = cache["probs"]
     loss = float(-(targets * np.log(p)).sum())
-    d_logits = p * targets.sum(axis=1, keepdims=True) - targets
+    d_logits = p * targets.sum(axis=1, keepdims=True)
+    d_logits -= targets
     return loss, backward(head, cache, d_logits)
 
 
@@ -192,21 +208,27 @@ def sgd_step(
     weight_decay: float = 0.0,
     scale: float = 1.0,
 ) -> None:
-    """Classic SGD-momentum update, weight decay folded into the gradient.
+    """Classic SGD-momentum update, weight decay folded into the gradient,
+    in place; `grads` is used as scratch space and overwritten.
 
     v <- mu*v + (scale*g + wd*theta);  theta <- theta - lr*v
     """
+    scratch = np.empty(max(theta.size for theta in params))
     for theta, v, g in zip(params, velocities, grads):
+        buf = scratch[: theta.size].reshape(theta.shape)
         v *= momentum
-        v += scale * g + weight_decay * theta
-        theta -= lr * v
+        g *= scale
+        g += np.multiply(theta, weight_decay, out=buf)
+        v += g
+        theta -= np.multiply(v, lr, out=buf)
 
 
 def ema_update(teacher: MlpHead, student: MlpHead, momentum: float) -> None:
-    """theta_t <- m*theta_t + (1-m)*theta_s, per parameter."""
+    """theta_t <- m*theta_t + (1-m)*theta_s, per parameter, in place."""
+    scratch = np.empty(max(s.size for s in student.parameters()))
     for t, s in zip(teacher.parameters(), student.parameters()):
         t *= momentum
-        t += (1.0 - momentum) * s
+        t += np.multiply(s, 1.0 - momentum, out=scratch[: s.size].reshape(s.shape))
 
 
 @dataclass

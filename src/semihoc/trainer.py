@@ -11,7 +11,9 @@ GRAD_CLIP_NORM; gradients already inside the bound pass unchanged. Without
 it, the first steps at a high learning rate with momentum can push the
 head's hidden ReLUs dead for good (seen on the reference benchmark, where a
 depth-1 head collapsed to a uniform output and every prediction stopped at
-the root). Cutoff detection runs at every epoch end.
+the root). Cutoff detection runs at every epoch end, and an epoch whose
+mean loss at some depth is not finite stops training with a ValueError
+naming the epoch and the depth.
 
 Targets come from the hierarchy's per-depth matrices: a labeled sample at
 node c is supervised at depth d by row c of Q_d. Pseudo-labels are boolean
@@ -83,10 +85,16 @@ class TrainConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1 or self.labeled_batch_size < 1 or self.unlabeled_ratio < 1:
             raise ValueError("epochs, batch size and ratio must be positive")
         if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
+            raise ValueError("lr must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 <= self.momentum < 1.0 or not 0.0 <= self.ema_momentum <= 1.0:
@@ -342,12 +350,15 @@ class Trainer:
             if result is not None:
                 purity, avg_depth = result
 
-        n_steps = len(batches_u)
+        mean_l, mean_u = sum_l / len(batches_u), sum_u / len(batches_u)
+        for d, l, u in zip(self.depths, mean_l, mean_u):
+            if not (math.isfinite(l) and math.isfinite(u)):
+                raise ValueError(f"epoch {self.epoch} depth {d}: non-finite loss (labeled {l}, unlabeled {u})")
         report = EpochReport(
             epoch=self.epoch,
             method=cfg.method,
-            loss_labeled=tuple(sum_l / n_steps),
-            loss_unlabeled=tuple(sum_u / n_steps),
+            loss_labeled=tuple(mean_l),
+            loss_unlabeled=tuple(mean_u),
             spl_total=stats["spl_total"],
             gated_count=stats["gated"],
             coverage=(stats["spl_total"] - stats["gated"]) / stats["spl_total"] if stats["spl_total"] else None,

@@ -284,6 +284,7 @@ class TestCheckpointEntries:
             ("mis-shaped", "student.d1.w0"),
             ("mis-typed", "velocity.d3.b3"),
             ("version-2-pickle", "unsupported checkpoint version 2"),
+            ("nan-lr", "lr must be finite"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -300,6 +301,10 @@ class TestCheckpointEntries:
             entries["student.d1.w0"] = entries["student.d1.w0"][:1]
         elif kind == "mis-typed":
             entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float32)
+        elif kind == "nan-lr":
+            meta = json.loads(entries["meta"].item())
+            meta["config"]["lr"] = float("nan")
+            entries["meta"] = np.array(json.dumps(meta))
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
             broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))
@@ -375,3 +380,62 @@ class TestHeadShapes:
         )
         err = capsys.readouterr().err
         assert code == 2 and "depth 1 student parameter w0" in err
+
+
+def inputs_of(workspace):
+    return ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--weight-decay", "nan"), ("--weight-decay", "-5")])
+    def test_bad_value_exits_one_naming_the_field(self, workspace, tmp_path, capsys, flag, value):
+        code = run("train", *inputs_of(workspace), "--out", tmp_path / "r", *TRAIN_SMALL, flag, value)
+        err = capsys.readouterr().err
+        assert code == 1 and flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_training_with_exit_two(self, workspace, tmp_path, capsys):
+        """A finite learning rate can still blow the heads up; training stops
+        at the first epoch with a non-finite loss and writes no checkpoint."""
+        code = run("train", *inputs_of(workspace), "--out", tmp_path / "r", *TRAIN_SMALL, "--epochs", 3, "--lr", "1e300")
+        err = capsys.readouterr().err
+        assert code == 2 and "non-finite loss" in err and "depth" in err
+        assert not list((tmp_path / "r").glob("ckpt_*"))
+
+
+class TestPredictionDumpErrors:
+    """Every malformed prediction-dump line exits 2 and names the line."""
+
+    @pytest.fixture(scope="class")
+    def dump_lines(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("dump")
+        ckpt = workspace / "run" / "ckpt_epoch0003.bin"
+        assert run("eval", "--checkpoint", ckpt, *inputs_of(workspace), "--out", out, "--split", "all", "--force") == 0
+        return (out / "predictions.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "field, text, named",
+        [
+            (0, "x12", "sample id 'x12'"),
+            (0, "999999", "unknown sample id 999999"),
+            (1, "n3", "node 'n3'"),
+            (1, "999", "unknown node id 999"),
+            (2, "high", "confidence 'high'"),
+            (3, "0", "chain entry '0'"),
+            (3, "0:1.0,1:abc", "subtree confidence 'abc'"),
+            (4, "extra", "expected 4 tab-separated fields"),
+        ],
+    )
+    def test_exit_two_with_line_number(self, workspace, dump_lines, tmp_path, capsys, field, text, named):
+        lines = list(dump_lines)
+        parts = lines[1].split("\t")
+        if field < 4:
+            parts[field] = text
+        else:
+            parts.append(text)
+        lines[1] = "\t".join(parts)
+        dump = tmp_path / "predictions.txt"
+        dump.write_text("\n".join(lines) + "\n")
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
+        err = capsys.readouterr().err
+        assert code == 2 and f"prediction dump line 2: {named}" in err and "Traceback" not in err

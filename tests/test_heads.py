@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,9 +104,10 @@ class TestGradients:
         rng = np.random.default_rng(7)
         for _ in range(5):
             head = small_head(rng, dropout=0.4)
-            x = rng.normal(0, 1, (2, 5))
-            t = np.eye(3)[rng.integers(0, 3, 2)]
-            masks = H.sample_masks(head, 2, rng)
+            x = rng.normal(0, 1, (3, 5))
+            t = np.eye(3)[rng.integers(0, 3, 3)]
+            t[1] = 0.0  # a row without a target is left out of forward and backward
+            masks = H.sample_masks(head, 3, rng)
             _, ga = H.ce_loss_and_grad(head, x, t, mode="train", masks=masks)
             gn = finite_difference_grads(head, x, t, masks=masks)
             assert gradient_relative_error(ga, gn) <= 1e-6
@@ -120,6 +122,71 @@ class TestGradients:
         gn = finite_difference_grads(head, x, t)
         # last-layer weight gradient alone
         assert gradient_relative_error([ga[-2], ga[-1]], [gn[-2], gn[-1]]) <= 1e-6
+
+
+def assert_close(a, b, rel=1e-12):
+    assert np.abs(a - b).max(initial=0.0) <= rel * np.abs(b).max(initial=0.0)
+
+
+class TestTargetRowsOnly:
+    """ce_loss_and_grad runs forward and backward on the rows that carry a
+    target; an all-zero target row has a zero logit gradient exactly."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_interleaved_zero_rows_change_nothing(self, mode):
+        rng = np.random.default_rng(12)
+        head = small_head(rng, dropout=0.4)
+        x = rng.normal(0, 1, (7, 5))
+        t = rng.random((7, 3)) * (rng.random((7, 1)) < 0.5)
+        t[[0, 3]] = np.eye(3)[[1, 2]]  # at least two target rows, zero rows between them
+        live = t.any(axis=1)
+        masks = H.sample_masks(head, 7, rng) if mode == "train" else None
+        loss, grads = H.ce_loss_and_grad(head, x, t, mode=mode, masks=masks)
+        kept = None if masks is None else [m[live] for m in masks]
+        loss_live, grads_live = H.ce_loss_and_grad(head, x[live], t[live], mode=mode, masks=kept)
+        assert not live.all() and math.isclose(loss, loss_live, rel_tol=1e-12)
+        for g, g_live in zip(grads, grads_live):
+            assert_close(g, g_live)
+
+    def test_all_zero_targets_give_zero_loss_and_gradients(self):
+        rng = np.random.default_rng(13)
+        head = small_head(rng, dropout=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = H.ce_loss_and_grad(head, rng.normal(0, 1, (4, 5)), np.zeros((4, 3)), mode="train", rng=rng)
+        assert loss == 0.0
+        assert [g.shape for g in grads] == [p.shape for p in head.parameters()]
+        assert all(not g.any() for g in grads)
+
+    def test_forward_sees_only_target_rows(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        head = small_head(rng, dropout=0.4)
+        x = rng.normal(0, 1, (5, 5))
+        t = np.zeros((5, 3))
+        t[[1, 4], 0] = 1.0
+        masks = H.sample_masks(head, 5, rng)
+        seen = []
+        original = H.forward_cached
+
+        def spy(head, x, masks):
+            seen.append((x.copy(), None if masks is None else [m.copy() for m in masks]))
+            return original(head, x, masks)
+
+        monkeypatch.setattr(H, "forward_cached", spy)
+        H.ce_loss_and_grad(head, x, t, mode="train", masks=masks)
+        [(x_seen, masks_seen)] = seen
+        assert np.array_equal(x_seen, x[[1, 4]])
+        assert all(np.array_equal(a, m[[1, 4]]) for a, m in zip(masks_seen, masks))
+
+
+class TestMasks:
+    def test_masks_carry_the_inverted_dropout_scale(self):
+        head = H.MlpHead(5, 3, hidden=8, dropout=0.4)
+        masks = H.sample_masks(head, 6, np.random.default_rng(15))
+        keep = np.random.default_rng(15).random((6, 5)) >= 0.4  # the same stream's first draw
+        assert [m.shape for m in masks] == [(6, 5), (6, 8), (6, 8), (6, 8)]
+        assert np.array_equal(masks[0], keep * (1.0 / (1.0 - 0.4)))
+        assert all(set(np.unique(m)) <= {0.0, 1.0 / 0.6} for m in masks)
 
 
 class TestSgd:
@@ -154,6 +221,17 @@ class TestSgd:
         H.sgd_step(theta, v, [np.full((1,), 4.0)], lr=1.0, momentum=0.0, weight_decay=0.0, scale=0.25)
         assert np.allclose(theta[0], 0.0)
 
+    def test_in_place_update_is_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        theta = [rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 4)]
+        v = [rng.normal(0, 1, p.shape) for p in theta]
+        g = [rng.normal(0, 1, p.shape) for p in theta]
+        lr, mu, wd, scale = 0.1, 0.9, 0.001, 0.37
+        v_ref = [mu * vi + (scale * gi + wd * ti) for vi, gi, ti in zip(v, g, theta)]
+        theta_ref = [ti - lr * vi for ti, vi in zip(theta, v_ref)]
+        H.sgd_step(theta, v, g, lr=lr, momentum=mu, weight_decay=wd, scale=scale)
+        assert all(np.array_equal(a, b) for a, b in zip(v + theta, v_ref + theta_ref))
+
 
 class TestEma:
     def test_momentum_one_keeps_teacher(self):
@@ -179,6 +257,13 @@ class TestEma:
         H.ema_update(t, s, momentum=0.999)
         for p in t.parameters():
             assert np.allclose(p, 0.001)
+
+    def test_in_place_update_is_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        s, t = small_head(rng), small_head(rng)
+        expected = [0.999 * a + (1.0 - 0.999) * b for a, b in zip(t.parameters(), s.parameters())]
+        H.ema_update(t, s, momentum=0.999)
+        assert all(np.array_equal(a, b) for a, b in zip(t.parameters(), expected))
 
     def test_contraction(self):
         rng = np.random.default_rng(11)

@@ -47,6 +47,21 @@ class TestConfig:
     def test_tau_one_allowed(self):
         config(tau=1.0).validate()
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay", "dropout", "momentum", "ema_momentum", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            config(**{field: value}).validate()
+
+    def test_negative_weight_decay_refused(self):
+        with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+            config(weight_decay=-5.0).validate()
+
+    def test_nan_lr_refused_from_dict(self):
+        data = dict(vars(reference_train_config("semihoc", 0, 3)), lr=math.nan)
+        with pytest.raises(ValueError, match="lr must be finite"):
+            TrainConfig.from_dict(data)
+
 
 class TestLossContract:
     def test_loss_normalization(self, tiny_data):
@@ -114,8 +129,8 @@ class TestGradientClipping:
         _, trainer = run_training(reference_train_config("spl-oracle", 0, epochs=20), hierarchy, dataset)
         x_u = dataset.features[trainer.unlabeled_idx].astype(np.float64)
         cache = heads_mod.forward_cached(trainer.heads.student(1), x_u, None)
-        for layer, z in enumerate(cache["pre_relu"][1:], start=2):
-            dead = float((~(z > 0).any(axis=0)).mean())
+        for layer, a in enumerate(cache["inputs"][2:], start=2):  # post-ReLU, no dropout
+            dead = float((~(a > 0).any(axis=0)).mean())
             assert dead < 0.5, f"layer {layer}: {dead:.0%} of hidden units dead on unlabeled rows"
 
 
