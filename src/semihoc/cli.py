@@ -213,7 +213,9 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
 
 def _eval_from_probs(out, hierarchy, dataset, idx, probs, bins):
     preds = predict_nodes(probs)
-    conf = subtree_confidences(probs, hierarchy)
+    conf = np.empty_like(probs)
+    for i in range(0, len(probs), 1024):  # in blocks, like predict_dataset, so temporaries stay small
+        conf[i : i + 1024] = subtree_confidences(probs[i : i + 1024], hierarchy)
     sample_ids = dataset.sample_ids[idx]
 
     lines = [format_prediction_line(hierarchy, int(g), probs[i], conf[i]) for i, g in enumerate(sample_ids)]
@@ -315,12 +317,13 @@ def _prediction_fields(line: str, n_nodes: int) -> list:
 
 def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) -> None:
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
     except OSError as exc:
         raise DataError(f"prediction dump: {exc}")
     records = []
     for lineno, line in enumerate(lines, start=1):
         try:
+            line = line.decode("utf-8")  # a UnicodeDecodeError is a ValueError
             if line.strip():
                 records.append((lineno, *_prediction_fields(line, hierarchy.n_nodes)))
         except ValueError as exc:

@@ -19,7 +19,10 @@ so that queries work on single nodes and on whole batches alike:
   distribution over the ancestors-or-self and descendants of c inside space
   d, the cross-entropy target when a sample is supervised at node c, and all
   zeros when no such relative exists. Restricted to the rows of the space's
-  own nodes, Q[d-1] is the identity.
+  own nodes, Q[d-1] is the identity;
+* the group table `groups`: the internal nodes split by depth and child
+  count, shallowest first, so that fusion and subtree sums run one array
+  operation per group instead of one per node.
 """
 
 from __future__ import annotations
@@ -212,6 +215,20 @@ class Hierarchy:
             support = self.in_subtree(cols[None, :], nodes[:, None]) | self.in_subtree(nodes[:, None], cols[None, :])
             size = support.sum(axis=1)
             out.append(support * (1.0 / np.maximum(size, 1))[:, None])
+        return tuple(out)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per (child depth d, child count k), ascending: d, the parents (g,),
+        their children (g, k) in id order and those children's depth-d columns."""
+        n_kids = np.bincount(self.parents[1:], minlength=self.n_nodes)
+        out = []
+        for d in range(1, self.max_depth + 1):
+            at_d = np.flatnonzero(self.depths == d)
+            at_d = at_d[np.argsort(self.parents[at_d], kind="stable")]  # siblings adjacent, in id order
+            for k in np.unique(n_kids[self.parents[at_d]]):
+                kids = at_d[n_kids[self.parents[at_d]] == k].reshape(-1, k)
+                out.append((d, self.parents[kids[:, 0]], kids, self.columns[d - 1, kids]))
         return tuple(out)
 
     def summary(self) -> str:

@@ -10,6 +10,12 @@ the depth networks cannot commit below a node, which is precisely when
 stopping there (predicting out-of-distribution at that node) should be
 likely.
 
+Fusion (shallowest first) and subtree sums (deepest first) walk
+`Hierarchy.groups`, the internal nodes split by depth and child count, so each
+branch block is a dense (n, g, k) array with no padding and the memory order
+of a per-node (n, k) gather: numpy adds a node's k children in the same order
+as a per-node loop would, and the results are the same bit for bit.
+
 The rest of the system depends only on the resulting distribution over all
 nodes, so this fusion is a pluggable seam: any other rule that maps depth
 outputs to a normalized node distribution could be swapped in.
@@ -49,33 +55,29 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
     if any(out.shape[0] != n for out in outputs):
         raise ValueError("depth outputs disagree on the batch size")
 
+    # a node's slot holds its incoming mass until its own group applies its stop
     probs = np.zeros((n, hierarchy.n_nodes))
-    mass = np.zeros((n, hierarchy.n_nodes))
-    mass[:, 0] = 1.0
-
-    for a in hierarchy.topo_order:
-        children = hierarchy.children[a]
-        if not children:
-            probs[:, a] = mass[:, a]  # leaves stop with probability one
-            continue
-        d = int(hierarchy.depths[a]) + 1
-        cols = hierarchy.columns[d - 1, list(children)]
-        branch = np.where(cols >= 0, outputs[d - 1][:, cols], 0.0)
-        total = branch.sum(axis=1, keepdims=True)
-        uniform = total[:, 0] <= 0.0
+    probs[:, 0] = 1.0
+    for d, parents, kids, cols in hierarchy.groups:
+        k = kids.shape[1]
+        branch = outputs[d - 1][:, cols]  # a fresh block, updated in place below
+        total = branch.sum(axis=2, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
-            branch = np.where(uniform[:, None], 1.0 / len(children), branch / total)
+            branch /= total
+        np.copyto(branch, 1.0 / k, where=total <= 0.0)
 
-        if len(children) == 1:
-            stop = np.full(n, eps)
+        if k == 1:
+            stop = eps
         else:
-            plogp = branch * np.log(np.where(branch > 0.0, branch, 1.0))
-            stop = np.clip(-plogp.sum(axis=1) / np.log(len(children)), eps, 1.0 - eps)
+            plogp = np.log(branch, out=np.zeros_like(branch), where=branch > 0.0)
+            plogp *= branch
+            stop = np.clip(-plogp.sum(axis=2) / np.log(k), eps, 1.0 - eps)
+            del plogp  # freed before the next group's blocks are allocated
 
-        probs[:, a] = mass[:, a] * stop
-        carried = mass[:, a] * (1.0 - stop)
-        for j, c in enumerate(children):
-            mass[:, c] = carried * branch[:, j]
+        mass = probs[:, parents]
+        probs[:, parents] = mass * stop
+        branch *= (mass * (1.0 - stop))[:, :, None]
+        probs[:, kids] = branch
     return probs
 
 
@@ -93,10 +95,12 @@ def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     """
     single = probs.ndim == 1
     conf = np.atleast_2d(np.asarray(probs, dtype=np.float64)).copy()
-    for c in reversed(hierarchy.topo_order):
-        p = hierarchy.parents[c]
-        if p >= 0:
-            conf[:, p] += conf[:, c]
+    for _, parents, kids, _ in reversed(hierarchy.groups):
+        # one child rank at a time, highest id first, with no (n, g, k) temporary
+        acc = conf[:, parents]
+        for j in range(kids.shape[1] - 1, -1, -1):
+            acc += conf[:, kids[:, j]]
+        conf[:, parents] = acc
     return conf[0] if single else conf
 
 

@@ -337,6 +337,9 @@ class Trainer:
         for batch_u in batches_u:
             batch_l = self.loader.next_batch()
             loss_l, loss_u = self._train_step(batch_l, batch_u, stats)
+            for d, l, u in zip(self.depths, loss_l, loss_u):
+                if not (math.isfinite(l) and math.isfinite(u)):
+                    raise ValueError(f"epoch {self.epoch} depth {d}: non-finite loss (labeled {l}, unlabeled {u})")
             sum_l += loss_l
             sum_u += loss_u
 
@@ -351,9 +354,6 @@ class Trainer:
                 purity, avg_depth = result
 
         mean_l, mean_u = sum_l / len(batches_u), sum_u / len(batches_u)
-        for d, l, u in zip(self.depths, mean_l, mean_u):
-            if not (math.isfinite(l) and math.isfinite(u)):
-                raise ValueError(f"epoch {self.epoch} depth {d}: non-finite loss (labeled {l}, unlabeled {u})")
         report = EpochReport(
             epoch=self.epoch,
             method=cfg.method,

@@ -439,3 +439,13 @@ class TestPredictionDumpErrors:
         code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
         err = capsys.readouterr().err
         assert code == 2 and f"prediction dump line 2: {named}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_invalid_utf8_exits_two_with_line_number(self, workspace, dump_lines, tmp_path, capsys, at):
+        data = bytearray(("\n".join(dump_lines) + "\n").encode("utf-8"))
+        data[len(dump_lines[0]) + len(dump_lines[1]) + 2 + at] = 0xFF  # inside the third line
+        dump = tmp_path / "predictions.txt"
+        dump.write_bytes(data)
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
+        err = capsys.readouterr().err
+        assert code == 2 and "prediction dump line 3: 'utf-8' codec can't decode" in err and "Traceback" not in err

@@ -212,6 +212,20 @@ class TestArrayQueries:
             inside = {x for x in range(7) if animals.tin[c] <= animals.tin[x] < animals.tout[c]}
             assert inside == animals.subtree(c)
 
+    @given(trees(max_nodes=200))
+    @settings(max_examples=30, deadline=None)
+    def test_group_table(self, tree):
+        """Every internal node heads exactly one group row and every other
+        node is one child entry, in id order, under its own parent."""
+        parents = np.concatenate([g[1] for g in tree.groups])
+        kids = np.concatenate([g[2].ravel() for g in tree.groups])
+        assert sorted(parents.tolist()) == np.flatnonzero(~tree.leaf_mask).tolist()
+        assert sorted(kids.tolist()) == list(range(1, tree.n_nodes))
+        assert [(g[0], g[2].shape[1]) for g in tree.groups] == sorted({(g[0], g[2].shape[1]) for g in tree.groups})
+        for d, parents, kids, cols in tree.groups:
+            assert (tree.parents[kids] == parents[:, None]).all() and (np.diff(kids, axis=1) > 0).all()
+            assert (tree.depths[kids] == d).all() and (cols == tree.columns[d - 1, kids]).all() and (cols >= 0).all()
+
     def test_invalid_ids_in_arrays(self, animals):
         for call in (animals.is_leaf, lambda x: animals.lca(x, CAT), lambda x: animals.in_subtree(CAT, x)):
             with pytest.raises(ValueError, match="invalid node id"):

@@ -74,6 +74,23 @@ class TestLossContract:
             assert l >= 0.0 and u >= 0.0
         assert any(u > 0 for u in report.loss_unlabeled)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_stops_at_first_non_finite_step(self, tiny_data, monkeypatch):
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(lr=1e300), hierarchy, dataset)
+        losses = []
+        step = trainer._train_step
+
+        def spy(*args):
+            losses.append(step(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(trainer, "_train_step", spy)
+        with pytest.raises(ValueError, match="epoch 0 depth .*non-finite loss"):
+            trainer.run_epoch()
+        finite = [all(map(math.isfinite, l + u)) for l, u in losses]
+        assert len(losses) < trainer._steps_per_epoch() and finite == [True] * (len(losses) - 1) + [False]
+
     def test_supervised_has_no_unlabeled_loss(self, tiny_data):
         hierarchy, dataset = tiny_data
         reports, _ = run_training(config(method="supervised", epochs=2), hierarchy, dataset)
