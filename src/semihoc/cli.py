@@ -31,12 +31,12 @@ from .datagen import (
     sample_labeled_subset,
     save_features,
 )
-from .heads import DepthHeads
+from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
 from .prohoc import format_prediction_line, predict_nodes, subtree_confidences
 from .spl import AgeGateState
-from .trainer import METHODS, TrainConfig, format_field, load_checkpoint, predict_dataset, run_training
+from .trainer import METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_dataset, run_training
 
 
 class UsageError(Exception):
@@ -371,6 +371,10 @@ def cmd_inspect(args) -> int:
         print(f"log entries: {len(state['log.node'])}")
         finite = [t for t in meta["gate"]["cutoffs"].values() if t != float("inf")]
         print(f"finite cutoffs: {len(finite)}")
+        print(f"head dtype: {HEAD_DTYPE}")  # load_checkpoint has checked every head entry's
+        for d in range(1, len(meta["classes"]) + 1):
+            student, teacher = (l2_norm([state[f"{role}.d{d}.w{i}"] for i in range(N_LAYERS)]) for role in ROLES[:2])
+            print(f"depth {d} weight norm: student {student:.6g}  teacher {teacher:.6g}")
         shown = True
     if not shown:
         raise UsageError("nothing to inspect: pass --hierarchy, --features and/or --checkpoint")

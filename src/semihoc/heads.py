@@ -3,12 +3,17 @@
 Four affine layers with ReLU in between, softmax output, inverted dropout on
 the input features and on every hidden activation. A dropout mask already
 carries the inverted-dropout scale: each entry is 0 or 1/(1 - rate), so one
-multiply applies it. All training arithmetic is 64-bit so analytic gradients
-can be checked against central finite differences at tight tolerances.
-The cross-entropy runs forward and backward on the rows that carry a target
-only: a row whose target is all zero has a logit gradient of exactly zero,
-so skipping it changes the loss and gradients only in the order of their
-sums. The per-depth student is trained with SGD plus momentum and weight
+multiply applies it. A head computes in the dtype of its parameters: inputs,
+masks, activations and gradients follow it. The trainer's heads are float32
+(HEAD_DTYPE), which about halves the cost of their matmuls; the logits are
+cast up to float64 before the softmax, so the probabilities, the loss and the
+logit gradient are float64 whatever the head's dtype. MlpHead defaults to
+float64, and the gradient oracle checks float64 heads through the same
+forward and backward code against central finite differences at tight
+tolerances. The cross-entropy runs forward and backward on the rows that
+carry a target only: a row whose target is all zero has a logit gradient of
+exactly zero, so skipping it changes the loss and gradients only in the
+order of their sums. The per-depth student is trained with SGD plus momentum and weight
 decay; the teacher is an exponential moving average of the student and is
 the model actually used for pseudo-labels and evaluation. Forward, backward,
 SGD and EMA work in place on fresh buffers wherever the result is the same
@@ -23,6 +28,7 @@ import numpy as np
 
 LOGIT_CLIP = 50.0
 N_LAYERS = 4
+HEAD_DTYPE = np.dtype(np.float32)  # of DepthHeads' parameters, velocities and checkpoint entries
 ROLES = ("student", "teacher", "velocity")
 
 
@@ -46,18 +52,20 @@ def entry_shapes(feature_dim: int, classes: list[int], hidden: int) -> dict[str,
 class MlpHead:
     """One classifier head: feature vector in, class probabilities out."""
 
-    def __init__(self, in_dim: int, out_dim: int, hidden: int = 512, dropout: float = 0.0):
+    def __init__(self, in_dim: int, out_dim: int, hidden: int = 512, dropout: float = 0.0, dtype=np.float64):
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
         self.dropout = dropout
-        params = [np.zeros(shape) for shape in param_shapes(in_dim, out_dim, hidden)]
+        self.dtype = np.dtype(dtype)
+        params = [np.zeros(shape, self.dtype) for shape in param_shapes(in_dim, out_dim, hidden)]
         self.weights, self.biases = params[0::2], params[1::2]
 
     def init_params(self, rng: np.random.Generator) -> None:
-        """He-uniform fan-in initialization, biases zero."""
+        """He-uniform fan-in initialization, biases zero; the draws are
+        float64 whatever the head's dtype, so the init stream is used alike."""
         for w in self.weights:
             limit = np.sqrt(6.0 / w.shape[0])
             w[...] = rng.uniform(-limit, limit, w.shape)
@@ -72,19 +80,21 @@ class MlpHead:
             dst[...] = src
 
     def clone(self) -> "MlpHead":
-        dup = MlpHead(self.in_dim, self.out_dim, self.hidden, self.dropout)
+        dup = MlpHead(self.in_dim, self.out_dim, self.hidden, self.dropout, self.dtype)
         dup.copy_from(self)
         return dup
 
 
 def sample_masks(head: MlpHead, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Dropout masks for a batch, input plus each hidden activation: the
-    keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate)."""
+    keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate),
+    in the head's dtype. The uniforms are drawn and compared in float64 whatever
+    that dtype, so the keep decisions and the stream's use do not depend on it."""
     shapes = [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
-    scale = 1.0 / (1.0 - head.dropout)
-    masks = [rng.random(shape) for shape in shapes]
+    scale = head.dtype.type(1.0 / (1.0 - head.dropout))
+    masks = [np.empty(shape, head.dtype) for shape in shapes]
     for m in masks:
-        np.multiply(m >= head.dropout, scale, out=m)
+        np.multiply(rng.random(m.shape) >= head.dropout, scale, out=m)
     return masks
 
 
@@ -104,7 +114,7 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
     masks=None means evaluation mode (no dropout); in training mode each
     activation is multiplied by its mask from sample_masks.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
     a = x * masks[0] if masks is not None else x
     inputs = [a]
     for layer in range(N_LAYERS - 1):
@@ -116,7 +126,7 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
         inputs.append(a)
     logits = a @ head.weights[-1]
     logits += head.biases[-1]
-    probs, clip_mask = _softmax_clipped(logits)
+    probs, clip_mask = _softmax_clipped(logits.astype(np.float64, copy=False))
     return {"masks": masks, "inputs": inputs, "probs": probs, "clip_mask": clip_mask}
 
 
@@ -128,7 +138,7 @@ def forward(
 ) -> np.ndarray:
     """Class probabilities for a batch (or a single vector)."""
     single = np.ndim(x) == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
     if x.shape[1] != head.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != head input dim {head.in_dim}")
     masks = None
@@ -143,10 +153,11 @@ def forward(
 
 
 def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients w.r.t. all parameters given the loss gradient at the logits."""
+    """Gradients w.r.t. all parameters, in the head's dtype, given the loss
+    gradient at the logits."""
     masks, inputs = cache["masks"], cache["inputs"]
     grads: list[np.ndarray | None] = [None] * (2 * N_LAYERS)
-    delta = d_logits * cache["clip_mask"]
+    delta = (d_logits * cache["clip_mask"]).astype(head.dtype, copy=False)
     for layer in range(N_LAYERS - 1, -1, -1):
         grads[2 * layer] = inputs[layer].T @ delta
         grads[2 * layer + 1] = delta.sum(axis=0)
@@ -175,8 +186,8 @@ def ce_loss_and_grad(
     sample contributes nothing at this depth, and its row of `x` and of each
     mask is left out of forward and backward).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))  # the loss is float64
     if mode == "train":
         if masks is None:
             if rng is None:
@@ -213,7 +224,7 @@ def sgd_step(
 
     v <- mu*v + (scale*g + wd*theta);  theta <- theta - lr*v
     """
-    scratch = np.empty(max(theta.size for theta in params))
+    scratch = np.empty(max(theta.size for theta in params), params[0].dtype)
     for theta, v, g in zip(params, velocities, grads):
         buf = scratch[: theta.size].reshape(theta.shape)
         v *= momentum
@@ -225,7 +236,7 @@ def sgd_step(
 
 def ema_update(teacher: MlpHead, student: MlpHead, momentum: float) -> None:
     """theta_t <- m*theta_t + (1-m)*theta_s, per parameter, in place."""
-    scratch = np.empty(max(s.size for s in student.parameters()))
+    scratch = np.empty(max(s.size for s in student.parameters()), student.dtype)
     for t, s in zip(teacher.parameters(), student.parameters()):
         t *= momentum
         t += np.multiply(s, 1.0 - momentum, out=scratch[: s.size].reshape(s.shape))
@@ -239,7 +250,7 @@ class OptimizerParams:
 
 
 class DepthHeads:
-    """Student/teacher head pairs for every hierarchy depth.
+    """Student/teacher head pairs for every hierarchy depth, in HEAD_DTYPE.
 
     The teacher starts as a copy of the student and is only ever touched by
     EMA updates; the optimizer state lives here so checkpoints can capture
@@ -250,7 +261,7 @@ class DepthHeads:
         self.feature_dim = feature_dim
         self.depths = list(range(1, hierarchy.max_depth + 1))
         self.students = [
-            MlpHead(feature_dim, len(hierarchy.depth_space(d)), hidden, dropout) for d in self.depths
+            MlpHead(feature_dim, len(hierarchy.depth_space(d)), hidden, dropout, HEAD_DTYPE) for d in self.depths
         ]
         self.teachers = [head.clone() for head in self.students]
         self.velocities = [[np.zeros_like(p) for p in head.parameters()] for head in self.students]

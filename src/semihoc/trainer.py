@@ -43,7 +43,7 @@ import numpy as np
 
 from . import heads as heads_mod
 from .datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
-from .heads import DepthHeads, OptimizerParams, entry_shapes
+from .heads import HEAD_DTYPE, DepthHeads, OptimizerParams, entry_shapes
 from .hierarchy import Hierarchy, hierarchy_hash
 from .metrics import bmhd, spl_purity_and_depth
 from .prohoc import fuse_batch, predict_nodes
@@ -56,7 +56,7 @@ METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-dept
 GRAD_CLIP_NORM = 5.0
 
 CHECKPOINT_MAGIC = b"SHCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
 _META_TYPES = dict(
     config=dict, hierarchy_hash=int, epoch=int, feature_dim=int, classes=list, streams=dict, loader_pos=int, gate=dict
@@ -226,9 +226,6 @@ class Trainer:
             return max(1, math.ceil(len(self.labeled_idx) / self.config.labeled_batch_size))
         return math.ceil(len(self.unlabeled_idx) / batch)
 
-    def _features(self, idx: np.ndarray) -> np.ndarray:
-        return self.dataset.features[idx].astype(np.float64)
-
     # -- per-method unlabeled target construction ---------------------------------
 
     def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> np.ndarray:
@@ -281,12 +278,12 @@ class Trainer:
 
     def _train_step(self, batch_l: np.ndarray, batch_u: np.ndarray, stats: dict) -> tuple[list[float], list[float]]:
         cfg = self.config
-        x_l = self._features(batch_l)
+        x_l = self.dataset.features[batch_l]
         labels_l = self.dataset.labels[batch_l]
         n_l = len(batch_l)
 
         uses_unlabeled = cfg.method != "supervised"
-        x_u = self._features(batch_u) if uses_unlabeled else None
+        x_u = self.dataset.features[batch_u] if uses_unlabeled else None
         m_u = len(batch_u) if uses_unlabeled else 0
 
         d_targets = self._unlabeled_targets(batch_u, x_u, stats) if uses_unlabeled else None
@@ -411,13 +408,20 @@ class Trainer:
         self.gate.load_state_dict(meta["gate"])
 
 
+def l2_norm(arrays: list[np.ndarray]) -> float:
+    """Global L2 norm of `arrays`, the squares summed in float64 whatever
+    their dtype."""
+    wide = (a.astype(np.float64) for a in arrays)  # one copy each: vdot of mixed dtypes misses BLAS
+    return math.sqrt(sum(float(np.vdot(w, w)) for w in wide))
+
+
 def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
     """Factor that brings the global L2 norm of `grads` down to `max_norm`.
 
     1.0 when the norm is already within the bound, so small gradients are
     applied exactly as computed.
     """
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+    norm = l2_norm(grads)
     return max_norm / norm if norm > max_norm else 1.0
 
 
@@ -425,8 +429,7 @@ def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarra
     """Fused teacher node distributions for a feature matrix."""
     rows = []
     for i in range(0, len(features), batch):
-        x = features[i : i + batch].astype(np.float64)
-        rows.append(fuse_batch(heads.teacher_forward_all(x), hierarchy))
+        rows.append(fuse_batch(heads.teacher_forward_all(features[i : i + batch]), hierarchy))
     return np.concatenate(rows) if rows else np.zeros((0, hierarchy.n_nodes))
 
 
@@ -471,7 +474,7 @@ def load_checkpoint(path) -> dict:
 
 def _check_entries(state: dict) -> None:
     """Parse `meta` in place, then require exactly the arrays it implies:
-    float64 heads of the recorded shapes, and 1-D integer loader and log
+    HEAD_DTYPE heads of the recorded shapes, and 1-D integer loader and log
     arrays."""
     if "meta" not in state:
         raise ValueError("missing entry meta")
@@ -495,8 +498,8 @@ def _check_entries(state: dict) -> None:
         array, shape = state[name], expected[name]
         if shape is None and (array.dtype.kind not in "iu" or array.ndim != 1):
             raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not a 1-D integer array")
-        if shape is not None and (array.dtype, array.shape) != (np.float64, shape):
-            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not float64 {shape}")
+        if shape is not None and (array.dtype, array.shape) != (HEAD_DTYPE, shape):
+            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not {HEAD_DTYPE} {shape}")
     for name in ("log", "history"):
         if len({len(state[f"{name}.{key}"]) for key in _LOG_KEYS}) != 1:
             raise ValueError(f"entries {name}.* differ in length")

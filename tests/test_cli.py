@@ -8,7 +8,9 @@ import pytest
 
 from semihoc.cli import main
 from semihoc.datagen import load_features, save_features
+from semihoc.heads import ROLES
 from semihoc.hierarchy import load_hierarchy
+from semihoc.trainer import CHECKPOINT_VERSION
 
 
 def run(*argv):
@@ -183,6 +185,19 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "nodes:" in out and "samples:" in out and "epochs completed: 3" in out
 
+    def test_checkpoint_head_dtype_and_weight_norms(self, workspace, capsys):
+        ckpt = workspace / "run" / "ckpt_epoch0003.bin"
+        assert run("inspect", "--checkpoint", ckpt) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if ": " in line)
+        entries = read_entries(ckpt)
+        depths = len(json.loads(entries["meta"].item())["classes"])
+        assert lines["head dtype"] == "float32"
+        for d in range(1, depths + 1):
+            norms = [np.sqrt(sum((entries[f"{role}.d{d}.w{i}"].astype(np.float64) ** 2).sum() for i in range(4)))
+                     for role in ("student", "teacher")]
+            assert lines[f"depth {d} weight norm"] == f"student {norms[0]:.6g}  teacher {norms[1]:.6g}"
+        assert f"depth {depths + 1} weight norm" not in lines
+
     def test_nothing_to_inspect(self):
         assert run("inspect") == 1
 
@@ -264,9 +279,9 @@ def read_entries(path):
             return {name: npz[name] for name in npz.files}
 
 
-def write_checkpoint(path, entries):
+def write_checkpoint(path, entries, version=CHECKPOINT_VERSION):
     with open(path, "wb") as fh:
-        fh.write(b"SHCK" + struct.pack("<I", 3))
+        fh.write(b"SHCK" + struct.pack("<I", version))
         np.savez(fh, **entries)
 
 
@@ -284,6 +299,7 @@ class TestCheckpointEntries:
             ("mis-shaped", "student.d1.w0"),
             ("mis-typed", "velocity.d3.b3"),
             ("version-2-pickle", "unsupported checkpoint version 2"),
+            ("version-3", "unsupported checkpoint version 3"),
             ("nan-lr", "lr must be finite"),
         ],
     )
@@ -300,7 +316,7 @@ class TestCheckpointEntries:
         elif kind == "mis-shaped":
             entries["student.d1.w0"] = entries["student.d1.w0"][:1]
         elif kind == "mis-typed":
-            entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float32)
+            entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float64)
         elif kind == "nan-lr":
             meta = json.loads(entries["meta"].item())
             meta["config"]["lr"] = float("nan")
@@ -308,6 +324,9 @@ class TestCheckpointEntries:
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
             broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))
+        elif kind == "version-3":  # the float64 heads of version 3, under its own header
+            entries.update({k: a.astype(np.float64) for k, a in entries.items() if k.split(".")[0] in ROLES})
+            write_checkpoint(broken, entries, version=3)
         else:
             write_checkpoint(broken, entries)
         inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]

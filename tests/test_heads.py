@@ -302,6 +302,69 @@ class TestDepthHeadsState:
 
     def test_wrong_dtype_refused(self, animals):
         state = H.DepthHeads(animals, 5, hidden=6).state_dict()
-        state["teacher.d2.b1"] = state["teacher.d2.b1"].astype(np.float32)
+        state["teacher.d2.b1"] = state["teacher.d2.b1"].astype(np.float64)
         with pytest.raises(ValueError, match="depth 2 teacher parameter b1"):
             H.DepthHeads(animals, 5, hidden=6).load_state_dict(state)
+
+    def test_every_array_is_float32(self, animals):
+        heads = H.DepthHeads(animals, 5, hidden=6)
+        heads.init_params(np.random.default_rng(0))
+        assert {a.dtype for a in heads.state_dict().values()} == {np.dtype(np.float32)}
+
+
+def float32_twin(head):
+    twin = H.MlpHead(head.in_dim, head.out_dim, head.hidden, head.dropout, dtype=np.float32)
+    twin.copy_from(head)
+    return twin
+
+
+class TestFloat32Heads:
+    """A float32 head runs the same forward and backward code as the float64
+    heads the gradient oracle checks; only the rounding differs."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_agrees_with_float64_twin(self, mode):
+        rng = np.random.default_rng(18)
+        head = small_head(rng, in_dim=12, hidden=32, classes=4, dropout=0.3)
+        head32 = float32_twin(head)
+        for p in head.parameters():  # the twin's rounded weights, exactly
+            p[...] = p.astype(np.float32)
+        x = rng.normal(0, 1, (9, 12))
+        t = np.eye(4)[rng.integers(0, 4, 9)]
+        t[2] = 0.0
+        masks = H.sample_masks(head, 9, np.random.default_rng(19)) if mode == "train" else None
+        masks32 = H.sample_masks(head32, 9, np.random.default_rng(19)) if mode == "train" else None
+        p64, p32 = H.forward(head, x), H.forward(head32, x)
+        assert p32.dtype == np.float64 and np.allclose(p32, p64, rtol=1e-5, atol=1e-6)
+        loss, grads = H.ce_loss_and_grad(head, x, t, mode=mode, masks=masks)
+        loss32, grads32 = H.ce_loss_and_grad(head32, x, t, mode=mode, masks=masks32)
+        assert isinstance(loss32, float) and math.isclose(loss32, loss, rel_tol=1e-5)
+        for g, g32 in zip(grads, grads32):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g).max(initial=0.0) <= 1e-5 * np.abs(g).max(initial=1.0)
+
+    def test_masks_keep_the_same_rows_and_stream(self):
+        head = H.MlpHead(5, 3, hidden=8, dropout=0.3)
+        rng64, rng32 = np.random.default_rng(20), np.random.default_rng(20)
+        masks = H.sample_masks(head, 11, rng64)
+        masks32 = H.sample_masks(float32_twin(head), 11, rng32)
+        assert all(m32.dtype == np.float32 for m32 in masks32)
+        assert all(np.array_equal(m.astype(np.float32), m32) for m, m32 in zip(masks, masks32))
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_init_draws_alike(self):
+        head, head32 = H.MlpHead(5, 3, hidden=8), H.MlpHead(5, 3, hidden=8, dtype=np.float32)
+        rng64, rng32 = np.random.default_rng(21), np.random.default_rng(21)
+        head.init_params(rng64)
+        head32.init_params(rng32)
+        assert all(np.array_equal(p.astype(np.float32), p32) for p, p32 in zip(head.parameters(), head32.parameters()))
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    def test_sgd_and_ema_stay_float32(self):
+        rng = np.random.default_rng(22)
+        student, teacher = float32_twin(small_head(rng)), float32_twin(small_head(rng))
+        velocities = [np.zeros_like(p) for p in student.parameters()]
+        grads = [rng.normal(0, 1, p.shape).astype(np.float32) for p in student.parameters()]
+        H.sgd_step(student.parameters(), velocities, grads, lr=0.1, weight_decay=0.001, scale=0.5)
+        H.ema_update(teacher, student, momentum=0.9)
+        assert {a.dtype for a in student.parameters() + teacher.parameters() + velocities} == {np.dtype(np.float32)}

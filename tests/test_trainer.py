@@ -116,7 +116,7 @@ class TestGradientClipping:
         original = DepthHeads.sgd_step
 
         def spy(heads, d, grads, opt, scale=1.0):
-            calls.append((math.sqrt(sum(float((g * g).sum()) for g in grads)), scale))
+            calls.append((math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)), scale))
             return original(heads, d, grads, opt, scale)
 
         monkeypatch.setattr(DepthHeads, "sgd_step", spy)
