@@ -34,9 +34,18 @@ from .datagen import (
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
-from .prohoc import format_prediction_line, predict_nodes, subtree_confidences
+from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
 from .spl import AgeGateState
-from .trainer import METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_dataset, run_training
+from .trainer import (
+    METHODS,
+    PREDICT_BATCH,
+    TrainConfig,
+    format_field,
+    l2_norm,
+    load_checkpoint,
+    predict_dataset,
+    run_training,
+)
 
 
 class UsageError(Exception):
@@ -211,23 +220,28 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
     _write_csv(out / "confidence_bins.csv", header, bin_rows)
 
 
-def _eval_from_probs(out, hierarchy, dataset, idx, probs, bins):
-    preds = predict_nodes(probs)
-    conf = np.empty_like(probs)
-    for i in range(0, len(probs), 1024):  # in blocks, like predict_dataset, so temporaries stay small
-        conf[i : i + 1024] = subtree_confidences(probs[i : i + 1024], hierarchy)
-    sample_ids = dataset.sample_ids[idx]
-
-    lines = [format_prediction_line(hierarchy, int(g), probs[i], conf[i]) for i, g in enumerate(sample_ids)]
-    (out / "predictions.txt").write_text("\n".join(lines) + "\n")
-
-    gts = dataset.labels[idx]
-    node_conf = probs[np.arange(len(preds)), preds]
-    sub_conf = conf[np.arange(len(preds)), preds]
-    _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins)
+def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
+    """predictions.txt and the reports of a checkpoint, streamed in blocks of
+    PREDICT_BATCH rows: only the predicted node, its probability and its
+    subtree confidence outlive a block."""
+    preds = np.empty(len(idx), dtype=np.int64)
+    node_conf, sub_conf = np.empty(len(idx)), np.empty(len(idx))
+    with open(out / "predictions.txt", "w", encoding="utf-8") as fh:
+        for start in range(0, len(idx), PREDICT_BATCH):
+            block = slice(start, start + PREDICT_BATCH)
+            probs = predict_dataset(heads, hierarchy, dataset.features[idx[block]])
+            conf = subtree_confidences(probs, hierarchy)
+            preds[block] = predict_nodes(probs)
+            node_conf[block] = np.take_along_axis(probs, preds[block, None], axis=1)[:, 0]
+            sub_conf[block] = np.take_along_axis(conf, preds[block, None], axis=1)[:, 0]
+            ids = dataset.sample_ids[idx[block]]
+            fh.write(format_prediction_block(hierarchy, ids, preds[block], node_conf[block], conf))
+    _write_eval_reports(out, hierarchy, preds, dataset.labels[idx], node_conf, sub_conf, bins)
 
 
 def cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise UsageError("--bins must be >= 1")
     hierarchy, dataset = _load_inputs(args)
     out = _prepare_out_dir(args.out, args.force)
     idx = _split_indices(dataset, args.split)
@@ -243,8 +257,7 @@ def cmd_eval(args) -> int:
         config = TrainConfig.from_dict(meta["config"])
         heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
         _load(f"checkpoint: {args.checkpoint}", heads.load_state_dict, state)
-        probs = predict_dataset(heads, hierarchy, dataset.features[idx])
-        _eval_from_probs(out, hierarchy, dataset, idx, probs, args.bins)
+        _eval_checkpoint(out, hierarchy, dataset, idx, heads, args.bins)
         if args.split in ("train", "all"):
             _write_gate_diagnostics(out, hierarchy, dataset, state)
     else:
@@ -336,6 +349,12 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
     if unknown.any():
         first = dump[np.argmax(unknown)]
         raise DataError(f"prediction dump line {first['line']}: unknown sample id {first['sample_id']}")
+    order = np.argsort(dump["sample_id"], kind="stable")
+    repeat = order[1:][dump["sample_id"][order[1:]] == dump["sample_id"][order[:-1]]]
+    if len(repeat):
+        dup = dump[repeat.min()]
+        first = dump["line"][np.argmax(dump["sample_id"] == dup["sample_id"])]
+        raise DataError(f"prediction dump line {dup['line']}: duplicate sample id {dup['sample_id']} (first on line {first})")
     dump = dump[np.isin(dump["sample_id"], dataset.sample_ids[idx])]
     if not len(dump):
         raise DataError("prediction dump covers no samples of the selected split")
@@ -385,6 +404,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.cases < 1:
+        raise UsageError("--cases must be >= 1")
     results = oracles.run_all(args.cases, args.seed, fault=args.inject_fault)
     all_ok = True
     for result in results:

@@ -85,17 +85,28 @@ class MlpHead:
         return dup
 
 
+def _mask_shapes(head: MlpHead, n: int) -> list[tuple[int, int]]:
+    return [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
+
+
 def sample_masks(head: MlpHead, n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Dropout masks for a batch, input plus each hidden activation: the
     keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate),
     in the head's dtype. The uniforms are drawn and compared in float64 whatever
     that dtype, so the keep decisions and the stream's use do not depend on it."""
-    shapes = [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
     scale = head.dtype.type(1.0 / (1.0 - head.dropout))
-    masks = [np.empty(shape, head.dtype) for shape in shapes]
+    masks = [np.empty(shape, head.dtype) for shape in _mask_shapes(head, n)]
     for m in masks:
         np.multiply(rng.random(m.shape) >= head.dropout, scale, out=m)
     return masks
+
+
+def skip_masks(head: MlpHead, n: int, rng: np.random.Generator) -> None:
+    """Leave `rng` where sample_masks(head, n, rng) would, without drawing:
+    a float64 uniform is one step of the PCG64 generator, so the stream is
+    advanced by the number of uniforms. The stream must hold no buffered
+    32-bit half, which only integer draws of 32 bits or fewer leave behind."""
+    rng.bit_generator.advance(sum(rows * cols for rows, cols in _mask_shapes(head, n)))
 
 
 def _softmax_clipped(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -104,12 +104,23 @@ def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     return conf[0] if single else conf
 
 
-def format_prediction_line(
-    hierarchy: Hierarchy, sample_id: int, probs: np.ndarray, subtree_conf: np.ndarray
+def format_prediction_block(
+    hierarchy: Hierarchy, sample_ids: np.ndarray, preds: np.ndarray, node_conf: np.ndarray, subtree_conf: np.ndarray
 ) -> str:
-    """One prediction-dump row: id, argmax node, its probability, and the
-    subtree-confidence chain along the root-to-argmax path."""
-    node = int(np.argmax(probs))
-    path = hierarchy.ancestors[node, : hierarchy.depths[node] + 1]
-    chain = ",".join(f"{c}:{float(subtree_conf[c])!r}" for c in path)
-    return f"{sample_id}\t{node}\t{float(probs[node])!r}\t{chain}"
+    """Prediction-dump lines of a block, each ending in a newline: id, the
+    predicted node, its probability `node_conf`, and the chain of
+    `subtree_conf` (one row per sample, one column per node) along the
+    root-to-node path. Rows are formatted in groups of one node depth, so each
+    group's chain has one length; floats go out through `repr`."""
+    paths = hierarchy.ancestors[preds]
+    chains = np.take_along_axis(subtree_conf, paths, axis=1)
+    depths = hierarchy.depths[preds]
+    lines = [""] * len(preds)
+    for depth in np.unique(depths).tolist():
+        rows = np.flatnonzero(depths == depth)
+        fmt = "{}\t{}\t{!r}\t" + ",".join(["{}:{!r}"] * (depth + 1)) + "\n"
+        cols = [sample_ids[rows], preds[rows], node_conf[rows]]
+        cols += [a[rows, j] for j in range(depth + 1) for a in (paths, chains)]
+        for r, values in zip(rows.tolist(), zip(*(c.tolist() for c in cols))):
+            lines[r] = fmt.format(*values)
+    return "".join(lines)

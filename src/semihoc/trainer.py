@@ -55,6 +55,9 @@ METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-dept
 # Upper bound on the global L2 norm of one depth head's gradient per step.
 GRAD_CLIP_NORM = 5.0
 
+# Rows per teacher forward and fusion in predict_dataset, and per streamed eval block.
+PREDICT_BATCH = 1024
+
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 4
 _LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
@@ -301,12 +304,14 @@ class Trainer:
 
             loss_u = 0.0
             if uses_unlabeled:
-                masks_u = heads_mod.sample_masks(student, m_u, drop_u)
                 t_u = d_targets[d - 1]
                 if t_u.any():
+                    masks_u = heads_mod.sample_masks(student, m_u, drop_u)
                     loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_u, t_u, mode="train", masks=masks_u)
                     for g, gu in zip(grads, grads_u):
                         g += gu * (1.0 / m_u)
+                else:  # no target row: the masks would go unused, but the stream moves on as if drawn
+                    heads_mod.skip_masks(student, m_u, drop_u)
 
             self.heads.sgd_step(d, grads, self.opt, scale=clip_scale(grads, GRAD_CLIP_NORM))
             loss_l_out.append(loss_l / n_l)
@@ -425,7 +430,9 @@ def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
     return max_norm / norm if norm > max_norm else 1.0
 
 
-def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, batch: int = 1024) -> np.ndarray:
+def predict_dataset(
+    heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, batch: int = PREDICT_BATCH
+) -> np.ndarray:
     """Fused teacher node distributions for a feature matrix."""
     rows = []
     for i in range(0, len(features), batch):

@@ -1,6 +1,7 @@
 import json
 import pickle
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from semihoc.cli import main
 from semihoc.datagen import load_features, save_features
-from semihoc.heads import ROLES
+from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
-from semihoc.trainer import CHECKPOINT_VERSION
+from semihoc.prohoc import subtree_confidences
+from semihoc.trainer import CHECKPOINT_VERSION, TrainConfig, load_checkpoint, predict_dataset
 
 
 def run(*argv):
@@ -174,6 +176,16 @@ class TestEval:
         ) == 0
         assert (tmp_path / "src" / "bmhd.csv").read_bytes() == (tmp_path / "dump" / "bmhd.csv").read_bytes()
 
+    @pytest.mark.parametrize("bins", [0, -4])
+    def test_bins_below_one_exit_one_before_any_output(self, workspace, tmp_path, capsys, bins):
+        code = run(
+            "eval", "--checkpoint", workspace / "run" / "ckpt_epoch0003.bin", *inputs_of(workspace),
+            "--out", tmp_path / "ev", "--bins", bins,
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and "--bins" in err and "Traceback" not in err
+        assert not (tmp_path / "ev").exists()
+
 
 class TestInspect:
     def test_inspect_all(self, workspace, capsys):
@@ -213,6 +225,12 @@ class TestOracleCheck:
         assert run("oracle-check", "--cases", 10, "--seed", 7, "--inject-fault", fault) == 2
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("cases", [0, -2])
+    def test_cases_below_one_exit_one(self, capsys, cases):
+        assert run("oracle-check", "--cases", cases) == 1
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err and "PASS" not in captured.out
 
     def test_reproducible_case_set(self, capsys):
         assert run("oracle-check", "--cases", 15, "--seed", 3) == 0
@@ -459,6 +477,16 @@ class TestPredictionDumpErrors:
         err = capsys.readouterr().err
         assert code == 2 and f"prediction dump line 2: {named}" in err and "Traceback" not in err
 
+    def test_duplicate_sample_id_exits_two_naming_both_lines(self, workspace, dump_lines, tmp_path, capsys):
+        lines = dump_lines + dump_lines[:3]
+        dump = tmp_path / "predictions.txt"
+        dump.write_text("\n".join(lines) + "\n")
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
+        err = capsys.readouterr().err
+        sid = dump_lines[0].split("\t")[0]
+        expected = f"prediction dump line {len(dump_lines) + 1}: duplicate sample id {sid} (first on line 1)"
+        assert code == 2 and expected in err and "Traceback" not in err
+
     @pytest.mark.parametrize("at", [0, 5])
     def test_invalid_utf8_exits_two_with_line_number(self, workspace, dump_lines, tmp_path, capsys, at):
         data = bytearray(("\n".join(dump_lines) + "\n").encode("utf-8"))
@@ -468,3 +496,67 @@ class TestPredictionDumpErrors:
         code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
         err = capsys.readouterr().err
         assert code == 2 and "prediction dump line 3: 'utf-8' codec can't decode" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def large_split(tmp_path_factory):
+    """20,480 rows over a 72-node tree, and a checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("large")
+    assert run(
+        "gen", "--out", root / "data", "--seed", 2, "--branching", 4, "--depth", 3, "--dim", 8,
+        "--train-per-leaf", 300, "--test-per-leaf", 20, "--labels-per-class", 2,
+    ) == 0
+    assert run(
+        "train", *inputs_of(root), "--out", root / "run", "--method", "supervised", "--epochs", 1,
+        "--labeled-batch-size", 32, "--hidden-dim", 16, "--seed", 0, "--quiet",
+    ) == 0
+    return root
+
+
+class TestStreamedEval:
+    """eval --checkpoint works through the split in blocks of rows; the dump
+    must read as if every row were formatted alone, and no (rows x nodes)
+    array may be held."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_dump_matches_per_row_reference(self, large_split, tmp_path, n):
+        from test_prohoc import reference_dump_line
+
+        hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")
+        dataset = load_features(large_split / "data" / "features.bin", hierarchy)
+        rows = np.random.default_rng(n).permutation(len(dataset))[:n]
+        subset = replace(
+            dataset, features=dataset.features[rows], labels=dataset.labels[rows],
+            sample_ids=dataset.sample_ids[rows], splits=dataset.splits[rows],
+        )
+        save_features(subset, tmp_path / "subset.bin")
+        ckpt = large_split / "run" / "ckpt_epoch0001.bin"
+        assert run(
+            "eval", "--checkpoint", ckpt, "--features", tmp_path / "subset.bin",
+            "--hierarchy", large_split / "data" / "hierarchy.txt", "--out", tmp_path / "ev", "--split", "all",
+        ) == 0
+
+        state = load_checkpoint(ckpt)
+        config = TrainConfig.from_dict(state["meta"]["config"])
+        heads = DepthHeads(hierarchy, subset.dim, hidden=config.hidden_dim, dropout=config.dropout)
+        heads.load_state_dict(state)
+        probs = predict_dataset(heads, hierarchy, subset.features)
+        conf = subtree_confidences(probs, hierarchy)
+        expected = "".join(reference_dump_line(hierarchy, *row) for row in zip(subset.sample_ids, probs, conf))
+        assert (tmp_path / "ev" / "predictions.txt").read_text() == expected
+
+    def test_peak_memory_below_one_node_matrix(self, large_split, tmp_path):
+        hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")
+        n_rows = len(load_features(large_split / "data" / "features.bin", hierarchy))
+        assert n_rows >= 20_000
+        tracemalloc.start()
+        try:
+            code = run(
+                "eval", "--checkpoint", large_split / "run" / "ckpt_epoch0001.bin", *inputs_of(large_split),
+                "--out", tmp_path / "ev", "--split", "all",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < n_rows * hierarchy.n_nodes * 8

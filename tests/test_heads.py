@@ -188,6 +188,18 @@ class TestMasks:
         assert np.array_equal(masks[0], keep * (1.0 / (1.0 - 0.4)))
         assert all(set(np.unique(m)) <= {0.0, 1.0 / 0.6} for m in masks)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_skip_leaves_the_stream_where_drawing_does(self, dtype, n):
+        head = H.MlpHead(5, 3, hidden=8, dropout=0.3, dtype=dtype)
+        drawn, skipped = np.random.default_rng(4), np.random.default_rng(4)
+        for rng in (drawn, skipped):
+            rng.random(11)  # mid-stream, as after earlier steps
+        H.sample_masks(head, n, drawn)
+        H.skip_masks(head, n, skipped)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+        assert np.array_equal(H.sample_masks(head, 3, skipped)[2], H.sample_masks(head, 3, drawn)[2])
+
 
 class TestSgd:
     def test_zero_gradient_no_decay_keeps_params(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihoc.hierarchy import Hierarchy, random_tree
-from semihoc.prohoc import STOP_EPS, fuse_batch, predict_nodes, subtree_confidences
+from semihoc.prohoc import STOP_EPS, format_prediction_block, fuse_batch, predict_nodes, subtree_confidences
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
 EPS = STOP_EPS
@@ -220,3 +220,59 @@ class TestSubtreeConfidences:
         assert np.isclose(conf[BIRD], 0.05 + 0.2 + 0.1)
         assert np.isclose(conf[ROOT], p.sum())
         assert conf[CAT] == p[CAT]
+
+
+def reference_dump_line(hierarchy, sample_id, probs, conf):
+    """One prediction-dump line, formatted alone, with the chain found by
+    walking the parents up from the argmax."""
+    node = int(np.argmax(probs))
+    path = [node]
+    while hierarchy.parents[path[-1]] >= 0:
+        path.append(int(hierarchy.parents[path[-1]]))
+    chain = ",".join(f"{c}:{float(conf[c])!r}" for c in reversed(path))
+    return f"{int(sample_id)}\t{node}\t{float(probs[node])!r}\t{chain}\n"
+
+
+def assert_block_matches_rows(tree, sample_ids, probs):
+    conf = subtree_confidences(probs, tree)
+    preds = predict_nodes(probs)
+    block = format_prediction_block(tree, sample_ids, preds, probs[np.arange(len(preds)), preds], conf)
+    assert block == "".join(reference_dump_line(tree, *row) for row in zip(sample_ids, probs, conf))
+    return block
+
+
+class TestPredictionBlock:
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(3, 120), n=st.sampled_from([1, 2, 17, 300]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, seed, n_nodes, n):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n_nodes)
+        probs = fuse_batch(depth_outputs(tree, rng, n, zero_fraction=0.3), tree)
+        assert_block_matches_rows(tree, rng.integers(0, 2**64, n, dtype=np.uint64), probs)
+
+    def test_exact_ties_go_to_the_smaller_id(self, animals):
+        probs = np.array([
+            [0.1, 0.0, 0.0, 0.3, 0.3, 0.15, 0.15],  # Cat and Dog tie
+            [0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1],  # root, Mammal and Bird tie
+            [1 / 7] * 7,
+        ])
+        block = assert_block_matches_rows(animals, np.array([5, 6, 7], dtype=np.uint64), probs)
+        assert [line.split("\t")[1] for line in block.splitlines()] == [str(CAT), str(ROOT), str(ROOT)]
+
+    def test_root_argmax_has_a_one_entry_chain(self, animals):
+        outputs = [np.full((4, len(animals.depth_space(d))), 0.5) for d in (1, 2)]
+        probs = fuse_batch(outputs, animals)
+        assert (predict_nodes(probs) == ROOT).all()
+        block = assert_block_matches_rows(animals, np.arange(4, dtype=np.uint64), probs)
+        assert all(line.split("\t")[3].count(":") == 1 for line in block.splitlines())
+
+    def test_mixed_depths_keep_row_order(self):
+        tree = wide_tree([3, 4, 2, 5])
+        rng = np.random.default_rng(9)
+        probs = rng.random((200, tree.n_nodes)) ** 8
+        probs /= probs.sum(axis=1, keepdims=True)
+        assert len(np.unique(tree.depths[predict_nodes(probs)])) > 2
+        assert_block_matches_rows(tree, rng.permutation(200).astype(np.uint64), probs)
+
+    def test_empty_block(self, animals):
+        assert assert_block_matches_rows(animals, np.zeros(0, dtype=np.uint64), np.zeros((0, 7))) == ""
