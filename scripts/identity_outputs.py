@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Write the outputs that a change meant to keep results bit for bit the same
+must leave unchanged, so that comparing two checkouts is one `diff -r`.
+
+    python3 scripts/identity_outputs.py <dir>
+
+Run it from each checkout into its own directory, then `diff -r` the two.
+It writes:
+
+* `reference/<method>/metrics.csv`: the six methods on `reference_dataset(0)`,
+  30 epochs, evaluated every 10;
+* `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
+  `wide-tree` workload at seed 0;
+* `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
+  `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
+  of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
+  standard output of `semihoc inspect` (`inspect.txt`).
+
+The program and the benchmark's workload definitions are imported from this
+checkout's `src/` and `perfbench/`. BLAS runs on one thread, as in the
+benchmark. Takes about half a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "SEMIHOC_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
+
+import contextlib
+import io
+import shutil
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from semihoc import cli  # noqa: E402
+from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
+from semihoc.trainer import METHODS, run_training  # noqa: E402
+from workloads import EvalCli, WideTree  # noqa: E402
+
+SEED = 0
+
+
+def reference(out: Path) -> None:
+    hierarchy, dataset = reference_dataset(SEED)
+    for method in METHODS:
+        config = replace(reference_train_config(method, SEED, epochs=30), eval_every=10)
+        run_dir = out / method
+        run_training(config, hierarchy, dataset, out_dir=run_dir)
+        for path in run_dir.iterdir():
+            if path.name != "metrics.csv":
+                path.unlink()
+
+
+def wide_tree(out: Path) -> None:
+    hierarchy, dataset, config = WideTree().make(SEED)
+    run_training(config, hierarchy, dataset, out_dir=out)
+    (out / "config.json").unlink()
+
+
+def semihoc(*args: str) -> str:
+    """Standard output of one in-process CLI command; exits on failure."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(list(args))
+    if rc != 0:
+        sys.exit(f"semihoc {' '.join(args)} exited {rc}")
+    return stdout.getvalue()
+
+
+def eval_cli(out: Path) -> None:
+    state = EvalCli().setup(SEED, out / "work")
+    shutil.rmtree(out / "work" / "logs")  # they name absolute paths
+    # relative paths, so that nothing written names this output directory
+    os.chdir(out)
+    data, ckpt = state["data"].relative_to(out), str(state["ckpt"].relative_to(out))
+    inputs = ["--features", str(data / "features.bin"), "--hierarchy", str(data / "hierarchy.txt")]
+    for split in ("test", "train", "all"):
+        semihoc("eval", "--checkpoint", ckpt, *inputs, "--out", f"eval-{split}", "--split", split)
+        dump = f"eval-{split}/predictions.txt"
+        semihoc("eval", "--predictions", dump, *inputs, "--out", f"rescore-{split}", "--split", split)
+    Path("inspect.txt").write_text(semihoc("inspect", *inputs, "--checkpoint", ckpt))
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 scripts/identity_outputs.py <dir>")
+    out = Path(sys.argv[1]).resolve()
+    if out.exists() and any(out.iterdir()):
+        sys.exit(f"{out} is not empty")
+    reference(out / "reference")
+    wide_tree(out / "wide-tree")
+    eval_cli(out / "eval-cli")
+    print(f"identity outputs in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -325,26 +325,43 @@ def _prediction_fields(line: str, n_nodes: int) -> list:
         raise ValueError(f"sample id {fields[0]} is out of range")
     if not 0 <= fields[1] < n_nodes:
         raise ValueError(f"unknown node id {fields[1]}")
+    for i in (2, 3):
+        if not fields[i] >= 0.0:  # NaN fails too
+            raise ValueError(f"{_DUMP_FIELDS[i][0]} {fields[i]!r} is not a probability")
     return fields
+
+
+_DUMP_CHUNK = 1 << 18  # bytes of the dump read at a time
+
+
+def _read_dump(path: Path, n_nodes: int) -> np.ndarray:
+    """The non-blank lines of a prediction dump as a _DUMP_DTYPE array, parsed
+    in blocks of lines into one array sized by the file's line breaks. A block
+    ends at a newline, so `splitlines` splits it as it splits the whole file."""
+    with open(path, "rb") as fh:
+        bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(_DUMP_CHUNK), b""))
+        fh.seek(0)
+        dump, count, lineno = np.empty(bound, dtype=_DUMP_DTYPE), 0, 0
+        for block in iter(lambda: fh.readlines(_DUMP_CHUNK), []):
+            for lineno, line in enumerate(b"".join(block).splitlines(), start=lineno + 1):
+                try:
+                    line = line.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+                    if line.strip():
+                        dump[count] = (lineno, *_prediction_fields(line, n_nodes))
+                        count += 1
+                except ValueError as exc:
+                    raise DataError(f"prediction dump line {lineno}: {exc}") from None
+    return dump[:count]
 
 
 def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) -> None:
     try:
-        lines = path.read_bytes().splitlines()
+        dump = _read_dump(path, hierarchy.n_nodes)
     except OSError as exc:
         raise DataError(f"prediction dump: {exc}")
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            line = line.decode("utf-8")  # a UnicodeDecodeError is a ValueError
-            if line.strip():
-                records.append((lineno, *_prediction_fields(line, hierarchy.n_nodes)))
-        except ValueError as exc:
-            raise DataError(f"prediction dump line {lineno}: {exc}") from None
-    if not records:
+    if not len(dump):
         raise DataError("prediction dump covers no samples of the selected split")
 
-    dump = np.array(records, dtype=_DUMP_DTYPE)
     unknown = ~np.isin(dump["sample_id"], dataset.sample_ids)
     if unknown.any():
         first = dump[np.argmax(unknown)]

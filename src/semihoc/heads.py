@@ -89,15 +89,18 @@ def _mask_shapes(head: MlpHead, n: int) -> list[tuple[int, int]]:
     return [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
 
 
-def sample_masks(head: MlpHead, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+def sample_masks(head: MlpHead, n: int, rng: np.random.Generator, live: np.ndarray | None = None) -> list[np.ndarray]:
     """Dropout masks for a batch, input plus each hidden activation: the
     keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate),
     in the head's dtype. The uniforms are drawn and compared in float64 whatever
-    that dtype, so the keep decisions and the stream's use do not depend on it."""
+    that dtype, so the keep decisions and the stream's use do not depend on it.
+    A boolean row mask `live` keeps only its rows, `[m[live] for m in masks]`,
+    from uniforms drawn for all n rows, so the stream moves alike."""
     scale = head.dtype.type(1.0 / (1.0 - head.dropout))
-    masks = [np.empty(shape, head.dtype) for shape in _mask_shapes(head, n)]
-    for m in masks:
-        np.multiply(rng.random(m.shape) >= head.dropout, scale, out=m)
+    masks = []
+    for shape in _mask_shapes(head, n):
+        keep = rng.random(shape) >= head.dropout
+        masks.append(np.multiply(keep if live is None else keep[live], scale, dtype=head.dtype))
     return masks
 
 
@@ -109,23 +112,8 @@ def skip_masks(head: MlpHead, n: int, rng: np.random.Generator) -> None:
     rng.bit_generator.advance(sum(rows * cols for rows, cols in _mask_shapes(head, n)))
 
 
-def _softmax_clipped(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    clip_mask = np.abs(logits) < LOGIT_CLIP
-    z = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z, clip_mask
-
-
-def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> dict:
-    """Forward pass keeping every intermediate needed for backprop: the
-    input of each layer, the output probabilities and the logit clip mask.
-
-    masks=None means evaluation mode (no dropout); in training mode each
-    activation is multiplied by its mask from sample_masks.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
+def _forward(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input of each layer and the fresh float64 logits of a batch."""
     a = x * masks[0] if masks is not None else x
     inputs = [a]
     for layer in range(N_LAYERS - 1):
@@ -137,8 +125,28 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
         inputs.append(a)
     logits = a @ head.weights[-1]
     logits += head.biases[-1]
-    probs, clip_mask = _softmax_clipped(logits.astype(np.float64, copy=False))
-    return {"masks": masks, "inputs": inputs, "probs": probs, "clip_mask": clip_mask}
+    return inputs, logits.astype(np.float64, copy=False)
+
+
+def _softmax_clipped(z: np.ndarray) -> np.ndarray:
+    """Softmax of clipped logits, computed in place in `z`."""
+    np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> dict:
+    """Forward pass keeping every intermediate needed for backprop: the
+    input of each layer, the output probabilities and the logit clip mask.
+
+    masks=None means evaluation mode (no dropout); in training mode each
+    activation is multiplied by its mask from sample_masks.
+    """
+    inputs, logits = _forward(head, np.atleast_2d(np.asarray(x, dtype=head.dtype)), masks)
+    clip_mask = np.abs(logits) < LOGIT_CLIP
+    return {"masks": masks, "inputs": inputs, "probs": _softmax_clipped(logits), "clip_mask": clip_mask}
 
 
 def forward(
@@ -159,7 +167,7 @@ def forward(
         masks = sample_masks(head, x.shape[0], rng)
     elif mode != "eval":
         raise ValueError(f"unknown mode {mode!r}")
-    probs = forward_cached(head, x, masks)["probs"]
+    probs = _softmax_clipped(_forward(head, x, masks)[1])  # no clip mask: only backward reads it
     return probs[0] if single else probs
 
 

@@ -130,7 +130,7 @@ def confidence_accuracy_bins(confidences, correct, n_bins: int = 30) -> Confiden
     correct = np.asarray(correct, dtype=np.float64)
     if n_bins < 1:
         raise ValueError("need at least one bin")
-    idx = np.minimum((confidences * n_bins).astype(np.int64), n_bins - 1)
+    idx = np.clip(confidences * n_bins, 0, n_bins - 1).astype(np.int64)  # a value outside [0, 1] goes to an end bin
     counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
     hits = np.bincount(idx, weights=correct, minlength=n_bins)
     with np.errstate(invalid="ignore"):

@@ -11,10 +11,13 @@ stopping there (predicting out-of-distribution at that node) should be
 likely.
 
 Fusion (shallowest first) and subtree sums (deepest first) walk
-`Hierarchy.groups`, the internal nodes split by depth and child count, so each
-branch block is a dense (n, g, k) array with no padding and the memory order
-of a per-node (n, k) gather: numpy adds a node's k children in the same order
-as a per-node loop would, and the results are the same bit for bit.
+`Hierarchy.groups`, the internal nodes split by depth and child count, on
+node-major (n_nodes, n) arrays, so a group's parents and children are
+contiguous rows of samples; both functions return the transposed (n, n_nodes)
+view. A group's gather `outputs[:, cols]` is laid out (g, k, n) in memory and
+is used as such through `np.moveaxis`, so a sum over a node's k children adds
+whole sample rows one child after another, in the order of a per-node loop:
+the results are the same bit for bit.
 
 The rest of the system depends only on the resulting distribution over all
 nodes, so this fusion is a pluggable seam: any other rule that maps depth
@@ -37,31 +40,22 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
     shaped (n, |space_d|); each row must sum to one.
     """
     if len(depth_outputs) != hierarchy.max_depth:
-        raise ValueError(
-            f"expected {hierarchy.max_depth} depth outputs, got {len(depth_outputs)}"
-        )
-    outputs = []
-    for d, out in enumerate(depth_outputs, start=1):
-        out = np.asarray(out, dtype=np.float64)
-        if out.ndim == 1:
-            out = out[None, :]
+        raise ValueError(f"expected {hierarchy.max_depth} depth outputs, got {len(depth_outputs)}")
+    outputs = [np.atleast_2d(np.asarray(out, dtype=np.float64)) for out in depth_outputs]
+    for d, out in enumerate(outputs, start=1):
         if out.shape[1] != len(hierarchy.depth_space(d)):
-            raise ValueError(
-                f"depth {d} output has {out.shape[1]} classes, space has "
-                f"{len(hierarchy.depth_space(d))}"
-            )
-        outputs.append(out)
+            raise ValueError(f"depth {d} output has {out.shape[1]} classes, space has {len(hierarchy.depth_space(d))}")
     n = outputs[0].shape[0]
     if any(out.shape[0] != n for out in outputs):
         raise ValueError("depth outputs disagree on the batch size")
 
-    # a node's slot holds its incoming mass until its own group applies its stop
-    probs = np.zeros((n, hierarchy.n_nodes))
-    probs[:, 0] = 1.0
+    # a node's row holds its incoming mass until its own group applies its stop
+    probs = np.zeros((hierarchy.n_nodes, n))
+    probs[0] = 1.0
     for d, parents, kids, cols in hierarchy.groups:
         k = kids.shape[1]
-        branch = outputs[d - 1][:, cols]  # a fresh block, updated in place below
-        total = branch.sum(axis=2, keepdims=True)
+        branch = np.moveaxis(outputs[d - 1][:, cols], 0, -1)  # a fresh (g, k, n) block, updated in place
+        total = branch.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
             branch /= total
         np.copyto(branch, 1.0 / k, where=total <= 0.0)
@@ -69,16 +63,18 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
         if k == 1:
             stop = eps
         else:
-            plogp = np.log(branch, out=np.zeros_like(branch), where=branch > 0.0)
+            plogp = np.where(branch > 0.0, branch, 1.0)  # log(1) = 0 where the branch is 0 or NaN
+            np.log(plogp, out=plogp)
             plogp *= branch
-            stop = np.clip(-plogp.sum(axis=2) / np.log(k), eps, 1.0 - eps)
+            stop = np.clip(-plogp.sum(axis=1) / np.log(k), eps, 1.0 - eps)
             del plogp  # freed before the next group's blocks are allocated
 
-        mass = probs[:, parents]
-        probs[:, parents] = mass * stop
-        branch *= (mass * (1.0 - stop))[:, :, None]
-        probs[:, kids] = branch
-    return probs
+        mass = probs[parents]
+        probs[parents] = mass * stop
+        mass *= 1.0 - stop
+        branch *= mass[:, None, :]
+        probs[kids] = branch
+    return probs.T
 
 
 def predict_nodes(probs: np.ndarray) -> np.ndarray:
@@ -94,14 +90,14 @@ def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     floating point: a parent's value can never fall below any child's.
     """
     single = probs.ndim == 1
-    conf = np.atleast_2d(np.asarray(probs, dtype=np.float64)).copy()
+    conf = np.array(np.atleast_2d(probs).T, dtype=np.float64, order="C")
     for _, parents, kids, _ in reversed(hierarchy.groups):
-        # one child rank at a time, highest id first, with no (n, g, k) temporary
-        acc = conf[:, parents]
+        # one child rank at a time, highest id first, with no (g, k, n) temporary
+        acc = conf[parents]
         for j in range(kids.shape[1] - 1, -1, -1):
-            acc += conf[:, kids[:, j]]
-        conf[:, parents] = acc
-    return conf[0] if single else conf
+            acc += conf[kids[:, j]]
+        conf[parents] = acc
+    return conf[:, 0] if single else conf.T
 
 
 def format_prediction_block(

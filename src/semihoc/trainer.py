@@ -203,6 +203,7 @@ class Trainer:
         unlabeled_ids, dtype = dataset.sample_ids[self.unlabeled_idx], epoch_dtype(config.epochs)
         self.log = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
         self.history = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
+        self._space_nodes = [np.asarray(hierarchy.depth_space(d).nodes) for d in self.depths]
         gts = dataset.labels[self.unlabeled_idx]
         known = gts != NO_LABEL
         self._ood_rows = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
@@ -255,7 +256,7 @@ class Trainer:
         """Per-depth targets A @ (Q_d * appears_d[:, None]) of an assignment
         mask A, where appears_d marks the nodes of depth space d. Q_d is the
         identity on those rows, so this is A's depth-space-d columns."""
-        return [assigned[:, list(self.hierarchy.depth_space(d).nodes)].astype(np.float64) for d in self.depths]
+        return [assigned[:, nodes].astype(np.float64) for nodes in self._space_nodes]
 
     def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> list[np.ndarray]:
         cfg = self.config
@@ -305,9 +306,11 @@ class Trainer:
             loss_u = 0.0
             if uses_unlabeled:
                 t_u = d_targets[d - 1]
-                if t_u.any():
-                    masks_u = heads_mod.sample_masks(student, m_u, drop_u)
-                    loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_u, t_u, mode="train", masks=masks_u)
+                live = t_u.any(axis=1)
+                if live.any():  # forward and backward on the rows with a target, masks drawn for all
+                    masks_u = heads_mod.sample_masks(student, m_u, drop_u, live)
+                    x_live, t_live = x_u[live], t_u[live]
+                    loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_live, t_live, mode="train", masks=masks_u)
                     for g, gu in zip(grads, grads_u):
                         g += gu * (1.0 / m_u)
                 else:  # no target row: the masks would go unused, but the stream moves on as if drawn
@@ -378,8 +381,9 @@ class Trainer:
         idx = idx[self.dataset.labels[idx] != NO_LABEL]
         if len(idx) == 0:
             return None, None, None
-        probs = predict_dataset(self.heads, self.hierarchy, self.dataset.features[idx])
-        preds = predict_nodes(probs)
+        # block by block, so only one block's node distributions are alive at a time
+        blocks = (self.dataset.features[idx[i : i + PREDICT_BATCH]] for i in range(0, len(idx), PREDICT_BATCH))
+        preds = np.concatenate([predict_nodes(predict_dataset(self.heads, self.hierarchy, x)) for x in blocks])
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
         mix = 0.5 * (report.id + report.ood) if report.id is not None and report.ood is not None else None
         return report.id, report.ood, mix

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from semihoc import cli
 from semihoc.cli import main
 from semihoc.datagen import load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
@@ -460,6 +461,8 @@ class TestPredictionDumpErrors:
             (2, "high", "confidence 'high'"),
             (3, "0", "chain entry '0'"),
             (3, "0:1.0,1:abc", "subtree confidence 'abc'"),
+            (2, "nan", "confidence nan is not a probability"),
+            (3, "0:1.0,1:-0.5", "subtree confidence -0.5 is not a probability"),
             (4, "extra", "expected 4 tab-separated fields"),
         ],
     )
@@ -486,6 +489,27 @@ class TestPredictionDumpErrors:
         sid = dump_lines[0].split("\t")[0]
         expected = f"prediction dump line {len(dump_lines) + 1}: duplicate sample id {sid} (first on line 1)"
         assert code == 2 and expected in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    def test_block_reader_splits_and_numbers_lines_as_the_whole_file(
+        self, workspace, dump_lines, tmp_path, monkeypatch, chunk
+    ):
+        n_nodes = load_hierarchy(workspace / "data" / "hierarchy.txt").n_nodes
+        ends = [b"\n", b"\r\n", b"\r", b"\n\n", b"\n \t\n", b"\r\r\n"]
+        data = b"".join(line.encode() + ends[i % len(ends)] for i, line in enumerate(dump_lines[:40]))
+        dump = tmp_path / "predictions.txt"
+        monkeypatch.setattr(cli, "_DUMP_CHUNK", chunk)
+        for tail in (b"", dump_lines[40].encode(), dump_lines[40].encode() + b"\r"):
+            dump.write_bytes(data + tail)
+            records = [
+                (lineno, *cli._prediction_fields(line.decode(), n_nodes))
+                for lineno, line in enumerate((data + tail).splitlines(), start=1)
+                if line.strip()
+            ]
+            assert cli._read_dump(dump, n_nodes).tolist() == records
+        dump.write_bytes(data + b"1\t2\n")
+        with pytest.raises(cli.DataError, match=f"^prediction dump line {len(data.splitlines()) + 1}: expected 4"):
+            cli._read_dump(dump, n_nodes)
 
     @pytest.mark.parametrize("at", [0, 5])
     def test_invalid_utf8_exits_two_with_line_number(self, workspace, dump_lines, tmp_path, capsys, at):

@@ -201,6 +201,37 @@ class TestMasks:
         assert np.array_equal(H.sample_masks(head, 3, skipped)[2], H.sample_masks(head, 3, drawn)[2])
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("live_rows", [[], [0], [1, 4, 5], [0, 1, 2, 3, 4, 5, 6]])
+    def test_live_rows_are_the_full_masks_rows_and_stream(self, dtype, live_rows):
+        head = H.MlpHead(5, 3, hidden=8, dropout=0.3, dtype=dtype)
+        live = np.isin(np.arange(7), live_rows)
+        full, compact = np.random.default_rng(16), np.random.default_rng(16)
+        masks = H.sample_masks(head, 7, full)
+        masks_live = H.sample_masks(head, 7, compact, live)
+        assert [m.dtype for m in masks_live] == [head.dtype] * 4
+        assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
+        assert compact.bit_generator.state == full.bit_generator.state
+
+
+class TestEvalForward:
+    """forward keeps none of backward's intermediates and clips in place, but
+    gives the probabilities of forward_cached bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_forward_cached_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(22)
+        head = H.MlpHead(6, 4, hidden=16, dtype=dtype)
+        head.init_params(rng)
+        head.weights[-1] *= 40.0  # some logits beyond the clip
+        x = rng.normal(0, 3, (13, 6))
+        probs = H.forward(head, x)
+        cached = H.forward_cached(head, x, None)
+        assert not cached["clip_mask"].all()
+        assert probs.dtype == np.float64
+        assert np.array_equal(probs.view(np.uint64), cached["probs"].view(np.uint64))
+
+
 class TestSgd:
     def test_zero_gradient_no_decay_keeps_params(self):
         theta = [np.ones((2, 2))]

@@ -191,6 +191,10 @@ class TestConfidenceBins:
         table = confidence_accuracy_bins([1.0], [True], n_bins=4)
         assert table.counts[-1] == 1
 
+    def test_confidence_above_one_lands_in_top_bin(self):
+        table = confidence_accuracy_bins([1.0 + 2**-52, 8.3e82, np.inf], [True] * 3, n_bins=4)
+        assert table.counts.tolist() == [0, 0, 0, 3]
+
     def test_empty_bins_are_nan(self):
         table = confidence_accuracy_bins([0.05], [False], n_bins=4)
         assert np.isnan(table.accuracy[2])

@@ -95,7 +95,7 @@ class TestLevelWiseMatchesPerNode:
     @given(
         seed=st.integers(0, 10_000),
         n_nodes=st.integers(3, 120),
-        n=st.sampled_from([1, 2, 17, 300]),
+        n=st.sampled_from([1, 2, 17, 300, 512, 1024]),
         zero_fraction=st.sampled_from([0.0, 0.3, 0.8]),
     )
     @settings(max_examples=60, deadline=None)
@@ -106,7 +106,7 @@ class TestLevelWiseMatchesPerNode:
 
     @pytest.mark.parametrize("branchings", [[8], [9, 8], [13, 1, 20], [2, 20, 3, 8], [1, 1, 1, 1]])
     @pytest.mark.parametrize("zero_fraction", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 33])
+    @pytest.mark.parametrize("n", [1, 2, 33, 512, 1024])
     def test_wide_nodes_and_chains(self, branchings, zero_fraction, n):
         tree = wide_tree(branchings)
         assert_bit_identical(tree, depth_outputs(tree, np.random.default_rng(len(branchings)), n, zero_fraction))
@@ -220,6 +220,16 @@ class TestSubtreeConfidences:
         assert np.isclose(conf[BIRD], 0.05 + 0.2 + 0.1)
         assert np.isclose(conf[ROOT], p.sum())
         assert conf[CAT] == p[CAT]
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 512])
+    def test_memory_order_of_the_input_changes_no_bit(self, n):
+        tree = wide_tree([9, 3, 12])
+        probs = fuse_batch(depth_outputs(tree, np.random.default_rng(n), n), tree)
+        c_order, f_order = np.ascontiguousarray(probs), np.asfortranarray(probs)
+        expected = reference_subtree_confidences(c_order, tree).view(np.uint64)
+        for p in (c_order, f_order, probs):
+            assert np.array_equal(subtree_confidences(p, tree).view(np.uint64), expected)
+        assert np.array_equal(subtree_confidences(c_order[0], tree).view(np.uint64), expected[0])
 
 
 def reference_dump_line(hierarchy, sample_id, probs, conf):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihoc import spl as spl_mod
 from semihoc.hierarchy import random_tree
 from semihoc.oracles import histogram_scan_cutoff
 from semihoc.prohoc import fuse_batch
@@ -165,6 +166,38 @@ class TestSplLog:
             SplLog(np.array([10], dtype=np.uint64), 7).load_state_dict(state)
 
 
+class TestInPlaceLogUpdates:
+    """update_log and update_history write the gathered rows in place; the
+    results are those of the nested np.where formulas they replace."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+        at_max=st.booleans(),
+        order=st.sampled_from("CF"),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_the_nested_where_formulas(self, seed, dtype, at_max, order):
+        rng = np.random.default_rng(seed)
+        n_rows, n_nodes, n = 9, 6, 5
+        epoch = int(np.iinfo(dtype).max) if at_max else 0
+        first = np.where(rng.random((n_rows, n_nodes)) < 0.5, -1, rng.integers(0, 3, (n_rows, n_nodes))).astype(dtype)
+        rows = rng.permutation(n_rows)[:n]
+        assigned = np.asarray(rng.random((n, n_nodes)) < 0.5, order=order)
+
+        current = first[rows]
+        expected_log, expected_history = first.copy(), first.copy()
+        expected_log[rows] = np.where(assigned, np.where(current < 0, epoch, current), -1)
+        expected_history[rows] = np.where(assigned & (current < 0), epoch, current)
+
+        log, history = SplLog(np.arange(n_rows), n_nodes, dtype), SplLog(np.arange(n_rows), n_nodes, dtype)
+        log.first[...], history.first[...] = first, first
+        update_log(log, rows, assigned, epoch)
+        update_history(history, rows, assigned, epoch)
+        assert log.first.dtype == history.first.dtype == dtype
+        assert np.array_equal(log.first, expected_log) and np.array_equal(history.first, expected_history)
+
+
 class TestDetectCutoff:
     def test_empty_list(self):
         assert detect_cutoff([], 10, 1, 0.2) == math.inf
@@ -226,6 +259,17 @@ class TestUpdateCutoffs:
             log_chain(log, g, (BIRD,), epoch=e)
         update_cutoffs(gate, log, 12)  # detector alone would say 6
         assert gate.vector(7)[BIRD] == 4.0
+
+    def test_each_logged_node_gets_its_column(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        log = SplLog(np.arange(40), 9, np.int8)
+        log.first[...] = np.where(rng.random((40, 9)) < 0.3, rng.integers(0, 6, (40, 9)), -1)
+        log.first[:, 4] = -1  # a node with no entry is not scanned
+        seen = []
+        monkeypatch.setattr(spl_mod, "detect_cutoff", lambda epochs, *args: seen.append(list(epochs)) or math.inf)
+        update_cutoffs(AgeGateState(1, 0.2), log, 5)
+        columns = [log.first[:, c] for c in range(9)]
+        assert seen == [col[col >= 0].tolist() for col in columns if (col >= 0).any()]
 
 
 class TestApplyGating:
