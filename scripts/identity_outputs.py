@@ -11,6 +11,9 @@ It writes:
   30 epochs, evaluated every 10;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
+* `wide-tree-resumed/metrics.csv`: the same run with `checkpoint_every=20`,
+  resumed from its `ckpt_epoch0020.bin`, so that the checkpoint round trip
+  of the pseudo-label log is covered while age-gating is active;
 * `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
   `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
   of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
@@ -18,7 +21,7 @@ It writes:
 
 The program and the benchmark's workload definitions are imported from this
 checkout's `src/` and `perfbench/`. BLAS runs on one thread, as in the
-benchmark. Takes about half a minute on two cores.
+benchmark. Takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from semihoc import cli  # noqa: E402
 from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
-from semihoc.trainer import METHODS, run_training  # noqa: E402
+from semihoc.trainer import METHODS, load_checkpoint, run_training  # noqa: E402
 from workloads import EvalCli, WideTree  # noqa: E402
 
 SEED = 0
@@ -61,6 +64,19 @@ def wide_tree(out: Path) -> None:
     hierarchy, dataset, config = WideTree().make(SEED)
     run_training(config, hierarchy, dataset, out_dir=out)
     (out / "config.json").unlink()
+
+
+def wide_tree_resumed(out: Path) -> None:
+    hierarchy, dataset, config = WideTree().make(SEED)
+    config = replace(config, checkpoint_every=20)
+    full = out / "uninterrupted"
+    run_training(config, hierarchy, dataset, out_dir=full)
+    state = load_checkpoint(full / "ckpt_epoch0020.bin")
+    shutil.rmtree(full)
+    run_training(config, hierarchy, dataset, out_dir=out, resume=state)
+    for path in out.iterdir():
+        if path.name != "metrics.csv":
+            path.unlink()
 
 
 def semihoc(*args: str) -> str:
@@ -95,6 +111,7 @@ def main() -> int:
         sys.exit(f"{out} is not empty")
     reference(out / "reference")
     wide_tree(out / "wide-tree")
+    wide_tree_resumed(out / "wide-tree-resumed")
     eval_cli(out / "eval-cli")
     print(f"identity outputs in {out}")
     return 0

@@ -13,6 +13,7 @@ if os.environ.get("SEMIHOC_THREADS"):
         os.environ.setdefault(_var, os.environ["SEMIHOC_THREADS"])
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import fields
@@ -83,18 +84,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_gen(args) -> int:
     try:
-        config = SyntheticConfig(
-            branching=args.branching,
-            depth=args.depth,
-            feature_dim=args.dim,
-            train_per_leaf=args.train_per_leaf,
-            test_per_leaf=args.test_per_leaf,
-            sigma_level=args.sigma_level,
-            sigma_noise=args.sigma_noise,
-            ood_fraction=args.ood_fraction,
-            root_ood_per_split=args.root_ood,
-            seed=args.seed,
-        )
+        config = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -179,13 +169,9 @@ def cmd_train(args) -> int:
 
 
 def _split_indices(dataset, which: str) -> np.ndarray:
-    if which == "test":
-        return dataset.indices(SPLIT_TEST)
-    if which == "train":
-        return dataset.indices(SPLIT_UNLABELED)
-    if which == "all":
+    if which == "all":  # the parser allows test, train and all
         return np.arange(len(dataset))
-    raise UsageError("--split must be test, train or all")
+    return dataset.indices(SPLIT_TEST if which == "test" else SPLIT_UNLABELED)
 
 
 def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -> None:
@@ -291,10 +277,9 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
     known = gts != NO_LABEL
     keep = known & ~hierarchy.is_leaf(np.where(known, gts, 0)) & (log["epoch"] <= cutoffs[log["node"]])
     _, first, rows = np.unique(log["sample_id"][keep], return_index=True, return_inverse=True)
-    gated = np.zeros((len(first), hierarchy.n_nodes), dtype=bool)
-    gated[rows, log["node"][keep]] = True
-    purity_depth = spl_purity_and_depth(gated, gts[keep][first], hierarchy)
-    purity, avg_depth = (None, None) if purity_depth is None else purity_depth
+    gated = np.full((len(first), hierarchy.max_depth + 1), -1)  # a chain table, the root's column included
+    gated[rows, hierarchy.depths[log["node"][keep]]] = log["node"][keep]
+    purity, avg_depth = spl_purity_and_depth(gated, gts[keep][first], hierarchy) or (None, None)
 
     header = ["purity", "avg_depth", "gate_fpr", "gate_coverage", "n_assignments", "n_incorrect", "fpr_defined"]
     row = [purity, avg_depth, gate_report.fpr, gate_report.coverage]
@@ -447,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--dim", type=int, default=32, dest="feature_dim")
     p.add_argument("--train-per-leaf", type=int, default=14)
     p.add_argument("--test-per-leaf", type=int, default=8)
     p.add_argument("--sigma-level", type=float, default=1.0)
     p.add_argument("--sigma-noise", type=float, default=0.9)
     p.add_argument("--ood-fraction", type=float, default=0.2)
-    p.add_argument("--root-ood", type=int, default=0)
+    p.add_argument("--root-ood", type=int, default=0, dest="root_ood_per_split")
     p.add_argument("--labels-per-class", type=int, default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen)
@@ -499,7 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse: each training step allocates and frees arrays of a
+    few MB, and under its dynamic thresholds the heap top could go back to the OS after every step
+    and be page-faulted in again by the next. A no-op where the C library has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays below 32 MB come from the heap,
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: which shrinks only past 256 MB of free top
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

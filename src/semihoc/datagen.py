@@ -53,11 +53,8 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def mask(self, split: int) -> np.ndarray:
-        return self.splits == split
-
     def indices(self, split: int) -> np.ndarray:
-        return np.nonzero(self.mask(split))[0]
+        return np.nonzero(self.splits == split)[0]
 
     def labels_of(self, sample_ids) -> np.ndarray:
         """Ground truth per sample id; NO_LABEL for ids this dataset lacks."""
@@ -74,7 +71,7 @@ class FeatureDataset:
         bad = np.flatnonzero((self.labels != NO_LABEL) & ((self.labels < 0) | (self.labels >= hierarchy.n_nodes)))
         if len(bad):
             raise FeatureFileError(f"record {bad[0] + 1}: unknown node id {int(self.labels[bad[0]])}")
-        bad = np.flatnonzero(self.mask(SPLIT_LABELED) & ~np.isin(self.labels, list(hierarchy.id_leaves)))
+        bad = np.flatnonzero((self.splits == SPLIT_LABELED) & ~np.isin(self.labels, list(hierarchy.id_leaves)))
         if len(bad):
             sample = int(self.sample_ids[bad[0]])
             raise FeatureFileError(f"sample {sample}: labeled-train ground truth must be an ID leaf")
@@ -82,7 +79,7 @@ class FeatureDataset:
     def summary(self, hierarchy: Hierarchy | None = None) -> str:
         lines = [f"samples: {len(self)}  dim: {self.dim}"]
         for split, tag in ((SPLIT_LABELED, "labeled-train"), (SPLIT_UNLABELED, "unlabeled-train"), (SPLIT_TEST, "test")):
-            m = self.mask(split)
+            m = self.splits == split
             row = f"{tag}: {int(m.sum())}"
             if hierarchy is not None and m.any():
                 labels = self.labels[m]

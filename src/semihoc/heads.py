@@ -79,11 +79,6 @@ class MlpHead:
         for dst, src in zip(self.parameters(), other.parameters()):
             dst[...] = src
 
-    def clone(self) -> "MlpHead":
-        dup = MlpHead(self.in_dim, self.out_dim, self.hidden, self.dropout, self.dtype)
-        dup.copy_from(self)
-        return dup
-
 
 def _mask_shapes(head: MlpHead, n: int) -> list[tuple[int, int]]:
     return [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
@@ -149,25 +144,13 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
     return {"masks": masks, "inputs": inputs, "probs": _softmax_clipped(logits), "clip_mask": clip_mask}
 
 
-def forward(
-    head: MlpHead,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities for a batch (or a single vector)."""
+def forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
+    """Evaluation-mode class probabilities for a batch (or a single vector)."""
     single = np.ndim(x) == 1
     x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
     if x.shape[1] != head.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != head input dim {head.in_dim}")
-    masks = None
-    if mode == "train":
-        if rng is None:
-            raise ValueError("training mode needs a dropout rng")
-        masks = sample_masks(head, x.shape[0], rng)
-    elif mode != "eval":
-        raise ValueError(f"unknown mode {mode!r}")
-    probs = _softmax_clipped(_forward(head, x, masks)[1])  # no clip mask: only backward reads it
+    probs = _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
     return probs[0] if single else probs
 
 
@@ -190,14 +173,10 @@ def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarra
 
 
 def ce_loss_and_grad(
-    head: MlpHead,
-    x: np.ndarray,
-    targets: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    masks: list[np.ndarray] | None = None,
+    head: MlpHead, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None
 ) -> tuple[float, list[np.ndarray]]:
-    """Summed soft-target cross-entropy and its parameter gradients.
+    """Summed soft-target cross-entropy and its parameter gradients; `masks`
+    as in forward_cached, None for evaluation mode.
 
     `targets` has one row per sample over the head's classes; a row may sum
     to one (a single target), to an integer k (k unit-mass targets merged,
@@ -207,16 +186,6 @@ def ce_loss_and_grad(
     """
     x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))  # the loss is float64
-    if mode == "train":
-        if masks is None:
-            if rng is None:
-                raise ValueError("training mode needs a dropout rng or frozen masks")
-            masks = sample_masks(head, x.shape[0], rng)
-    elif mode == "eval":
-        masks = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
     live = targets.any(axis=1)
     if not live.all():  # an all-zero target row has d_logits = 0 exactly
         x, targets = x[live], targets[live]
@@ -279,10 +248,9 @@ class DepthHeads:
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
         self.feature_dim = feature_dim
         self.depths = list(range(1, hierarchy.max_depth + 1))
-        self.students = [
-            MlpHead(feature_dim, len(hierarchy.depth_space(d)), hidden, dropout, HEAD_DTYPE) for d in self.depths
-        ]
-        self.teachers = [head.clone() for head in self.students]
+        classes = [len(hierarchy.depth_space(d)) for d in self.depths]
+        self.students = [MlpHead(feature_dim, k, hidden, dropout, HEAD_DTYPE) for k in classes]
+        self.teachers = [MlpHead(feature_dim, k, hidden, dropout, HEAD_DTYPE) for k in classes]
         self.velocities = [[np.zeros_like(p) for p in head.parameters()] for head in self.students]
 
     def init_params(self, rng: np.random.Generator) -> None:
@@ -298,7 +266,7 @@ class DepthHeads:
 
     def teacher_forward_all(self, x: np.ndarray) -> list[np.ndarray]:
         """Eval-mode teacher probabilities at every depth."""
-        return [forward(t, x, mode="eval") for t in self.teachers]
+        return [forward(t, x) for t in self.teachers]
 
     def sgd_step(self, d: int, grads: list[np.ndarray], opt: OptimizerParams, scale: float = 1.0) -> None:
         params = self.student(d).parameters()

@@ -27,7 +27,6 @@ so that queries work on single nodes and on whole batches alike:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,17 +34,6 @@ import numpy as np
 
 class HierarchyError(ValueError):
     """Raised for malformed hierarchy structures or files."""
-
-
-@dataclass(frozen=True)
-class DepthSpace:
-    """Ordered classification space at one depth (ascending node id)."""
-
-    depth: int
-    nodes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def _scalar_or_array(value):
@@ -92,12 +80,12 @@ class Hierarchy:
 
         carried = np.isin(np.arange(self.n_nodes), list(self.id_leaves))  # ID leaves, present below their depth
         self._depth_spaces = tuple(
-            DepthSpace(d, tuple(np.flatnonzero((self.depths == d) | (carried & (self.depths < d))).tolist()))
+            tuple(np.flatnonzero((self.depths == d) | (carried & (self.depths < d))).tolist())
             for d in range(1, self.max_depth + 1)
         )
         self.columns = np.full((self.max_depth, self.n_nodes), -1, dtype=np.int64)
         for d, space in enumerate(self._depth_spaces, start=1):
-            self.columns[d - 1, list(space.nodes)] = np.arange(len(space))
+            self.columns[d - 1, list(space)] = np.arange(len(space))
 
     # -- construction helpers -------------------------------------------------
 
@@ -167,11 +155,6 @@ class Hierarchy:
             c = int(self.parents[c])
         return tuple(reversed(path))
 
-    def subtree(self, c: int) -> frozenset[int]:
-        """The node together with all of its descendants."""
-        c = self._check_node(c)
-        return frozenset(np.flatnonzero(self.in_subtree(np.arange(self.n_nodes), c)).tolist())
-
     def in_subtree(self, x, c):
         """Whether x lies in subtree(c), elementwise over broadcast arrays."""
         x, c = self._check_node(x), self._check_node(c)
@@ -202,7 +185,8 @@ class Hierarchy:
             raise ValueError(f"depth {d} out of range 1..{self.max_depth}")
         return d
 
-    def depth_space(self, d: int) -> DepthSpace:
+    def depth_space(self, d: int) -> tuple[int, ...]:
+        """The node ids of the classification space at depth d, ascending."""
         return self._depth_spaces[self._check_depth(d) - 1]
 
     @cached_property
@@ -211,7 +195,7 @@ class Hierarchy:
         nodes = np.arange(self.n_nodes)
         out = []
         for space in self._depth_spaces:
-            cols = np.asarray(space.nodes)
+            cols = np.asarray(space)
             support = self.in_subtree(cols[None, :], nodes[:, None]) | self.in_subtree(nodes[:, None], cols[None, :])
             size = support.sum(axis=1)
             out.append(support * (1.0 / np.maximum(size, 1))[:, None])

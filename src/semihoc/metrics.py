@@ -69,18 +69,18 @@ def decomposition_matrix(predictions, ground_truths, hierarchy: Hierarchy, subse
 
 
 def spl_purity_and_depth(assigned: np.ndarray, ground_truths, hierarchy: Hierarchy) -> tuple[float, float] | None:
-    """Purity and mean depth of the deepest assigned node, over the rows of an
-    assignment mask; None when no row has an assignment.
+    """Purity and mean depth of the deepest assigned node, over the rows of a
+    table of assigned node ids, -1 for none; None when no row has one.
 
     The deepest node is the assigned one largest by (depth, id). Purity
     counts a sample as correct when its ground truth lies inside that node's
     subtree.
     """
-    key = np.where(assigned, hierarchy.depths * hierarchy.n_nodes + np.arange(hierarchy.n_nodes), -1)
-    has = key.max(axis=1) >= 0
+    key = np.where(assigned >= 0, hierarchy.depths[assigned] * hierarchy.n_nodes + assigned, -1)
+    has = key.max(axis=1, initial=-1) >= 0
     if not has.any():
         return None
-    deepest = key[has].argmax(axis=1)
+    deepest = key[has].max(axis=1) % hierarchy.n_nodes
     pure = hierarchy.in_subtree(np.asarray(ground_truths)[has], deepest)
     return float(np.mean(pure)), float(np.mean(hierarchy.depths[deepest]))
 

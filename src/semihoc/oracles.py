@@ -77,8 +77,7 @@ def finite_difference_grads(head, x, targets, masks=None, step: float = 1e-6) ->
     """Central-difference gradients of the summed cross-entropy loss."""
 
     def loss_only() -> float:
-        mode = "eval" if masks is None else "train"
-        value, _ = heads_mod.ce_loss_and_grad(head, x, targets, mode=mode, masks=masks)
+        value, _ = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
         return value
 
     grads = []
@@ -212,8 +211,7 @@ def check_gradients(cases: int, seed: int, fault: bool = False, tolerance: float
 
         train_mode = case % 2 == 1
         masks = heads_mod.sample_masks(head, 2, rng) if train_mode else None
-        mode = "train" if train_mode else "eval"
-        _, analytic = heads_mod.ce_loss_and_grad(head, x, targets, mode=mode, masks=masks)
+        _, analytic = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
         if fault:
             analytic = [g + 1e-3 for g in analytic]
         numeric = finite_difference_grads(head, x, targets, masks=masks)
@@ -221,7 +219,7 @@ def check_gradients(cases: int, seed: int, fault: bool = False, tolerance: float
         if not err <= tolerance:
             failures += 1
             if not detail:
-                detail = f"relative error {err:.3e} ({mode} mode)"
+                detail = f"relative error {err:.3e} ({'train' if train_mode else 'eval'} mode)"
     return OracleResult("gradient-check", cases, failures, detail)
 
 

@@ -2,15 +2,16 @@
 
 A subtree pseudo-label on node c asserts that a sample lives somewhere in
 c's subtree. It is assigned when the summed probability of the subtree
-exceeds a threshold; with a threshold above one half the assigned nodes of a
-sample always form a single root-anchored path, because sibling subtree
-confidences cannot both exceed 1/2.
+exceeds a threshold tau >= 1/2. A parent's subtree confidence is never below
+a child's, and sibling confidences cannot both exceed 1/2, so the assigned
+nodes of a sample form a single root-anchored path with at most one node
+per depth.
 
-Everything here works on whole batches of boolean assignment masks (rows x
-nodes; the root column is never set). The log is a dense array of
-first-assignment epochs over (unlabeled row, node), -1 where the pair is
-not currently assigned; checkpoints keep only its set entries, as
-(sample id, node, epoch) triples.
+So assignments are chain tables, (rows x depths 1..D) of node ids, -1 for
+none. The log is such a table over the unlabeled rows with each node's
+first-assignment epoch beside it; the history, which can switch branches, is
+a dense (row, node) array of first-ever epochs. Checkpoints keep both as
+(sample id, node, epoch) triples in (row, node) order.
 
 Age-gating counters a failure mode of self-training on open-set data: nodes
 keep collecting new, increasingly deep assignments late in training, well
@@ -43,24 +44,31 @@ class SplChain:
 
 
 def assign(probs: np.ndarray, hierarchy: Hierarchy, tau: float) -> np.ndarray:
-    """Mask of nodes whose subtree confidence strictly exceeds tau, root excluded.
+    """Chain table of the nodes whose subtree confidence strictly exceeds tau,
+    root excluded: entry (i, d - 1) is row i's node at depth d, or -1.
 
     tau = 1 is allowed and assigns nothing: the strict comparison makes it
-    the degenerate supervised-only setting. The mask is row-major, like the
-    log rows it is merged into.
+    the degenerate supervised-only setting. Two nodes of one depth can pass
+    only through rounding at tau = 1/2; that raises a ValueError naming the
+    depth.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0, 1]")
-    assigned = np.ascontiguousarray(subtree_confidences(probs, hierarchy) > tau)
-    assigned[..., 0] = False
-    return assigned
+    if not 0.5 <= tau <= 1.0:
+        raise ValueError("tau must be in [1/2, 1]")
+    passing = subtree_confidences(probs, hierarchy).T > tau  # node-major
+    passing[0] = False
+    nodes, rows = np.divmod(np.flatnonzero(passing), passing.shape[1])  # a 2-D nonzero takes far longer
+    cols = hierarchy.depths[nodes] - 1
+    table = np.full((passing.shape[1], hierarchy.max_depth), -1, dtype=np.int64)
+    table[rows, cols] = nodes
+    if np.count_nonzero(table >= 0) != len(nodes):
+        depth = np.flatnonzero(np.bincount(rows * hierarchy.max_depth + cols) > 1)[0] % hierarchy.max_depth + 1
+        raise ValueError(f"two nodes of depth {depth} pass tau = {tau}")
+    return table
 
 
 def compute_spls_batch(probs: np.ndarray, hierarchy: Hierarchy, tau: float) -> list[SplChain]:
-    """The assignments of a batch of node distributions as chains, one per
-    row, nodes in ascending (depth, id) order."""
-    order = np.asarray(hierarchy.topo_order)
-    return [SplChain(tuple(order[row].tolist())) for row in assign(probs, hierarchy, tau)[:, order]]
+    """The assignments of a batch of node distributions as chains, one per row, shallow to deep."""
+    return [SplChain(tuple(row[row >= 0].tolist())) for row in assign(probs, hierarchy, tau)]
 
 
 def epoch_dtype(epochs: int) -> np.dtype:
@@ -68,16 +76,45 @@ def epoch_dtype(epochs: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= epochs)
 
 
+def _checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
+    """The row of each checkpoint triple; ValueError for an unknown sample, the root or a node not in the tree."""
+    if not np.isin(state["sample_id"], sample_ids).all() or np.any((state["node"] < 1) | (state["node"] >= n_nodes)):
+        raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
+    order = np.argsort(sample_ids)
+    return order[np.searchsorted(sample_ids, state["sample_id"], sorter=order)]
+
+
 class SplLog:
-    """First-assignment epoch per (row, node), -1 for none; row r belongs to
-    the sample sample_ids[r]."""
+    """Chain table of the current assignments: node[r, d - 1] is sample_ids[r]'s node at depth d,
+    -1 for none, and first[r, d - 1] the epoch it was first assigned in since."""
+
+    def __init__(self, sample_ids: np.ndarray, depths: np.ndarray, dtype=np.int64):
+        self.sample_ids, self.depths = sample_ids, depths
+        self.node = np.full((len(sample_ids), int(depths.max())), -1, dtype=np.int64)
+        self.first = np.full(self.node.shape, -1, dtype=dtype)
+
+    def state_dict(self) -> dict:
+        """The set entries as (sample id, node, epoch) arrays, in (row, node) order."""
+        rows, cols = np.nonzero(self.node >= 0)
+        order = np.lexsort((self.node[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        return {"sample_id": self.sample_ids[rows], "node": self.node[rows, cols], "epoch": self.first[rows, cols]}
+
+    def load_state_dict(self, state: dict) -> None:
+        rows = _checkpoint_rows(self.sample_ids, len(self.depths), state)
+        cols = self.depths[state["node"]] - 1
+        if len(np.unique(rows * self.node.shape[1] + cols)) != len(rows):
+            raise ValueError("checkpoint log holds two nodes of one depth for one sample")
+        self.node[...], self.first[...] = -1, -1
+        self.node[rows, cols], self.first[rows, cols] = state["node"], state["epoch"]
+
+
+class SplHistory:
+    """First-ever assignment epoch per (row, node), -1 for never; row r is sample_ids[r]."""
 
     def __init__(self, sample_ids: np.ndarray, n_nodes: int, dtype=np.int64):
         self.sample_ids = sample_ids
         self.first = np.full((len(sample_ids), n_nodes), -1, dtype=dtype)
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.first >= 0))
 
     def state_dict(self) -> dict:
         """The set entries as (sample id, node, epoch) arrays."""
@@ -85,30 +122,28 @@ class SplLog:
         return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.first[rows, nodes]}
 
     def load_state_dict(self, state: dict) -> None:
-        rows_known = np.isin(state["sample_id"], self.sample_ids).all()
-        if not rows_known or np.any((state["node"] < 0) | (state["node"] >= self.first.shape[1])):
-            raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
-        order = np.argsort(self.sample_ids)
-        rows = order[np.searchsorted(self.sample_ids, state["sample_id"], sorter=order)]
+        rows = _checkpoint_rows(self.sample_ids, self.first.shape[1], state)
         self.first[...] = -1
         self.first[rows, state["node"]] = state["epoch"]
 
 
 def update_log(log: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
-    """First-assignment epochs are kept; pairs no longer assigned drop out,
-    so a later reassignment re-enters with the later epoch."""
-    current = log.first[rows]
-    np.copyto(current, epoch, where=assigned & (current < 0))
-    np.copyto(current, -1, where=~assigned)
-    log.first[rows] = current
+    """Merge a chain table of `rows`' assignments. A node still assigned at
+    its depth keeps its first epoch; a new one enters with `epoch`, so a
+    node dropped and later reassigned re-enters with the later epoch."""
+    first = log.first[rows]
+    np.copyto(first, epoch, where=assigned != log.node[rows])
+    np.copyto(first, -1, where=assigned < 0)
+    log.node[rows], log.first[rows] = assigned, first
 
 
-def update_history(history: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
+def update_history(history: SplHistory, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
     """Like update_log, but an entry once made is never dropped: the epoch of
-    the first assignment ever."""
-    current = history.first[rows]
-    np.copyto(current, epoch, where=assigned & (current < 0))
-    history.first[rows] = current
+    the first assignment ever, set from the chain table's entries."""
+    at, cols = np.nonzero(assigned >= 0)
+    rows, nodes = rows[at], assigned[at, cols]
+    new = history.first[rows, nodes] < 0
+    history.first[rows[new], nodes[new]] = epoch
 
 
 def detect_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: float) -> float:
@@ -147,10 +182,16 @@ class AgeGateState:
     drop_threshold: float = 0.01
     cutoffs: dict[int, float] = field(default_factory=dict)
 
-    def vector(self, n_nodes: int) -> np.ndarray:
-        """Cutoff per node id, infinity where none is set."""
-        out = np.full(n_nodes, math.inf)
-        out[list(self.cutoffs)] = list(self.cutoffs.values())
+    def vector(self, n_nodes: int, dtype=np.float64) -> np.ndarray:
+        """Cutoff per node id in `dtype`. Where none is set it holds infinity,
+        or an integer dtype's maximum, which no epoch of a log in that dtype
+        exceeds; cutoffs are whole epochs, so `first > cutoff` decides alike."""
+        dtype, values = np.dtype(dtype), list(self.cutoffs.values())
+        none = math.inf if dtype.kind == "f" else int(np.iinfo(dtype).max)
+        if dtype.kind != "f":  # a NaN cutoff gates nothing, like `none`
+            values = [math.floor(max(t, np.iinfo(dtype).min)) if t < none else none for t in values]
+        out = np.full(n_nodes, none, dtype=dtype)
+        out[list(self.cutoffs)] = values
         return out
 
     def state_dict(self) -> dict:
@@ -162,20 +203,23 @@ class AgeGateState:
         self.cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
 
 
-def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> None:
+def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> bool:
     """End-of-epoch cutoff detection over each node's logged epochs; a cutoff
-    can only ever decrease."""
-    flat = np.flatnonzero(log.first >= 0)  # about ten times faster than a 2-D nonzero
-    rows, nodes = np.divmod(flat[np.argsort(flat % log.first.shape[1], kind="stable")], log.first.shape[1])
-    epochs = log.first[rows, nodes]  # grouped by node, rows ascending inside a group
+    can only ever decrease. True when some cutoff changed."""
+    nodes = log.node.ravel()
+    logged = np.flatnonzero(nodes >= 0)
+    order = logged[np.argsort(nodes[logged], kind="stable")]  # grouped by node, rows ascending inside a group
+    nodes, epochs = nodes[order], log.first.ravel()[order]
     starts = np.flatnonzero(np.diff(nodes, prepend=-1))
+    changed = False
     for node, node_epochs in zip(nodes[starts].tolist(), np.split(epochs, starts[1:])):
         detected = detect_cutoff(node_epochs, current_epoch, state.bin_width, state.drop_threshold)
         if detected < state.cutoffs.get(node, math.inf):
-            state.cutoffs[node] = detected
+            state.cutoffs[node], changed = detected, True
+    return changed
 
 
 def apply_gating(assigned: np.ndarray, first: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Drop assignments whose logged first epoch is strictly past the node's
-    cutoff; `first` holds the log rows of the assigned mask's rows."""
-    return assigned & ~(first > cutoffs)
+    """The chain table `assigned` with -1 where the logged first epoch is
+    strictly past the node's cutoff; `first` holds the log rows of its rows."""
+    return np.where(first > cutoffs[assigned], -1, assigned)

@@ -11,14 +11,15 @@ GRAD_CLIP_NORM; gradients already inside the bound pass unchanged. Without
 it, the first steps at a high learning rate with momentum can push the
 head's hidden ReLUs dead for good (seen on the reference benchmark, where a
 depth-1 head collapsed to a uniform output and every prediction stopped at
-the root). Cutoff detection runs at every epoch end, and an epoch whose
-mean loss at some depth is not finite stops training with a ValueError
+the root). Cutoff detection runs at every epoch end, and the first step
+whose loss at some depth is not finite stops training with a ValueError
 naming the epoch and the depth.
 
 Targets come from the hierarchy's per-depth matrices: a labeled sample at
-node c is supervised at depth d by row c of Q_d. Pseudo-labels are boolean
-assignment masks A (rows x nodes), and their depth-d targets are
-A @ (Q_d * appears_d[:, None]), which is A's columns for depth space d.
+node c is supervised at depth d by row c of Q_d. Subtree pseudo-labels are
+chain tables (`spl.assign`) whose assignment masks A give the depth-d
+targets A @ (Q_d * appears_d[:, None]): one-hot at the chain's node in depth
+space d. The student sees, per depth, only the rows that carry a target.
 
 Determinism contract: all randomness flows through named substreams of the
 run seed (weight init, labeled/unlabeled shuffling, labeled/unlabeled
@@ -48,9 +49,11 @@ from .hierarchy import Hierarchy, hierarchy_hash
 from .metrics import bmhd, spl_purity_and_depth
 from .prohoc import fuse_batch, predict_nodes
 from .rng import StreamSet
-from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, update_cutoffs, update_history, update_log
+from .spl import AgeGateState, SplHistory, SplLog, apply_gating, assign, epoch_dtype
+from .spl import update_cutoffs, update_history, update_log
 
 METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-depth", "spl-oracle")
+SUBTREE_METHODS = ("semihoc", "semihoc-no-gate")  # whose pseudo-labels are chain tables, so tau >= 1/2
 
 # Upper bound on the global L2 norm of one depth head's gradient per step.
 GRAD_CLIP_NORM = 5.0
@@ -104,6 +107,8 @@ class TrainConfig:
             raise ValueError("momenta must be in [0, 1]")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
+        if self.method in SUBTREE_METHODS and self.tau < 0.5:
+            raise ValueError(f"tau must be >= 0.5 for method {self.method!r}, got {self.tau}")
         if self.gate_bin_width < 1 or not 0.0 < self.gate_drop_threshold < 1.0:
             raise ValueError("invalid gate parameters")
         if self.hidden_dim < 1 or self.seed < 0:
@@ -176,10 +181,8 @@ class Trainer:
         config.validate()
         expected = hierarchy_hash(hierarchy)
         if dataset.hierarchy_hash != expected:
-            raise ValueError(
-                f"dataset was built against a different hierarchy "
-                f"(hash {dataset.hierarchy_hash:#018x} != {expected:#018x})"
-            )
+            hashes = f"{dataset.hierarchy_hash:#018x} != {expected:#018x}"
+            raise ValueError(f"dataset was built against a different hierarchy (hash {hashes})")
         dataset.validate(hierarchy)
         self.config = config
         self.hierarchy = hierarchy
@@ -189,6 +192,7 @@ class Trainer:
         self.streams = StreamSet(config.seed)
         self.heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
         self.heads.init_params(self.streams.get("init"))
+        self.depths = self.heads.depths
         self.opt = OptimizerParams(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
         self.gate = AgeGateState(config.gate_bin_width, config.gate_drop_threshold)
@@ -198,12 +202,14 @@ class Trainer:
         self.labeled_idx = dataset.indices(SPLIT_LABELED)
         self.unlabeled_idx = dataset.indices(SPLIT_UNLABELED)
         self.test_idx = dataset.indices(SPLIT_TEST)
-        # Pseudo-label state over (unlabeled row, node): the current log, and
-        # for analysis the epoch of the first assignment ever.
+        # Pseudo-label state: the current log, a chain table over (unlabeled row, depth),
+        # and for analysis the epoch of the first assignment ever per (unlabeled row, node).
         unlabeled_ids, dtype = dataset.sample_ids[self.unlabeled_idx], epoch_dtype(config.epochs)
-        self.log = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
-        self.history = SplLog(unlabeled_ids, hierarchy.n_nodes, dtype)
-        self._space_nodes = [np.asarray(hierarchy.depth_space(d).nodes) for d in self.depths]
+        self.log = SplLog(unlabeled_ids, hierarchy.depths, dtype)
+        self.history = SplHistory(unlabeled_ids, hierarchy.n_nodes, dtype)
+        self._cutoffs = self.gate.vector(hierarchy.n_nodes, dtype)  # rebuilt whenever a cutoff changes
+        # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
+        self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
         gts = dataset.labels[self.unlabeled_idx]
         known = gts != NO_LABEL
         self._ood_rows = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
@@ -214,15 +220,9 @@ class Trainer:
         if config.method == "spl-oracle" and not known.all():
             raise ValueError("spl-oracle needs ground truth for every unlabeled sample")
 
-        self.loader = _LabeledLoader(
-            self.labeled_idx, config.labeled_batch_size, self.streams.get("shuffle/labeled")
-        )
+        self.loader = _LabeledLoader(self.labeled_idx, config.labeled_batch_size, self.streams.get("shuffle/labeled"))
 
     # -- small helpers -----------------------------------------------------------
-
-    @property
-    def depths(self) -> list[int]:
-        return self.heads.depths
 
     def _steps_per_epoch(self) -> int:
         batch = self.config.labeled_batch_size * self.config.unlabeled_ratio
@@ -239,28 +239,34 @@ class Trainer:
         rows = np.searchsorted(self.unlabeled_idx, batch_u)
         update_log(self.log, rows, assigned, self.epoch)
         update_history(self.history, rows, assigned, self.epoch)
-        gated = apply_gating(assigned, self.log.first[rows], self.gate.vector(self.hierarchy.n_nodes))
-        stats["spl_total"] += int(assigned.sum())
-        stats["gated"] += int(assigned.sum() - gated.sum())
+        gated = apply_gating(assigned, self.log.first[rows], self._cutoffs)
+        n_assigned = np.count_nonzero(assigned >= 0)
+        stats["spl_total"] += n_assigned
+        stats["gated"] += n_assigned - np.count_nonzero(gated >= 0)
         ood = self._ood_rows[rows]
         stats["ood"].append((gated[ood], self.dataset.labels[batch_u][ood]))
         return gated
 
     def _assign_oracle(self, gts: np.ndarray) -> np.ndarray:
-        """Every non-root ancestor-or-self of the ground truth."""
-        assigned = self.hierarchy.in_subtree(gts[:, None], np.arange(self.hierarchy.n_nodes))
-        assigned[:, 0] = False
-        return assigned
+        """Chain table of every non-root ancestor-or-self of the ground truth."""
+        chains = self.hierarchy.ancestors[gts, 1:]
+        return np.where(np.arange(1, len(self.depths) + 1) <= self.hierarchy.depths[gts, None], chains, -1)
 
-    def _pseudo_targets(self, assigned: np.ndarray) -> list[np.ndarray]:
-        """Per-depth targets A @ (Q_d * appears_d[:, None]) of an assignment
-        mask A, where appears_d marks the nodes of depth space d. Q_d is the
-        identity on those rows, so this is A's depth-space-d columns."""
-        return [assigned[:, nodes].astype(np.float64) for nodes in self._space_nodes]
+    def _pseudo_targets(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per depth d, the rows of a chain table with a node in depth space d
+        and their one-hot targets at its column. There is at most one: a node
+        deeper than d has no column, a shallower one only as a chain-ending ID leaf."""
+        out = []
+        for d in self.depths:
+            cols = self._columns[d - 1][table].max(axis=1)
+            live = cols >= 0
+            out.append((live, _one_hot(cols[live], len(self.hierarchy.depth_space(d)))))
+        return out
 
-    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> list[np.ndarray]:
+    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> list[tuple]:
+        """Per depth, a mask of the batch rows with a target and their targets."""
         cfg = self.config
-        if cfg.method in ("semihoc", "semihoc-no-gate"):
+        if cfg.method in SUBTREE_METHODS:
             return self._pseudo_targets(self._assign_semihoc(batch_u, x_u, stats))
         if cfg.method == "spl-oracle":
             return self._pseudo_targets(self._assign_oracle(self.dataset.labels[batch_u]))
@@ -269,13 +275,14 @@ class Trainer:
             fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
             preds = predict_nodes(fused)
             passing = fused[np.arange(len(preds)), preds] > cfg.tau
-            return [self.hierarchy.Q[d - 1][preds] * passing[:, None] for d in self.depths]
+            lives = [passing & q.any(axis=1)[preds] for q in self.hierarchy.Q]
+            return [(live, q[preds[live]]) for live, q in zip(lives, self.hierarchy.Q)]
         targets = []  # ssl-per-depth: each depth's own confident argmax
         for d in self.depths:
-            probs = heads_mod.forward(self.heads.teacher(d), x_u, mode="eval")
+            probs = heads_mod.forward(self.heads.teacher(d), x_u)
             preds = np.argmax(probs, axis=1)
-            passing = probs[np.arange(len(preds)), preds] > cfg.tau
-            targets.append(((preds[:, None] == np.arange(probs.shape[1])) & passing[:, None]).astype(np.float64))
+            live = probs[np.arange(len(preds)), preds] > cfg.tau
+            targets.append((live, _one_hot(preds[live], probs.shape[1])))
         return targets
 
     # -- one optimization step ------------------------------------------------------
@@ -299,18 +306,16 @@ class Trainer:
             student = self.heads.student(d)
             t_l = self.hierarchy.Q[d - 1][labels_l]
             masks_l = heads_mod.sample_masks(student, n_l, drop_l)
-            loss_l, grads = heads_mod.ce_loss_and_grad(student, x_l, t_l, mode="train", masks=masks_l)
+            loss_l, grads = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
             for g in grads:
                 g *= 1.0 / n_l
 
             loss_u = 0.0
             if uses_unlabeled:
-                t_u = d_targets[d - 1]
-                live = t_u.any(axis=1)
-                if live.any():  # forward and backward on the rows with a target, masks drawn for all
+                live, t_live = d_targets[d - 1]
+                if len(t_live):  # forward and backward on the rows with a target, masks drawn for all
                     masks_u = heads_mod.sample_masks(student, m_u, drop_u, live)
-                    x_live, t_live = x_u[live], t_u[live]
-                    loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_live, t_live, mode="train", masks=masks_u)
+                    loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_u[live], t_live, masks=masks_u)
                     for g, gu in zip(grads, grads_u):
                         g += gu * (1.0 / m_u)
                 else:  # no target row: the masks would go unused, but the stream moves on as if drawn
@@ -348,15 +353,13 @@ class Trainer:
             sum_l += loss_l
             sum_u += loss_u
 
-        if self.gating_active:
-            update_cutoffs(self.gate, self.log, self.epoch)
+        if self.gating_active and update_cutoffs(self.gate, self.log, self.epoch):
+            self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
 
         purity = avg_depth = None
         if stats["ood"]:
             gated, gts = (np.concatenate(parts) for parts in zip(*stats["ood"]))
-            result = spl_purity_and_depth(gated, gts, self.hierarchy)
-            if result is not None:
-                purity, avg_depth = result
+            purity, avg_depth = spl_purity_and_depth(gated, gts, self.hierarchy) or (None, None)
 
         mean_l, mean_u = sum_l / len(batches_u), sum_u / len(batches_u)
         report = EpochReport(
@@ -415,6 +418,14 @@ class Trainer:
         self.loader.perm = np.array(state["loader.perm"], dtype=np.int64)
         self.streams.load_state_dict(meta["streams"])
         self.gate.load_state_dict(meta["gate"])
+        self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
+
+
+def _one_hot(cols: np.ndarray, k: int) -> np.ndarray:
+    """Float64 rows over k classes, each with a single 1 at its entry of `cols`."""
+    out = np.zeros((len(cols), k))
+    out[np.arange(len(cols)), cols] = 1.0
+    return out
 
 
 def l2_norm(arrays: list[np.ndarray]) -> float:

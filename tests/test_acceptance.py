@@ -119,8 +119,7 @@ def test_criterion_4_gradient_check():
             raw = rng.random((2, classes)) + 1e-6
             targets = raw / raw.sum(axis=1, keepdims=True)
             masks = heads_mod.sample_masks(head, 2, rng) if case % 2 else None
-            mode = "train" if masks is not None else "eval"
-            _, analytic = heads_mod.ce_loss_and_grad(head, x, targets, mode=mode, masks=masks)
+            _, analytic = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
             numeric = finite_difference_grads(head, x, targets, masks=masks, step=1e-6)
             assert gradient_relative_error(analytic, numeric) <= 1e-6
         elapsed = time.perf_counter() - start
@@ -179,7 +178,7 @@ def test_criterion_5_target_distribution_properties():
                         assert not t.any()
                         continue
                     assert abs(t.sum() - 1.0) <= 1e-9
-                    nonzero = {tree.depth_space(d).nodes[j] for j in np.nonzero(t)[0]}
+                    nonzero = {tree.depth_space(d)[j] for j in np.nonzero(t)[0]}
                     assert nonzero == support
                     assert (len(support) == 1) == (t.max() == 1.0)
 

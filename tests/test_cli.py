@@ -320,6 +320,7 @@ class TestCheckpointEntries:
             ("version-2-pickle", "unsupported checkpoint version 2"),
             ("version-3", "unsupported checkpoint version 3"),
             ("nan-lr", "lr must be finite"),
+            ("tau-below-one-half", "tau must be >= 0.5"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -336,9 +337,10 @@ class TestCheckpointEntries:
             entries["student.d1.w0"] = entries["student.d1.w0"][:1]
         elif kind == "mis-typed":
             entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float64)
-        elif kind == "nan-lr":
+        elif kind in ("nan-lr", "tau-below-one-half"):
             meta = json.loads(entries["meta"].item())
-            meta["config"]["lr"] = float("nan")
+            field, value = ("lr", float("nan")) if kind == "nan-lr" else ("tau", 0.4)
+            meta["config"][field] = value
             entries["meta"] = np.array(json.dumps(meta))
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
@@ -430,6 +432,22 @@ class TestOptimizerSettings:
         code = run("train", *inputs_of(workspace), "--out", tmp_path / "r", *TRAIN_SMALL, flag, value)
         err = capsys.readouterr().err
         assert code == 1 and flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+    def test_tau_below_one_half_exits_one_for_subtree_labels(self, workspace, tmp_path, capsys):
+        """semihoc's pseudo-labels are chains of one node per depth, which
+        needs tau >= 1/2; the other methods take any tau in (0, 1]."""
+        code = run("train", *inputs_of(workspace), "--out", tmp_path / "flag", *TRAIN_SMALL, "--tau", 0.4)
+        err = capsys.readouterr().err
+        assert code == 1 and "tau" in err and "Traceback" not in err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"method": "semihoc-no-gate", "tau": 0.4}))
+        code = run("train", *inputs_of(workspace), "--out", tmp_path / "file", "--config", config, "--quiet")
+        err = capsys.readouterr().err
+        assert code == 1 and "tau" in err and "Traceback" not in err
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+        for method in ("ssl-node", "ssl-per-depth", "spl-oracle"):
+            argv = [*TRAIN_SMALL, "--method", method, "--tau", 0.4]
+            assert run("train", *inputs_of(workspace), "--out", tmp_path / method, *argv) == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_training_with_exit_two(self, workspace, tmp_path, capsys):

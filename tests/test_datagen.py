@@ -139,7 +139,7 @@ class TestSampleLabeledSubset:
     def test_test_split_untouched(self, reference):
         hierarchy, dataset = reference
         out = sample_labeled_subset(dataset, hierarchy, 2, seed=5)
-        assert np.array_equal(out.mask(SPLIT_TEST), dataset.mask(SPLIT_TEST))
+        assert np.array_equal(out.splits == SPLIT_TEST, dataset.splits == SPLIT_TEST)
 
 
 class TestFeatureFile:

@@ -19,13 +19,13 @@ def small_head(rng, in_dim=5, hidden=8, classes=3, dropout=0.0):
 class TestForward:
     def test_zero_weights_give_uniform(self):
         head = H.MlpHead(4, 5, hidden=6)
-        p = H.forward(head, np.ones(4), mode="eval")
+        p = H.forward(head, np.ones(4))
         assert np.allclose(p, 0.2)
 
     def test_output_sums_to_one(self):
         rng = np.random.default_rng(0)
         head = small_head(rng)
-        p = H.forward(head, rng.normal(0, 1, (7, 5)), mode="eval")
+        p = H.forward(head, rng.normal(0, 1, (7, 5)))
         assert np.all(p > 0)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -33,16 +33,16 @@ class TestForward:
         rng = np.random.default_rng(1)
         head = small_head(rng, dropout=0.0)
         x = rng.normal(0, 1, (3, 5))
-        p_train = H.forward(head, x, mode="train", rng=np.random.default_rng(2))
-        p_eval = H.forward(head, x, mode="eval")
+        p_train = H.forward_cached(head, x, H.sample_masks(head, 3, np.random.default_rng(2)))["probs"]
+        p_eval = H.forward(head, x)
         assert np.array_equal(p_train, p_eval)
 
     def test_eval_deterministic_train_seeded(self):
         rng = np.random.default_rng(3)
         head = small_head(rng, dropout=0.5)
         x = rng.normal(0, 1, (3, 5))
-        a = H.forward(head, x, mode="train", rng=np.random.default_rng(9))
-        b = H.forward(head, x, mode="train", rng=np.random.default_rng(9))
+        a = H.forward_cached(head, x, H.sample_masks(head, 3, np.random.default_rng(9)))["probs"]
+        b = H.forward_cached(head, x, H.sample_masks(head, 3, np.random.default_rng(9)))["probs"]
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
@@ -54,7 +54,7 @@ class TestForward:
         head = H.MlpHead(2, 2, hidden=3)
         for w in head.weights:
             w[...] = 100.0
-        p = H.forward(head, np.full(2, 100.0), mode="eval")
+        p = H.forward(head, np.full(2, 100.0))
         assert np.isfinite(p).all() and p.min() > 0
 
 
@@ -63,16 +63,16 @@ class TestCeLoss:
         rng = np.random.default_rng(4)
         head = small_head(rng)
         x = rng.normal(0, 1, 5)
-        p = H.forward(head, x, mode="eval")
+        p = H.forward(head, x)
         target = np.zeros(3)
         target[1] = 1.0
-        loss, _ = H.ce_loss_and_grad(head, x, target, mode="eval")
+        loss, _ = H.ce_loss_and_grad(head, x, target)
         assert math.isclose(loss, -math.log(p[1]), rel_tol=1e-12)
 
     def test_uniform_on_uniform_is_log_k(self):
         head = H.MlpHead(4, 6, hidden=5)  # zero weights -> uniform output
         target = np.full(6, 1.0 / 6)
-        loss, _ = H.ce_loss_and_grad(head, np.ones(4), target, mode="eval")
+        loss, _ = H.ce_loss_and_grad(head, np.ones(4), target)
         assert math.isclose(loss, math.log(6), rel_tol=1e-12)
 
     def test_zero_target_rows_contribute_nothing(self):
@@ -81,8 +81,8 @@ class TestCeLoss:
         x = rng.normal(0, 1, (2, 5))
         t = np.zeros((2, 3))
         t[0, 2] = 1.0
-        loss_both, grads_both = H.ce_loss_and_grad(head, x, t, mode="eval")
-        loss_one, grads_one = H.ce_loss_and_grad(head, x[:1], t[:1], mode="eval")
+        loss_both, grads_both = H.ce_loss_and_grad(head, x, t)
+        loss_one, grads_one = H.ce_loss_and_grad(head, x[:1], t[:1])
         assert math.isclose(loss_both, loss_one, rel_tol=1e-12)
         for a, b in zip(grads_both, grads_one):
             assert np.allclose(a, b, atol=1e-12)
@@ -96,7 +96,7 @@ class TestGradients:
             x = rng.normal(0, 1, (2, 5))
             raw = rng.random((2, 3)) + 1e-6
             t = raw / raw.sum(axis=1, keepdims=True)
-            _, ga = H.ce_loss_and_grad(head, x, t, mode="eval")
+            _, ga = H.ce_loss_and_grad(head, x, t)
             gn = finite_difference_grads(head, x, t)
             assert gradient_relative_error(ga, gn) <= 1e-6
 
@@ -108,7 +108,7 @@ class TestGradients:
             t = np.eye(3)[rng.integers(0, 3, 3)]
             t[1] = 0.0  # a row without a target is left out of forward and backward
             masks = H.sample_masks(head, 3, rng)
-            _, ga = H.ce_loss_and_grad(head, x, t, mode="train", masks=masks)
+            _, ga = H.ce_loss_and_grad(head, x, t, masks=masks)
             gn = finite_difference_grads(head, x, t, masks=masks)
             assert gradient_relative_error(ga, gn) <= 1e-6
 
@@ -118,7 +118,7 @@ class TestGradients:
         head = small_head(rng, in_dim=3, hidden=4, classes=2)
         x = rng.normal(0, 1, (1, 3))
         t = np.array([[1.0, 0.0]])
-        _, ga = H.ce_loss_and_grad(head, x, t, mode="eval")
+        _, ga = H.ce_loss_and_grad(head, x, t)
         gn = finite_difference_grads(head, x, t)
         # last-layer weight gradient alone
         assert gradient_relative_error([ga[-2], ga[-1]], [gn[-2], gn[-1]]) <= 1e-6
@@ -141,9 +141,9 @@ class TestTargetRowsOnly:
         t[[0, 3]] = np.eye(3)[[1, 2]]  # at least two target rows, zero rows between them
         live = t.any(axis=1)
         masks = H.sample_masks(head, 7, rng) if mode == "train" else None
-        loss, grads = H.ce_loss_and_grad(head, x, t, mode=mode, masks=masks)
+        loss, grads = H.ce_loss_and_grad(head, x, t, masks=masks)
         kept = None if masks is None else [m[live] for m in masks]
-        loss_live, grads_live = H.ce_loss_and_grad(head, x[live], t[live], mode=mode, masks=kept)
+        loss_live, grads_live = H.ce_loss_and_grad(head, x[live], t[live], masks=kept)
         assert not live.all() and math.isclose(loss, loss_live, rel_tol=1e-12)
         for g, g_live in zip(grads, grads_live):
             assert_close(g, g_live)
@@ -153,7 +153,8 @@ class TestTargetRowsOnly:
         head = small_head(rng, dropout=0.4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss, grads = H.ce_loss_and_grad(head, rng.normal(0, 1, (4, 5)), np.zeros((4, 3)), mode="train", rng=rng)
+            masks = H.sample_masks(head, 4, rng)
+            loss, grads = H.ce_loss_and_grad(head, rng.normal(0, 1, (4, 5)), np.zeros((4, 3)), masks=masks)
         assert loss == 0.0
         assert [g.shape for g in grads] == [p.shape for p in head.parameters()]
         assert all(not g.any() for g in grads)
@@ -173,7 +174,7 @@ class TestTargetRowsOnly:
             return original(head, x, masks)
 
         monkeypatch.setattr(H, "forward_cached", spy)
-        H.ce_loss_and_grad(head, x, t, mode="train", masks=masks)
+        H.ce_loss_and_grad(head, x, t, masks=masks)
         [(x_seen, masks_seen)] = seen
         assert np.array_equal(x_seen, x[[1, 4]])
         assert all(np.array_equal(a, m[[1, 4]]) for a, m in zip(masks_seen, masks))
@@ -379,8 +380,8 @@ class TestFloat32Heads:
         masks32 = H.sample_masks(head32, 9, np.random.default_rng(19)) if mode == "train" else None
         p64, p32 = H.forward(head, x), H.forward(head32, x)
         assert p32.dtype == np.float64 and np.allclose(p32, p64, rtol=1e-5, atol=1e-6)
-        loss, grads = H.ce_loss_and_grad(head, x, t, mode=mode, masks=masks)
-        loss32, grads32 = H.ce_loss_and_grad(head32, x, t, mode=mode, masks=masks32)
+        loss, grads = H.ce_loss_and_grad(head, x, t, masks=masks)
+        loss32, grads32 = H.ce_loss_and_grad(head32, x, t, masks=masks32)
         assert isinstance(loss32, float) and math.isclose(loss32, loss, rel_tol=1e-5)
         for g, g32 in zip(grads, grads32):
             assert g32.dtype == np.float32

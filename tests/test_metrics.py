@@ -15,11 +15,12 @@ from semihoc.spl import AgeGateState
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
 
 
-def masks(*chains):
-    """Assignment mask over the animal tree, one row per node tuple."""
-    out = np.zeros((len(chains), 7), dtype=bool)
+def node_table(*chains):
+    """Table of assigned node ids over the animal tree, one row per node
+    tuple, padded with -1."""
+    out = np.full((len(chains), 3), -1)
     for i, chain in enumerate(chains):
-        out[i, list(chain)] = True
+        out[i, : len(chain)] = chain
     return out
 
 
@@ -115,29 +116,29 @@ class TestDecomposition:
 class TestDeepestNode:
     def test_deepest_is_max_by_depth_then_id(self, animals):
         # two depth-2 nodes on different branches: the larger id wins
-        assert spl_purity_and_depth(masks((MAMMAL, CAT, JUNCO)), [JUNCO], animals) == (1.0, 2.0)
-        assert spl_purity_and_depth(masks((BIRD, CAT)), [CAT], animals) == (1.0, 2.0)
+        assert spl_purity_and_depth(node_table((MAMMAL, CAT, JUNCO)), [JUNCO], animals) == (1.0, 2.0)
+        assert spl_purity_and_depth(node_table((BIRD, CAT)), [CAT], animals) == (1.0, 2.0)
 
 
 class TestPurityAndDepth:
     def test_pure_at_internal(self, animals):
-        out = spl_purity_and_depth(masks((MAMMAL,)), [MAMMAL], animals)
+        out = spl_purity_and_depth(node_table((MAMMAL,)), [MAMMAL], animals)
         assert out == (1.0, 1.0)
 
     def test_wrong_branch_impure(self, animals):
-        out = spl_purity_and_depth(masks((BIRD,)), [MAMMAL], animals)
+        out = spl_purity_and_depth(node_table((BIRD,)), [MAMMAL], animals)
         assert out[0] == 0.0
 
     def test_overprediction_impure_at_depth_two(self, animals):
-        out = spl_purity_and_depth(masks((MAMMAL, CAT)), [MAMMAL], animals)
+        out = spl_purity_and_depth(node_table((MAMMAL, CAT)), [MAMMAL], animals)
         assert out == (0.0, 2.0)
 
     def test_empty_chains_excluded(self, animals):
-        out = spl_purity_and_depth(masks((), (MAMMAL,)), [MAMMAL, MAMMAL], animals)
+        out = spl_purity_and_depth(node_table((), (MAMMAL,)), [MAMMAL, MAMMAL], animals)
         assert out == (1.0, 1.0)
 
     def test_no_assigned_samples(self, animals):
-        assert spl_purity_and_depth(masks(()), [MAMMAL], animals) is None
+        assert spl_purity_and_depth(node_table(()), [MAMMAL], animals) is None
 
 
 class TestGateFprCoverage:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihoc import spl as spl_mod
-from semihoc.hierarchy import random_tree
+from semihoc.hierarchy import example_tree, random_tree
 from semihoc.oracles import histogram_scan_cutoff
-from semihoc.prohoc import fuse_batch
+from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.spl import (
     AgeGateState,
+    SplHistory,
     SplLog,
     apply_gating,
     assign,
@@ -22,6 +23,7 @@ from semihoc.spl import (
 )
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
+DEPTHS = example_tree().depths
 
 
 def chain_of(p, tree, tau):
@@ -29,30 +31,44 @@ def chain_of(p, tree, tau):
     return compute_spls_batch(p[None], tree, tau)[0].nodes
 
 
-def mask(*nodes):
-    """One-row assignment mask over the animal tree."""
-    out = np.zeros((1, 7), dtype=bool)
-    out[0, list(nodes)] = True
+def table(*nodes):
+    """One-row chain table over the animal tree."""
+    out = np.full((1, 2), -1)
+    out[0, DEPTHS[list(nodes)] - 1] = nodes
     return out
 
 
 def new_log():
     """Log over the animal tree whose row r holds sample id r."""
-    return SplLog(np.arange(12, dtype=np.uint64), 7)
+    return SplLog(np.arange(12, dtype=np.uint64), DEPTHS)
+
+
+def new_history():
+    return SplHistory(np.arange(12, dtype=np.uint64), 7)
 
 
 def logged(log, node, sample):
-    epoch = int(log.first[sample, node])
-    return None if epoch < 0 else epoch
+    """The logged epoch of (sample, node), read off the checkpoint triples."""
+    state = log.state_dict()
+    match = (state["sample_id"] == sample) & (state["node"] == node)
+    return int(state["epoch"][match][0]) if match.any() else None
 
 
 def log_chain(log, sample, chain, epoch):
-    update_log(log, np.array([sample]), mask(*chain), epoch)
+    update_log(log, np.array([sample]), table(*chain), epoch)
 
 
 def gate_chain(chain, log, gate, sample):
-    gated = apply_gating(mask(*chain), log.first[[sample]], gate.vector(7))
-    return tuple(np.flatnonzero(gated[0]).tolist())
+    gated = apply_gating(table(*chain), log.first[[sample]], gate.vector(7, log.first.dtype))
+    return tuple(gated[0][gated[0] >= 0].tolist())
+
+
+def expand(chains, n_nodes):
+    """The boolean (row, node) assignment mask of a chain table."""
+    out = np.zeros((len(chains), n_nodes), dtype=bool)
+    rows, cols = np.nonzero(chains >= 0)
+    out[rows, chains[rows, cols]] = True
+    return out
 
 
 class TestComputeSpls:
@@ -106,10 +122,24 @@ class TestComputeSpls:
     def test_chains_list_the_mask(self, animals):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.full(7, 0.2), size=30)
+        passing = subtree_confidences(probs, animals) > 0.6
+        passing[:, ROOT] = False
         assigned = assign(probs, animals, 0.6)
-        for row, chain in zip(assigned, compute_spls_batch(probs, animals, 0.6)):
+        assert np.array_equal(expand(assigned, 7), passing)
+        for row, chain in zip(passing, compute_spls_batch(probs, animals, 0.6)):
             assert set(chain.nodes) == set(np.flatnonzero(row).tolist())
             assert list(chain.nodes) == sorted(chain.nodes, key=lambda c: (animals.depths[c], c))
+
+    def test_two_passing_nodes_of_one_depth_raise(self, animals):
+        p = np.zeros((2, 7))
+        p[0, JUNCO] = 1.0
+        p[1, CAT] = p[1, DOG] = 0.5 + 1e-12  # only rounding at tau = 1/2 could get this far
+        with pytest.raises(ValueError, match="two nodes of depth 2"):
+            assign(p, animals, 0.5)
+
+    def test_tau_below_one_half_refused(self, animals):
+        with pytest.raises(ValueError, match="tau"):
+            assign(np.full((1, 7), 1 / 7), animals, 0.4)
 
 
 class TestSplLog:
@@ -138,64 +168,113 @@ class TestSplLog:
         log_chain(log, 2, (BIRD, JUNCO), epoch=2)
         log_chain(log, 1, (), epoch=3)
         assert logged(log, BIRD, 2) == 2 and logged(log, JUNCO, 2) == 2
-        assert len(log) == 2
+        assert len(log.state_dict()["node"]) == 2
 
     def test_epochs_per_node(self):
         log = new_log()
         log_chain(log, 1, (BIRD,), epoch=1)
         log_chain(log, 2, (BIRD,), epoch=4)
-        column = log.first[:, BIRD]
-        assert sorted(column[column >= 0].tolist()) == [1, 4]
+        state = log.state_dict()
+        assert sorted(state["epoch"][state["node"] == BIRD].tolist()) == [1, 4]
 
     def test_history_keeps_first_assignment_ever(self):
-        history = new_log()
+        history = new_history()
         for chain, epoch in (((BIRD,), 2), ((), 3), ((BIRD, JUNCO), 5)):
-            update_history(history, np.array([4]), mask(*chain), epoch)
+            update_history(history, np.array([4]), table(*chain), epoch)
         assert logged(history, BIRD, 4) == 2 and logged(history, JUNCO, 4) == 5
 
     def test_sparse_state_roundtrip(self):
-        log = SplLog(np.array([30, 10, 20], dtype=np.uint64), 7, dtype=np.int8)
-        update_log(log, np.array([0, 2]), np.vstack([mask(BIRD, JUNCO), mask(MAMMAL)]), 6)
+        log = SplLog(np.array([30, 10, 20], dtype=np.uint64), DEPTHS, dtype=np.int8)
+        update_log(log, np.array([0, 2]), np.vstack([table(BIRD, JUNCO), table(MAMMAL)]), 6)
         state = log.state_dict()
         assert state["sample_id"].tolist() == [30, 30, 20]
         assert state["node"].tolist() == [BIRD, JUNCO, MAMMAL]
-        back = SplLog(np.array([20, 30, 10], dtype=np.uint64), 7, dtype=np.int8)
+        back = SplLog(np.array([20, 30, 10], dtype=np.uint64), DEPTHS, dtype=np.int8)
         back.load_state_dict(state)
-        assert back.first[1].tolist() == log.first[0].tolist() and back.first[0].tolist() == log.first[2].tolist()
+        for a, b in ((1, 0), (0, 2)):
+            assert back.node[a].tolist() == log.node[b].tolist() and back.first[a].tolist() == log.first[b].tolist()
         with pytest.raises(ValueError, match="no row"):
-            SplLog(np.array([10], dtype=np.uint64), 7).load_state_dict(state)
+            SplLog(np.array([10], dtype=np.uint64), DEPTHS).load_state_dict(state)
+
+    def test_state_in_row_then_node_order(self):
+        """A chain's deeper node can have the smaller id; the triples still
+        come in (row, node) order, as from a dense (row, node) array."""
+        log = SplLog(np.arange(2, dtype=np.uint64), np.array([0, 2, 1, 2]))  # node 2 is node 1's parent
+        update_log(log, np.array([1, 0]), np.array([[2, 1], [2, 3]]), 3)
+        state = log.state_dict()
+        assert state["sample_id"].tolist() == [0, 0, 1, 1] and state["node"].tolist() == [2, 3, 1, 2]
+
+    def test_two_nodes_of_one_depth_refused(self):
+        state = {"sample_id": np.array([3, 3]), "node": np.array([CAT, JUNCO]), "epoch": np.array([1, 2])}
+        with pytest.raises(ValueError, match="two nodes of one depth"):
+            new_log().load_state_dict(state)
+        history = new_history()
+        history.load_state_dict(state)  # the history may switch branches
+        assert logged(history, CAT, 3) == 1 and logged(history, JUNCO, 3) == 2
+
+    def test_root_refused(self):
+        state = {"sample_id": np.array([3]), "node": np.array([ROOT]), "epoch": np.array([1])}
+        for log in (new_log(), new_history()):
+            with pytest.raises(ValueError, match="no row or column"):
+                log.load_state_dict(state)
 
 
 class TestInPlaceLogUpdates:
-    """update_log and update_history write the gathered rows in place; the
-    results are those of the nested np.where formulas they replace."""
+    """assign, update_log, update_history, apply_gating and update_cutoffs on
+    chain tables give what the nested np.where formulas of a dense
+    (row, node) log give, epoch after epoch."""
 
     @given(
         seed=st.integers(0, 10_000),
+        tau=st.floats(0.5, 1.0),
         dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
         at_max=st.booleans(),
-        order=st.sampled_from("CF"),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equal_the_nested_where_formulas(self, seed, dtype, at_max, order):
+    def test_equal_the_nested_where_formulas(self, seed, tau, dtype, at_max):
         rng = np.random.default_rng(seed)
-        n_rows, n_nodes, n = 9, 6, 5
-        epoch = int(np.iinfo(dtype).max) if at_max else 0
-        first = np.where(rng.random((n_rows, n_nodes)) < 0.5, -1, rng.integers(0, 3, (n_rows, n_nodes))).astype(dtype)
-        rows = rng.permutation(n_rows)[:n]
-        assigned = np.asarray(rng.random((n, n_nodes)) < 0.5, order=order)
+        tree = random_tree(rng, int(rng.integers(4, 30)))
+        n_rows, n_nodes, n = 12, tree.n_nodes, 8
+        ids = np.arange(100, 100 + n_rows, dtype=np.uint64)
+        log, history = SplLog(ids, tree.depths, dtype), SplHistory(ids, n_nodes, dtype)
+        dense_log, dense_history = np.full((2, n_rows, n_nodes), -1, dtype=dtype)
+        gate, dense_gate = AgeGateState(1, 0.5), AgeGateState(1, 0.5)
+        epochs = list(range(8)) + ([int(np.iinfo(dtype).max)] if at_max else [])
+        for epoch in epochs:
+            rows = rng.permutation(n_rows)[:n]
+            probs = rng.dirichlet(np.full(n_nodes, 0.1), size=n)
+            mask = subtree_confidences(probs, tree) > tau
+            mask[:, 0] = False
+            assigned = assign(probs, tree, tau)
+            assert np.array_equal(expand(assigned, n_nodes), mask)
 
-        current = first[rows]
-        expected_log, expected_history = first.copy(), first.copy()
-        expected_log[rows] = np.where(assigned, np.where(current < 0, epoch, current), -1)
-        expected_history[rows] = np.where(assigned & (current < 0), epoch, current)
+            update_log(log, rows, assigned, epoch)
+            update_history(history, rows, assigned, epoch)
+            current = dense_log[rows]
+            dense_log[rows] = np.where(mask, np.where(current < 0, epoch, current), -1)
+            current = dense_history[rows]
+            dense_history[rows] = np.where(mask & (current < 0), epoch, current)
 
-        log, history = SplLog(np.arange(n_rows), n_nodes, dtype), SplLog(np.arange(n_rows), n_nodes, dtype)
-        log.first[...], history.first[...] = first, first
-        update_log(log, rows, assigned, epoch)
-        update_history(history, rows, assigned, epoch)
-        assert log.first.dtype == history.first.dtype == dtype
-        assert np.array_equal(log.first, expected_log) and np.array_equal(history.first, expected_history)
+            gated = apply_gating(assigned, log.first[rows], gate.vector(n_nodes, dtype))
+            dense_gated = mask & ~(dense_log[rows] > dense_gate.vector(n_nodes))
+            assert np.array_equal(expand(gated, n_nodes), dense_gated)
+
+            if epoch != np.iinfo(dtype).max:  # no run of this dtype gets to its maximum
+                update_cutoffs(gate, log, epoch)
+                for c in range(n_nodes):
+                    column = dense_log[:, c]
+                    if (column >= 0).any():
+                        detected = detect_cutoff(column[column >= 0], epoch, 1, 0.5)
+                        if detected < dense_gate.cutoffs.get(c, math.inf):
+                            dense_gate.cutoffs[c] = detected
+                assert gate.cutoffs == dense_gate.cutoffs
+
+        for tracked, dense in ((log, dense_log), (history, dense_history)):
+            rows, nodes = np.nonzero(dense >= 0)
+            state = tracked.state_dict()
+            assert tracked.first.dtype == dense.dtype
+            assert state["sample_id"].tolist() == ids[rows].tolist() and state["node"].tolist() == nodes.tolist()
+            assert state["epoch"].dtype == dtype and state["epoch"].tolist() == dense[rows, nodes].tolist()
 
 
 class TestDetectCutoff:
@@ -262,14 +341,27 @@ class TestUpdateCutoffs:
 
     def test_each_logged_node_gets_its_column(self, monkeypatch):
         rng = np.random.default_rng(23)
-        log = SplLog(np.arange(40), 9, np.int8)
-        log.first[...] = np.where(rng.random((40, 9)) < 0.3, rng.integers(0, 6, (40, 9)), -1)
-        log.first[:, 4] = -1  # a node with no entry is not scanned
+        tree = random_tree(rng, 9)
+        log = SplLog(np.arange(40), tree.depths, np.int8)
+        ends = rng.integers(1, 9, 40)
+        within = np.arange(1, tree.max_depth + 1) <= tree.depths[ends, None]
+        log.node[...] = np.where(within, tree.ancestors[ends, 1:], -1)
+        log.node[log.node == 4] = -1  # a node with no entry is not scanned
+        log.first[...] = np.where(log.node >= 0, rng.integers(0, 6, log.node.shape), -1)
         seen = []
         monkeypatch.setattr(spl_mod, "detect_cutoff", lambda epochs, *args: seen.append(list(epochs)) or math.inf)
-        update_cutoffs(AgeGateState(1, 0.2), log, 5)
-        columns = [log.first[:, c] for c in range(9)]
-        assert seen == [col[col >= 0].tolist() for col in columns if (col >= 0).any()]
+        assert not update_cutoffs(AgeGateState(1, 0.2), log, 5)
+        assert seen == [log.first[log.node == c].tolist() for c in range(9) if (log.node == c).any()]
+        assert len(seen) > 3
+
+    def test_integer_vector_gates_like_the_float_one(self):
+        gate = AgeGateState(1, 0.2, cutoffs={BIRD: 4.0, CAT: 0.0, DOG: math.nan, JUNCO: 1e9, EAGLE: -7.5})
+        floats = gate.vector(7)
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            ints = gate.vector(7, dtype)
+            assert ints.dtype == dtype and ints[MAMMAL] == np.iinfo(dtype).max
+            epochs = np.arange(-1, 127, dtype=dtype)[:, None]
+            assert np.array_equal(epochs > ints, epochs > floats)
 
 
 class TestApplyGating:

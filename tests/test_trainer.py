@@ -47,6 +47,20 @@ class TestConfig:
     def test_tau_one_allowed(self):
         config(tau=1.0).validate()
 
+    @pytest.mark.parametrize("method", ["semihoc", "semihoc-no-gate"])
+    def test_tau_below_one_half_refused_for_subtree_labels(self, method):
+        config(method=method, tau=0.5).validate()
+        with pytest.raises(ValueError, match="tau must be >= 0.5"):
+            config(method=method, tau=0.4999).validate()
+
+    @pytest.mark.parametrize("method", ["ssl-node", "ssl-per-depth", "spl-oracle"])
+    def test_other_methods_take_any_tau_in_the_unit_interval(self, method):
+        for tau in (1e-9, 0.4, 1.0):
+            config(method=method, tau=tau).validate()
+        for tau in (0.0, 1.5):
+            with pytest.raises(ValueError, match="tau"):
+                config(method=method, tau=tau).validate()
+
     @pytest.mark.parametrize("field", ["lr", "weight_decay", "dropout", "momentum", "ema_momentum", "tau"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_float_refused(self, field, value):
@@ -179,13 +193,13 @@ class TestSteps:
         trainer = Trainer(config(), hierarchy, dataset)
 
         depth1_node = hierarchy.children[0][0]
-        assigned = np.zeros((1, hierarchy.n_nodes), dtype=bool)
-        assigned[0, depth1_node] = True
+        assigned = np.full((1, hierarchy.max_depth), -1)
+        assigned[0, 0] = depth1_node
         targets = trainer._pseudo_targets(assigned)
-        assert targets[0].any()
+        assert targets[0][1].any()
         for d in trainer.depths[1:]:
-            deeper = targets[d - 1]
-            assert not deeper.any()
+            live, deeper = targets[d - 1]
+            assert not live.any() and not deeper.any()
 
     def test_semihoc_targets_supported_inside_subtree(self, tiny_data):
         """Chain-node targets at depth d are one-hot at the node itself, so
@@ -193,34 +207,45 @@ class TestSteps:
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
 
+        nodes = np.arange(hierarchy.n_nodes)
         for c in range(1, hierarchy.n_nodes):
             chain = hierarchy.ancestors_or_self(c)[1:]
-            assigned = np.zeros((1, hierarchy.n_nodes), dtype=bool)
-            assigned[0, list(chain)] = True
+            assigned = np.full((1, hierarchy.max_depth), -1)
+            assigned[0, : len(chain)] = chain
             for d in trainer.depths:
-                targets = trainer._pseudo_targets(assigned)[d - 1][0]
-                space = hierarchy.depth_space(d).nodes
-                support = {space[j] for j in np.nonzero(targets)[0]}
-                allowed = set().union(
-                    *(hierarchy.subtree(n) for n in chain if hierarchy.columns[d - 1, n] >= 0)
-                ) if support else set()
+                live, targets = trainer._pseudo_targets(assigned)[d - 1]
+                space = hierarchy.depth_space(d)
+                support = {space[j] for j in np.nonzero(targets[0])[0]} if live[0] else set()
+                in_space = [n for n in chain if hierarchy.columns[d - 1, n] >= 0]
+                allowed = set().union(*(set(nodes[hierarchy.in_subtree(nodes, n)].tolist()) for n in in_space))
+                allowed = allowed if support else set()
                 assert support <= (allowed & set(space))
 
     def test_pseudo_targets_equal_the_matrix_product(self, tiny_data):
-        """A @ (Q_d * appears_d[:, None]) for a random assignment mask A."""
+        """A @ (Q_d * appears_d[:, None]) for the assignment mask A of random
+        chains with gated holes, on the rows where it is not zero."""
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
-        assigned = np.random.default_rng(0).random((20, hierarchy.n_nodes)) < 0.3
-        for d, targets in zip(trainer.depths, trainer._pseudo_targets(assigned)):
+        rng = np.random.default_rng(0)
+        ends = rng.integers(1, hierarchy.n_nodes, 40)
+        chains = hierarchy.ancestors[ends, 1:]
+        table = np.where((chains == ends[:, None]).cumsum(axis=1) <= 1, chains, -1)  # -1 below the chain's end
+        table[rng.random(table.shape) < 0.3] = -1
+        mask = np.zeros((40, hierarchy.n_nodes), dtype=bool)
+        rows, cols = np.nonzero(table >= 0)
+        mask[rows, table[rows, cols]] = True
+        for d, (live, targets) in zip(trainer.depths, trainer._pseudo_targets(table)):
             appears = hierarchy.columns[d - 1] >= 0
-            assert np.array_equal(targets, assigned @ (hierarchy.Q[d - 1] * appears[:, None]))
+            product = mask @ (hierarchy.Q[d - 1] * appears[:, None])
+            assert np.array_equal(live, product.any(axis=1)) and np.array_equal(targets, product[live])
+        assert any(live.any() for live, _ in trainer._pseudo_targets(table))
 
     def test_oracle_chain_is_ancestor_path(self, tiny_data):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(method="spl-oracle"), hierarchy, dataset)
         some_leaf = sorted(hierarchy.id_leaves)[0]
         assigned = trainer._assign_oracle(np.array([some_leaf]))[0]
-        assert set(np.flatnonzero(assigned).tolist()) == set(hierarchy.ancestors_or_self(some_leaf)[1:])
+        assert set(assigned[assigned >= 0].tolist()) == set(hierarchy.ancestors_or_self(some_leaf)[1:])
 
     def test_oracle_refuses_missing_ground_truth(self, tiny_data):
         hierarchy, dataset = tiny_data
@@ -334,9 +359,10 @@ class TestEpochAccounting:
         assert sorted(seen) == sorted(int(g) for g in dataset.sample_ids[dataset.indices(SPLIT_UNLABELED)])
 
 
-class TestDenseLog:
+class TestPseudoLabelLog:
     def test_log_and_history_match_a_per_sample_replay(self, tiny_data):
-        """The dense log and history hold what a per-sample dict log would."""
+        """The chain-table log and the dense history hold what a per-sample
+        dict log would."""
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(tau=0.5, epochs=5), hierarchy, dataset)
         replay_log, replay_history = {}, {}
@@ -346,7 +372,7 @@ class TestDenseLog:
             gated = original(batch_u, x_u, stats)
             fused = fuse_batch(trainer.heads.teacher_forward_all(x_u), hierarchy)
             for g, row in zip(dataset.sample_ids[batch_u], spl_mod.assign(fused, hierarchy, 0.5)):
-                nodes = set(np.flatnonzero(row).tolist())
+                nodes = set(row[row >= 0].tolist())
                 entries = {c: e for c, e in replay_log.get(int(g), {}).items() if c in nodes}
                 replay_log[int(g)] = {c: entries.get(c, trainer.epoch) for c in nodes}
                 for c in nodes:
