@@ -9,6 +9,9 @@ It writes:
 
 * `reference/<method>/metrics.csv`: the six methods on `reference_dataset(0)`,
   30 epochs, evaluated every 10;
+* `reference/checkpoints.sha256`: the SHA-256 of each method's final
+  checkpoint (`<method>/ckpt_epoch0030.bin`, in `sha256sum` format), so that
+  every method's head weights are compared without keeping 27 MB files;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
 * `wide-tree-resumed/metrics.csv`: the same run with `checkpoint_every=20`,
@@ -32,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "SEMI
     os.environ[_var] = "1"  # before numpy is first imported
 
 import contextlib
+import hashlib
 import io
 import shutil
 import sys
@@ -51,13 +55,17 @@ SEED = 0
 
 def reference(out: Path) -> None:
     hierarchy, dataset = reference_dataset(SEED)
+    hashes = []
     for method in METHODS:
         config = replace(reference_train_config(method, SEED, epochs=30), eval_every=10)
         run_dir = out / method
         run_training(config, hierarchy, dataset, out_dir=run_dir)
+        final = f"ckpt_epoch{config.epochs:04d}.bin"
+        hashes.append(f"{hashlib.sha256((run_dir / final).read_bytes()).hexdigest()}  {method}/{final}\n")
         for path in run_dir.iterdir():
             if path.name != "metrics.csv":
                 path.unlink()
+    (out / "checkpoints.sha256").write_text("".join(hashes))
 
 
 def wide_tree(out: Path) -> None:

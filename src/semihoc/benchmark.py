@@ -17,7 +17,7 @@ from .datagen import NO_LABEL, SPLIT_TEST, FeatureDataset, SyntheticConfig, gene
 from .hierarchy import Hierarchy
 from .metrics import confidence_accuracy_bins
 from .prohoc import predict_nodes, subtree_confidences
-from .trainer import EpochReport, TrainConfig, Trainer, predict_dataset, run_training
+from .trainer import EpochReport, TrainConfig, Trainer, predict_blocks, run_training
 
 REFERENCE_SEEDS = (0, 1, 2)
 LABELS_PER_CLASS = 10
@@ -105,14 +105,16 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     """Subtree-confidence/accuracy table for test samples predicted as OOD.
 
     Correctness here is subtree membership (the ground truth lies inside the
-    predicted node's subtree), the property pseudo-labeling relies on.
+    predicted node's subtree), the property pseudo-labeling relies on. Only
+    each sample's prediction and its subtree confidence outlive a block.
     """
     dataset = trainer.dataset
     hierarchy = trainer.hierarchy
     idx = dataset.indices(SPLIT_TEST)
-    probs = predict_dataset(trainer.heads, hierarchy, dataset.features[idx])
-    preds = predict_nodes(probs)
-    conf = subtree_confidences(probs, hierarchy)
+    preds, conf = np.empty(len(idx), dtype=np.int64), np.empty(len(idx))
+    for block, probs in predict_blocks(trainer.heads, hierarchy, dataset.features, idx):
+        preds[block] = predict_nodes(probs)
+        conf[block] = np.take_along_axis(subtree_confidences(probs, hierarchy), preds[block, None], axis=1)[:, 0]
 
     ood = np.flatnonzero(~hierarchy.is_leaf(preds))
     if not len(ood):
@@ -120,4 +122,4 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     gts = dataset.labels[idx[ood]]
     known = gts != NO_LABEL
     correct = known & hierarchy.in_subtree(np.where(known, gts, 0), preds[ood])
-    return confidence_accuracy_bins(conf[ood, preds[ood]], correct, n_bins=n_bins), float(np.mean(correct))
+    return confidence_accuracy_bins(conf[ood], correct, n_bins=n_bins), float(np.mean(correct))

@@ -36,17 +36,8 @@ from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
-from .spl import AgeGateState
-from .trainer import (
-    METHODS,
-    PREDICT_BATCH,
-    TrainConfig,
-    format_field,
-    l2_norm,
-    load_checkpoint,
-    predict_dataset,
-    run_training,
-)
+from .spl import AgeGateState, SplLog, apply_gating
+from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_blocks, run_training
 
 
 class UsageError(Exception):
@@ -207,15 +198,13 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
 
 
 def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
-    """predictions.txt and the reports of a checkpoint, streamed in blocks of
-    PREDICT_BATCH rows: only the predicted node, its probability and its
-    subtree confidence outlive a block."""
+    """predictions.txt and the reports of a checkpoint, streamed block by
+    block: only the predicted node, its probability and its subtree
+    confidence outlive a block."""
     preds = np.empty(len(idx), dtype=np.int64)
     node_conf, sub_conf = np.empty(len(idx)), np.empty(len(idx))
     with open(out / "predictions.txt", "w", encoding="utf-8") as fh:
-        for start in range(0, len(idx), PREDICT_BATCH):
-            block = slice(start, start + PREDICT_BATCH)
-            probs = predict_dataset(heads, hierarchy, dataset.features[idx[block]])
+        for block, probs in predict_blocks(heads, hierarchy, dataset.features, idx):
             conf = subtree_confidences(probs, hierarchy)
             preds[block] = predict_nodes(probs)
             node_conf[block] = np.take_along_axis(probs, preds[block, None], axis=1)[:, 0]
@@ -245,23 +234,27 @@ def cmd_eval(args) -> int:
         _load(f"checkpoint: {args.checkpoint}", heads.load_state_dict, state)
         _eval_checkpoint(out, hierarchy, dataset, idx, heads, args.bins)
         if args.split in ("train", "all"):
-            _write_gate_diagnostics(out, hierarchy, dataset, state)
+            _write_gate_diagnostics(out, hierarchy, dataset, state, args.checkpoint)
     else:
         _eval_from_predictions(out, hierarchy, dataset, idx, Path(args.predictions), args.bins)
     print(f"evaluation written to {out}")
     return 0
 
 
-def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
-    """Purity / FPR / coverage diagnostics from the checkpointed log state.
+def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
+    """Purity / FPR / coverage diagnostics from the history and the log of
+    the checkpoint at `path`. The log is read as resume reads it, one row per
+    sample it names, and gated as training gates it.
 
     Correctness comes from the --features ground truth: an assignment is
     incorrect when the sample's ground truth lies outside the node's
     subtree, and of unknown correctness (never a false positive) when the
     sample has no ground truth.
     """
-    log, history = ({k: state[f"{name}.{k}"] for k in ("sample_id", "node", "epoch")} for name in ("log", "history"))
-    if not len(history["node"]) and not len(log["node"]):
+    log = SplLog(np.unique(state["log.sample_id"]), hierarchy.depths)
+    _load(f"checkpoint: {path}", log.load_state_dict, {k: state[f"log.{k}"] for k in LOG_KEYS})
+    history = {k: state[f"history.{k}"] for k in LOG_KEYS}
+    if not len(history["node"]) and not len(log.sample_ids):
         return
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
@@ -273,13 +266,11 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
     gate_report = gate_fpr_coverage(history["node"], history["epoch"], incorrect, cutoffs)
 
     # the gated current log of samples whose ground truth is an internal node
-    gts = dataset.labels_of(log["sample_id"])
+    gts = dataset.labels_of(log.sample_ids)
     known = gts != NO_LABEL
-    keep = known & ~hierarchy.is_leaf(np.where(known, gts, 0)) & (log["epoch"] <= cutoffs[log["node"]])
-    _, first, rows = np.unique(log["sample_id"][keep], return_index=True, return_inverse=True)
-    gated = np.full((len(first), hierarchy.max_depth + 1), -1)  # a chain table, the root's column included
-    gated[rows, hierarchy.depths[log["node"][keep]]] = log["node"][keep]
-    purity, avg_depth = spl_purity_and_depth(gated, gts[keep][first], hierarchy) or (None, None)
+    ood = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
+    gated = apply_gating(log.node[ood], log.first[ood], cutoffs)
+    purity, avg_depth = spl_purity_and_depth(gated, gts[ood], hierarchy) or (None, None)
 
     header = ["purity", "avg_depth", "gate_fpr", "gate_coverage", "n_assignments", "n_incorrect", "fpr_defined"]
     row = [purity, avg_depth, gate_report.fpr, gate_report.coverage]

@@ -10,10 +10,10 @@ cast up to float64 before the softmax, so the probabilities, the loss and the
 logit gradient are float64 whatever the head's dtype. MlpHead defaults to
 float64, and the gradient oracle checks float64 heads through the same
 forward and backward code against central finite differences at tight
-tolerances. The cross-entropy runs forward and backward on the rows that
-carry a target only: a row whose target is all zero has a logit gradient of
-exactly zero, so skipping it changes the loss and gradients only in the
-order of their sums. The per-depth student is trained with SGD plus momentum and weight
+tolerances. The trainer hands the cross-entropy only the rows that carry a
+target: a row whose target is all zero has a logit gradient of exactly zero,
+so leaving it out changes the loss and gradients only in the order of their
+sums. The per-depth student is trained with SGD plus momentum and weight
 decay; the teacher is an exponential moving average of the student and is
 the model actually used for pseudo-labels and evaluation. Forward, backward,
 SGD and EMA work in place on fresh buffers wherever the result is the same
@@ -75,10 +75,6 @@ class MlpHead:
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def copy_from(self, other: "MlpHead") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
-
 
 def _mask_shapes(head: MlpHead, n: int) -> list[tuple[int, int]]:
     return [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
@@ -139,19 +135,17 @@ def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None)
     masks=None means evaluation mode (no dropout); in training mode each
     activation is multiplied by its mask from sample_masks.
     """
-    inputs, logits = _forward(head, np.atleast_2d(np.asarray(x, dtype=head.dtype)), masks)
+    inputs, logits = _forward(head, np.asarray(x, dtype=head.dtype), masks)
     clip_mask = np.abs(logits) < LOGIT_CLIP
     return {"masks": masks, "inputs": inputs, "probs": _softmax_clipped(logits), "clip_mask": clip_mask}
 
 
 def forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
-    """Evaluation-mode class probabilities for a batch (or a single vector)."""
-    single = np.ndim(x) == 1
-    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
+    """Evaluation-mode class probabilities for a batch, one row per sample."""
+    x = np.asarray(x, dtype=head.dtype)
     if x.shape[1] != head.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} != head input dim {head.in_dim}")
-    probs = _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
-    return probs[0] if single else probs
+    return _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
 
 
 def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
@@ -178,18 +172,12 @@ def ce_loss_and_grad(
     """Summed soft-target cross-entropy and its parameter gradients; `masks`
     as in forward_cached, None for evaluation mode.
 
-    `targets` has one row per sample over the head's classes; a row may sum
-    to one (a single target), to an integer k (k unit-mass targets merged,
-    as when several pseudo-labels supervise the same depth) or to zero (the
-    sample contributes nothing at this depth, and its row of `x` and of each
-    mask is left out of forward and backward).
+    `targets` has one float64 row per row of `x` over the head's classes; a
+    row sums to one (a single target) or to an integer k (k unit-mass targets
+    merged). The caller selects the rows that carry a target, as the trainer
+    does per depth: an all-zero row would add only work, since its logit
+    gradient is exactly zero.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=head.dtype))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))  # the loss is float64
-    live = targets.any(axis=1)
-    if not live.all():  # an all-zero target row has d_logits = 0 exactly
-        x, targets = x[live], targets[live]
-        masks = None if masks is None else [m[live] for m in masks]
     cache = forward_cached(head, x, masks)
     p = cache["probs"]
     loss = float(-(targets * np.log(p)).sum())
@@ -256,13 +244,11 @@ class DepthHeads:
     def init_params(self, rng: np.random.Generator) -> None:
         for student, teacher in zip(self.students, self.teachers):
             student.init_params(rng)
-            teacher.copy_from(student)
+            for dst, src in zip(teacher.parameters(), student.parameters()):
+                dst[...] = src
 
     def student(self, d: int) -> MlpHead:
         return self.students[d - 1]
-
-    def teacher(self, d: int) -> MlpHead:
-        return self.teachers[d - 1]
 
     def teacher_forward_all(self, x: np.ndarray) -> list[np.ndarray]:
         """Eval-mode teacher probabilities at every depth."""

@@ -157,7 +157,7 @@ def check_fusion(cases: int, seed: int, fault: bool = False) -> OracleResult:
         probs = fuse_batch(outputs, tree)[0]
         if fault:
             probs = probs * 1.001
-        conf = subtree_confidences(probs, tree)
+        conf = subtree_confidences(probs[None], tree)[0]
         ok = abs(probs.sum() - 1.0) <= 1e-9 and probs.min() >= 0.0
         for c in range(1, tree.n_nodes):
             if conf[c] > conf[int(tree.parents[c])]:

@@ -41,7 +41,7 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
     """
     if len(depth_outputs) != hierarchy.max_depth:
         raise ValueError(f"expected {hierarchy.max_depth} depth outputs, got {len(depth_outputs)}")
-    outputs = [np.atleast_2d(np.asarray(out, dtype=np.float64)) for out in depth_outputs]
+    outputs = [np.asarray(out, dtype=np.float64) for out in depth_outputs]
     for d, out in enumerate(outputs, start=1):
         if out.shape[1] != len(hierarchy.depth_space(d)):
             raise ValueError(f"depth {d} output has {out.shape[1]} classes, space has {len(hierarchy.depth_space(d))}")
@@ -89,15 +89,14 @@ def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     Accumulating child sums into the parent keeps the telescoping exact in
     floating point: a parent's value can never fall below any child's.
     """
-    single = probs.ndim == 1
-    conf = np.array(np.atleast_2d(probs).T, dtype=np.float64, order="C")
+    conf = np.array(probs.T, dtype=np.float64, order="C")
     for _, parents, kids, _ in reversed(hierarchy.groups):
         # one child rank at a time, highest id first, with no (g, k, n) temporary
         acc = conf[parents]
         for j in range(kids.shape[1] - 1, -1, -1):
             acc += conf[kids[:, j]]
         conf[parents] = acc
-    return conf[:, 0] if single else conf.T
+    return conf.T
 
 
 def format_prediction_block(

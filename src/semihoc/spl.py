@@ -198,9 +198,15 @@ class AgeGateState:
         return asdict(self)
 
     def load_state_dict(self, state: dict) -> None:
+        """ValueError naming the node for a cutoff that detect_cutoff cannot
+        give: NaN or negative."""
+        cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
+        for node, t in cutoffs.items():
+            if not t >= 0.0:  # NaN fails too
+                raise ValueError(f"cutoff of node {node} is {t}, not an epoch in [0, inf]")
         self.bin_width = int(state["bin_width"])
         self.drop_threshold = float(state["drop_threshold"])
-        self.cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
+        self.cutoffs = cutoffs
 
 
 def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> bool:

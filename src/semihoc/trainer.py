@@ -58,12 +58,13 @@ SUBTREE_METHODS = ("semihoc", "semihoc-no-gate")  # whose pseudo-labels are chai
 # Upper bound on the global L2 norm of one depth head's gradient per step.
 GRAD_CLIP_NORM = 5.0
 
-# Rows per teacher forward and fusion in predict_dataset, and per streamed eval block.
+# Rows per block of predict_blocks, the one loop that forwards and fuses the teacher outside
+# training, so that a caller that streams holds one block's node distributions at a time.
 PREDICT_BATCH = 1024
 
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 4
-_LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
+LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
 _META_TYPES = dict(
     config=dict, hierarchy_hash=int, epoch=int, feature_dim=int, classes=list, streams=dict, loader_pos=int, gate=dict
 )
@@ -278,8 +279,7 @@ class Trainer:
             lives = [passing & q.any(axis=1)[preds] for q in self.hierarchy.Q]
             return [(live, q[preds[live]]) for live, q in zip(lives, self.hierarchy.Q)]
         targets = []  # ssl-per-depth: each depth's own confident argmax
-        for d in self.depths:
-            probs = heads_mod.forward(self.heads.teacher(d), x_u)
+        for probs in self.heads.teacher_forward_all(x_u):
             preds = np.argmax(probs, axis=1)
             live = probs[np.arange(len(preds)), preds] > cfg.tau
             targets.append((live, _one_hot(preds[live], probs.shape[1])))
@@ -377,16 +377,14 @@ class Trainer:
         self.epoch += 1
         return report
 
-    def evaluate(self, idx: np.ndarray | None = None) -> tuple[float | None, float | None, float | None]:
-        """Teacher-model scores on a sample subset (default: the test split)."""
-        if idx is None:
-            idx = self.test_idx
-        idx = idx[self.dataset.labels[idx] != NO_LABEL]
+    def evaluate(self) -> tuple[float | None, float | None, float | None]:
+        """Teacher-model scores on the test split's samples with ground truth."""
+        idx = self.test_idx[self.dataset.labels[self.test_idx] != NO_LABEL]
         if len(idx) == 0:
             return None, None, None
-        # block by block, so only one block's node distributions are alive at a time
-        blocks = (self.dataset.features[idx[i : i + PREDICT_BATCH]] for i in range(0, len(idx), PREDICT_BATCH))
-        preds = np.concatenate([predict_nodes(predict_dataset(self.heads, self.hierarchy, x)) for x in blocks])
+        preds = np.empty(len(idx), dtype=np.int64)
+        for block, fused in predict_blocks(self.heads, self.hierarchy, self.dataset.features, idx):
+            preds[block] = predict_nodes(fused)
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
         mix = 0.5 * (report.id + report.ood) if report.id is not None and report.ood is not None else None
         return report.id, report.ood, mix
@@ -413,7 +411,7 @@ class Trainer:
             raise ValueError("checkpoint config does not match the requested config")
         self.heads.load_state_dict(state)
         for name, log in (("log", self.log), ("history", self.history)):
-            log.load_state_dict({key: state[f"{name}.{key}"] for key in _LOG_KEYS})
+            log.load_state_dict({key: state[f"{name}.{key}"] for key in LOG_KEYS})
         self.epoch, self.loader.pos = meta["epoch"], meta["loader_pos"]
         self.loader.perm = np.array(state["loader.perm"], dtype=np.int64)
         self.streams.load_state_dict(meta["streams"])
@@ -445,14 +443,18 @@ def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
     return max_norm / norm if norm > max_norm else 1.0
 
 
-def predict_dataset(
-    heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, batch: int = PREDICT_BATCH
-) -> np.ndarray:
-    """Fused teacher node distributions for a feature matrix."""
-    rows = []
-    for i in range(0, len(features), batch):
-        rows.append(fuse_batch(heads.teacher_forward_all(features[i : i + batch]), hierarchy))
-    return np.concatenate(rows) if rows else np.zeros((0, hierarchy.n_nodes))
+def predict_blocks(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray):
+    """Yield (slice of `rows`, fused teacher node distributions of those rows
+    of `features`) per PREDICT_BATCH rows, in order."""
+    for start in range(0, len(rows), PREDICT_BATCH):
+        block = slice(start, start + PREDICT_BATCH)
+        yield block, fuse_batch(heads.teacher_forward_all(features[rows[block]]), hierarchy)
+
+
+def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray) -> np.ndarray:
+    """Fused teacher node distributions for a whole feature matrix: the blocks of predict_blocks, joined."""
+    blocks = [fused for _, fused in predict_blocks(heads, hierarchy, features, np.arange(len(features)))]
+    return np.concatenate(blocks) if blocks else np.zeros((0, hierarchy.n_nodes))
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
@@ -512,7 +514,7 @@ def _check_entries(state: dict) -> None:
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"entry meta: {exc}") from exc
     expected = entry_shapes(meta["feature_dim"], meta["classes"], meta["config"]["hidden_dim"])
-    expected.update({f"{name}.{key}": None for name in ("log", "history") for key in _LOG_KEYS})
+    expected.update({f"{name}.{key}": None for name in ("log", "history") for key in LOG_KEYS})
     expected["loader.perm"] = None
     for name in sorted(expected.keys() | (state.keys() - {"meta"})):
         if name not in state or name not in expected:
@@ -523,7 +525,7 @@ def _check_entries(state: dict) -> None:
         if shape is not None and (array.dtype, array.shape) != (HEAD_DTYPE, shape):
             raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not {HEAD_DTYPE} {shape}")
     for name in ("log", "history"):
-        if len({len(state[f"{name}.{key}"]) for key in _LOG_KEYS}) != 1:
+        if len({len(state[f"{name}.{key}"]) for key in LOG_KEYS}) != 1:
             raise ValueError(f"entries {name}.* differ in length")
 
 

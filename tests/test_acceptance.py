@@ -77,7 +77,7 @@ def test_criterion_2_fusion_normalization():
             probs = fuse_batch(outputs, tree)[0]
             assert abs(probs.sum() - 1.0) <= 1e-9
             assert probs.min() >= 0.0
-            conf = subtree_confidences(probs, tree)
+            conf = subtree_confidences(probs[None], tree)[0]
             for c in range(1, tree.n_nodes):
                 assert conf[c] <= conf[int(tree.parents[c])]
 

@@ -9,7 +9,7 @@ import pytest
 
 from semihoc import cli
 from semihoc.cli import main
-from semihoc.datagen import load_features, save_features
+from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
 from semihoc.prohoc import subtree_confidences
@@ -304,6 +304,10 @@ def write_checkpoint(path, entries, version=CHECKPOINT_VERSION):
         np.savez(fh, **entries)
 
 
+WORKSPACE_RUN = ["--method", "semihoc", "--epochs", 3, "--labeled-batch-size", 8, "--unlabeled-ratio", 2]
+WORKSPACE_RUN += ["--lr", 0.05, "--hidden-dim", 32, "--seed", 0, "--quiet"]  # the config of the workspace run
+
+
 class TestCheckpointEntries:
     """A checkpoint that lacks or mistypes an entry exits 2 from every
     command that reads it, naming the file and the entry."""
@@ -321,6 +325,8 @@ class TestCheckpointEntries:
             ("version-3", "unsupported checkpoint version 3"),
             ("nan-lr", "lr must be finite"),
             ("tau-below-one-half", "tau must be >= 0.5"),
+            ("nan-cutoff", "entry meta: cutoff of node 1 is nan"),
+            ("negative-cutoff", "entry meta: cutoff of node 1 is -2.0"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -342,6 +348,10 @@ class TestCheckpointEntries:
             field, value = ("lr", float("nan")) if kind == "nan-lr" else ("tau", 0.4)
             meta["config"][field] = value
             entries["meta"] = np.array(json.dumps(meta))
+        elif kind in ("nan-cutoff", "negative-cutoff"):  # detect_cutoff gives only values in [0, inf]
+            meta = json.loads(entries["meta"].item())
+            meta["gate"]["cutoffs"]["1"] = float("nan") if kind == "nan-cutoff" else -2.0
+            entries["meta"] = np.array(json.dumps(meta))
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
             broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))
@@ -360,6 +370,30 @@ class TestCheckpointEntries:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert f"checkpoint: {broken}" in err and named in err and "Traceback" not in err
+
+    def test_log_with_two_nodes_of_one_depth_exits_two(self, workspace, tmp_path, capsys):
+        """eval's gate diagnostics decode the log as resume does, so both
+        refuse a sample with two nodes of one depth."""
+        hierarchy = load_hierarchy(workspace / "data" / "hierarchy.txt")
+        dataset = load_features(workspace / "data" / "features.bin", hierarchy)
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        sample = dataset.sample_ids[dataset.splits == SPLIT_UNLABELED][0]
+        extra = {"sample_id": [sample] * 2, "node": np.flatnonzero(hierarchy.depths == 1)[:2], "epoch": [0, 0]}
+        for key, values in extra.items():
+            entries[f"log.{key}"] = np.append(entries[f"log.{key}"], np.array(values, entries[f"log.{key}"].dtype))
+        broken = tmp_path / "broken.bin"
+        write_checkpoint(broken, entries)
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "train", "--split", "train"],
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "all", "--split", "all"],
+            ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *WORKSPACE_RUN],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "checkpoint log holds two nodes of one depth" in err and "Traceback" not in err
+            assert argv[0] == "train" or f"checkpoint: {broken}" in err
 
     def test_layout(self, workspace):
         """Named arrays plus one JSON meta string; the log stays sparse."""

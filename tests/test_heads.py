@@ -19,7 +19,7 @@ def small_head(rng, in_dim=5, hidden=8, classes=3, dropout=0.0):
 class TestForward:
     def test_zero_weights_give_uniform(self):
         head = H.MlpHead(4, 5, hidden=6)
-        p = H.forward(head, np.ones(4))
+        p = H.forward(head, np.ones((1, 4)))
         assert np.allclose(p, 0.2)
 
     def test_output_sums_to_one(self):
@@ -48,13 +48,13 @@ class TestForward:
     def test_dimension_mismatch(self):
         head = H.MlpHead(4, 2)
         with pytest.raises(ValueError, match="dim"):
-            H.forward(head, np.zeros(5))
+            H.forward(head, np.zeros((1, 5)))
 
     def test_large_logits_clamped(self):
         head = H.MlpHead(2, 2, hidden=3)
         for w in head.weights:
             w[...] = 100.0
-        p = H.forward(head, np.full(2, 100.0))
+        p = H.forward(head, np.full((1, 2), 100.0))
         assert np.isfinite(p).all() and p.min() > 0
 
 
@@ -62,17 +62,17 @@ class TestCeLoss:
     def test_one_hot_loss_is_neg_log_p(self):
         rng = np.random.default_rng(4)
         head = small_head(rng)
-        x = rng.normal(0, 1, 5)
+        x = rng.normal(0, 1, (1, 5))
         p = H.forward(head, x)
-        target = np.zeros(3)
-        target[1] = 1.0
+        target = np.zeros((1, 3))
+        target[0, 1] = 1.0
         loss, _ = H.ce_loss_and_grad(head, x, target)
-        assert math.isclose(loss, -math.log(p[1]), rel_tol=1e-12)
+        assert math.isclose(loss, -math.log(p[0, 1]), rel_tol=1e-12)
 
     def test_uniform_on_uniform_is_log_k(self):
         head = H.MlpHead(4, 6, hidden=5)  # zero weights -> uniform output
-        target = np.full(6, 1.0 / 6)
-        loss, _ = H.ce_loss_and_grad(head, np.ones(4), target)
+        target = np.full((1, 6), 1.0 / 6)
+        loss, _ = H.ce_loss_and_grad(head, np.ones((1, 4)), target)
         assert math.isclose(loss, math.log(6), rel_tol=1e-12)
 
     def test_zero_target_rows_contribute_nothing(self):
@@ -106,7 +106,7 @@ class TestGradients:
             head = small_head(rng, dropout=0.4)
             x = rng.normal(0, 1, (3, 5))
             t = np.eye(3)[rng.integers(0, 3, 3)]
-            t[1] = 0.0  # a row without a target is left out of forward and backward
+            t[1] = 0.0  # a row without a target adds a zero logit gradient
             masks = H.sample_masks(head, 3, rng)
             _, ga = H.ce_loss_and_grad(head, x, t, masks=masks)
             gn = finite_difference_grads(head, x, t, masks=masks)
@@ -129,8 +129,8 @@ def assert_close(a, b, rel=1e-12):
 
 
 class TestTargetRowsOnly:
-    """ce_loss_and_grad runs forward and backward on the rows that carry a
-    target; an all-zero target row has a zero logit gradient exactly."""
+    """The caller hands ce_loss_and_grad the rows that carry a target; an
+    all-zero target row would add a zero logit gradient exactly."""
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_interleaved_zero_rows_change_nothing(self, mode):
@@ -174,7 +174,8 @@ class TestTargetRowsOnly:
             return original(head, x, masks)
 
         monkeypatch.setattr(H, "forward_cached", spy)
-        H.ce_loss_and_grad(head, x, t, masks=masks)
+        live = t.any(axis=1)  # as the trainer selects them
+        H.ce_loss_and_grad(head, x[live], t[live], masks=[m[live] for m in masks])
         [(x_seen, masks_seen)] = seen
         assert np.array_equal(x_seen, x[[1, 4]])
         assert all(np.array_equal(a, m[[1, 4]]) for a, m in zip(masks_seen, masks))
@@ -358,7 +359,8 @@ class TestDepthHeadsState:
 
 def float32_twin(head):
     twin = H.MlpHead(head.in_dim, head.out_dim, head.hidden, head.dropout, dtype=np.float32)
-    twin.copy_from(head)
+    for dst, src in zip(twin.parameters(), head.parameters()):
+        dst[...] = src
     return twin
 
 

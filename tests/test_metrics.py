@@ -206,11 +206,11 @@ class TestConfidenceBins:
 
         rng = np.random.default_rng(4)
         for _ in range(20):
-            d1 = rng.random(2) + 1e-9
-            d2 = rng.random(4) + 1e-9
+            d1 = rng.random((1, 2)) + 1e-9
+            d2 = rng.random((1, 4)) + 1e-9
             probs = fuse_batch([d1 / d1.sum(), d2 / d2.sum()], animals)[0]
             node = predict_nodes(probs[None])[0]
-            conf = subtree_confidences(probs, animals)
+            conf = subtree_confidences(probs[None], animals)[0]
             assert conf[node] >= probs[node]
 
 

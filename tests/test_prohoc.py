@@ -131,7 +131,7 @@ def tree_with_outputs(draw):
 
 class TestFuse:
     def test_uniform_outputs_stop_at_root(self, animals):
-        p = fuse_batch([np.full(2, 0.5), np.full(4, 0.25)], animals)[0]
+        p = fuse_batch([np.full((1, 2), 0.5), np.full((1, 4), 0.25)], animals)[0]
         assert np.isclose(p[ROOT], 1 - EPS)
         # symmetry groups: both internals equal, all four leaves equal
         assert np.isclose(p[MAMMAL], EPS * 0.5 * (1 - EPS))
@@ -141,7 +141,7 @@ class TestFuse:
         assert predict_nodes(p[None])[0] == ROOT
 
     def test_one_hot_path_concentrates_on_leaf(self, animals):
-        p = fuse_batch([np.array([0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0])], animals)[0]
+        p = fuse_batch([np.array([[0.0, 1.0]]), np.array([[0.0, 0.0, 0.0, 1.0]])], animals)[0]
         assert p[JUNCO] >= 1 - 3 * EPS
         assert p.sum() - p[JUNCO] <= 3 * EPS
         assert predict_nodes(p[None])[0] == JUNCO
@@ -149,8 +149,8 @@ class TestFuse:
     def test_always_normalized(self, animals):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            d1 = rng.random(2) + 1e-9
-            d2 = rng.random(4) + 1e-9
+            d1 = rng.random((1, 2)) + 1e-9
+            d2 = rng.random((1, 4)) + 1e-9
             p = fuse_batch([d1 / d1.sum(), d2 / d2.sum()], animals)[0]
             assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -158,16 +158,16 @@ class TestFuse:
         import pytest
 
         with pytest.raises(ValueError):
-            fuse_batch([np.full(3, 1 / 3), np.full(4, 0.25)], animals)
+            fuse_batch([np.full((1, 3), 1 / 3), np.full((1, 4), 0.25)], animals)
         with pytest.raises(ValueError):
-            fuse_batch([np.full(2, 0.5)], animals)
+            fuse_batch([np.full((1, 2), 0.5)], animals)
 
     def test_single_child_stop_is_eps(self):
         from semihoc.hierarchy import Hierarchy
 
         # chain r -> a -> b with one ID leaf
         tree = Hierarchy([-1, 0, 1], ["r", "a", "b"], id_leaves=[2])
-        p = fuse_batch([np.array([1.0]), np.array([1.0])], tree)[0]
+        p = fuse_batch([np.array([[1.0]]), np.array([[1.0]])], tree)[0]
         assert np.isclose(p[0], EPS)
         assert np.isclose(p[1], (1 - EPS) * EPS)
         assert np.isclose(p[2], (1 - EPS) * (1 - EPS))
@@ -185,8 +185,8 @@ class TestFuse:
 
     def test_consistent_one_hot_chain_predicts_leaf(self, animals):
         # all depth outputs one-hot along Cat's ancestor path
-        d1 = np.array([1.0, 0.0])
-        d2 = np.array([1.0, 0.0, 0.0, 0.0])
+        d1 = np.array([[1.0, 0.0]])
+        d2 = np.array([[1.0, 0.0, 0.0, 0.0]])
         assert predict_nodes(fuse_batch([d1, d2], animals))[0] == CAT
 
     def test_batch_matches_single(self, animals):
@@ -197,7 +197,7 @@ class TestFuse:
         d2 /= d2.sum(axis=1, keepdims=True)
         batch = fuse_batch([d1, d2], animals)
         for i in range(4):
-            single = fuse_batch([d1[i], d2[i]], animals)[0]
+            single = fuse_batch([d1[i : i + 1], d2[i : i + 1]], animals)[0]  # a batch of one row
             assert np.array_equal(batch[i], single)
 
 
@@ -215,7 +215,7 @@ class TestPredictNode:
 class TestSubtreeConfidences:
     def test_exact_sums(self, animals):
         p = np.array([0.1, 0.2, 0.05, 0.25, 0.1, 0.2, 0.1])
-        conf = subtree_confidences(p, animals)
+        conf = subtree_confidences(p[None], animals)[0]
         assert np.isclose(conf[MAMMAL], 0.2 + 0.25 + 0.1)
         assert np.isclose(conf[BIRD], 0.05 + 0.2 + 0.1)
         assert np.isclose(conf[ROOT], p.sum())
@@ -229,7 +229,7 @@ class TestSubtreeConfidences:
         expected = reference_subtree_confidences(c_order, tree).view(np.uint64)
         for p in (c_order, f_order, probs):
             assert np.array_equal(subtree_confidences(p, tree).view(np.uint64), expected)
-        assert np.array_equal(subtree_confidences(c_order[0], tree).view(np.uint64), expected[0])
+        assert np.array_equal(subtree_confidences(c_order[:1], tree).view(np.uint64), expected[:1])
 
 
 def reference_dump_line(hierarchy, sample_id, probs, conf):

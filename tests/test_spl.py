@@ -364,6 +364,21 @@ class TestUpdateCutoffs:
             assert np.array_equal(epochs > ints, epochs > floats)
 
 
+class TestGateState:
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_load_refuses_a_cutoff_no_detection_gives(self, bad):
+        gate = AgeGateState(1, 0.2, cutoffs={BIRD: 4.0})
+        state = AgeGateState(2, 0.3, cutoffs={CAT: 0.0, JUNCO: bad, BIRD: math.inf}).state_dict()
+        with pytest.raises(ValueError, match=f"cutoff of node {JUNCO} is"):
+            gate.load_state_dict(state)
+        assert gate == AgeGateState(1, 0.2, cutoffs={BIRD: 4.0})
+
+    def test_load_takes_zero_and_infinity(self):
+        gate = AgeGateState()
+        gate.load_state_dict({"bin_width": 2, "drop_threshold": 0.3, "cutoffs": {str(CAT): 0.0, str(BIRD): math.inf}})
+        assert gate == AgeGateState(2, 0.3, cutoffs={CAT: 0.0, BIRD: math.inf})
+
+
 class TestApplyGating:
     def test_post_cutoff_nodes_dropped(self):
         log = new_log()

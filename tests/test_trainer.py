@@ -1,19 +1,27 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihoc import heads as heads_mod
 from semihoc import spl as spl_mod
-from semihoc.benchmark import reference_dataset, reference_train_config
-from semihoc.datagen import NO_LABEL, SPLIT_UNLABELED
+from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
+from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from semihoc.heads import DepthHeads
-from semihoc.prohoc import fuse_batch
+from semihoc.hierarchy import Hierarchy, random_tree
+from semihoc.metrics import confidence_accuracy_bins
+from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 from semihoc.trainer import (
     GRAD_CLIP_NORM,
+    METHODS,
+    PREDICT_BATCH,
     TrainConfig,
     Trainer,
     load_checkpoint,
+    predict_blocks,
     predict_dataset,
     run_training,
     save_checkpoint,
@@ -413,3 +421,104 @@ class TestBenchmarkContract:
         for chain in chains:
             path = hierarchy.ancestors_or_self(chain.nodes[-1])[1:] if chain.nodes else ()
             assert tuple(chain.nodes) == path
+
+
+class TestTargetRows:
+    """ce_loss_and_grad gets only rows that carry a target: the trainer
+    selects them per depth, and a labeled sample sits at an ID leaf, whose
+    target row is non-zero at every depth."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_all_zero_target_row_reaches_the_loss(self, tiny_data, monkeypatch, method):
+        trainer = Trainer(config(method=method, tau=0.5), *tiny_data)
+        seen = []
+        original = heads_mod.ce_loss_and_grad
+
+        def spy(head, x, targets, masks=None):
+            seen.append((len(x), targets.copy()))
+            return original(head, x, targets, masks=masks)
+
+        monkeypatch.setattr(heads_mod, "ce_loss_and_grad", spy)
+        stats = {"spl_total": 0, "gated": 0, "ood": []}
+        trainer._train_step(trainer.loader.next_batch(), trainer.unlabeled_idx[:16], stats)
+        assert method == "supervised" or len(seen) > len(trainer.depths)  # unlabeled rows got there too
+        assert all(n == len(targets) and targets.any(axis=1).all() for n, targets in seen)
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(3, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_id_leaf_target_rows_are_never_zero(self, seed, n_nodes):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n_nodes)
+        leaves = sorted(tree.id_leaves)
+        ids = rng.choice(leaves, int(rng.integers(1, len(leaves) + 1)), replace=False)
+        tree = Hierarchy(tree.parents, tree.names, id_leaves=ids)  # the other leaves out-of-distribution
+        for q in tree.Q:
+            assert q[ids].any(axis=1).all()
+
+
+def fused_slices(heads, hierarchy, x):
+    """Reference: the teacher's outputs fused over consecutive PREDICT_BATCH-row slices of x."""
+    starts = range(0, len(x), PREDICT_BATCH)
+    blocks = [fuse_batch(heads.teacher_forward_all(x[i : i + PREDICT_BATCH]), hierarchy) for i in starts]
+    return np.concatenate(blocks) if blocks else np.zeros((0, hierarchy.n_nodes))
+
+
+def whole_split_ood_bins(trainer, n_bins=20):
+    """Reference for ood_subtree_bins, with the whole test split's node
+    distributions and subtree sums alive at once."""
+    dataset, hierarchy = trainer.dataset, trainer.hierarchy
+    idx = dataset.indices(SPLIT_TEST)
+    probs = fused_slices(trainer.heads, hierarchy, dataset.features[idx])
+    preds = predict_nodes(probs)
+    conf = subtree_confidences(probs, hierarchy)
+    ood = np.flatnonzero(~hierarchy.is_leaf(preds))
+    if not len(ood):
+        return None, None
+    gts = dataset.labels[idx[ood]]
+    known = gts != NO_LABEL
+    correct = known & hierarchy.in_subtree(np.where(known, gts, 0), preds[ood])
+    return confidence_accuracy_bins(conf[ood, preds[ood]], correct, n_bins=n_bins), float(np.mean(correct))
+
+
+def with_test_rows(dataset, n, seed):
+    """The labeled and unlabeled rows of `dataset` plus n test rows drawn from
+    its test split with jittered features, under fresh sample ids."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.flatnonzero(dataset.splits != SPLIT_TEST), rng.choice(dataset.indices(SPLIT_TEST), n)])
+    features = dataset.features[rows] + rng.normal(0.0, 0.1, (len(rows), dataset.dim)).astype(np.float32)
+    ids = np.arange(len(rows), dtype=np.uint64)
+    return FeatureDataset(features, dataset.labels[rows], ids, dataset.splits[rows], dataset.hierarchy_hash)
+
+
+BLOCK_EDGE_ROWS = [0, 1, PREDICT_BATCH - 1, PREDICT_BATCH, PREDICT_BATCH + 1, 2 * PREDICT_BATCH + 1]
+
+
+class TestPredictBlocks:
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_data):
+        return run_training(config(epochs=3, ema_momentum=0.5), *tiny_data)[1]
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_blocks_tile_the_rows_and_join_to_the_sliced_reference(self, tiny_data, trained, n):
+        hierarchy, dataset = tiny_data
+        features = with_test_rows(dataset, 2 * PREDICT_BATCH + 50, seed=n).features
+        rows = np.random.default_rng(n).permutation(len(features))[:n]
+        slices, blocks = zip(*predict_blocks(trained.heads, hierarchy, features, rows)) if n else ((), ())
+        assert [i for block in slices for i in range(n)[block]] == list(range(n))
+        assert [len(b) for b in blocks] == [len(range(n)[block]) for block in slices]
+        assert all(len(b) == PREDICT_BATCH for b in blocks[:-1])
+        expected = fused_slices(trained.heads, hierarchy, features[rows]).tobytes()
+        assert (np.concatenate(blocks) if n else np.zeros((0, hierarchy.n_nodes))).tobytes() == expected
+        assert predict_dataset(trained.heads, hierarchy, features[rows]).tobytes() == expected
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_streamed_ood_bins_equal_the_whole_split(self, tiny_data, trained, n):
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(trained.config, hierarchy, with_test_rows(dataset, n, seed=n))
+        trainer.heads.load_state_dict(trained.heads.state_dict())
+        table, overall = ood_subtree_bins(trainer)
+        expected_table, expected_overall = whole_split_ood_bins(trainer)
+        assert (table is None) == (n == 0) and overall == expected_overall
+        if n:
+            for f in fields(table):
+                assert getattr(table, f.name).tobytes() == getattr(expected_table, f.name).tobytes()
