@@ -36,7 +36,7 @@ from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
-from .spl import AgeGateState, SplLog, apply_gating
+from .spl import AgeGateState, SplLog, apply_gating, checkpoint_rows
 from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_blocks, run_training
 
 
@@ -251,14 +251,16 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
     subtree, and of unknown correctness (never a false positive) when the
     sample has no ground truth.
     """
+    what = f"checkpoint: {path}"
     log = SplLog(np.unique(state["log.sample_id"]), hierarchy.depths)
-    _load(f"checkpoint: {path}", log.load_state_dict, {k: state[f"log.{k}"] for k in LOG_KEYS})
+    _load(what, log.load_state_dict, {k: state[f"log.{k}"] for k in LOG_KEYS})
     history = {k: state[f"history.{k}"] for k in LOG_KEYS}
+    _load(what, checkpoint_rows, history["sample_id"], hierarchy.n_nodes, history)
     if not len(history["node"]) and not len(log.sample_ids):
         return
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
-    cutoffs = gate.vector(hierarchy.n_nodes)
+    cutoffs = _load(what, gate.vector, hierarchy.n_nodes)
 
     gts = dataset.labels_of(history["sample_id"])
     known = gts != NO_LABEL

@@ -1,27 +1,31 @@
 """Depth-specific MLP classifiers with explicit forward/backward passes.
 
 Four affine layers with ReLU in between, softmax output, inverted dropout on
-the input features and on every hidden activation. A dropout mask already
-carries the inverted-dropout scale: each entry is 0 or 1/(1 - rate), so one
-multiply applies it. A head computes in the dtype of its parameters: inputs,
-masks, activations and gradients follow it. The trainer's heads are float32
+the input features and on every hidden activation. A head is a
+`(weights, biases, dropout)` tuple: four weight matrices, four bias vectors
+and the dropout rate; its sizes and dtype are read off the arrays. A dropout
+mask already carries the inverted-dropout scale: each entry is 0 or
+1/(1 - rate), so one multiply applies it. A head computes in the dtype of its
+parameters: inputs, masks, activations and gradients follow it. The trainer's
+heads are views into the role buffers of DepthHeads, in float32
 (HEAD_DTYPE), which about halves the cost of their matmuls; the logits are
 cast up to float64 before the softmax, so the probabilities, the loss and the
-logit gradient are float64 whatever the head's dtype. MlpHead defaults to
-float64, and the gradient oracle checks float64 heads through the same
-forward and backward code against central finite differences at tight
-tolerances. The trainer hands the cross-entropy only the rows that carry a
-target: a row whose target is all zero has a logit gradient of exactly zero,
-so leaving it out changes the loss and gradients only in the order of their
-sums. The per-depth student is trained with SGD plus momentum and weight
-decay; the teacher is an exponential moving average of the student and is
-the model actually used for pseudo-labels and evaluation. Forward, backward,
-SGD and EMA work in place on fresh buffers wherever the result is the same
-float as the out-of-place expression.
+logit gradient are float64 whatever the head's dtype. The gradient oracle
+checks float64 heads through the same forward and backward code against
+central finite differences at tight tolerances. The trainer hands the
+cross-entropy only the rows that carry a target: a row whose target is all
+zero has a logit gradient of exactly zero, so leaving it out changes the loss
+and gradients only in the order of their sums. The per-depth student is
+trained with SGD plus momentum and weight decay; the teacher is an
+exponential moving average of the student and is the model actually used for
+pseudo-labels and evaluation. Forward, backward, SGD and EMA work in place on
+fresh buffers wherever the result is the same float as the out-of-place
+expression.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,53 +53,36 @@ def entry_shapes(feature_dim: int, classes: list[int], hidden: int) -> dict[str,
     }
 
 
-class MlpHead:
-    """One classifier head: feature vector in, class probabilities out."""
-
-    def __init__(self, in_dim: int, out_dim: int, hidden: int = 512, dropout: float = 0.0, dtype=np.float64):
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.hidden = hidden
-        self.dropout = dropout
-        self.dtype = np.dtype(dtype)
-        params = [np.zeros(shape, self.dtype) for shape in param_shapes(in_dim, out_dim, hidden)]
-        self.weights, self.biases = params[0::2], params[1::2]
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        """He-uniform fan-in initialization, biases zero; the draws are
-        float64 whatever the head's dtype, so the init stream is used alike."""
-        for w in self.weights:
-            limit = np.sqrt(6.0 / w.shape[0])
-            w[...] = rng.uniform(-limit, limit, w.shape)
-        for b in self.biases:
-            b[...] = 0.0
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
+def init_weights(weights: list[np.ndarray], rng: np.random.Generator) -> None:
+    """He-uniform fan-in initialization in place; the draws are float64
+    whatever the weights' dtype, so the init stream is used alike."""
+    for w in weights:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, w.shape)
 
 
-def _mask_shapes(head: MlpHead, n: int) -> list[tuple[int, int]]:
-    return [(n, head.in_dim)] + [(n, head.hidden)] * (N_LAYERS - 1)
+def _mask_shapes(head: tuple, n: int) -> list[tuple[int, int]]:
+    in_dim, hidden = head[0][0].shape
+    return [(n, in_dim)] + [(n, hidden)] * (N_LAYERS - 1)
 
 
-def sample_masks(head: MlpHead, n: int, rng: np.random.Generator, live: np.ndarray | None = None) -> list[np.ndarray]:
+def sample_masks(head: tuple, n: int, rng: np.random.Generator, live: np.ndarray | None = None) -> list[np.ndarray]:
     """Dropout masks for a batch, input plus each hidden activation: the
     keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate),
     in the head's dtype. The uniforms are drawn and compared in float64 whatever
     that dtype, so the keep decisions and the stream's use do not depend on it.
     A boolean row mask `live` keeps only its rows, `[m[live] for m in masks]`,
     from uniforms drawn for all n rows, so the stream moves alike."""
-    scale = head.dtype.type(1.0 / (1.0 - head.dropout))
+    weights, _, dropout = head
+    scale = weights[0].dtype.type(1.0 / (1.0 - dropout))
     masks = []
     for shape in _mask_shapes(head, n):
-        keep = rng.random(shape) >= head.dropout
-        masks.append(np.multiply(keep if live is None else keep[live], scale, dtype=head.dtype))
+        keep = rng.random(shape) >= dropout
+        masks.append(np.multiply(keep if live is None else keep[live], scale, dtype=weights[0].dtype))
     return masks
 
 
-def skip_masks(head: MlpHead, n: int, rng: np.random.Generator) -> None:
+def skip_masks(head: tuple, n: int, rng: np.random.Generator) -> None:
     """Leave `rng` where sample_masks(head, n, rng) would, without drawing:
     a float64 uniform is one step of the PCG64 generator, so the stream is
     advanced by the number of uniforms. The stream must hold no buffered
@@ -103,19 +90,20 @@ def skip_masks(head: MlpHead, n: int, rng: np.random.Generator) -> None:
     rng.bit_generator.advance(sum(rows * cols for rows, cols in _mask_shapes(head, n)))
 
 
-def _forward(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> tuple[list[np.ndarray], np.ndarray]:
+def _forward(head: tuple, x: np.ndarray, masks: list[np.ndarray] | None) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of each layer and the fresh float64 logits of a batch."""
+    weights, biases, _ = head
     a = x * masks[0] if masks is not None else x
     inputs = [a]
     for layer in range(N_LAYERS - 1):
-        a = a @ head.weights[layer]
-        a += head.biases[layer]
+        a = a @ weights[layer]
+        a += biases[layer]
         np.maximum(a, 0.0, out=a)
         if masks is not None:
             a *= masks[layer + 1]
         inputs.append(a)
-    logits = a @ head.weights[-1]
-    logits += head.biases[-1]
+    logits = a @ weights[-1]
+    logits += biases[-1]
     return inputs, logits.astype(np.float64, copy=False)
 
 
@@ -128,38 +116,40 @@ def _softmax_clipped(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward_cached(head: MlpHead, x: np.ndarray, masks: list[np.ndarray] | None) -> dict:
+def forward_cached(head: tuple, x: np.ndarray, masks: list[np.ndarray] | None) -> dict:
     """Forward pass keeping every intermediate needed for backprop: the
     input of each layer, the output probabilities and the logit clip mask.
 
     masks=None means evaluation mode (no dropout); in training mode each
     activation is multiplied by its mask from sample_masks.
     """
-    inputs, logits = _forward(head, np.asarray(x, dtype=head.dtype), masks)
+    inputs, logits = _forward(head, np.asarray(x, dtype=head[0][0].dtype), masks)
     clip_mask = np.abs(logits) < LOGIT_CLIP
     return {"masks": masks, "inputs": inputs, "probs": _softmax_clipped(logits), "clip_mask": clip_mask}
 
 
-def forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
+def forward(head: tuple, x: np.ndarray) -> np.ndarray:
     """Evaluation-mode class probabilities for a batch, one row per sample."""
-    x = np.asarray(x, dtype=head.dtype)
-    if x.shape[1] != head.in_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != head input dim {head.in_dim}")
+    w0 = head[0][0]
+    x = np.asarray(x, dtype=w0.dtype)
+    if x.shape[1] != w0.shape[0]:
+        raise ValueError(f"feature dim {x.shape[1]} != head input dim {w0.shape[0]}")
     return _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
 
 
-def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients w.r.t. all parameters, in the head's dtype, given the loss
-    gradient at the logits."""
+def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
+    """Gradients w.r.t. all parameters, w0, b0, w1, ..., in the head's dtype,
+    given the loss gradient at the logits."""
+    weights = head[0]
     masks, inputs = cache["masks"], cache["inputs"]
     grads: list[np.ndarray | None] = [None] * (2 * N_LAYERS)
-    delta = (d_logits * cache["clip_mask"]).astype(head.dtype, copy=False)
+    delta = (d_logits * cache["clip_mask"]).astype(weights[0].dtype, copy=False)
     for layer in range(N_LAYERS - 1, -1, -1):
         grads[2 * layer] = inputs[layer].T @ delta
         grads[2 * layer + 1] = delta.sum(axis=0)
         if layer == 0:
             break
-        delta = delta @ head.weights[layer].T
+        delta = delta @ weights[layer].T
         if masks is not None:
             delta *= masks[layer]
         delta *= inputs[layer] > 0  # the ReLU gate: a masked unit reads 0 too
@@ -167,7 +157,7 @@ def backward(head: MlpHead, cache: dict, d_logits: np.ndarray) -> list[np.ndarra
 
 
 def ce_loss_and_grad(
-    head: MlpHead, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None
+    head: tuple, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None
 ) -> tuple[float, list[np.ndarray]]:
     """Summed soft-target cross-entropy and its parameter gradients; `masks`
     as in forward_cached, None for evaluation mode.
@@ -186,38 +176,6 @@ def ce_loss_and_grad(
     return loss, backward(head, cache, d_logits)
 
 
-def sgd_step(
-    params: list[np.ndarray],
-    velocities: list[np.ndarray],
-    grads: list[np.ndarray],
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
-    scale: float = 1.0,
-) -> None:
-    """Classic SGD-momentum update, weight decay folded into the gradient,
-    in place; `grads` is used as scratch space and overwritten.
-
-    v <- mu*v + (scale*g + wd*theta);  theta <- theta - lr*v
-    """
-    scratch = np.empty(max(theta.size for theta in params), params[0].dtype)
-    for theta, v, g in zip(params, velocities, grads):
-        buf = scratch[: theta.size].reshape(theta.shape)
-        v *= momentum
-        g *= scale
-        g += np.multiply(theta, weight_decay, out=buf)
-        v += g
-        theta -= np.multiply(v, lr, out=buf)
-
-
-def ema_update(teacher: MlpHead, student: MlpHead, momentum: float) -> None:
-    """theta_t <- m*theta_t + (1-m)*theta_s, per parameter, in place."""
-    scratch = np.empty(max(s.size for s in student.parameters()), student.dtype)
-    for t, s in zip(teacher.parameters(), student.parameters()):
-        t *= momentum
-        t += np.multiply(s, 1.0 - momentum, out=scratch[: s.size].reshape(s.shape))
-
-
 @dataclass
 class OptimizerParams:
     lr: float
@@ -226,56 +184,82 @@ class OptimizerParams:
 
 
 class DepthHeads:
-    """Student/teacher head pairs for every hierarchy depth, in HEAD_DTYPE.
+    """Student and teacher heads for every hierarchy depth, with the
+    student's SGD velocities, in one HEAD_DTYPE buffer per role of ROLES.
 
-    The teacher starts as a copy of the student and is only ever touched by
-    EMA updates; the optimizer state lives here so checkpoints can capture
-    the whole training state in one place.
+    A role buffer is depth-major: depth d's parameters, in param_shapes
+    order, are the contiguous segment `segments[d - 1]`, so an optimizer or
+    EMA step is a few whole-segment updates. Every head array and checkpoint
+    entry is a view into its role buffer. The teacher
+    starts as a copy of the student and is only ever touched by EMA updates;
+    the optimizer state lives here so checkpoints can capture the whole
+    training state in one place.
     """
 
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
-        self.feature_dim = feature_dim
         self.depths = list(range(1, hierarchy.max_depth + 1))
         classes = [len(hierarchy.depth_space(d)) for d in self.depths]
-        self.students = [MlpHead(feature_dim, k, hidden, dropout, HEAD_DTYPE) for k in classes]
-        self.teachers = [MlpHead(feature_dim, k, hidden, dropout, HEAD_DTYPE) for k in classes]
-        self.velocities = [[np.zeros_like(p) for p in head.parameters()] for head in self.students]
+        sizes = [sum(math.prod(shape) for shape in param_shapes(feature_dim, k, hidden)) for k in classes]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        self.segments = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.buffers = {role: np.zeros(bounds[-1], HEAD_DTYPE) for role in ROLES}
+        self._state, ends = {}, dict.fromkeys(ROLES, 0)
+        for name, shape in entry_shapes(feature_dim, classes, hidden).items():  # depth-major in each role
+            role = name.partition(".")[0]
+            start, ends[role] = ends[role], ends[role] + math.prod(shape)
+            self._state[name] = self.buffers[role][start : ends[role]].reshape(shape)
+        self.students, self.teachers = ([self._head(role, d, dropout) for d in self.depths] for role in ROLES[:2])
+
+    def _head(self, role: str, d: int, dropout: float) -> tuple:
+        weights, biases = ([self._state[f"{role}.d{d}.{p}{i}"] for i in range(N_LAYERS)] for p in "wb")
+        return weights, biases, dropout
 
     def init_params(self, rng: np.random.Generator) -> None:
-        for student, teacher in zip(self.students, self.teachers):
-            student.init_params(rng)
-            for dst, src in zip(teacher.parameters(), student.parameters()):
-                dst[...] = src
-
-    def student(self, d: int) -> MlpHead:
-        return self.students[d - 1]
+        """He-uniform student weights, drawn depth by depth, next to the zero
+        biases of a fresh DepthHeads; the teacher starts as the student's copy."""
+        for weights, _, _ in self.students:
+            init_weights(weights, rng)
+        self.buffers["teacher"][...] = self.buffers["student"]
 
     def teacher_forward_all(self, x: np.ndarray) -> list[np.ndarray]:
         """Eval-mode teacher probabilities at every depth."""
         return [forward(t, x) for t in self.teachers]
 
     def sgd_step(self, d: int, grads: list[np.ndarray], opt: OptimizerParams, scale: float = 1.0) -> None:
-        params = self.student(d).parameters()
-        sgd_step(params, self.velocities[d - 1], grads, opt.lr, opt.momentum, opt.weight_decay, scale)
+        """Classic SGD-momentum update of depth d's student, weight decay
+        folded into the gradient, in place over its segment; `grads` are its
+        gradients in param_shapes order, as backward gives them.
+
+        v <- mu*v + (scale*g + wd*theta);  theta <- theta - lr*v
+        """
+        seg = self.segments[d - 1]
+        theta, v = self.buffers["student"][seg], self.buffers["velocity"][seg]
+        g = np.concatenate([grad.ravel() for grad in grads])
+        g *= scale
+        g += theta * opt.weight_decay
+        v *= opt.momentum
+        v += g
+        theta -= np.multiply(v, opt.lr, out=g)
 
     def ema_update_all(self, momentum: float) -> None:
-        for teacher, student in zip(self.teachers, self.students):
-            ema_update(teacher, student, momentum)
+        """theta_t <- m*theta_t + (1-m)*theta_s, in place, a depth segment at
+        a time: a temporary of the whole buffer would raise peak memory by a
+        role's size."""
+        for seg in self.segments:
+            teacher = self.buffers["teacher"][seg]
+            teacher *= momentum
+            teacher += self.buffers["student"][seg] * (1.0 - momentum)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Every student, teacher and velocity array under its checkpoint
-        name: the live buffers, not copies."""
-        heads = zip(self.students, self.teachers, self.velocities)
-        live = [a for s, t, v in heads for a in (*s.parameters(), *t.parameters(), *v)]
-        classes = [head.out_dim for head in self.students]
-        return dict(zip(entry_shapes(self.feature_dim, classes, self.students[0].hidden), live))
+        name: views into the role buffers, not copies."""
+        return dict(self._state)
 
     def load_state_dict(self, state: dict) -> None:
         """Copy the saved arrays into the live ones once each is known to
         exist with the live shape and dtype; ValueError naming the depth and
         the parameter otherwise."""
-        live = self.state_dict()
-        for name, dst in live.items():
+        for name, dst in self._state.items():
             src = state.get(name)
             if src is None or (src.shape, src.dtype) != (dst.shape, dst.dtype):
                 role, depth, param = name.split(".")
@@ -284,5 +268,5 @@ class DepthHeads:
                     f"depth {depth[1:]} {role} parameter {param}: checkpoint has {found}, "
                     f"model needs {dst.dtype} {dst.shape}"
                 )
-        for name, dst in live.items():
+        for name, dst in self._state.items():
             dst[...] = state[name]

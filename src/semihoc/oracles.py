@@ -74,14 +74,15 @@ def histogram_scan_cutoff(epochs, current_epoch: int, bin_width: int, drop_thres
 
 
 def finite_difference_grads(head, x, targets, masks=None, step: float = 1e-6) -> list[np.ndarray]:
-    """Central-difference gradients of the summed cross-entropy loss."""
+    """Central-difference gradients of the summed cross-entropy loss, one
+    array per parameter of `head` in the order w0, b0, w1, ..."""
 
     def loss_only() -> float:
         value, _ = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
         return value
 
     grads = []
-    for param in head.parameters():
+    for param in (p for pair in zip(head[0], head[1]) for p in pair):
         grad = np.zeros_like(param)
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
@@ -199,11 +200,12 @@ def check_gradients(cases: int, seed: int, fault: bool = False, tolerance: float
         in_dim = int(rng.integers(3, 7))
         hidden = int(rng.integers(4, 10))
         classes = int(rng.integers(2, 5))
-        head = heads_mod.MlpHead(in_dim, classes, hidden=hidden, dropout=0.4)
-        head.init_params(rng)
+        params = [np.zeros(shape) for shape in heads_mod.param_shapes(in_dim, classes, hidden)]
+        head = (params[0::2], params[1::2], 0.4)
+        heads_mod.init_weights(head[0], rng)
         # random biases keep pre-activations off the exact ReLU kink, where
         # a central difference would straddle the nondifferentiable point
-        for b in head.biases:
+        for b in head[1]:
             b[...] = rng.normal(0.0, 0.3, b.shape)
         x = rng.normal(0.0, 1.0, (2, in_dim))
         raw = rng.random((2, classes)) + 1e-6

@@ -76,7 +76,7 @@ def epoch_dtype(epochs: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= epochs)
 
 
-def _checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
+def checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
     """The row of each checkpoint triple; ValueError for an unknown sample, the root or a node not in the tree."""
     if not np.isin(state["sample_id"], sample_ids).all() or np.any((state["node"] < 1) | (state["node"] >= n_nodes)):
         raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
@@ -101,7 +101,7 @@ class SplLog:
         return {"sample_id": self.sample_ids[rows], "node": self.node[rows, cols], "epoch": self.first[rows, cols]}
 
     def load_state_dict(self, state: dict) -> None:
-        rows = _checkpoint_rows(self.sample_ids, len(self.depths), state)
+        rows = checkpoint_rows(self.sample_ids, len(self.depths), state)
         cols = self.depths[state["node"]] - 1
         if len(np.unique(rows * self.node.shape[1] + cols)) != len(rows):
             raise ValueError("checkpoint log holds two nodes of one depth for one sample")
@@ -122,7 +122,7 @@ class SplHistory:
         return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.first[rows, nodes]}
 
     def load_state_dict(self, state: dict) -> None:
-        rows = _checkpoint_rows(self.sample_ids, self.first.shape[1], state)
+        rows = checkpoint_rows(self.sample_ids, self.first.shape[1], state)
         self.first[...] = -1
         self.first[rows, state["node"]] = state["epoch"]
 
@@ -185,7 +185,12 @@ class AgeGateState:
     def vector(self, n_nodes: int, dtype=np.float64) -> np.ndarray:
         """Cutoff per node id in `dtype`. Where none is set it holds infinity,
         or an integer dtype's maximum, which no epoch of a log in that dtype
-        exceeds; cutoffs are whole epochs, so `first > cutoff` decides alike."""
+        exceeds; cutoffs are whole epochs, so `first > cutoff` decides alike.
+        ValueError naming the node for a cutoff on the root or on no node of
+        an n_nodes tree."""
+        outside = [node for node in self.cutoffs if not 1 <= node < n_nodes]
+        if outside:
+            raise ValueError(f"cutoff on node {outside[0]}, which is not a non-root node of the tree")
         dtype, values = np.dtype(dtype), list(self.cutoffs.values())
         none = math.inf if dtype.kind == "f" else int(np.iinfo(dtype).max)
         if dtype.kind != "f":  # a NaN cutoff gates nothing, like `none`

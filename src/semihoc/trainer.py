@@ -303,7 +303,7 @@ class Trainer:
         drop_u = self.streams.get("dropout/unlabeled")
         loss_l_out, loss_u_out = [], []
         for d in self.depths:
-            student = self.heads.student(d)
+            student = self.heads.students[d - 1]
             t_l = self.hierarchy.Q[d - 1][labels_l]
             masks_l = heads_mod.sample_masks(student, n_l, drop_l)
             loss_l, grads = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
@@ -393,8 +393,9 @@ class Trainer:
 
     def state_dict(self) -> dict:
         """The checkpoint entries by name: `meta`, the scalar state as a
-        JSON-able dict, and the arrays. Head, velocity and loader arrays are
-        the live buffers, not copies; the logs are their sparse triples."""
+        JSON-able dict, and the arrays. The head and velocity entries are
+        views into the heads' three role buffers and the loader's is its live
+        array, not copies; the logs are their sparse triples."""
         meta = {"config": asdict(self.config), "hierarchy_hash": self.hash, "epoch": self.epoch}
         meta.update(feature_dim=self.dataset.dim, classes=[len(self.hierarchy.depth_space(d)) for d in self.depths])
         meta.update(streams=self.streams.state_dict(), loader_pos=self.loader.pos, gate=self.gate.state_dict())

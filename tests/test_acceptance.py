@@ -111,9 +111,10 @@ def test_criterion_4_gradient_check():
             in_dim = int(rng.integers(3, 7))
             hidden = int(rng.integers(4, 10))
             classes = int(rng.integers(2, 5))
-            head = heads_mod.MlpHead(in_dim, classes, hidden=hidden, dropout=0.4)
-            head.init_params(rng)
-            for b in head.biases:
+            params = [np.zeros(shape) for shape in heads_mod.param_shapes(in_dim, classes, hidden)]
+            head = (params[0::2], params[1::2], 0.4)
+            heads_mod.init_weights(head[0], rng)
+            for b in head[1]:
                 b[...] = rng.normal(0.0, 0.3, b.shape)
             x = rng.normal(0.0, 1.0, (2, in_dim))
             raw = rng.random((2, classes)) + 1e-6

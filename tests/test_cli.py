@@ -395,6 +395,39 @@ class TestCheckpointEntries:
             assert "checkpoint log holds two nodes of one depth" in err and "Traceback" not in err
             assert argv[0] == "train" or f"checkpoint: {broken}" in err
 
+    @pytest.mark.parametrize(
+        "kind, named",
+        [
+            ("cutoff-past-the-tree", "cutoff on node 99999"),
+            ("cutoff-on-node-minus-one", "cutoff on node -1"),
+            ("history-node-past-the-tree", "checkpoint log names samples or nodes"),
+        ],
+    )
+    def test_node_outside_the_tree_exits_two(self, workspace, tmp_path, capsys, kind, named):
+        """Gate cutoffs and history triples name nodes, which only a reader
+        with the hierarchy can check: eval's gate diagnostics and resume
+        refuse one outside the tree alike, without a traceback."""
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        if kind == "history-node-past-the-tree":
+            entries["history.node"] = entries["history.node"].copy()
+            entries["history.node"][0] = 99999
+        else:
+            meta = json.loads(entries["meta"].item())
+            meta["gate"]["cutoffs"]["99999" if kind == "cutoff-past-the-tree" else "-1"] = 1.0
+            entries["meta"] = np.array(json.dumps(meta))
+        broken = tmp_path / "broken.bin"
+        write_checkpoint(broken, entries)
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev", "--split", "train"],
+            ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *WORKSPACE_RUN],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+            assert argv[0] == "train" or f"checkpoint: {broken}" in err
+
     def test_layout(self, workspace):
         """Named arrays plus one JSON meta string; the log stays sparse."""
         entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")

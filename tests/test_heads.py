@@ -8,17 +8,28 @@ from semihoc import heads as H
 from semihoc.oracles import finite_difference_grads, gradient_relative_error
 
 
+def make_head(in_dim, out_dim, hidden=512, dropout=0.0, dtype=np.float64):
+    """A zero head of standalone arrays, as the gradient oracle builds one."""
+    params = [np.zeros(shape, dtype) for shape in H.param_shapes(in_dim, out_dim, hidden)]
+    return params[0::2], params[1::2], dropout
+
+
+def parameters(head):
+    """A head's arrays in the order of its gradients: w0, b0, w1, ..."""
+    return [p for pair in zip(head[0], head[1]) for p in pair]
+
+
 def small_head(rng, in_dim=5, hidden=8, classes=3, dropout=0.0):
-    head = H.MlpHead(in_dim, classes, hidden=hidden, dropout=dropout)
-    head.init_params(rng)
-    for b in head.biases:
+    head = make_head(in_dim, classes, hidden=hidden, dropout=dropout)
+    H.init_weights(head[0], rng)
+    for b in head[1]:
         b[...] = rng.normal(0.0, 0.3, b.shape)
     return head
 
 
 class TestForward:
     def test_zero_weights_give_uniform(self):
-        head = H.MlpHead(4, 5, hidden=6)
+        head = make_head(4, 5, hidden=6)
         p = H.forward(head, np.ones((1, 4)))
         assert np.allclose(p, 0.2)
 
@@ -46,13 +57,13 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        head = H.MlpHead(4, 2)
+        head = make_head(4, 2)
         with pytest.raises(ValueError, match="dim"):
             H.forward(head, np.zeros((1, 5)))
 
     def test_large_logits_clamped(self):
-        head = H.MlpHead(2, 2, hidden=3)
-        for w in head.weights:
+        head = make_head(2, 2, hidden=3)
+        for w in head[0]:
             w[...] = 100.0
         p = H.forward(head, np.full((1, 2), 100.0))
         assert np.isfinite(p).all() and p.min() > 0
@@ -70,7 +81,7 @@ class TestCeLoss:
         assert math.isclose(loss, -math.log(p[0, 1]), rel_tol=1e-12)
 
     def test_uniform_on_uniform_is_log_k(self):
-        head = H.MlpHead(4, 6, hidden=5)  # zero weights -> uniform output
+        head = make_head(4, 6, hidden=5)  # zero weights -> uniform output
         target = np.full((1, 6), 1.0 / 6)
         loss, _ = H.ce_loss_and_grad(head, np.ones((1, 4)), target)
         assert math.isclose(loss, math.log(6), rel_tol=1e-12)
@@ -156,7 +167,7 @@ class TestTargetRowsOnly:
             masks = H.sample_masks(head, 4, rng)
             loss, grads = H.ce_loss_and_grad(head, rng.normal(0, 1, (4, 5)), np.zeros((4, 3)), masks=masks)
         assert loss == 0.0
-        assert [g.shape for g in grads] == [p.shape for p in head.parameters()]
+        assert [g.shape for g in grads] == [p.shape for p in parameters(head)]
         assert all(not g.any() for g in grads)
 
     def test_forward_sees_only_target_rows(self, monkeypatch):
@@ -183,7 +194,7 @@ class TestTargetRowsOnly:
 
 class TestMasks:
     def test_masks_carry_the_inverted_dropout_scale(self):
-        head = H.MlpHead(5, 3, hidden=8, dropout=0.4)
+        head = make_head(5, 3, hidden=8, dropout=0.4)
         masks = H.sample_masks(head, 6, np.random.default_rng(15))
         keep = np.random.default_rng(15).random((6, 5)) >= 0.4  # the same stream's first draw
         assert [m.shape for m in masks] == [(6, 5), (6, 8), (6, 8), (6, 8)]
@@ -193,7 +204,7 @@ class TestMasks:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [0, 1, 37])
     def test_skip_leaves_the_stream_where_drawing_does(self, dtype, n):
-        head = H.MlpHead(5, 3, hidden=8, dropout=0.3, dtype=dtype)
+        head = make_head(5, 3, hidden=8, dropout=0.3, dtype=dtype)
         drawn, skipped = np.random.default_rng(4), np.random.default_rng(4)
         for rng in (drawn, skipped):
             rng.random(11)  # mid-stream, as after earlier steps
@@ -206,12 +217,12 @@ class TestMasks:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("live_rows", [[], [0], [1, 4, 5], [0, 1, 2, 3, 4, 5, 6]])
     def test_live_rows_are_the_full_masks_rows_and_stream(self, dtype, live_rows):
-        head = H.MlpHead(5, 3, hidden=8, dropout=0.3, dtype=dtype)
+        head = make_head(5, 3, hidden=8, dropout=0.3, dtype=dtype)
         live = np.isin(np.arange(7), live_rows)
         full, compact = np.random.default_rng(16), np.random.default_rng(16)
         masks = H.sample_masks(head, 7, full)
         masks_live = H.sample_masks(head, 7, compact, live)
-        assert [m.dtype for m in masks_live] == [head.dtype] * 4
+        assert [m.dtype for m in masks_live] == [np.dtype(dtype)] * 4
         assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
         assert compact.bit_generator.state == full.bit_generator.state
 
@@ -223,9 +234,9 @@ class TestEvalForward:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_equals_forward_cached_bit_for_bit(self, dtype):
         rng = np.random.default_rng(22)
-        head = H.MlpHead(6, 4, hidden=16, dtype=dtype)
-        head.init_params(rng)
-        head.weights[-1] *= 40.0  # some logits beyond the clip
+        head = make_head(6, 4, hidden=16, dtype=dtype)
+        H.init_weights(head[0], rng)
+        head[0][-1] *= 40.0  # some logits beyond the clip
         x = rng.normal(0, 3, (13, 6))
         probs = H.forward(head, x)
         cached = H.forward_cached(head, x, None)
@@ -234,91 +245,122 @@ class TestEvalForward:
         assert np.array_equal(probs.view(np.uint64), cached["probs"].view(np.uint64))
 
 
+def random_heads(hierarchy, rng, feature_dim=5, hidden=6):
+    """DepthHeads whose three role buffers hold random float32 values."""
+    heads = H.DepthHeads(hierarchy, feature_dim, hidden=hidden)
+    for buf in heads.buffers.values():
+        buf[...] = rng.normal(0.0, 1.0, buf.shape)
+    return heads
+
+
+def depth_arrays(heads, role, d):
+    """Depth d's arrays of one role, w0, b0, w1, ..., as checkpoint entries."""
+    return [a for name, a in heads.state_dict().items() if name.startswith(f"{role}.d{d}.")]
+
+
+def set_depth(heads, d, student, velocity=0.0):
+    for role, value in (("student", student), ("velocity", velocity)):
+        heads.buffers[role][heads.segments[d - 1]] = value
+
+
+def zero_grads(heads, d):
+    return [np.zeros_like(p) for p in parameters(heads.students[d - 1])]
+
+
 class TestSgd:
-    def test_zero_gradient_no_decay_keeps_params(self):
-        theta = [np.ones((2, 2))]
-        v = [np.zeros((2, 2))]
-        H.sgd_step(theta, v, [np.zeros((2, 2))], lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert np.array_equal(theta[0], np.ones((2, 2)))
+    """DepthHeads.sgd_step updates depth d's student and velocity segments."""
 
-    def test_single_step_formula(self):
-        theta = [np.full((2,), 2.0)]
-        v = [np.zeros(2)]
-        g = [np.full((2,), 0.5)]
-        H.sgd_step(theta, v, g, lr=0.1, momentum=0.9, weight_decay=0.01)
+    def test_zero_gradient_no_decay_keeps_params(self, animals):
+        heads = random_heads(animals, np.random.default_rng(23))
+        set_depth(heads, 1, 1.0)
+        heads.sgd_step(1, zero_grads(heads, 1), H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.0))
+        assert np.all(heads.buffers["student"][heads.segments[0]] == 1.0)
+
+    def test_single_step_formula(self, animals):
+        heads = random_heads(animals, np.random.default_rng(24))
+        set_depth(heads, 2, 2.0)
+        grads = [np.full_like(g, 0.5) for g in zero_grads(heads, 2)]
+        heads.sgd_step(2, grads, H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.01))
         # v = g + wd*theta = 0.5 + 0.02; theta = 2 - 0.1*0.52
-        assert np.allclose(theta[0], 2.0 - 0.1 * 0.52)
+        assert np.allclose(heads.buffers["student"][heads.segments[1]], 2.0 - 0.1 * 0.52)
 
-    def test_two_steps_momentum_unroll(self):
+    def test_two_steps_momentum_unroll(self, animals):
         # constant gradient, no decay: after two steps the total change is
         # -lr*(g + (1+mu)*g)
         lr, mu = 0.1, 0.9
-        theta = [np.zeros(1)]
-        v = [np.zeros(1)]
-        g = [np.ones(1)]
-        H.sgd_step(theta, v, g, lr=lr, momentum=mu)
-        H.sgd_step(theta, v, g, lr=lr, momentum=mu)
-        assert np.allclose(theta[0], -lr * (1.0 + (1.0 + mu)))
+        heads = random_heads(animals, np.random.default_rng(25))
+        set_depth(heads, 1, 0.0)
+        grads = [np.ones_like(g) for g in zero_grads(heads, 1)]
+        for _ in range(2):
+            heads.sgd_step(1, grads, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=0.0))
+        assert np.allclose(heads.buffers["student"][heads.segments[0]], -lr * (1.0 + (1.0 + mu)))
 
-    def test_scale_applies_to_gradient_only(self):
-        theta = [np.full((1,), 1.0)]
-        v = [np.zeros(1)]
-        H.sgd_step(theta, v, [np.full((1,), 4.0)], lr=1.0, momentum=0.0, weight_decay=0.0, scale=0.25)
-        assert np.allclose(theta[0], 0.0)
+    def test_scale_applies_to_gradient_only(self, animals):
+        heads = random_heads(animals, np.random.default_rng(26))
+        set_depth(heads, 1, 1.0)
+        grads = [np.full_like(g, 4.0) for g in zero_grads(heads, 1)]
+        heads.sgd_step(1, grads, H.OptimizerParams(lr=1.0, momentum=0.0, weight_decay=0.0), scale=0.25)
+        assert np.all(heads.buffers["student"][heads.segments[0]] == 0.0)
 
-    def test_in_place_update_is_the_formula_bit_for_bit(self):
+    def test_in_place_update_is_the_formula_bit_for_bit(self, animals):
+        """Depth d's student and velocity arrays follow the per-array formula
+        exactly; every other array stays as it was."""
         rng = np.random.default_rng(16)
-        theta = [rng.normal(0, 1, (6, 4)), rng.normal(0, 1, 4)]
-        v = [rng.normal(0, 1, p.shape) for p in theta]
-        g = [rng.normal(0, 1, p.shape) for p in theta]
+        heads = random_heads(animals, rng)
+        before = {name: a.copy() for name, a in heads.state_dict().items()}
+        d = 2
+        grads = [rng.normal(0, 1, g.shape).astype(np.float32) for g in zero_grads(heads, d)]
         lr, mu, wd, scale = 0.1, 0.9, 0.001, 0.37
-        v_ref = [mu * vi + (scale * gi + wd * ti) for vi, gi, ti in zip(v, g, theta)]
+        theta, v = depth_arrays(heads, "student", d), depth_arrays(heads, "velocity", d)
+        v_ref = [mu * vi + (scale * gi + wd * ti) for vi, gi, ti in zip(v, grads, theta)]
         theta_ref = [ti - lr * vi for ti, vi in zip(theta, v_ref)]
-        H.sgd_step(theta, v, g, lr=lr, momentum=mu, weight_decay=wd, scale=scale)
-        assert all(np.array_equal(a, b) for a, b in zip(v + theta, v_ref + theta_ref))
+        heads.sgd_step(d, grads, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=wd), scale=scale)
+        assert all(a.dtype == np.float32 for a in v_ref + theta_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(v + theta, v_ref + theta_ref, strict=True))
+        changed = {name for name, a in heads.state_dict().items() if not np.array_equal(a, before[name])}
+        assert changed and all(name.split(".")[:2] in (["student", f"d{d}"], ["velocity", f"d{d}"]) for name in changed)
 
 
 class TestEma:
-    def test_momentum_one_keeps_teacher(self):
-        rng = np.random.default_rng(9)
-        s, t = small_head(rng), small_head(rng)
-        before = [p.copy() for p in t.parameters()]
-        H.ema_update(t, s, momentum=1.0)
-        for a, b in zip(t.parameters(), before):
-            assert np.array_equal(a, b)
+    """DepthHeads.ema_update_all moves every teacher array toward its student."""
 
-    def test_momentum_zero_copies_student(self):
-        rng = np.random.default_rng(10)
-        s, t = small_head(rng), small_head(rng)
-        H.ema_update(t, s, momentum=0.0)
-        for a, b in zip(t.parameters(), s.parameters()):
-            assert np.array_equal(a, b)
+    def test_momentum_one_keeps_teacher(self, animals):
+        heads = random_heads(animals, np.random.default_rng(9))
+        before = heads.buffers["teacher"].copy()
+        heads.ema_update_all(1.0)
+        assert np.array_equal(heads.buffers["teacher"], before)
 
-    def test_small_update(self):
-        s = H.MlpHead(2, 2, hidden=2)
-        t = H.MlpHead(2, 2, hidden=2)
-        for p in s.parameters():
-            p[...] = 1.0
-        H.ema_update(t, s, momentum=0.999)
-        for p in t.parameters():
-            assert np.allclose(p, 0.001)
+    def test_momentum_zero_copies_student(self, animals):
+        heads = random_heads(animals, np.random.default_rng(10))
+        heads.ema_update_all(0.0)
+        assert np.array_equal(heads.buffers["teacher"], heads.buffers["student"])
 
-    def test_in_place_update_is_the_formula_bit_for_bit(self):
-        rng = np.random.default_rng(17)
-        s, t = small_head(rng), small_head(rng)
-        expected = [0.999 * a + (1.0 - 0.999) * b for a, b in zip(t.parameters(), s.parameters())]
-        H.ema_update(t, s, momentum=0.999)
-        assert all(np.array_equal(a, b) for a, b in zip(t.parameters(), expected))
+    def test_small_update(self, animals):
+        heads = H.DepthHeads(animals, 2, hidden=2)
+        heads.buffers["student"][...] = 1.0
+        heads.ema_update_all(0.999)
+        assert np.allclose(heads.buffers["teacher"], 0.001)
 
-    def test_contraction(self):
-        rng = np.random.default_rng(11)
-        s, t = small_head(rng), small_head(rng)
+    def test_in_place_update_is_the_formula_bit_for_bit(self, animals):
+        heads = random_heads(animals, np.random.default_rng(17))
+        state = heads.state_dict()
+        expected = {
+            name.partition(".")[2]: 0.999 * a + (1.0 - 0.999) * state[f"student.{name.partition('.')[2]}"]
+            for name, a in state.items()
+            if name.startswith("teacher.")
+        }
+        heads.ema_update_all(0.999)
+        assert all(np.array_equal(state[f"teacher.{key}"], a) for key, a in expected.items())
+        assert {a.dtype for a in expected.values()} == {np.dtype(np.float32)}
+
+    def test_contraction(self, animals):
+        heads = random_heads(animals, np.random.default_rng(11))
+        t, s = heads.buffers["teacher"], heads.buffers["student"]
         m = 0.9
-        gap0 = max(np.abs(a - b).max() for a, b in zip(t.parameters(), s.parameters()))
+        gap0 = np.abs(t - s).max()
         for _ in range(10):
-            H.ema_update(t, s, momentum=m)
-        gap = max(np.abs(a - b).max() for a, b in zip(t.parameters(), s.parameters()))
-        assert gap <= gap0 * m**10 * (1 + 1e-9)
+            heads.ema_update_all(m)
+        assert np.abs(t - s).max() <= gap0 * m**10 * (1 + 1e-5)
 
 
 class TestDepthHeadsState:
@@ -351,6 +393,30 @@ class TestDepthHeadsState:
         with pytest.raises(ValueError, match="depth 2 teacher parameter b1"):
             H.DepthHeads(animals, 5, hidden=6).load_state_dict(state)
 
+    def test_entries_are_views_of_three_role_buffers(self, animals):
+        heads = H.DepthHeads(animals, 5, hidden=6)
+        assert list(heads.buffers) == list(H.ROLES)
+        for name, array in heads.state_dict().items():
+            owner = [role for role, buf in heads.buffers.items() if np.shares_memory(array, buf)]
+            assert owner == [name.split(".")[0]], name
+        for role, buf in heads.buffers.items():  # depth-major: depth d's arrays fill segment d - 1
+            for d, seg in zip(heads.depths, heads.segments):
+                assert sum(a.size for a in depth_arrays(heads, role, d)) == seg.stop - seg.start
+                assert np.shares_memory(depth_arrays(heads, role, d)[0], buf[seg])
+            assert heads.segments[-1].stop == buf.size
+
+    def test_init_draws_depth_by_depth_and_copies_the_teacher(self, animals):
+        heads = H.DepthHeads(animals, 5, hidden=6)
+        heads.init_params(np.random.default_rng(27))
+        rng = np.random.default_rng(27)
+        for weights, biases, _ in heads.students:
+            reference = [np.zeros(w.shape) for w in weights]
+            H.init_weights(reference, rng)
+            assert all(np.array_equal(w, r.astype(np.float32)) for w, r in zip(weights, reference))
+            assert not any(b.any() for b in biases)
+        assert np.array_equal(heads.buffers["teacher"], heads.buffers["student"])
+        assert not heads.buffers["velocity"].any()
+
     def test_every_array_is_float32(self, animals):
         heads = H.DepthHeads(animals, 5, hidden=6)
         heads.init_params(np.random.default_rng(0))
@@ -358,10 +424,8 @@ class TestDepthHeadsState:
 
 
 def float32_twin(head):
-    twin = H.MlpHead(head.in_dim, head.out_dim, head.hidden, head.dropout, dtype=np.float32)
-    for dst, src in zip(twin.parameters(), head.parameters()):
-        dst[...] = src
-    return twin
+    weights, biases, dropout = head
+    return [w.astype(np.float32) for w in weights], [b.astype(np.float32) for b in biases], dropout
 
 
 class TestFloat32Heads:
@@ -373,7 +437,7 @@ class TestFloat32Heads:
         rng = np.random.default_rng(18)
         head = small_head(rng, in_dim=12, hidden=32, classes=4, dropout=0.3)
         head32 = float32_twin(head)
-        for p in head.parameters():  # the twin's rounded weights, exactly
+        for p in parameters(head):  # the twin's rounded weights, exactly
             p[...] = p.astype(np.float32)
         x = rng.normal(0, 1, (9, 12))
         t = np.eye(4)[rng.integers(0, 4, 9)]
@@ -390,7 +454,7 @@ class TestFloat32Heads:
             assert np.abs(g32 - g).max(initial=0.0) <= 1e-5 * np.abs(g).max(initial=1.0)
 
     def test_masks_keep_the_same_rows_and_stream(self):
-        head = H.MlpHead(5, 3, hidden=8, dropout=0.3)
+        head = make_head(5, 3, hidden=8, dropout=0.3)
         rng64, rng32 = np.random.default_rng(20), np.random.default_rng(20)
         masks = H.sample_masks(head, 11, rng64)
         masks32 = H.sample_masks(float32_twin(head), 11, rng32)
@@ -399,18 +463,17 @@ class TestFloat32Heads:
         assert rng32.bit_generator.state == rng64.bit_generator.state
 
     def test_init_draws_alike(self):
-        head, head32 = H.MlpHead(5, 3, hidden=8), H.MlpHead(5, 3, hidden=8, dtype=np.float32)
+        head, head32 = make_head(5, 3, hidden=8), make_head(5, 3, hidden=8, dtype=np.float32)
         rng64, rng32 = np.random.default_rng(21), np.random.default_rng(21)
-        head.init_params(rng64)
-        head32.init_params(rng32)
-        assert all(np.array_equal(p.astype(np.float32), p32) for p, p32 in zip(head.parameters(), head32.parameters()))
+        H.init_weights(head[0], rng64)
+        H.init_weights(head32[0], rng32)
+        assert all(np.array_equal(p.astype(np.float32), p32) for p, p32 in zip(parameters(head), parameters(head32)))
         assert rng32.bit_generator.state == rng64.bit_generator.state
 
-    def test_sgd_and_ema_stay_float32(self):
+    def test_sgd_and_ema_stay_float32(self, animals):
         rng = np.random.default_rng(22)
-        student, teacher = float32_twin(small_head(rng)), float32_twin(small_head(rng))
-        velocities = [np.zeros_like(p) for p in student.parameters()]
-        grads = [rng.normal(0, 1, p.shape).astype(np.float32) for p in student.parameters()]
-        H.sgd_step(student.parameters(), velocities, grads, lr=0.1, weight_decay=0.001, scale=0.5)
-        H.ema_update(teacher, student, momentum=0.9)
-        assert {a.dtype for a in student.parameters() + teacher.parameters() + velocities} == {np.dtype(np.float32)}
+        heads = random_heads(animals, rng)
+        grads = [rng.normal(0, 1, p.shape).astype(np.float32) for p in parameters(heads.students[0])]
+        heads.sgd_step(1, grads, H.OptimizerParams(lr=0.1, weight_decay=0.001), scale=0.5)
+        heads.ema_update_all(0.9)
+        assert {a.dtype for a in heads.buffers.values()} == {np.dtype(np.float32)}

@@ -121,8 +121,8 @@ class TestLossContract:
     def test_zero_weight_heads_start_at_log_k(self, tiny_data):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(method="supervised", dropout=0.0), hierarchy, dataset)
-        for head in trainer.heads.students:
-            for w in head.weights:
+        for weights, _, _ in trainer.heads.students:
+            for w in weights:
                 w[...] = 0.0
         stats = {"spl_total": 0, "gated": 0, "ood": []}
         batch_l = trainer.loader.next_batch()
@@ -145,14 +145,15 @@ class TestGradientClipping:
         fresh = Trainer(config(method="spl-oracle"), hierarchy, dataset)
         # zero weights leave only the output-bias gradient, far below the bound
         zeroed = Trainer(config(method="spl-oracle"), hierarchy, dataset)
-        for head in zeroed.heads.students:
-            for w in head.weights:
+        for weights, _, _ in zeroed.heads.students:
+            for w in weights:
                 w[...] = 0.0
         for trainer in (fresh, zeroed):
             stats = {"spl_total": 0, "gated": 0, "ood": []}
             batch_u = trainer.unlabeled_idx[: trainer.config.labeled_batch_size * trainer.config.unlabeled_ratio]
             trainer._train_step(trainer.loader.next_batch(), batch_u, stats)
 
+        assert len(calls) == 2 * hierarchy.max_depth  # one pair per depth and step
         assert any(norm > GRAD_CLIP_NORM for norm, _ in calls)
         assert any(norm < GRAD_CLIP_NORM for norm, _ in calls)
         for norm, scale in calls:
@@ -167,7 +168,7 @@ class TestGradientClipping:
         hierarchy, dataset = reference_dataset(0)
         _, trainer = run_training(reference_train_config("spl-oracle", 0, epochs=20), hierarchy, dataset)
         x_u = dataset.features[trainer.unlabeled_idx].astype(np.float64)
-        cache = heads_mod.forward_cached(trainer.heads.student(1), x_u, None)
+        cache = heads_mod.forward_cached(trainer.heads.students[0], x_u, None)
         for layer, a in enumerate(cache["inputs"][2:], start=2):  # post-ReLU, no dropout
             dead = float((~(a > 0).any(axis=0)).mean())
             assert dead < 0.5, f"layer {layer}: {dead:.0%} of hidden units dead on unlabeled rows"
@@ -308,8 +309,9 @@ class TestDeterminismAndResume:
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
         state = trainer.state_dict()
-        assert state["student.d1.w0"] is trainer.heads.students[0].weights[0]
-        assert state[f"velocity.d{hierarchy.max_depth}.b3"] is trainer.heads.velocities[-1][-1]
+        assert np.shares_memory(state["student.d1.w0"], trainer.heads.students[0][0][0])
+        last_b3 = state[f"velocity.d{hierarchy.max_depth}.b3"]
+        assert np.shares_memory(last_b3, trainer.heads.buffers["velocity"][-last_b3.size :])
         assert state["loader.perm"] is trainer.loader.perm
 
     def test_failed_save_leaves_no_partial_file(self, tiny_data, tmp_path, monkeypatch):
