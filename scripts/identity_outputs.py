@@ -14,9 +14,12 @@ It writes:
   every method's head weights are compared without keeping 27 MB files;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
-* `wide-tree-resumed/metrics.csv`: the same run with `checkpoint_every=20`,
-  resumed from its `ckpt_epoch0020.bin`, so that the checkpoint round trip
-  of the pseudo-label log is covered while age-gating is active;
+* `wide-tree-resumed/metrics.csv` and `wide-tree-resumed/checkpoint.sha256`:
+  the same run with `checkpoint_every=20`, resumed from its
+  `ckpt_epoch0020.bin`, and the SHA-256 of the resumed run's final
+  checkpoint, so that the checkpoint round trip of the pseudo-label log is
+  covered while age-gating is active, and the resumed velocities, gate and
+  log are compared byte for byte;
 * `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
   `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
   of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
@@ -82,9 +85,12 @@ def wide_tree_resumed(out: Path) -> None:
     state = load_checkpoint(full / "ckpt_epoch0020.bin")
     shutil.rmtree(full)
     run_training(config, hierarchy, dataset, out_dir=out, resume=state)
+    final = f"ckpt_epoch{config.epochs:04d}.bin"
+    digest = hashlib.sha256((out / final).read_bytes()).hexdigest()
     for path in out.iterdir():
         if path.name != "metrics.csv":
             path.unlink()
+    (out / "checkpoint.sha256").write_text(f"{digest}  {final}\n")
 
 
 def semihoc(*args: str) -> str:

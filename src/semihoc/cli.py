@@ -256,8 +256,6 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
     _load(what, log.load_state_dict, {k: state[f"log.{k}"] for k in LOG_KEYS})
     history = {k: state[f"history.{k}"] for k in LOG_KEYS}
     _load(what, checkpoint_rows, history["sample_id"], hierarchy.n_nodes, history)
-    if not len(history["node"]) and not len(log.sample_ids):
-        return
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
     cutoffs = _load(what, gate.vector, hierarchy.n_nodes)

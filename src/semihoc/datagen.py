@@ -157,8 +157,7 @@ def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
     # internal node of the pruned tree stays internal.
     n_prune = int(round(config.ood_fraction * len(leaves)))
     prune = set(int(c) for c in rng.choice(leaves, size=n_prune, replace=False))
-    for p in levels[-2]:
-        kids = [c for c in range(len(full_parents)) if full_parents[c] == p]
+    for kids in np.reshape(leaves, (-1, config.branching)).tolist():  # each last-level parent's children
         if all(k in prune for k in kids):
             prune.discard(int(rng.choice(kids)))
     id_per_parent = np.bincount([full_parents[leaf] for leaf in leaves if leaf not in prune])

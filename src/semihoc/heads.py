@@ -18,13 +18,15 @@ zero has a logit gradient of exactly zero, so leaving it out changes the loss
 and gradients only in the order of their sums. The per-depth student is
 trained with SGD plus momentum and weight decay; the teacher is an
 exponential moving average of the student and is the model actually used for
-pseudo-labels and evaluation. Forward, backward, SGD and EMA work in place on
-fresh buffers wherever the result is the same float as the out-of-place
-expression.
+pseudo-labels and evaluation. A head's gradient is one flat vector laid out
+like its DepthHeads segment, which sgd_step uses up as scratch. Forward,
+backward, SGD and EMA work in place on fresh buffers wherever the result is
+the same float as the out-of-place expression.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,30 +139,38 @@ def forward(head: tuple, x: np.ndarray) -> np.ndarray:
     return _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
 
 
-def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients w.r.t. all parameters, w0, b0, w1, ..., in the head's dtype,
-    given the loss gradient at the logits."""
-    weights = head[0]
+def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Reshaped views of consecutive runs of the 1-D `flat`, one per shape."""
+    bounds = [0, *itertools.accumulate(map(math.prod, shapes))]  # np.cumsum costs more than the views on small heads
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+
+
+def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. all parameters in one fresh vector of the head's dtype,
+    laid out like a DepthHeads segment (w0, b0, w1, ...), given the loss
+    gradient at the logits; each parameter's part is written in its view."""
+    weights, biases, _ = head
     masks, inputs = cache["masks"], cache["inputs"]
-    grads: list[np.ndarray | None] = [None] * (2 * N_LAYERS)
+    grad = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), weights[0].dtype)
+    views = flat_views(grad, [p.shape for pair in zip(weights, biases) for p in pair])
     delta = (d_logits * cache["clip_mask"]).astype(weights[0].dtype, copy=False)
     for layer in range(N_LAYERS - 1, -1, -1):
-        grads[2 * layer] = inputs[layer].T @ delta
-        grads[2 * layer + 1] = delta.sum(axis=0)
+        np.matmul(inputs[layer].T, delta, out=views[2 * layer])
+        delta.sum(axis=0, out=views[2 * layer + 1])
         if layer == 0:
             break
         delta = delta @ weights[layer].T
         if masks is not None:
             delta *= masks[layer]
         delta *= inputs[layer] > 0  # the ReLU gate: a masked unit reads 0 too
-    return grads  # type: ignore[return-value]
+    return grad
 
 
 def ce_loss_and_grad(
     head: tuple, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None
-) -> tuple[float, list[np.ndarray]]:
-    """Summed soft-target cross-entropy and its parameter gradients; `masks`
-    as in forward_cached, None for evaluation mode.
+) -> tuple[float, np.ndarray]:
+    """Summed soft-target cross-entropy and its flat parameter gradient, as
+    backward gives it; `masks` as in forward_cached, None for evaluation mode.
 
     `targets` has one float64 row per row of `x` over the head's classes; a
     row sums to one (a single target) or to an integer k (k unit-mass targets
@@ -199,20 +209,16 @@ class DepthHeads:
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
         self.depths = list(range(1, hierarchy.max_depth + 1))
         classes = [len(hierarchy.depth_space(d)) for d in self.depths]
-        sizes = [sum(math.prod(shape) for shape in param_shapes(feature_dim, k, hidden)) for k in classes]
-        bounds = np.cumsum([0, *sizes]).tolist()
+        self.shapes = [param_shapes(feature_dim, k, hidden) for k in classes]  # per depth, as flat_views takes
+        bounds = [0, *itertools.accumulate(sum(map(math.prod, shapes)) for shapes in self.shapes)]
         self.segments = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.buffers = {role: np.zeros(bounds[-1], HEAD_DTYPE) for role in ROLES}
-        self._state, ends = {}, dict.fromkeys(ROLES, 0)
-        for name, shape in entry_shapes(feature_dim, classes, hidden).items():  # depth-major in each role
-            role = name.partition(".")[0]
-            start, ends[role] = ends[role], ends[role] + math.prod(shape)
-            self._state[name] = self.buffers[role][start : ends[role]].reshape(shape)
-        self.students, self.teachers = ([self._head(role, d, dropout) for d in self.depths] for role in ROLES[:2])
-
-    def _head(self, role: str, d: int, dropout: float) -> tuple:
-        weights, biases = ([self._state[f"{role}.d{d}.{p}{i}"] for i in range(N_LAYERS)] for p in "wb")
-        return weights, biases, dropout
+        views = {(d, role): flat_views(self.buffers[role][seg], shapes)  # depth by depth, role by role
+                 for d, seg, shapes in zip(self.depths, self.segments, self.shapes) for role in ROLES}
+        self._state = dict(zip(entry_shapes(feature_dim, classes, hidden), sum(views.values(), []), strict=True))
+        self.students, self.teachers = (
+            [(views[d, role][0::2], views[d, role][1::2], dropout) for d in self.depths] for role in ROLES[:2]
+        )
 
     def init_params(self, rng: np.random.Generator) -> None:
         """He-uniform student weights, drawn depth by depth, next to the zero
@@ -225,16 +231,15 @@ class DepthHeads:
         """Eval-mode teacher probabilities at every depth."""
         return [forward(t, x) for t in self.teachers]
 
-    def sgd_step(self, d: int, grads: list[np.ndarray], opt: OptimizerParams, scale: float = 1.0) -> None:
+    def sgd_step(self, d: int, g: np.ndarray, opt: OptimizerParams, scale: float = 1.0) -> None:
         """Classic SGD-momentum update of depth d's student, weight decay
-        folded into the gradient, in place over its segment; `grads` are its
-        gradients in param_shapes order, as backward gives them.
+        folded into the gradient, in place over its segment; `g` is its flat
+        gradient, as backward gives it, and is used up as scratch.
 
         v <- mu*v + (scale*g + wd*theta);  theta <- theta - lr*v
         """
         seg = self.segments[d - 1]
         theta, v = self.buffers["student"][seg], self.buffers["velocity"][seg]
-        g = np.concatenate([grad.ravel() for grad in grads])
         g *= scale
         g += theta * opt.weight_decay
         v *= opt.momentum

@@ -73,19 +73,18 @@ def histogram_scan_cutoff(epochs, current_epoch: int, bin_width: int, drop_thres
     return float((below[0] + 1) * bin_width)
 
 
-def finite_difference_grads(head, x, targets, masks=None, step: float = 1e-6) -> list[np.ndarray]:
-    """Central-difference gradients of the summed cross-entropy loss, one
-    array per parameter of `head` in the order w0, b0, w1, ..."""
+def finite_difference_grads(head, x, targets, masks=None, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of the summed cross-entropy loss, a flat
+    vector in the layout backward gives (parameters w0, b0, w1, ...)."""
 
     def loss_only() -> float:
         value, _ = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
         return value
 
-    grads = []
-    for param in (p for pair in zip(head[0], head[1]) for p in pair):
-        grad = np.zeros_like(param)
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
+    params = [p for pair in zip(head[0], head[1]) for p in pair]
+    grad = np.zeros(sum(p.size for p in params), head[0][0].dtype)
+    for param, gview in zip(params, heads_mod.flat_views(grad, [p.shape for p in params])):
+        flat, gflat = param.reshape(-1), gview.reshape(-1)
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
@@ -94,16 +93,13 @@ def finite_difference_grads(head, x, targets, masks=None, step: float = 1e-6) ->
             down = loss_only()
             flat[i] = original
             gflat[i] = (up - down) / (2.0 * step)
-        grads.append(grad)
-    return grads
+    return grad
 
 
-def gradient_relative_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> float:
-    """Normalized L2 distance between two whole-gradient vectors."""
-    a = np.concatenate([g.reshape(-1) for g in analytic])
-    n = np.concatenate([g.reshape(-1) for g in numeric])
-    denom = max(float(np.linalg.norm(a) + np.linalg.norm(n)), 1e-12)
-    return float(np.linalg.norm(a - n)) / denom
+def gradient_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Normalized L2 distance between two flat whole-gradient vectors."""
+    denom = max(float(np.linalg.norm(analytic) + np.linalg.norm(numeric)), 1e-12)
+    return float(np.linalg.norm(analytic - numeric)) / denom
 
 
 # -- randomized check runners -----------------------------------------------------
@@ -215,7 +211,7 @@ def check_gradients(cases: int, seed: int, fault: bool = False, tolerance: float
         masks = heads_mod.sample_masks(head, 2, rng) if train_mode else None
         _, analytic = heads_mod.ce_loss_and_grad(head, x, targets, masks=masks)
         if fault:
-            analytic = [g + 1e-3 for g in analytic]
+            analytic = analytic + 1e-3
         numeric = finite_difference_grads(head, x, targets, masks=masks)
         err = gradient_relative_error(analytic, numeric)
         if not err <= tolerance:

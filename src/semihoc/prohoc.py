@@ -33,7 +33,7 @@ from .hierarchy import Hierarchy
 STOP_EPS = 1e-4
 
 
-def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float = STOP_EPS) -> np.ndarray:
+def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy) -> np.ndarray:
     """Hierarchical node distributions for a batch, one row per sample.
 
     depth_outputs[d-1] holds the depth-d probabilities over depth space d,
@@ -61,12 +61,12 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy, eps: float
         np.copyto(branch, 1.0 / k, where=total <= 0.0)
 
         if k == 1:
-            stop = eps
+            stop = STOP_EPS
         else:
             plogp = np.where(branch > 0.0, branch, 1.0)  # log(1) = 0 where the branch is 0 or NaN
             np.log(plogp, out=plogp)
             plogp *= branch
-            stop = np.clip(-plogp.sum(axis=1) / np.log(k), eps, 1.0 - eps)
+            stop = np.clip(-plogp.sum(axis=1) / np.log(k), STOP_EPS, 1.0 - STOP_EPS)
             del plogp  # freed before the next group's blocks are allocated
 
         mass = probs[parents]

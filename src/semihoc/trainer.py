@@ -306,22 +306,22 @@ class Trainer:
             student = self.heads.students[d - 1]
             t_l = self.hierarchy.Q[d - 1][labels_l]
             masks_l = heads_mod.sample_masks(student, n_l, drop_l)
-            loss_l, grads = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
-            for g in grads:
-                g *= 1.0 / n_l
+            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
+            g *= 1.0 / n_l
 
             loss_u = 0.0
             if uses_unlabeled:
                 live, t_live = d_targets[d - 1]
                 if len(t_live):  # forward and backward on the rows with a target, masks drawn for all
                     masks_u = heads_mod.sample_masks(student, m_u, drop_u, live)
-                    loss_u, grads_u = heads_mod.ce_loss_and_grad(student, x_u[live], t_live, masks=masks_u)
-                    for g, gu in zip(grads, grads_u):
-                        g += gu * (1.0 / m_u)
+                    loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], t_live, masks=masks_u)
+                    g += np.multiply(g_u, 1.0 / m_u, out=g_u)
+                    del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
                 else:  # no target row: the masks would go unused, but the stream moves on as if drawn
                     heads_mod.skip_masks(student, m_u, drop_u)
 
-            self.heads.sgd_step(d, grads, self.opt, scale=clip_scale(grads, GRAD_CLIP_NORM))
+            scale = clip_scale(heads_mod.flat_views(g, self.heads.shapes[d - 1]), GRAD_CLIP_NORM)  # float64 sums per parameter
+            self.heads.sgd_step(d, g, self.opt, scale=scale)
             loss_l_out.append(loss_l / n_l)
             loss_u_out.append(loss_u / m_u if m_u else 0.0)
         self.heads.ema_update_all(cfg.ema_momentum)
@@ -510,8 +510,10 @@ def _check_entries(state: dict) -> None:
         for key, kind in _META_TYPES.items():
             if not isinstance(meta.get(key), kind):
                 raise ValueError(f"{key!r} is missing or not a JSON {kind.__name__}")
-        TrainConfig.from_dict(meta["config"])
-        AgeGateState().load_state_dict(meta["gate"])
+        config, gate = TrainConfig.from_dict(meta["config"]), AgeGateState()
+        gate.load_state_dict(meta["gate"])
+        if (gate.bin_width, gate.drop_threshold) != (config.gate_bin_width, config.gate_drop_threshold):
+            raise ValueError(f"gate bin_width {gate.bin_width} and drop_threshold {gate.drop_threshold} differ from the config")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"entry meta: {exc}") from exc
     expected = entry_shapes(meta["feature_dim"], meta["classes"], meta["config"]["hidden_dim"])

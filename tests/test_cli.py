@@ -272,6 +272,40 @@ class TestGateDiagnostics:
         assert int(diagnostics["n_assignments"]) > 0
         assert diagnostics["n_incorrect"] == "0" and diagnostics["fpr_defined"] == "0"
 
+    @pytest.fixture(scope="class")
+    def supervised_ckpt(self, workspace, tmp_path_factory):
+        """A supervised run's checkpoint: its log and history are empty."""
+        out = tmp_path_factory.mktemp("supervised")
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        assert run("train", *inputs, "--out", out, *SUPERVISED_RUN) == 0
+        entries = read_entries(out / "ckpt_epoch0003.bin")
+        assert not any(len(entries[f"{name}.node"]) for name in ("log", "history"))
+        return out / "ckpt_epoch0003.bin"
+
+    @pytest.mark.parametrize("split", ["train", "all"])
+    def test_empty_log_still_writes_diagnostics(self, workspace, supervised_ckpt, tmp_path, split):
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        assert run("eval", "--checkpoint", supervised_ckpt, *inputs, "--out", tmp_path / "ev", "--split", split) == 0
+        assert (tmp_path / "ev" / "diagnostics.csv").read_text().splitlines()[1] == ",,0.0,1.0,0,0,0"
+
+    def test_empty_log_still_checks_the_cutoffs(self, workspace, supervised_ckpt, tmp_path, capsys):
+        entries = read_entries(supervised_ckpt)
+        meta = json.loads(entries["meta"].item())
+        meta["gate"]["cutoffs"]["99999"] = 1.0
+        entries["meta"] = np.array(json.dumps(meta))
+        broken = tmp_path / "broken.bin"
+        write_checkpoint(broken, entries)
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev", "--split", "train"],
+            ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *SUPERVISED_RUN],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "cutoff on node 99999" in err and "Traceback" not in err
+            assert argv[0] == "train" or f"checkpoint: {broken}" in err
+
 
 class TestBrokenCheckpoint:
     @pytest.mark.parametrize("kind", ["truncated", "six-byte"])
@@ -306,6 +340,7 @@ def write_checkpoint(path, entries, version=CHECKPOINT_VERSION):
 
 WORKSPACE_RUN = ["--method", "semihoc", "--epochs", 3, "--labeled-batch-size", 8, "--unlabeled-ratio", 2]
 WORKSPACE_RUN += ["--lr", 0.05, "--hidden-dim", 32, "--seed", 0, "--quiet"]  # the config of the workspace run
+SUPERVISED_RUN = ["supervised" if a == "semihoc" else a for a in WORKSPACE_RUN]  # it logs no assignment
 
 
 class TestCheckpointEntries:
@@ -327,6 +362,9 @@ class TestCheckpointEntries:
             ("tau-below-one-half", "tau must be >= 0.5"),
             ("nan-cutoff", "entry meta: cutoff of node 1 is nan"),
             ("negative-cutoff", "entry meta: cutoff of node 1 is -2.0"),
+            ("zero-gate-bin-width", "entry meta: gate bin_width 0 and drop_threshold 0.01 differ"),
+            ("nan-gate-drop-threshold", "entry meta: gate bin_width 1 and drop_threshold nan differ"),
+            ("gate-drop-threshold-five", "entry meta: gate bin_width 1 and drop_threshold 5.0 differ"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -351,6 +389,15 @@ class TestCheckpointEntries:
         elif kind in ("nan-cutoff", "negative-cutoff"):  # detect_cutoff gives only values in [0, inf]
             meta = json.loads(entries["meta"].item())
             meta["gate"]["cutoffs"]["1"] = float("nan") if kind == "nan-cutoff" else -2.0
+            entries["meta"] = np.array(json.dumps(meta))
+        elif "gate" in kind:  # the gate's own copy of two config values, which must equal them
+            meta = json.loads(entries["meta"].item())
+            key, value = {
+                "zero-gate-bin-width": ("bin_width", 0),
+                "nan-gate-drop-threshold": ("drop_threshold", float("nan")),
+                "gate-drop-threshold-five": ("drop_threshold", 5.0),
+            }[kind]
+            meta["gate"][key] = value
             entries["meta"] = np.array(json.dumps(meta))
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from semihoc import heads as H
+from semihoc.benchmark import reference_dataset, reference_train_config
 from semihoc.oracles import finite_difference_grads, gradient_relative_error
 
 
@@ -17,6 +19,11 @@ def make_head(in_dim, out_dim, hidden=512, dropout=0.0, dtype=np.float64):
 def parameters(head):
     """A head's arrays in the order of its gradients: w0, b0, w1, ..."""
     return [p for pair in zip(head[0], head[1]) for p in pair]
+
+
+def grad_views(head, grad):
+    """A flat gradient, as backward gives it, seen per parameter of `head`."""
+    return H.flat_views(grad, [p.shape for p in parameters(head)])
 
 
 def small_head(rng, in_dim=5, hidden=8, classes=3, dropout=0.0):
@@ -95,7 +102,7 @@ class TestCeLoss:
         loss_both, grads_both = H.ce_loss_and_grad(head, x, t)
         loss_one, grads_one = H.ce_loss_and_grad(head, x[:1], t[:1])
         assert math.isclose(loss_both, loss_one, rel_tol=1e-12)
-        for a, b in zip(grads_both, grads_one):
+        for a, b in zip(grad_views(head, grads_both), grad_views(head, grads_one)):
             assert np.allclose(a, b, atol=1e-12)
 
 
@@ -131,8 +138,44 @@ class TestGradients:
         t = np.array([[1.0, 0.0]])
         _, ga = H.ce_loss_and_grad(head, x, t)
         gn = finite_difference_grads(head, x, t)
-        # last-layer weight gradient alone
-        assert gradient_relative_error([ga[-2], ga[-1]], [gn[-2], gn[-1]]) <= 1e-6
+        # the last layer's weight and bias gradients alone: the tail of the flat vector
+        last = head[0][-1].size + head[1][-1].size
+        assert gradient_relative_error(ga[-last:], gn[-last:]) <= 1e-6
+
+
+class TestFlatGradient:
+    """backward writes one flat vector laid out like a DepthHeads segment."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_views_are_the_per_parameter_formulas_bit_for_bit(self, dtype, mode):
+        rng = np.random.default_rng(28)
+        head = small_head(rng, in_dim=7, hidden=16, classes=4, dropout=0.3)
+        head = tuple([p.astype(dtype) for p in arrays] for arrays in head[:2]) + (head[2],)
+        x = rng.normal(0, 1, (11, 7))
+        t = np.eye(4)[rng.integers(0, 4, 11)]
+        masks = H.sample_masks(head, 11, rng) if mode == "train" else None
+        _, grad = H.ce_loss_and_grad(head, x, t, masks=masks)
+        cache = H.forward_cached(head, x, masks)
+        delta = ((cache["probs"] - t) * cache["clip_mask"]).astype(dtype)
+        expected = []
+        for layer in range(H.N_LAYERS - 1, -1, -1):  # the out-of-place formulas, last layer first
+            expected[:0] = [cache["inputs"][layer].T @ delta, delta.sum(axis=0)]
+            if layer:
+                delta = delta @ head[0][layer].T
+                delta *= (masks[layer] if masks else 1) * (cache["inputs"][layer] > 0)
+        assert grad.dtype == dtype and grad.shape == (sum(e.size for e in expected),)
+        views = grad_views(head, grad)
+        assert all(np.shares_memory(v, grad) for v in views)
+        assert all(np.array_equal(v, e) for v, e in zip(views, expected, strict=True))
+
+    def test_layout_is_a_depth_segment(self, animals):
+        """Depth d's segment, split as a gradient, is the student's own arrays."""
+        heads = random_heads(animals, np.random.default_rng(29))
+        for student, seg in zip(heads.students, heads.segments):
+            views = grad_views(student, heads.buffers["student"][seg])
+            for v, a in zip(views, parameters(student), strict=True):
+                assert v.shape == a.shape and v.__array_interface__["data"] == a.__array_interface__["data"]
 
 
 def assert_close(a, b, rel=1e-12):
@@ -156,7 +199,7 @@ class TestTargetRowsOnly:
         kept = None if masks is None else [m[live] for m in masks]
         loss_live, grads_live = H.ce_loss_and_grad(head, x[live], t[live], masks=kept)
         assert not live.all() and math.isclose(loss, loss_live, rel_tol=1e-12)
-        for g, g_live in zip(grads, grads_live):
+        for g, g_live in zip(grad_views(head, grads), grad_views(head, grads_live)):
             assert_close(g, g_live)
 
     def test_all_zero_targets_give_zero_loss_and_gradients(self):
@@ -167,8 +210,8 @@ class TestTargetRowsOnly:
             masks = H.sample_masks(head, 4, rng)
             loss, grads = H.ce_loss_and_grad(head, rng.normal(0, 1, (4, 5)), np.zeros((4, 3)), masks=masks)
         assert loss == 0.0
-        assert [g.shape for g in grads] == [p.shape for p in parameters(head)]
-        assert all(not g.any() for g in grads)
+        assert grads.shape == (sum(p.size for p in parameters(head)),)
+        assert not grads.any()
 
     def test_forward_sees_only_target_rows(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -263,8 +306,10 @@ def set_depth(heads, d, student, velocity=0.0):
         heads.buffers[role][heads.segments[d - 1]] = value
 
 
-def zero_grads(heads, d):
-    return [np.zeros_like(p) for p in parameters(heads.students[d - 1])]
+def zero_grad(heads, d):
+    """A flat zero gradient of depth d's student, as backward gives it."""
+    seg = heads.segments[d - 1]
+    return np.zeros(seg.stop - seg.start, H.HEAD_DTYPE)
 
 
 class TestSgd:
@@ -273,14 +318,14 @@ class TestSgd:
     def test_zero_gradient_no_decay_keeps_params(self, animals):
         heads = random_heads(animals, np.random.default_rng(23))
         set_depth(heads, 1, 1.0)
-        heads.sgd_step(1, zero_grads(heads, 1), H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.0))
+        heads.sgd_step(1, zero_grad(heads, 1), H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.0))
         assert np.all(heads.buffers["student"][heads.segments[0]] == 1.0)
 
     def test_single_step_formula(self, animals):
         heads = random_heads(animals, np.random.default_rng(24))
         set_depth(heads, 2, 2.0)
-        grads = [np.full_like(g, 0.5) for g in zero_grads(heads, 2)]
-        heads.sgd_step(2, grads, H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.01))
+        g = np.full_like(zero_grad(heads, 2), 0.5)
+        heads.sgd_step(2, g, H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.01))
         # v = g + wd*theta = 0.5 + 0.02; theta = 2 - 0.1*0.52
         assert np.allclose(heads.buffers["student"][heads.segments[1]], 2.0 - 0.1 * 0.52)
 
@@ -290,16 +335,16 @@ class TestSgd:
         lr, mu = 0.1, 0.9
         heads = random_heads(animals, np.random.default_rng(25))
         set_depth(heads, 1, 0.0)
-        grads = [np.ones_like(g) for g in zero_grads(heads, 1)]
-        for _ in range(2):
-            heads.sgd_step(1, grads, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=0.0))
+        for _ in range(2):  # a fresh gradient each step: sgd_step uses it as scratch
+            g = np.ones_like(zero_grad(heads, 1))
+            heads.sgd_step(1, g, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=0.0))
         assert np.allclose(heads.buffers["student"][heads.segments[0]], -lr * (1.0 + (1.0 + mu)))
 
     def test_scale_applies_to_gradient_only(self, animals):
         heads = random_heads(animals, np.random.default_rng(26))
         set_depth(heads, 1, 1.0)
-        grads = [np.full_like(g, 4.0) for g in zero_grads(heads, 1)]
-        heads.sgd_step(1, grads, H.OptimizerParams(lr=1.0, momentum=0.0, weight_decay=0.0), scale=0.25)
+        g = np.full_like(zero_grad(heads, 1), 4.0)
+        heads.sgd_step(1, g, H.OptimizerParams(lr=1.0, momentum=0.0, weight_decay=0.0), scale=0.25)
         assert np.all(heads.buffers["student"][heads.segments[0]] == 0.0)
 
     def test_in_place_update_is_the_formula_bit_for_bit(self, animals):
@@ -309,16 +354,35 @@ class TestSgd:
         heads = random_heads(animals, rng)
         before = {name: a.copy() for name, a in heads.state_dict().items()}
         d = 2
-        grads = [rng.normal(0, 1, g.shape).astype(np.float32) for g in zero_grads(heads, d)]
+        g = rng.normal(0, 1, zero_grad(heads, d).shape).astype(np.float32)
+        grads = grad_views(heads.students[d - 1], g.copy())
         lr, mu, wd, scale = 0.1, 0.9, 0.001, 0.37
         theta, v = depth_arrays(heads, "student", d), depth_arrays(heads, "velocity", d)
         v_ref = [mu * vi + (scale * gi + wd * ti) for vi, gi, ti in zip(v, grads, theta)]
         theta_ref = [ti - lr * vi for ti, vi in zip(theta, v_ref)]
-        heads.sgd_step(d, grads, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=wd), scale=scale)
+        heads.sgd_step(d, g, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=wd), scale=scale)
         assert all(a.dtype == np.float32 for a in v_ref + theta_ref)
         assert all(np.array_equal(a, b) for a, b in zip(v + theta, v_ref + theta_ref, strict=True))
         changed = {name for name, a in heads.state_dict().items() if not np.array_equal(a, before[name])}
         assert changed and all(name.split(".")[:2] in (["student", f"d{d}"], ["velocity", f"d{d}"]) for name in changed)
+
+    def test_largest_transient_is_one_segment(self):
+        """On heads shaped like the reference arm, the step allocates at most
+        one depth segment (the weight-decay term), plus a few array headers:
+        the gradient itself is the scratch, not a copy of it."""
+        hierarchy, dataset = reference_dataset(0)
+        heads = H.DepthHeads(hierarchy, dataset.dim, hidden=reference_train_config("semihoc", 0).hidden_dim)
+        opt = H.OptimizerParams(lr=0.01)
+        for d, seg in zip(heads.depths, heads.segments):
+            g = np.ones(seg.stop - seg.start, H.HEAD_DTYPE)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                heads.sgd_step(d, g, opt, scale=0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base <= g.nbytes + 4096, (d, peak - base, g.nbytes)
 
 
 class TestEma:
@@ -449,8 +513,8 @@ class TestFloat32Heads:
         loss, grads = H.ce_loss_and_grad(head, x, t, masks=masks)
         loss32, grads32 = H.ce_loss_and_grad(head32, x, t, masks=masks32)
         assert isinstance(loss32, float) and math.isclose(loss32, loss, rel_tol=1e-5)
-        for g, g32 in zip(grads, grads32):
-            assert g32.dtype == np.float32
+        assert grads32.dtype == np.float32
+        for g, g32 in zip(grad_views(head, grads), grad_views(head32, grads32)):
             assert np.abs(g32 - g).max(initial=0.0) <= 1e-5 * np.abs(g).max(initial=1.0)
 
     def test_masks_keep_the_same_rows_and_stream(self):
@@ -473,7 +537,7 @@ class TestFloat32Heads:
     def test_sgd_and_ema_stay_float32(self, animals):
         rng = np.random.default_rng(22)
         heads = random_heads(animals, rng)
-        grads = [rng.normal(0, 1, p.shape).astype(np.float32) for p in parameters(heads.students[0])]
-        heads.sgd_step(1, grads, H.OptimizerParams(lr=0.1, weight_decay=0.001), scale=0.5)
+        g = rng.normal(0, 1, zero_grad(heads, 1).shape).astype(np.float32)
+        heads.sgd_step(1, g, H.OptimizerParams(lr=0.1, weight_decay=0.001), scale=0.5)
         heads.ema_update_all(0.9)
         assert {a.dtype for a in heads.buffers.values()} == {np.dtype(np.float32)}

@@ -10,7 +10,7 @@ from semihoc import heads as heads_mod
 from semihoc import spl as spl_mod
 from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
 from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
-from semihoc.heads import DepthHeads
+from semihoc.heads import DepthHeads, flat_views
 from semihoc.hierarchy import Hierarchy, random_tree
 from semihoc.metrics import confidence_accuracy_bins
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
@@ -137,9 +137,10 @@ class TestGradientClipping:
         calls = []  # (raw gradient norm, scale) per sgd_step
         original = DepthHeads.sgd_step
 
-        def spy(heads, d, grads, opt, scale=1.0):
-            calls.append((math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)), scale))
-            return original(heads, d, grads, opt, scale)
+        def spy(heads, d, g, opt, scale=1.0):
+            views = flat_views(g, heads.shapes[d - 1])  # per parameter, before sgd_step uses g as scratch
+            calls.append((math.sqrt(sum(float((v.astype(np.float64) ** 2).sum()) for v in views)), scale))
+            return original(heads, d, g, opt, scale)
 
         monkeypatch.setattr(DepthHeads, "sgd_step", spy)
         fresh = Trainer(config(method="spl-oracle"), hierarchy, dataset)
