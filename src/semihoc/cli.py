@@ -36,7 +36,7 @@ from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
-from .spl import AgeGateState, SplLog, apply_gating, checkpoint_rows
+from .spl import AgeGateState, SplLog, apply_gating
 from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_blocks, run_training
 
 
@@ -171,8 +171,7 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
     if not known.any():
         raise DataError("evaluation subset has no samples with ground truth")
     report = bmhd(preds[known], gts[known], hierarchy)
-    mix = 0.5 * (report.id + report.ood) if report.id is not None and report.ood is not None else None
-    _write_csv(out / "bmhd.csv", ["bmhd_id", "bmhd_ood", "bmhd_mix"], [[report.id, report.ood, mix]])
+    _write_csv(out / "bmhd.csv", ["bmhd_id", "bmhd_ood", "bmhd_mix"], [[report.id, report.ood, report.mix]])
 
     for subset in ("id", "ood"):
         matrix = decomposition_matrix(preds[known], gts[known], hierarchy, subset)
@@ -243,8 +242,8 @@ def cmd_eval(args) -> int:
 
 def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
     """Purity / FPR / coverage diagnostics from the history and the log of
-    the checkpoint at `path`. The log is read as resume reads it, one row per
-    sample it names, and gated as training gates it.
+    the checkpoint at `path`. Both are read as resume reads them, one row per
+    sample they name, and the log is gated as training gates it.
 
     Correctness comes from the --features ground truth: an assignment is
     incorrect when the sample's ground truth lies outside the node's
@@ -252,10 +251,10 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
     sample has no ground truth.
     """
     what = f"checkpoint: {path}"
-    log = SplLog(np.unique(state["log.sample_id"]), hierarchy.depths)
-    _load(what, log.load_state_dict, {k: state[f"log.{k}"] for k in LOG_KEYS})
-    history = {k: state[f"history.{k}"] for k in LOG_KEYS}
-    _load(what, checkpoint_rows, history["sample_id"], hierarchy.n_nodes, history)
+    log_state, history_state = ({k: state[f"{name}.{k}"] for k in LOG_KEYS} for name in ("log", "history"))
+    log = SplLog(np.union1d(log_state["sample_id"], history_state["sample_id"]), hierarchy.depths)
+    _load(what, log.load_state_dict, log_state, history_state)
+    history = log.history_state()
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
     cutoffs = _load(what, gate.vector, hierarchy.n_nodes)

@@ -24,10 +24,9 @@ class BmhdReport:
     ood: float | None
 
     @property
-    def mix(self) -> float:
-        if self.id is None or self.ood is None:
-            raise ValueError("mixed score undefined: need both ID and OOD ground truths")
-        return 0.5 * (self.id + self.ood)
+    def mix(self) -> float | None:
+        """The mean of the two scores; None unless both are defined."""
+        return 0.5 * (self.id + self.ood) if self.id is not None and self.ood is not None else None
 
 
 def bmhd(predictions, ground_truths, hierarchy: Hierarchy) -> BmhdReport:

@@ -9,9 +9,11 @@ per depth.
 
 So assignments are chain tables, (rows x depths 1..D) of node ids, -1 for
 none. The log is such a table over the unlabeled rows with each node's
-first-assignment epoch beside it; the history, which can switch branches, is
-a dense (row, node) array of first-ever epochs. Checkpoints keep both as
-(sample id, node, epoch) triples in (row, node) order.
+first-assignment epoch beside it, plus an append-only record of its entries.
+Every first-ever assignment of a (row, node) is an entry, so the record's
+first entry per pair is the history of first-ever epochs, which can switch
+branches. Checkpoints keep the log and the history as (sample id, node,
+epoch) triples in (row, node) order.
 
 Age-gating counters a failure mode of self-training on open-set data: nodes
 keep collecting new, increasingly deep assignments late in training, well
@@ -76,7 +78,7 @@ def epoch_dtype(epochs: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= epochs)
 
 
-def checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
+def _checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
     """The row of each checkpoint triple; ValueError for an unknown sample, the root or a node not in the tree."""
     if not np.isin(state["sample_id"], sample_ids).all() or np.any((state["node"] < 1) | (state["node"] >= n_nodes)):
         raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
@@ -86,12 +88,14 @@ def checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.nda
 
 class SplLog:
     """Chain table of the current assignments: node[r, d - 1] is sample_ids[r]'s node at depth d,
-    -1 for none, and first[r, d - 1] the epoch it was first assigned in since."""
+    -1 for none, and first[r, d - 1] the epoch it was first assigned in since. `entered` records
+    every entry in order as (row * n_nodes + node keys, epochs) chunks."""
 
     def __init__(self, sample_ids: np.ndarray, depths: np.ndarray, dtype=np.int64):
         self.sample_ids, self.depths = sample_ids, depths
         self.node = np.full((len(sample_ids), int(depths.max())), -1, dtype=np.int64)
         self.first = np.full(self.node.shape, -1, dtype=dtype)
+        self.entered = [(np.empty(0, np.int64), np.empty(0, dtype))]
 
     def state_dict(self) -> dict:
         """The set entries as (sample id, node, epoch) arrays, in (row, node) order."""
@@ -100,50 +104,41 @@ class SplLog:
         rows, cols = rows[order], cols[order]
         return {"sample_id": self.sample_ids[rows], "node": self.node[rows, cols], "epoch": self.first[rows, cols]}
 
-    def load_state_dict(self, state: dict) -> None:
-        rows = checkpoint_rows(self.sample_ids, len(self.depths), state)
-        cols = self.depths[state["node"]] - 1
+    def history_state(self) -> dict:
+        """The first entry ever of each (row, node) as (sample id, node, epoch)
+        arrays, in (row, node) order. The record keeps only these afterwards."""
+        keys, epochs = (np.concatenate(parts) for parts in zip(*self.entered))
+        keys, at = np.unique(keys, return_index=True)
+        self.entered = [(keys, epochs[at])]
+        rows, nodes = np.divmod(keys, len(self.depths))
+        return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.entered[0][1]}
+
+    def load_state_dict(self, log: dict, history: dict) -> None:
+        """The current entries from `log` and the entry record from
+        `history`; ValueError for a triple with no row or column, or for two
+        current nodes of one depth for one sample."""
+        n_nodes = len(self.depths)
+        rows = _checkpoint_rows(self.sample_ids, n_nodes, log)
+        cols = self.depths[log["node"]] - 1
         if len(np.unique(rows * self.node.shape[1] + cols)) != len(rows):
             raise ValueError("checkpoint log holds two nodes of one depth for one sample")
+        keys = _checkpoint_rows(self.sample_ids, n_nodes, history) * n_nodes + history["node"].astype(np.int64)
         self.node[...], self.first[...] = -1, -1
-        self.node[rows, cols], self.first[rows, cols] = state["node"], state["epoch"]
-
-
-class SplHistory:
-    """First-ever assignment epoch per (row, node), -1 for never; row r is sample_ids[r]."""
-
-    def __init__(self, sample_ids: np.ndarray, n_nodes: int, dtype=np.int64):
-        self.sample_ids = sample_ids
-        self.first = np.full((len(sample_ids), n_nodes), -1, dtype=dtype)
-
-    def state_dict(self) -> dict:
-        """The set entries as (sample id, node, epoch) arrays."""
-        rows, nodes = np.nonzero(self.first >= 0)
-        return {"sample_id": self.sample_ids[rows], "node": nodes, "epoch": self.first[rows, nodes]}
-
-    def load_state_dict(self, state: dict) -> None:
-        rows = checkpoint_rows(self.sample_ids, self.first.shape[1], state)
-        self.first[...] = -1
-        self.first[rows, state["node"]] = state["epoch"]
+        self.node[rows, cols], self.first[rows, cols] = log["node"], log["epoch"]
+        self.entered = [(keys, history["epoch"].astype(self.first.dtype))]
 
 
 def update_log(log: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
     """Merge a chain table of `rows`' assignments. A node still assigned at
     its depth keeps its first epoch; a new one enters with `epoch`, so a
-    node dropped and later reassigned re-enters with the later epoch."""
-    first = log.first[rows]
-    np.copyto(first, epoch, where=assigned != log.node[rows])
+    node dropped and later reassigned re-enters with the later epoch. Every
+    entry also goes on the log's record."""
+    first, entering = log.first[rows], assigned != log.node[rows]
+    np.copyto(first, epoch, where=entering)
     np.copyto(first, -1, where=assigned < 0)
+    at, cols = np.nonzero(entering & (assigned >= 0))
+    log.entered.append((rows[at] * len(log.depths) + assigned[at, cols], np.full(len(at), epoch, log.first.dtype)))
     log.node[rows], log.first[rows] = assigned, first
-
-
-def update_history(history: SplHistory, rows: np.ndarray, assigned: np.ndarray, epoch: int) -> None:
-    """Like update_log, but an entry once made is never dropped: the epoch of
-    the first assignment ever, set from the chain table's entries."""
-    at, cols = np.nonzero(assigned >= 0)
-    rows, nodes = rows[at], assigned[at, cols]
-    new = history.first[rows, nodes] < 0
-    history.first[rows[new], nodes[new]] = epoch
 
 
 def detect_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: float) -> float:
@@ -204,11 +199,13 @@ class AgeGateState:
 
     def load_state_dict(self, state: dict) -> None:
         """ValueError naming the node for a cutoff that detect_cutoff cannot
-        give: NaN or negative."""
+        give, NaN or negative, and for a bin width that is no integer."""
         cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
         for node, t in cutoffs.items():
             if not t >= 0.0:  # NaN fails too
                 raise ValueError(f"cutoff of node {node} is {t}, not an epoch in [0, inf]")
+        if not float(state["bin_width"]).is_integer():
+            raise ValueError(f"gate bin_width {state['bin_width']} is not an integer")
         self.bin_width = int(state["bin_width"])
         self.drop_threshold = float(state["drop_threshold"])
         self.cutoffs = cutoffs

@@ -49,8 +49,7 @@ from .hierarchy import Hierarchy, hierarchy_hash
 from .metrics import bmhd, spl_purity_and_depth
 from .prohoc import fuse_batch, predict_nodes
 from .rng import StreamSet
-from .spl import AgeGateState, SplHistory, SplLog, apply_gating, assign, epoch_dtype
-from .spl import update_cutoffs, update_history, update_log
+from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, update_cutoffs, update_log
 
 METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-depth", "spl-oracle")
 SUBTREE_METHODS = ("semihoc", "semihoc-no-gate")  # whose pseudo-labels are chain tables, so tau >= 1/2
@@ -134,11 +133,11 @@ class EpochReport:
     method: str
     loss_labeled: tuple[float, ...]
     loss_unlabeled: tuple[float, ...]
-    spl_total: int
-    gated_count: int
-    coverage: float | None
-    purity: float | None
-    avg_depth: float | None
+    spl_total: int = 0
+    gated_count: int = 0
+    coverage: float | None = None
+    purity: float | None = None
+    avg_depth: float | None = None
     bmhd_id: float | None = None
     bmhd_ood: float | None = None
     bmhd_mix: float | None = None
@@ -203,12 +202,9 @@ class Trainer:
         self.labeled_idx = dataset.indices(SPLIT_LABELED)
         self.unlabeled_idx = dataset.indices(SPLIT_UNLABELED)
         self.test_idx = dataset.indices(SPLIT_TEST)
-        # Pseudo-label state: the current log, a chain table over (unlabeled row, depth),
-        # and for analysis the epoch of the first assignment ever per (unlabeled row, node).
-        unlabeled_ids, dtype = dataset.sample_ids[self.unlabeled_idx], epoch_dtype(config.epochs)
-        self.log = SplLog(unlabeled_ids, hierarchy.depths, dtype)
-        self.history = SplHistory(unlabeled_ids, hierarchy.n_nodes, dtype)
-        self._cutoffs = self.gate.vector(hierarchy.n_nodes, dtype)  # rebuilt whenever a cutoff changes
+        # Pseudo-label state: a chain table over (unlabeled row, depth) and the record of its entries.
+        self.log = SplLog(dataset.sample_ids[self.unlabeled_idx], hierarchy.depths, epoch_dtype(config.epochs))
+        self._cutoffs = self.gate.vector(hierarchy.n_nodes, self.log.first.dtype)  # rebuilt whenever a cutoff changes
         # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
         self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
         gts = dataset.labels[self.unlabeled_idx]
@@ -233,20 +229,13 @@ class Trainer:
 
     # -- per-method unlabeled target construction ---------------------------------
 
-    def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> np.ndarray:
+    def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
         """Log this batch's subtree pseudo-labels and return them gated."""
         fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
         assigned = assign(fused, self.hierarchy, self.config.tau)
         rows = np.searchsorted(self.unlabeled_idx, batch_u)
         update_log(self.log, rows, assigned, self.epoch)
-        update_history(self.history, rows, assigned, self.epoch)
-        gated = apply_gating(assigned, self.log.first[rows], self._cutoffs)
-        n_assigned = np.count_nonzero(assigned >= 0)
-        stats["spl_total"] += n_assigned
-        stats["gated"] += n_assigned - np.count_nonzero(gated >= 0)
-        ood = self._ood_rows[rows]
-        stats["ood"].append((gated[ood], self.dataset.labels[batch_u][ood]))
-        return gated
+        return apply_gating(assigned, self.log.first[rows], self._cutoffs)
 
     def _assign_oracle(self, gts: np.ndarray) -> np.ndarray:
         """Chain table of every non-root ancestor-or-self of the ground truth."""
@@ -264,11 +253,11 @@ class Trainer:
             out.append((live, _one_hot(cols[live], len(self.hierarchy.depth_space(d)))))
         return out
 
-    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray, stats: dict) -> list[tuple]:
+    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray) -> list[tuple]:
         """Per depth, a mask of the batch rows with a target and their targets."""
         cfg = self.config
         if cfg.method in SUBTREE_METHODS:
-            return self._pseudo_targets(self._assign_semihoc(batch_u, x_u, stats))
+            return self._pseudo_targets(self._assign_semihoc(batch_u, x_u))
         if cfg.method == "spl-oracle":
             return self._pseudo_targets(self._assign_oracle(self.dataset.labels[batch_u]))
         if cfg.method == "ssl-node":
@@ -287,7 +276,7 @@ class Trainer:
 
     # -- one optimization step ------------------------------------------------------
 
-    def _train_step(self, batch_l: np.ndarray, batch_u: np.ndarray, stats: dict) -> tuple[list[float], list[float]]:
+    def _train_step(self, batch_l: np.ndarray, batch_u: np.ndarray) -> tuple[list[float], list[float]]:
         cfg = self.config
         x_l = self.dataset.features[batch_l]
         labels_l = self.dataset.labels[batch_l]
@@ -297,7 +286,7 @@ class Trainer:
         x_u = self.dataset.features[batch_u] if uses_unlabeled else None
         m_u = len(batch_u) if uses_unlabeled else 0
 
-        d_targets = self._unlabeled_targets(batch_u, x_u, stats) if uses_unlabeled else None
+        d_targets = self._unlabeled_targets(batch_u, x_u) if uses_unlabeled else None
 
         drop_l = self.streams.get("dropout/labeled")
         drop_u = self.streams.get("dropout/unlabeled")
@@ -332,7 +321,6 @@ class Trainer:
     def run_epoch(self) -> EpochReport:
         cfg = self.config
         start = time.perf_counter()
-        stats = {"spl_total": 0, "gated": 0, "ood": []}
         sum_l = np.zeros(len(self.depths))
         sum_u = np.zeros(len(self.depths))
 
@@ -346,34 +334,24 @@ class Trainer:
 
         for batch_u in batches_u:
             batch_l = self.loader.next_batch()
-            loss_l, loss_u = self._train_step(batch_l, batch_u, stats)
+            loss_l, loss_u = self._train_step(batch_l, batch_u)
             for d, l, u in zip(self.depths, loss_l, loss_u):
                 if not (math.isfinite(l) and math.isfinite(u)):
                     raise ValueError(f"epoch {self.epoch} depth {d}: non-finite loss (labeled {l}, unlabeled {u})")
             sum_l += loss_l
             sum_u += loss_u
 
+        report = EpochReport(self.epoch, cfg.method, tuple(sum_l / len(batches_u)), tuple(sum_u / len(batches_u)))
+        if cfg.method in SUBTREE_METHODS:  # the epoch logged every unlabeled row once, under these cutoffs
+            gated = apply_gating(self.log.node, self.log.first, self._cutoffs)
+            report.spl_total, kept = np.count_nonzero(self.log.node >= 0), np.count_nonzero(gated >= 0)
+            report.gated_count = report.spl_total - kept
+            report.coverage = kept / report.spl_total if report.spl_total else None
+            gts, ood = self.dataset.labels[self.unlabeled_idx[self._ood_rows]], gated[self._ood_rows]
+            report.purity, report.avg_depth = spl_purity_and_depth(ood, gts, self.hierarchy) or (None, None)
         if self.gating_active and update_cutoffs(self.gate, self.log, self.epoch):
             self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
-
-        purity = avg_depth = None
-        if stats["ood"]:
-            gated, gts = (np.concatenate(parts) for parts in zip(*stats["ood"]))
-            purity, avg_depth = spl_purity_and_depth(gated, gts, self.hierarchy) or (None, None)
-
-        mean_l, mean_u = sum_l / len(batches_u), sum_u / len(batches_u)
-        report = EpochReport(
-            epoch=self.epoch,
-            method=cfg.method,
-            loss_labeled=tuple(mean_l),
-            loss_unlabeled=tuple(mean_u),
-            spl_total=stats["spl_total"],
-            gated_count=stats["gated"],
-            coverage=(stats["spl_total"] - stats["gated"]) / stats["spl_total"] if stats["spl_total"] else None,
-            purity=purity,
-            avg_depth=avg_depth,
-            wall_clock=time.perf_counter() - start,
-        )
+        report.wall_clock = time.perf_counter() - start
         self.epoch += 1
         return report
 
@@ -386,8 +364,7 @@ class Trainer:
         for block, fused in predict_blocks(self.heads, self.hierarchy, self.dataset.features, idx):
             preds[block] = predict_nodes(fused)
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
-        mix = 0.5 * (report.id + report.ood) if report.id is not None and report.ood is not None else None
-        return report.id, report.ood, mix
+        return report.id, report.ood, report.mix
 
     # -- checkpointing ---------------------------------------------------------------
 
@@ -400,8 +377,8 @@ class Trainer:
         meta.update(feature_dim=self.dataset.dim, classes=[len(self.hierarchy.depth_space(d)) for d in self.depths])
         meta.update(streams=self.streams.state_dict(), loader_pos=self.loader.pos, gate=self.gate.state_dict())
         state = {"meta": meta, **self.heads.state_dict(), "loader.perm": self.loader.perm}
-        for name, log in (("log", self.log), ("history", self.history)):
-            state.update({f"{name}.{key}": array for key, array in log.state_dict().items()})
+        for name, triples in (("log", self.log.state_dict()), ("history", self.log.history_state())):
+            state.update({f"{name}.{key}": triples[key] for key in LOG_KEYS})
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -411,8 +388,7 @@ class Trainer:
         if meta["config"] != asdict(self.config):
             raise ValueError("checkpoint config does not match the requested config")
         self.heads.load_state_dict(state)
-        for name, log in (("log", self.log), ("history", self.history)):
-            log.load_state_dict({key: state[f"{name}.{key}"] for key in LOG_KEYS})
+        self.log.load_state_dict(*({key: state[f"{name}.{key}"] for key in LOG_KEYS} for name in ("log", "history")))
         self.epoch, self.loader.pos = meta["epoch"], meta["loader_pos"]
         self.loader.perm = np.array(state["loader.perm"], dtype=np.int64)
         self.streams.load_state_dict(meta["streams"])
@@ -500,7 +476,7 @@ def load_checkpoint(path) -> dict:
 def _check_entries(state: dict) -> None:
     """Parse `meta` in place, then require exactly the arrays it implies:
     HEAD_DTYPE heads of the recorded shapes, and 1-D integer loader and log
-    arrays."""
+    arrays, the logs' epochs before meta's and no history pair twice."""
     if "meta" not in state:
         raise ValueError("missing entry meta")
     try:
@@ -514,6 +490,8 @@ def _check_entries(state: dict) -> None:
         gate.load_state_dict(meta["gate"])
         if (gate.bin_width, gate.drop_threshold) != (config.gate_bin_width, config.gate_drop_threshold):
             raise ValueError(f"gate bin_width {gate.bin_width} and drop_threshold {gate.drop_threshold} differ from the config")
+        if not 0 <= meta["epoch"] <= config.epochs:
+            raise ValueError(f"epoch {meta['epoch']} is outside [0, {config.epochs}]")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"entry meta: {exc}") from exc
     expected = entry_shapes(meta["feature_dim"], meta["classes"], meta["config"]["hidden_dim"])
@@ -530,6 +508,15 @@ def _check_entries(state: dict) -> None:
     for name in ("log", "history"):
         if len({len(state[f"{name}.{key}"]) for key in LOG_KEYS}) != 1:
             raise ValueError(f"entries {name}.* differ in length")
+        epochs = state[f"{name}.epoch"]
+        outside = (epochs < 0) | (epochs >= meta["epoch"])
+        if outside.any():
+            raise ValueError(f"entry {name}.epoch holds epoch {epochs[outside][0]}, outside [0, {meta['epoch']})")
+    ids, nodes = state["history.sample_id"], state["history.node"]
+    order = np.lexsort((nodes, ids))
+    twice = order[1:][(ids[order[1:]] == ids[order[:-1]]) & (nodes[order[1:]] == nodes[order[:-1]])]
+    if len(twice):
+        raise ValueError(f"entries history.* hold sample {ids[twice[0]]} node {nodes[twice[0]]} twice")
 
 
 # -- metrics CSV ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
 from semihoc.prohoc import subtree_confidences
-from semihoc.trainer import CHECKPOINT_VERSION, TrainConfig, load_checkpoint, predict_dataset
+from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, TrainConfig, load_checkpoint, predict_dataset
 
 
 def run(*argv):
@@ -365,6 +365,13 @@ class TestCheckpointEntries:
             ("zero-gate-bin-width", "entry meta: gate bin_width 0 and drop_threshold 0.01 differ"),
             ("nan-gate-drop-threshold", "entry meta: gate bin_width 1 and drop_threshold nan differ"),
             ("gate-drop-threshold-five", "entry meta: gate bin_width 1 and drop_threshold 5.0 differ"),
+            ("non-integer-gate-bin-width", "entry meta: gate bin_width 1.9 is not an integer"),
+            ("epoch-past-the-config", "entry meta: epoch 4 is outside [0, 3]"),
+            ("log-epoch-minus-one", "entry log.epoch holds epoch -1, outside [0, 3)"),
+            ("history-epoch-minus-one", "entry history.epoch holds epoch -1, outside [0, 3)"),
+            ("log-epoch-300", "entry log.epoch holds epoch 300, outside [0, 3)"),
+            ("history-epoch-300", "entry history.epoch holds epoch 300, outside [0, 3)"),
+            ("repeated-history-pair", "entries history.* hold sample"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -396,9 +403,21 @@ class TestCheckpointEntries:
                 "zero-gate-bin-width": ("bin_width", 0),
                 "nan-gate-drop-threshold": ("drop_threshold", float("nan")),
                 "gate-drop-threshold-five": ("drop_threshold", 5.0),
+                "non-integer-gate-bin-width": ("bin_width", 1.9),
             }[kind]
             meta["gate"][key] = value
             entries["meta"] = np.array(json.dumps(meta))
+        elif kind == "epoch-past-the-config":
+            meta = json.loads(entries["meta"].item())
+            meta["epoch"] = 4
+            entries["meta"] = np.array(json.dumps(meta))
+        elif "-epoch-" in kind:  # an epoch no run of meta.epoch epochs logs; 300 wraps in the run's int8 log
+            name = kind.partition("-")[0] + ".epoch"
+            entries[name] = entries[name].astype(np.int16)
+            entries[name][0] = 300 if kind.endswith("300") else -1
+        elif kind == "repeated-history-pair":  # the dense history kept the last copy, the entry record the first
+            for key in LOG_KEYS:
+                entries[f"history.{key}"] = np.append(entries[f"history.{key}"], entries[f"history.{key}"][:1])
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
             broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))

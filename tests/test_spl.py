@@ -11,14 +11,12 @@ from semihoc.oracles import histogram_scan_cutoff
 from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.spl import (
     AgeGateState,
-    SplHistory,
     SplLog,
     apply_gating,
     assign,
     compute_spls_batch,
     detect_cutoff,
     update_cutoffs,
-    update_history,
     update_log,
 )
 
@@ -43,13 +41,13 @@ def new_log():
     return SplLog(np.arange(12, dtype=np.uint64), DEPTHS)
 
 
-def new_history():
-    return SplHistory(np.arange(12, dtype=np.uint64), 7)
+NO_TRIPLES = {"sample_id": np.empty(0, np.uint64), "node": np.empty(0, np.int64), "epoch": np.empty(0, np.int64)}
 
 
-def logged(log, node, sample):
-    """The logged epoch of (sample, node), read off the checkpoint triples."""
-    state = log.state_dict()
+def logged(log, node, sample, history=False):
+    """The logged epoch of (sample, node), or its first-ever one with
+    `history`, read off the checkpoint triples."""
+    state = log.history_state() if history else log.state_dict()
     match = (state["sample_id"] == sample) & (state["node"] == node)
     return int(state["epoch"][match][0]) if match.any() else None
 
@@ -178,10 +176,10 @@ class TestSplLog:
         assert sorted(state["epoch"][state["node"] == BIRD].tolist()) == [1, 4]
 
     def test_history_keeps_first_assignment_ever(self):
-        history = new_history()
+        log = new_log()
         for chain, epoch in (((BIRD,), 2), ((), 3), ((BIRD, JUNCO), 5)):
-            update_history(history, np.array([4]), table(*chain), epoch)
-        assert logged(history, BIRD, 4) == 2 and logged(history, JUNCO, 4) == 5
+            log_chain(log, 4, chain, epoch)
+        assert logged(log, BIRD, 4, history=True) == 2 and logged(log, JUNCO, 4, history=True) == 5
 
     def test_sparse_state_roundtrip(self):
         log = SplLog(np.array([30, 10, 20], dtype=np.uint64), DEPTHS, dtype=np.int8)
@@ -190,11 +188,24 @@ class TestSplLog:
         assert state["sample_id"].tolist() == [30, 30, 20]
         assert state["node"].tolist() == [BIRD, JUNCO, MAMMAL]
         back = SplLog(np.array([20, 30, 10], dtype=np.uint64), DEPTHS, dtype=np.int8)
-        back.load_state_dict(state)
+        back.load_state_dict(state, log.history_state())
         for a, b in ((1, 0), (0, 2)):
             assert back.node[a].tolist() == log.node[b].tolist() and back.first[a].tolist() == log.first[b].tolist()
+        history = back.history_state()
+        assert history["sample_id"].tolist() == [20, 30, 30] and history["node"].tolist() == [MAMMAL, BIRD, JUNCO]
+        assert history["epoch"].dtype == np.int8 and history["epoch"].tolist() == [6, 6, 6]
         with pytest.raises(ValueError, match="no row"):
-            SplLog(np.array([10], dtype=np.uint64), DEPTHS).load_state_dict(state)
+            SplLog(np.array([10], dtype=np.uint64), DEPTHS).load_state_dict(state, NO_TRIPLES)
+
+    def test_loaded_history_keeps_its_epochs(self):
+        """A loaded history entry is older than any entry after the load."""
+        log = new_log()
+        history = {"sample_id": np.array([4, 4]), "node": np.array([BIRD, JUNCO]), "epoch": np.array([1, 2])}
+        log.load_state_dict(NO_TRIPLES, history)
+        log_chain(log, 4, (BIRD, JUNCO), epoch=5)
+        log_chain(log, 5, (MAMMAL,), epoch=6)
+        assert logged(log, BIRD, 4) == 5 and logged(log, JUNCO, 4, history=True) == 2
+        assert logged(log, BIRD, 4, history=True) == 1 and logged(log, MAMMAL, 5, history=True) == 6
 
     def test_state_in_row_then_node_order(self):
         """A chain's deeper node can have the smaller id; the triples still
@@ -207,22 +218,22 @@ class TestSplLog:
     def test_two_nodes_of_one_depth_refused(self):
         state = {"sample_id": np.array([3, 3]), "node": np.array([CAT, JUNCO]), "epoch": np.array([1, 2])}
         with pytest.raises(ValueError, match="two nodes of one depth"):
-            new_log().load_state_dict(state)
-        history = new_history()
-        history.load_state_dict(state)  # the history may switch branches
-        assert logged(history, CAT, 3) == 1 and logged(history, JUNCO, 3) == 2
+            new_log().load_state_dict(state, NO_TRIPLES)
+        log = new_log()
+        log.load_state_dict(NO_TRIPLES, state)  # the history may switch branches
+        assert logged(log, CAT, 3, history=True) == 1 and logged(log, JUNCO, 3, history=True) == 2
 
     def test_root_refused(self):
         state = {"sample_id": np.array([3]), "node": np.array([ROOT]), "epoch": np.array([1])}
-        for log in (new_log(), new_history()):
+        for log_state, history_state in ((state, NO_TRIPLES), (NO_TRIPLES, state)):
             with pytest.raises(ValueError, match="no row or column"):
-                log.load_state_dict(state)
+                new_log().load_state_dict(log_state, history_state)
 
 
 class TestInPlaceLogUpdates:
-    """assign, update_log, update_history, apply_gating and update_cutoffs on
-    chain tables give what the nested np.where formulas of a dense
-    (row, node) log give, epoch after epoch."""
+    """assign, update_log, apply_gating and update_cutoffs on chain tables,
+    and the history read off the log's entries, give what the nested np.where
+    formulas of a dense (row, node) log and history give, epoch after epoch."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -236,7 +247,7 @@ class TestInPlaceLogUpdates:
         tree = random_tree(rng, int(rng.integers(4, 30)))
         n_rows, n_nodes, n = 12, tree.n_nodes, 8
         ids = np.arange(100, 100 + n_rows, dtype=np.uint64)
-        log, history = SplLog(ids, tree.depths, dtype), SplHistory(ids, n_nodes, dtype)
+        log = SplLog(ids, tree.depths, dtype)
         dense_log, dense_history = np.full((2, n_rows, n_nodes), -1, dtype=dtype)
         gate, dense_gate = AgeGateState(1, 0.5), AgeGateState(1, 0.5)
         epochs = list(range(8)) + ([int(np.iinfo(dtype).max)] if at_max else [])
@@ -249,7 +260,6 @@ class TestInPlaceLogUpdates:
             assert np.array_equal(expand(assigned, n_nodes), mask)
 
             update_log(log, rows, assigned, epoch)
-            update_history(history, rows, assigned, epoch)
             current = dense_log[rows]
             dense_log[rows] = np.where(mask, np.where(current < 0, epoch, current), -1)
             current = dense_history[rows]
@@ -269,10 +279,9 @@ class TestInPlaceLogUpdates:
                             dense_gate.cutoffs[c] = detected
                 assert gate.cutoffs == dense_gate.cutoffs
 
-        for tracked, dense in ((log, dense_log), (history, dense_history)):
+        assert log.first.dtype == dense_log.dtype
+        for state, dense in ((log.state_dict(), dense_log), (log.history_state(), dense_history)):
             rows, nodes = np.nonzero(dense >= 0)
-            state = tracked.state_dict()
-            assert tracked.first.dtype == dense.dtype
             assert state["sample_id"].tolist() == ids[rows].tolist() and state["node"].tolist() == nodes.tolist()
             assert state["epoch"].dtype == dtype and state["epoch"].tolist() == dense[rows, nodes].tolist()
 

@@ -12,10 +12,11 @@ from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_tra
 from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from semihoc.heads import DepthHeads, flat_views
 from semihoc.hierarchy import Hierarchy, random_tree
-from semihoc.metrics import confidence_accuracy_bins
+from semihoc.metrics import confidence_accuracy_bins, spl_purity_and_depth
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 from semihoc.trainer import (
     GRAD_CLIP_NORM,
+    LOG_KEYS,
     METHODS,
     PREDICT_BATCH,
     TrainConfig,
@@ -85,6 +86,10 @@ class TestConfig:
             TrainConfig.from_dict(data)
 
 
+# A short run whose log keeps changing, so that age-gating removes entries within 5 epochs.
+CHANGING_LOG = dict(lr=0.2, tau=0.5, gate_drop_threshold=0.5, ema_momentum=0.5)
+
+
 class TestLossContract:
     def test_loss_normalization(self, tiny_data):
         """l_d = l_d^labeled/N + l_d^unlabeled/M, recomputed from a manual step."""
@@ -124,9 +129,8 @@ class TestLossContract:
         for weights, _, _ in trainer.heads.students:
             for w in weights:
                 w[...] = 0.0
-        stats = {"spl_total": 0, "gated": 0, "ood": []}
         batch_l = trainer.loader.next_batch()
-        loss_l, _ = trainer._train_step(batch_l, np.empty(0, dtype=np.int64), stats)
+        loss_l, _ = trainer._train_step(batch_l, np.empty(0, dtype=np.int64))
         for d, loss in zip(trainer.depths, loss_l):
             assert loss == pytest.approx(math.log(len(hierarchy.depth_space(d))), rel=1e-9)
 
@@ -150,9 +154,8 @@ class TestGradientClipping:
             for w in weights:
                 w[...] = 0.0
         for trainer in (fresh, zeroed):
-            stats = {"spl_total": 0, "gated": 0, "ood": []}
             batch_u = trainer.unlabeled_idx[: trainer.config.labeled_batch_size * trainer.config.unlabeled_ratio]
-            trainer._train_step(trainer.loader.next_batch(), batch_u, stats)
+            trainer._train_step(trainer.loader.next_batch(), batch_u)
 
         assert len(calls) == 2 * hierarchy.max_depth  # one pair per depth and step
         assert any(norm > GRAD_CLIP_NORM for norm, _ in calls)
@@ -293,6 +296,19 @@ class TestDeterminismAndResume:
         assert resumed[0] == full[0]
         assert resumed[1:] == full[4:]
 
+    def test_resumed_checkpoint_holds_the_same_log_and_history(self, tiny_data, tmp_path):
+        """The history a resumed run writes keeps the first epochs of entries
+        made before the resume, as the uninterrupted run's does."""
+        hierarchy, dataset = tiny_data
+        cfg = config(epochs=6, checkpoint_every=3, **CHANGING_LOG)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "full")
+        state = load_checkpoint(tmp_path / "full" / "ckpt_epoch0003.bin")
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=state)
+        full, resumed = (load_checkpoint(tmp_path / run / "ckpt_epoch0006.bin") for run in ("full", "resumed"))
+        for name in (f"{log}.{key}" for log in ("log", "history") for key in LOG_KEYS):
+            assert full[name].dtype == resumed[name].dtype and np.array_equal(full[name], resumed[name]), name
+        assert (full["history.epoch"] < 3).any() and len(full["history.node"]) > len(full["log.node"])
+
     def test_checkpoint_roundtrip_preserves_state(self, tiny_data, tmp_path):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
@@ -361,9 +377,9 @@ class TestEpochAccounting:
         seen = []
         original = trainer._assign_semihoc
 
-        def spy(batch_u, x_u, stats):
+        def spy(batch_u, x_u):
             seen.extend(int(g) for g in dataset.sample_ids[batch_u])
-            return original(batch_u, x_u, stats)
+            return original(batch_u, x_u)
 
         trainer._assign_semihoc = spy
         trainer.run_epoch()
@@ -379,8 +395,8 @@ class TestPseudoLabelLog:
         replay_log, replay_history = {}, {}
         original = trainer._assign_semihoc
 
-        def spy(batch_u, x_u, stats):
-            gated = original(batch_u, x_u, stats)
+        def spy(batch_u, x_u):
+            gated = original(batch_u, x_u)
             fused = fuse_batch(trainer.heads.teacher_forward_all(x_u), hierarchy)
             for g, row in zip(dataset.sample_ids[batch_u], spl_mod.assign(fused, hierarchy, 0.5)):
                 nodes = set(row[row >= 0].tolist())
@@ -404,10 +420,38 @@ class TestPseudoLabelLog:
         history = sparse("history")
         assert history == replay_history and len(history) >= len(logged) > 0
 
+    def test_epoch_report_equals_a_per_step_recount(self, tiny_data):
+        """Each epoch's counts, coverage, purity and depth, read off the log at
+        epoch end, equal a recount of what its steps assigned and kept."""
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(epochs=5, **CHANGING_LOG), hierarchy, dataset)
+        steps = []
+        original = trainer._assign_semihoc
+
+        def spy(batch_u, x_u):
+            fused = fuse_batch(trainer.heads.teacher_forward_all(x_u), hierarchy)
+            steps.append((spl_mod.assign(fused, hierarchy, 0.5), original(batch_u, x_u), dataset.labels[batch_u]))
+            return steps[-1][1]
+
+        trainer._assign_semihoc = spy
+        removed = 0
+        for _ in range(5):
+            steps.clear()
+            report = trainer.run_epoch()
+            assigned, gated, gts = (np.concatenate(parts) for parts in zip(*steps))
+            total, kept = np.count_nonzero(assigned >= 0), np.count_nonzero(gated >= 0)
+            assert (report.spl_total, report.gated_count, report.coverage) == (total, total - kept, kept / total)
+            known = gts != NO_LABEL
+            ood = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
+            recount = spl_purity_and_depth(gated[ood], gts[ood], hierarchy)
+            assert recount is not None and (report.purity, report.avg_depth) == recount
+            removed += total - kept
+        assert removed > 0  # gating removed entries, so gated and assigned counts differ
+
     def test_smallest_epoch_dtype(self, tiny_data):
         hierarchy, dataset = tiny_data
         assert Trainer(config(epochs=127), hierarchy, dataset).log.first.dtype == np.int8
-        assert Trainer(config(epochs=400), hierarchy, dataset).history.first.dtype == np.int16
+        assert Trainer(config(epochs=400), hierarchy, dataset).state_dict()["history.epoch"].dtype == np.int16
 
 
 class TestBenchmarkContract:
@@ -442,8 +486,7 @@ class TestTargetRows:
             return original(head, x, targets, masks=masks)
 
         monkeypatch.setattr(heads_mod, "ce_loss_and_grad", spy)
-        stats = {"spl_total": 0, "gated": 0, "ood": []}
-        trainer._train_step(trainer.loader.next_batch(), trainer.unlabeled_idx[:16], stats)
+        trainer._train_step(trainer.loader.next_batch(), trainer.unlabeled_idx[:16])
         assert method == "supervised" or len(seen) > len(trainer.depths)  # unlabeled rows got there too
         assert all(n == len(targets) and targets.any(axis=1).all() for n, targets in seen)
 
