@@ -6,16 +6,16 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime or data error.
 from __future__ import annotations
 
 import os
+import sys
 
-if os.environ.get("SEMIHOC_THREADS"):
-    # Cap BLAS worker pools; must happen before numpy is first imported.
+if "numpy" not in sys.modules:
+    # BLAS reads its thread count when numpy first loads. One thread per GEMM unless SEMIHOC_THREADS
+    # says otherwise, so a run writes the same bytes on any core count; the depth workers use the cores.
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["SEMIHOC_THREADS"])
+        os.environ.setdefault(_var, os.environ.get("SEMIHOC_THREADS") or "1")
 
 import argparse
-import ctypes
 import json
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,6 +24,7 @@ import numpy as np
 from . import oracles
 from .datagen import (
     NO_LABEL,
+    SPLIT_LABELED,
     SPLIT_TEST,
     SPLIT_UNLABELED,
     SyntheticConfig,
@@ -34,10 +35,11 @@ from .datagen import (
 )
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
-from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage, spl_purity_and_depth
+from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
-from .spl import AgeGateState, SplLog, apply_gating
+from .spl import AgeGateState, SplLog, log_summary
 from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_blocks, run_training
+from .trainer import blas_library, blas_threads, depth_workers, keep_freed_memory
 
 
 class UsageError(Exception):
@@ -138,6 +140,10 @@ def cmd_train(args) -> int:
     out = _prepare_out_dir(args.out, args.force)
 
     resume = _load("checkpoint", load_checkpoint, args.resume) if args.resume else None
+    if not args.quiet:
+        n_labeled, n_unlabeled = (len(dataset.indices(split)) for split in (SPLIT_LABELED, SPLIT_UNLABELED))
+        workers = depth_workers(config, hierarchy.max_depth, n_labeled, n_unlabeled)
+        print(f"blas: {blas_library()}, threads per call: {blas_threads()}, depth workers: {workers}")
 
     def log_fn(report):
         parts = [f"epoch {report.epoch}"]
@@ -264,12 +270,7 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
     incorrect = known & ~hierarchy.in_subtree(np.where(known, gts, 0), history["node"])
     gate_report = gate_fpr_coverage(history["node"], history["epoch"], incorrect, cutoffs)
 
-    # the gated current log of samples whose ground truth is an internal node
-    gts = dataset.labels_of(log.sample_ids)
-    known = gts != NO_LABEL
-    ood = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
-    gated = apply_gating(log.node[ood], log.first[ood], cutoffs)
-    purity, avg_depth = spl_purity_and_depth(gated, gts[ood], hierarchy) or (None, None)
+    _, _, purity, avg_depth = log_summary(log, cutoffs, dataset.labels_of(log.sample_ids), hierarchy)
 
     header = ["purity", "avg_depth", "gate_fpr", "gate_coverage", "n_assignments", "n_incorrect", "fpr_defined"]
     row = [purity, avg_depth, gate_report.fpr, gate_report.coverage]
@@ -474,19 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc keep freed memory for reuse: each training step allocates and frees arrays of a
-    few MB, and under its dynamic thresholds the heap top could go back to the OS after every step
-    and be page-faulted in again by the next. A no-op where the C library has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays below 32 MB come from the heap,
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: which shrinks only past 256 MB of free top
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

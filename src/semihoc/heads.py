@@ -21,13 +21,18 @@ exponential moving average of the student and is the model actually used for
 pseudo-labels and evaluation. A head's gradient is one flat vector laid out
 like its DepthHeads segment, which sgd_step uses up as scratch. Forward,
 backward, SGD and EMA work in place on fresh buffers wherever the result is
-the same float as the out-of-place expression.
+the same float as the out-of-place expression. The depth heads of a step
+are independent of each other, so map_depths can share them out to threads:
+numpy's BLAS calls and large elementwise loops run without the interpreter
+lock, and each head computes exactly as it would alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +89,10 @@ def sample_masks(head: tuple, n: int, rng: np.random.Generator, live: np.ndarray
     return masks
 
 
-def skip_masks(head: tuple, n: int, rng: np.random.Generator) -> None:
-    """Leave `rng` where sample_masks(head, n, rng) would, without drawing:
-    a float64 uniform is one step of the PCG64 generator, so the stream is
-    advanced by the number of uniforms. The stream must hold no buffered
-    32-bit half, which only integer draws of 32 bits or fewer leave behind."""
-    rng.bit_generator.advance(sum(rows * cols for rows, cols in _mask_shapes(head, n)))
+def mask_draws(head: tuple, n: int) -> int:
+    """The float64 uniforms sample_masks(head, n, ...) draws, each one step of
+    a PCG64 stream: the distance to advance a stream past those masks."""
+    return sum(rows * cols for rows, cols in _mask_shapes(head, n))
 
 
 def _forward(head: tuple, x: np.ndarray, masks: list[np.ndarray] | None) -> tuple[list[np.ndarray], np.ndarray]:
@@ -139,24 +142,32 @@ def forward(head: tuple, x: np.ndarray) -> np.ndarray:
     return _softmax_clipped(_forward(head, x, None)[1])  # no clip mask: only backward reads it
 
 
+def _runs(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes, from 0."""
+    return [slice(a, b) for a, b in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+
+
 def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Reshaped views of consecutive runs of the 1-D `flat`, one per shape."""
-    bounds = [0, *itertools.accumulate(map(math.prod, shapes))]  # np.cumsum costs more than the views on small heads
-    return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+    return [flat[run].reshape(shape) for run, shape in zip(_runs(map(math.prod, shapes)), shapes)]
 
 
 def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. all parameters in one fresh vector of the head's dtype,
     laid out like a DepthHeads segment (w0, b0, w1, ...), given the loss
-    gradient at the logits; each parameter's part is written in its view."""
+    gradient at the logits; each parameter's part is written in place, at
+    offsets walked down from the end by the parameters' sizes."""
     weights, biases, _ = head
     masks, inputs = cache["masks"], cache["inputs"]
     grad = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), weights[0].dtype)
-    views = flat_views(grad, [p.shape for pair in zip(weights, biases) for p in pair])
+    stop = grad.size  # end of the next part down: views built per call cost more than the matmuls of small heads
     delta = (d_logits * cache["clip_mask"]).astype(weights[0].dtype, copy=False)
     for layer in range(N_LAYERS - 1, -1, -1):
-        np.matmul(inputs[layer].T, delta, out=views[2 * layer])
-        delta.sum(axis=0, out=views[2 * layer + 1])
+        w, b = weights[layer], biases[layer]
+        delta.sum(axis=0, out=grad[stop - b.size : stop])
+        stop -= b.size
+        np.matmul(inputs[layer].T, delta, out=grad[stop - w.size : stop].reshape(w.shape))
+        stop -= w.size
         if layer == 0:
             break
         delta = delta @ weights[layer].T
@@ -186,6 +197,39 @@ def ce_loss_and_grad(
     return loss, backward(head, cache, d_logits)
 
 
+@functools.cache
+def _pool():
+    """The threads map_depths shares items with: made at its first call that
+    shares, then kept for the process. concurrent.futures is imported here,
+    so that a process that never shares (eval, small heads) does not load it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=os.cpu_count() or 1, thread_name_prefix="semihoc-depth")
+
+
+def map_depths(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], the items dealt round-robin to `workers`
+    threads: worker k calls fn on items k, k + workers, ... in turn. The
+    calling thread is worker 0 and a process-wide thread pool runs the
+    others. Items of different workers run at the same time, so fn must not
+    let two items write the same memory. The results come back in the order
+    of `items` once every worker is done."""
+    shares = [items[k::workers] for k in range(min(workers, len(items)))]
+    if len(shares) <= 1:
+        return [fn(item) for item in items]
+    pending = [_pool().submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]]
+    try:
+        parts = [[fn(item) for item in shares[0]]]
+    finally:
+        for future in pending:
+            future.exception()  # waits: no worker outlives the call, even when the calling thread's share raised
+    parts += [future.result() for future in pending]
+    results = [None] * len(items)
+    for k, part in enumerate(parts):
+        results[k :: len(parts)] = part
+    return results
+
+
 @dataclass
 class OptimizerParams:
     lr: float
@@ -209,12 +253,13 @@ class DepthHeads:
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
         self.depths = list(range(1, hierarchy.max_depth + 1))
         classes = [len(hierarchy.depth_space(d)) for d in self.depths]
-        self.shapes = [param_shapes(feature_dim, k, hidden) for k in classes]  # per depth, as flat_views takes
-        bounds = [0, *itertools.accumulate(sum(map(math.prod, shapes)) for shapes in self.shapes)]
-        self.segments = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.buffers = {role: np.zeros(bounds[-1], HEAD_DTYPE) for role in ROLES}
-        views = {(d, role): flat_views(self.buffers[role][seg], shapes)  # depth by depth, role by role
-                 for d, seg, shapes in zip(self.depths, self.segments, self.shapes) for role in ROLES}
+        shapes = [param_shapes(feature_dim, k, hidden) for k in classes]  # per depth, as flat_views takes
+        self.segments = _runs(sum(map(math.prod, s)) for s in shapes)
+        # per depth, the slice of each parameter (w0, b0, w1, ...) in a segment or a flat gradient, made once
+        self.param_slices = [_runs(map(math.prod, s)) for s in shapes]
+        self.buffers = {role: np.zeros(self.segments[-1].stop, HEAD_DTYPE) for role in ROLES}
+        views = {(d, role): flat_views(self.buffers[role][seg], s)  # depth by depth, role by role
+                 for d, seg, s in zip(self.depths, self.segments, shapes) for role in ROLES}
         self._state = dict(zip(entry_shapes(feature_dim, classes, hidden), sum(views.values(), []), strict=True))
         self.students, self.teachers = (
             [(views[d, role][0::2], views[d, role][1::2], dropout) for d in self.depths] for role in ROLES[:2]
@@ -227,9 +272,10 @@ class DepthHeads:
             init_weights(weights, rng)
         self.buffers["teacher"][...] = self.buffers["student"]
 
-    def teacher_forward_all(self, x: np.ndarray) -> list[np.ndarray]:
-        """Eval-mode teacher probabilities at every depth."""
-        return [forward(t, x) for t in self.teachers]
+    def teacher_forward_all(self, x: np.ndarray, workers: int = 1) -> list[np.ndarray]:
+        """Eval-mode teacher probabilities at every depth, the depths shared
+        by `workers` threads as map_depths shares them."""
+        return map_depths(lambda teacher: forward(teacher, x), self.teachers, workers)
 
     def sgd_step(self, d: int, g: np.ndarray, opt: OptimizerParams, scale: float = 1.0) -> None:
         """Classic SGD-momentum update of depth d's student, weight decay

@@ -313,13 +313,6 @@ def hierarchy_hash(hierarchy: Hierarchy) -> int:
     return fnv1a_64(hierarchy_bytes(hierarchy))
 
 
-def example_tree() -> Hierarchy:
-    """Seven-node animal tree used throughout the tests and docs."""
-    names = ["Root", "Mammal", "Bird", "Cat", "Dog", "Eagle", "Junco"]
-    parents = [-1, 0, 0, 1, 1, 2, 2]
-    return Hierarchy(parents, names, id_leaves=[3, 4, 5, 6])
-
-
 def random_tree(rng: np.random.Generator, n_nodes: int, recent_bias: int = 5) -> Hierarchy:
     """Random hierarchy for property tests; every leaf is an ID class.
 

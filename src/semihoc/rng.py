@@ -28,6 +28,17 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _MASK64, fnv1a_64(name.encode())]))
 
 
+def advanced(gen: np.random.Generator, steps: int) -> np.random.Generator:
+    """A new generator standing where `gen` will after `steps` more steps of
+    its bit generator, one per float64 uniform; `gen` does not move. The
+    stream must hold no buffered 32-bit half, which only integer draws of 32
+    bits or fewer leave behind: advancing drops it."""
+    bits = type(gen.bit_generator)(0)  # a fixed seed: seeding from OS entropy costs more than the copy
+    bits.state = gen.bit_generator.state
+    bits.advance(steps)
+    return np.random.Generator(bits)
+
+
 class StreamSet:
     """Lazily created named substreams of one seed, with state snapshots.
 

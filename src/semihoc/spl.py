@@ -31,7 +31,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .datagen import NO_LABEL
 from .hierarchy import Hierarchy
+from .metrics import spl_purity_and_depth
 from .prohoc import subtree_confidences
 
 
@@ -231,3 +233,15 @@ def apply_gating(assigned: np.ndarray, first: np.ndarray, cutoffs: np.ndarray) -
     """The chain table `assigned` with -1 where the logged first epoch is
     strictly past the node's cutoff; `first` holds the log rows of its rows."""
     return np.where(first > cutoffs[assigned], -1, assigned)
+
+
+def log_summary(log: SplLog, cutoffs: np.ndarray, ground_truths: np.ndarray, hierarchy: Hierarchy) -> tuple:
+    """(entries of `log`, entries gating under `cutoffs` keeps, purity, mean
+    depth): the last two by spl_purity_and_depth over the gated rows whose
+    ground truth, one per log row and NO_LABEL where unknown, is an internal
+    node, and None when none of those rows keeps an entry."""
+    gated = apply_gating(log.node, log.first, cutoffs)
+    known = ground_truths != NO_LABEL
+    ood = known & ~hierarchy.is_leaf(np.where(known, ground_truths, 0))
+    purity, depth = spl_purity_and_depth(gated[ood], ground_truths[ood], hierarchy) or (None, None)
+    return np.count_nonzero(log.node >= 0), np.count_nonzero(gated >= 0), purity, depth

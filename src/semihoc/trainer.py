@@ -32,6 +32,7 @@ masks as methods that do.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -46,16 +47,27 @@ from . import heads as heads_mod
 from .datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from .heads import HEAD_DTYPE, DepthHeads, OptimizerParams, entry_shapes
 from .hierarchy import Hierarchy, hierarchy_hash
-from .metrics import bmhd, spl_purity_and_depth
+from .metrics import bmhd
 from .prohoc import fuse_batch, predict_nodes
-from .rng import StreamSet
-from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, update_cutoffs, update_log
+from .rng import StreamSet, advanced
+from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, log_summary, update_cutoffs, update_log
 
 METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-depth", "spl-oracle")
 SUBTREE_METHODS = ("semihoc", "semihoc-no-gate")  # whose pseudo-labels are chain tables, so tau >= 1/2
 
 # Upper bound on the global L2 norm of one depth head's gradient per step.
 GRAD_CLIP_NORM = 5.0
+
+# A depth's matmul work per step, (labeled + unlabeled batch rows) x hidden^2 multiply-adds, from
+# which the depths of a step share the cores: numpy keeps the interpreter lock on small arrays, so
+# below it threads lose. run_training on a 2-core host, 1 BLAS thread, seconds serial -> 2 workers:
+#
+#   hidden                        64           128          256          384          512          768
+#   reference data, 40/30 epochs  0.35 -> 0.76 0.63 -> 1.31 1.48 -> 2.11 2.08 -> 1.97 4.15 -> 3.35 8.18 -> 5.29
+#   wide-tree data, 10 epochs     -            1.66 -> 2.59 2.83 -> 3.33
+#
+# The reference config (612 rows at hidden 512: 1.6e8) shares; wide-tree (640 rows at 64) does not.
+PARALLEL_WORK = 1 << 27
 
 # Rows per block of predict_blocks, the one loop that forwards and fuses the teacher outside
 # training, so that a caller that streams holds one block's node distributions at a time.
@@ -179,6 +191,7 @@ class Trainer:
 
     def __init__(self, config: TrainConfig, hierarchy: Hierarchy, dataset: FeatureDataset):
         config.validate()
+        keep_freed_memory()  # for library callers too, not only the CLI
         expected = hierarchy_hash(hierarchy)
         if dataset.hierarchy_hash != expected:
             hashes = f"{dataset.hierarchy_hash:#018x} != {expected:#018x}"
@@ -202,19 +215,17 @@ class Trainer:
         self.labeled_idx = dataset.indices(SPLIT_LABELED)
         self.unlabeled_idx = dataset.indices(SPLIT_UNLABELED)
         self.test_idx = dataset.indices(SPLIT_TEST)
+        self.workers = depth_workers(config, len(self.depths), len(self.labeled_idx), len(self.unlabeled_idx))
         # Pseudo-label state: a chain table over (unlabeled row, depth) and the record of its entries.
         self.log = SplLog(dataset.sample_ids[self.unlabeled_idx], hierarchy.depths, epoch_dtype(config.epochs))
         self._cutoffs = self.gate.vector(hierarchy.n_nodes, self.log.first.dtype)  # rebuilt whenever a cutoff changes
         # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
         self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
-        gts = dataset.labels[self.unlabeled_idx]
-        known = gts != NO_LABEL
-        self._ood_rows = known & ~hierarchy.is_leaf(np.where(known, gts, 0))
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
         if len(self.labeled_idx) == 0:
             raise ValueError("training needs a non-empty labeled split")
-        if config.method == "spl-oracle" and not known.all():
+        if config.method == "spl-oracle" and (dataset.labels[self.unlabeled_idx] == NO_LABEL).any():
             raise ValueError("spl-oracle needs ground truth for every unlabeled sample")
 
         self.loader = _LabeledLoader(self.labeled_idx, config.labeled_batch_size, self.streams.get("shuffle/labeled"))
@@ -231,7 +242,7 @@ class Trainer:
 
     def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
         """Log this batch's subtree pseudo-labels and return them gated."""
-        fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
+        fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), self.hierarchy)
         assigned = assign(fused, self.hierarchy, self.config.tau)
         rows = np.searchsorted(self.unlabeled_idx, batch_u)
         update_log(self.log, rows, assigned, self.epoch)
@@ -262,13 +273,13 @@ class Trainer:
             return self._pseudo_targets(self._assign_oracle(self.dataset.labels[batch_u]))
         if cfg.method == "ssl-node":
             # the confident argmax node supervises every depth, like a label
-            fused = fuse_batch(self.heads.teacher_forward_all(x_u), self.hierarchy)
+            fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), self.hierarchy)
             preds = predict_nodes(fused)
             passing = fused[np.arange(len(preds)), preds] > cfg.tau
             lives = [passing & q.any(axis=1)[preds] for q in self.hierarchy.Q]
             return [(live, q[preds[live]]) for live, q in zip(lives, self.hierarchy.Q)]
         targets = []  # ssl-per-depth: each depth's own confident argmax
-        for probs in self.heads.teacher_forward_all(x_u):
+        for probs in self.heads.teacher_forward_all(x_u, self.workers):
             preds = np.argmax(probs, axis=1)
             live = probs[np.arange(len(preds)), preds] > cfg.tau
             targets.append((live, _one_hot(preds[live], probs.shape[1])))
@@ -277,6 +288,13 @@ class Trainer:
     # -- one optimization step ------------------------------------------------------
 
     def _train_step(self, batch_l: np.ndarray, batch_u: np.ndarray) -> tuple[list[float], list[float]]:
+        """One step of every depth's student, the depths shared by self.workers
+        threads. Each depth's dropout masks are one run of `dropout/labeled`
+        and one of `dropout/unlabeled`, in depth order, so depth d draws from
+        a copy of each stream advanced past the runs of the depths before it,
+        and the streams then move past all D runs: the masks and the streams'
+        end states are those of drawing depth after depth. A depth with no
+        unlabeled target row draws no unlabeled masks."""
         cfg = self.config
         x_l = self.dataset.features[batch_l]
         labels_l = self.dataset.labels[batch_l]
@@ -290,11 +308,13 @@ class Trainer:
 
         drop_l = self.streams.get("dropout/labeled")
         drop_u = self.streams.get("dropout/unlabeled")
-        loss_l_out, loss_u_out = [], []
-        for d in self.depths:
+        run_l, run_u = (heads_mod.mask_draws(self.heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
+        targets_l = self.hierarchy.Q  # built on first use: here, not in two threads at once
+
+        def depth_step(d: int) -> tuple[float, float]:
             student = self.heads.students[d - 1]
-            t_l = self.hierarchy.Q[d - 1][labels_l]
-            masks_l = heads_mod.sample_masks(student, n_l, drop_l)
+            t_l = targets_l[d - 1][labels_l]
+            masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l))
             loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
             g *= 1.0 / n_l
 
@@ -302,19 +322,21 @@ class Trainer:
             if uses_unlabeled:
                 live, t_live = d_targets[d - 1]
                 if len(t_live):  # forward and backward on the rows with a target, masks drawn for all
-                    masks_u = heads_mod.sample_masks(student, m_u, drop_u, live)
+                    masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u), live)
                     loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], t_live, masks=masks_u)
                     g += np.multiply(g_u, 1.0 / m_u, out=g_u)
                     del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
-                else:  # no target row: the masks would go unused, but the stream moves on as if drawn
-                    heads_mod.skip_masks(student, m_u, drop_u)
 
-            scale = clip_scale(heads_mod.flat_views(g, self.heads.shapes[d - 1]), GRAD_CLIP_NORM)  # float64 sums per parameter
+            scale = clip_scale([g[s] for s in self.heads.param_slices[d - 1]], GRAD_CLIP_NORM)  # float64 sums per parameter
             self.heads.sgd_step(d, g, self.opt, scale=scale)
-            loss_l_out.append(loss_l / n_l)
-            loss_u_out.append(loss_u / m_u if m_u else 0.0)
+            return loss_l / n_l, loss_u / m_u if m_u else 0.0
+
+        losses = heads_mod.map_depths(depth_step, self.depths, self.workers)  # in depth order
+        drop_l.bit_generator.advance(len(self.depths) * run_l)
+        if uses_unlabeled:
+            drop_u.bit_generator.advance(len(self.depths) * run_u)
         self.heads.ema_update_all(cfg.ema_momentum)
-        return loss_l_out, loss_u_out
+        return [l for l, _ in losses], [u for _, u in losses]
 
     # -- epochs -------------------------------------------------------------------
 
@@ -343,12 +365,10 @@ class Trainer:
 
         report = EpochReport(self.epoch, cfg.method, tuple(sum_l / len(batches_u)), tuple(sum_u / len(batches_u)))
         if cfg.method in SUBTREE_METHODS:  # the epoch logged every unlabeled row once, under these cutoffs
-            gated = apply_gating(self.log.node, self.log.first, self._cutoffs)
-            report.spl_total, kept = np.count_nonzero(self.log.node >= 0), np.count_nonzero(gated >= 0)
+            gts = self.dataset.labels[self.unlabeled_idx]
+            report.spl_total, kept, report.purity, report.avg_depth = log_summary(self.log, self._cutoffs, gts, self.hierarchy)
             report.gated_count = report.spl_total - kept
             report.coverage = kept / report.spl_total if report.spl_total else None
-            gts, ood = self.dataset.labels[self.unlabeled_idx[self._ood_rows]], gated[self._ood_rows]
-            report.purity, report.avg_depth = spl_purity_and_depth(ood, gts, self.hierarchy) or (None, None)
         if self.gating_active and update_cutoffs(self.gate, self.log, self.epoch):
             self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
         report.wall_clock = time.perf_counter() - start
@@ -401,6 +421,58 @@ def _one_hot(cols: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((len(cols), k))
     out[np.arange(len(cols)), cols] = 1.0
     return out
+
+
+def keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse: each training step allocates and frees arrays of a
+    few MB, and under its dynamic thresholds the heap top could go back to the OS after every
+    depth or step and be page-faulted in again by the next. A no-op where the C library has no
+    mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays below 32 MB come from the heap,
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: which shrinks only past 256 MB of free top
+
+
+def blas_library() -> str:
+    """Name and version of the BLAS library numpy was built against, as numpy reports them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """Threads per BLAS call, from the variables the BLAS library reads when
+    numpy loads, in the order it reads them; every usable core, its default,
+    when neither holds a positive count."""
+    own = "MKL_NUM_THREADS" if "mkl" in blas_library().lower() else "OPENBLAS_NUM_THREADS"
+    for var in (own, "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cores()
+
+
+def depth_workers(config: TrainConfig, n_depths: int, n_labeled: int, n_unlabeled: int) -> int:
+    """Threads that share each training step's depths: as many as the cores
+    hold at blas_threads() each, at most one per depth, and 1 (the depths run
+    inline) when a depth's matmul work per step is below PARALLEL_WORK. The
+    outputs do not depend on it: each depth's arithmetic is the same on any
+    thread."""
+    rows = min(config.labeled_batch_size, n_labeled)
+    if config.method != "supervised":
+        rows += min(config.labeled_batch_size * config.unlabeled_ratio, n_unlabeled)
+    if rows * config.hidden_dim**2 < PARALLEL_WORK:
+        return 1
+    return max(1, min(n_depths, usable_cores() // blas_threads()))
 
 
 def l2_norm(arrays: list[np.ndarray]) -> float:

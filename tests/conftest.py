@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from semihoc.datagen import SyntheticConfig, generate, sample_labeled_subset
-from semihoc.hierarchy import example_tree
+from semihoc.hierarchy import Hierarchy
+
+
+def example_tree() -> Hierarchy:
+    """Seven-node animal tree used throughout the tests."""
+    names = ["Root", "Mammal", "Bird", "Cat", "Dog", "Eagle", "Junco"]
+    parents = [-1, 0, 0, 1, 1, 2, 2]
+    return Hierarchy(parents, names, id_leaves=[3, 4, 5, 6])
 
 
 @pytest.fixture(scope="session")

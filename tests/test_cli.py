@@ -13,7 +13,7 @@ from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
 from semihoc.prohoc import subtree_confidences
-from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, TrainConfig, load_checkpoint, predict_dataset
+from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, TrainConfig, blas_library, load_checkpoint, predict_dataset
 
 
 def run(*argv):
@@ -67,6 +67,20 @@ class TestTrain:
         assert (workspace / "run" / "config.json").exists()
         assert (workspace / "run" / "metrics.csv").exists()
         assert (workspace / "run" / "ckpt_epoch0003.bin").exists()
+
+    def test_first_line_names_the_blas_and_the_depth_workers(self, workspace, tmp_path, capsys, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        args = ["train", "--features", workspace / "data" / "features.bin", "--epochs", 2, "--hidden-dim", 32,
+                "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        assert run(*args, "--out", tmp_path / "loud") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"blas: {blas_library()}, threads per call: 1, depth workers: 1"  # hidden 32 runs inline
+        assert lines[1].startswith("epoch 0 ")
+        assert run(*args, "--out", tmp_path / "quiet", "--quiet") == 0
+        assert not capsys.readouterr().out.startswith("blas")
+        for name in ("metrics.csv", "config.json"):
+            assert (tmp_path / "loud" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
 
     def test_config_snapshot_reproduces_run(self, workspace, tmp_path):
         snapshot = workspace / "run" / "config.json"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -247,12 +248,13 @@ class TestMasks:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [0, 1, 37])
     def test_skip_leaves_the_stream_where_drawing_does(self, dtype, n):
+        """Advancing by mask_draws, as the trainer skips a depth's masks."""
         head = make_head(5, 3, hidden=8, dropout=0.3, dtype=dtype)
         drawn, skipped = np.random.default_rng(4), np.random.default_rng(4)
         for rng in (drawn, skipped):
             rng.random(11)  # mid-stream, as after earlier steps
         H.sample_masks(head, n, drawn)
-        H.skip_masks(head, n, skipped)
+        skipped.bit_generator.advance(H.mask_draws(head, n))
         assert skipped.bit_generator.state == drawn.bit_generator.state
         assert np.array_equal(H.sample_masks(head, 3, skipped)[2], H.sample_masks(head, 3, drawn)[2])
 
@@ -268,6 +270,31 @@ class TestMasks:
         assert [m.dtype for m in masks_live] == [np.dtype(dtype)] * 4
         assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
         assert compact.bit_generator.state == full.bit_generator.state
+
+
+class TestMapDepths:
+    def test_results_in_order_with_the_caller_as_worker_zero(self):
+        caller, threads = threading.current_thread(), {}
+
+        def fn(item):
+            threads[item] = threading.current_thread()
+            return item * item
+
+        assert H.map_depths(fn, list(range(7)), 3) == [i * i for i in range(7)]
+        assert all((threads[i] is caller) == (i % 3 == 0) for i in range(7))
+        assert H.map_depths(fn, [5], 4) == [25] and H.map_depths(fn, [], 2) == []
+
+    def test_an_error_in_any_share_propagates_after_all_finish(self):
+        done = []
+
+        def fn(item):
+            if item == 3:
+                raise ValueError("depth 4 failed")
+            done.append(item)
+
+        with pytest.raises(ValueError, match="depth 4 failed"):
+            H.map_depths(fn, [0, 1, 2, 3], 2)
+        assert sorted(done) == [0, 1, 2]
 
 
 class TestEvalForward:

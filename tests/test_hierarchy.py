@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from semihoc.hierarchy import (
     Hierarchy,
     HierarchyError,
-    example_tree,
     hierarchy_hash,
     load_hierarchy,
     random_tree,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import example_tree
 from semihoc import spl as spl_mod
-from semihoc.hierarchy import example_tree, random_tree
+from semihoc.hierarchy import random_tree
 from semihoc.oracles import histogram_scan_cutoff
 from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.spl import (

@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from semihoc import heads as heads_mod
 from semihoc import spl as spl_mod
+from semihoc import trainer as trainer_mod
 from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
 from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
-from semihoc.heads import DepthHeads, flat_views
+from semihoc.heads import DepthHeads
 from semihoc.hierarchy import Hierarchy, random_tree
 from semihoc.metrics import confidence_accuracy_bins, spl_purity_and_depth
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
@@ -142,7 +144,7 @@ class TestGradientClipping:
         original = DepthHeads.sgd_step
 
         def spy(heads, d, g, opt, scale=1.0):
-            views = flat_views(g, heads.shapes[d - 1])  # per parameter, before sgd_step uses g as scratch
+            views = [g[s] for s in heads.param_slices[d - 1]]  # per parameter, before sgd_step uses g as scratch
             calls.append((math.sqrt(sum(float((v.astype(np.float64) ** 2).sum()) for v in views)), scale))
             return original(heads, d, g, opt, scale)
 
@@ -361,6 +363,116 @@ class TestDeterminismAndResume:
         other = Trainer(config(lr=0.123), hierarchy, dataset)
         with pytest.raises(ValueError, match="config"):
             other.load_state_dict(load_checkpoint(tmp_path / "c.bin"))
+
+
+def force_workers(monkeypatch, workers):
+    """Have every Trainer made from here on share its steps' depths among
+    `workers` threads (at most one per depth), whatever the gate and the cores."""
+    monkeypatch.setattr(trainer_mod, "depth_workers", lambda config, n_depths, *_: min(workers, n_depths))
+
+
+class TestDepthWorkers:
+    """A step's depths shared among threads give the bytes of the depths run
+    one after another."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pool_writes_the_serial_bytes(self, tiny_data, tmp_path, monkeypatch, method):
+        """Up to one worker per depth, switching threads every 10 µs, so that
+        a write one depth made into another's memory would show."""
+        hierarchy, dataset = tiny_data
+        cfg = config(method=method, epochs=3, eval_every=1, tau=0.5)
+        outputs, interval = {}, sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 2, 3):
+                force_workers(monkeypatch, workers)
+                out = tmp_path / str(workers)
+                _, trainer = run_training(cfg, hierarchy, dataset, out_dir=out)
+                assert trainer.workers == workers
+                outputs[workers] = [(out / name).read_bytes() for name in ("metrics.csv", "ckpt_epoch0003.bin")]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_resume_under_the_pool_matches_the_serial_run(self, tiny_data, tmp_path, monkeypatch):
+        hierarchy, dataset = tiny_data
+        cfg = config(epochs=6, checkpoint_every=3, **CHANGING_LOG)
+        force_workers(monkeypatch, 1)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "full")
+        force_workers(monkeypatch, 3)
+        state = load_checkpoint(tmp_path / "full" / "ckpt_epoch0003.bin")
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=state)
+        full, resumed = ((tmp_path / run / "metrics.csv").read_text().splitlines() for run in ("full", "resumed"))
+        assert resumed == full[:1] + full[4:]
+        final = [(tmp_path / run / "ckpt_epoch0006.bin").read_bytes() for run in ("full", "resumed")]
+        assert final[0] == final[1]
+
+    @pytest.mark.parametrize("method", ["spl-oracle", "supervised"])
+    def test_masks_and_streams_are_those_of_sequential_draws(self, tiny_data, monkeypatch, method):
+        """Per depth, the labeled and unlabeled masks of one step, and the
+        streams' end states, equal drawing depth after depth from the streams,
+        with depth 2 given no unlabeled target row: its masks go undrawn but
+        its run of the stream is passed over, as if drawn."""
+        hierarchy, dataset = tiny_data
+        force_workers(monkeypatch, 3)
+        trainer = Trainer(config(method=method), hierarchy, dataset)
+        batch_l = trainer.loader.next_batch()
+        batch_u = trainer.unlabeled_idx[:16] if method != "supervised" else np.empty(0, dtype=np.int64)
+        targets = trainer._unlabeled_targets
+
+        def no_depth2_row(batch_u, x_u):
+            out = targets(batch_u, x_u)
+            live, t_live = out[1]
+            assert live.any()  # so that blanking it changes what the step draws
+            out[1] = (np.zeros_like(live), t_live[:0])
+            return out
+
+        monkeypatch.setattr(trainer, "_unlabeled_targets", no_depth2_row)
+        drawn = {}  # (depth, "l" or "u") -> masks, from whichever thread drew them
+        sample_masks = heads_mod.sample_masks
+
+        def spy(head, n, rng, live=None):
+            d = next(d for d, s in zip(trainer.depths, trainer.heads.students) if s is head)
+            drawn[d, "l" if live is None else "u"] = masks = sample_masks(head, n, rng, live)
+            return masks
+
+        monkeypatch.setattr(heads_mod, "sample_masks", spy)
+        streams = {name: trainer.streams.get(f"dropout/{name}") for name in ("labeled", "unlabeled")}
+        sequential = {name: np.random.default_rng() for name in streams}
+        for name, rng in sequential.items():
+            rng.bit_generator.state = streams[name].bit_generator.state
+        live = [live for live, _ in targets(batch_u, trainer.dataset.features[batch_u])] if len(batch_u) else None
+
+        trainer._train_step(batch_l, batch_u)
+
+        for d, student in zip(trainer.depths, trainer.heads.students):
+            expected = sample_masks(student, len(batch_l), sequential["labeled"])
+            assert all(np.array_equal(a, b) for a, b in zip(drawn[d, "l"], expected, strict=True)), d
+            if method == "supervised":
+                continue
+            expected = sample_masks(student, len(batch_u), sequential["unlabeled"], live[d - 1])
+            if d == 2:
+                assert (d, "u") not in drawn
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(drawn[d, "u"], expected, strict=True)), d
+        for name, rng in sequential.items():
+            assert streams[name].bit_generator.state == rng.bit_generator.state, name
+        assert method != "supervised" or all(key[1] == "l" for key in drawn)  # and dropout/unlabeled did not move
+
+    def test_gate_shares_reference_shapes_only(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "usable_cores", lambda: 8)
+        monkeypatch.setattr(trainer_mod, "blas_threads", lambda: 1)
+        reference = reference_train_config("semihoc", 0)
+        assert trainer_mod.depth_workers(reference, 4, 650, 484) == 4
+        assert trainer_mod.depth_workers(reference, 9, 650, 484) == 8
+        assert trainer_mod.depth_workers(reference, 4, 650, 384) == 4  # 128 + 384 rows at 512: 2^27 multiply-adds
+        assert trainer_mod.depth_workers(reference, 4, 650, 383) == 1
+        assert trainer_mod.depth_workers(reference_train_config("supervised", 0), 4, 650, 484) == 1  # 128 rows
+        assert trainer_mod.depth_workers(replace(reference, hidden_dim=64), 4, 1000, 2750) == 1  # wide-tree
+        monkeypatch.setattr(trainer_mod, "blas_threads", lambda: 4)
+        assert trainer_mod.depth_workers(reference, 4, 650, 484) == 2
+        monkeypatch.setattr(trainer_mod, "blas_threads", lambda: 8)  # unpinned: BLAS takes every core
+        assert trainer_mod.depth_workers(reference, 4, 650, 484) == 1
 
 
 class TestEpochAccounting:
