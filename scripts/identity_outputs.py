@@ -50,7 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from semihoc import cli  # noqa: E402
 from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
-from semihoc.trainer import METHODS, load_checkpoint, run_training  # noqa: E402
+from semihoc.trainer import METHODS, run_training  # noqa: E402
 from workloads import EvalCli, WideTree  # noqa: E402
 
 SEED = 0
@@ -82,9 +82,8 @@ def wide_tree_resumed(out: Path) -> None:
     config = replace(config, checkpoint_every=20)
     full = out / "uninterrupted"
     run_training(config, hierarchy, dataset, out_dir=full)
-    state = load_checkpoint(full / "ckpt_epoch0020.bin")
+    run_training(config, hierarchy, dataset, out_dir=out, resume=full / "ckpt_epoch0020.bin")
     shutil.rmtree(full)
-    run_training(config, hierarchy, dataset, out_dir=out, resume=state)
     final = f"ckpt_epoch{config.epochs:04d}.bin"
     digest = hashlib.sha256((out / final).read_bytes()).hexdigest()
     for path in out.iterdir():

@@ -139,7 +139,6 @@ def cmd_train(args) -> int:
     hierarchy, dataset = _load_inputs(args)
     out = _prepare_out_dir(args.out, args.force)
 
-    resume = _load("checkpoint", load_checkpoint, args.resume) if args.resume else None
     if not args.quiet:
         n_labeled, n_unlabeled = (len(dataset.indices(split)) for split in (SPLIT_LABELED, SPLIT_UNLABELED))
         workers = depth_workers(config, hierarchy.max_depth, n_labeled, n_unlabeled)
@@ -155,7 +154,7 @@ def cmd_train(args) -> int:
         print("  ".join(parts))
 
     try:
-        run_training(config, hierarchy, dataset, out_dir=out, resume=resume, log_fn=log_fn if not args.quiet else None)
+        run_training(config, hierarchy, dataset, out_dir=out, resume=args.resume, log_fn=log_fn if not args.quiet else None)
     except ValueError as exc:
         raise DataError(str(exc))
     print(f"run artifacts in {out}")
@@ -229,41 +228,36 @@ def cmd_eval(args) -> int:
         raise DataError(f"split {args.split!r} is empty")
 
     if args.checkpoint:
-        state = _load("checkpoint", load_checkpoint, args.checkpoint)
-        meta = state["meta"]
-        # load_features has matched the feature file's hash to the hierarchy
-        if meta["hierarchy_hash"] != hierarchy_hash(hierarchy):
-            raise DataError("checkpoint hierarchy hash does not match --hierarchy")
-        config = TrainConfig.from_dict(meta["config"])
+        state = _load("checkpoint", load_checkpoint, args.checkpoint, hierarchy, dataset.dim)
+        config = TrainConfig.from_dict(state["meta"]["config"])
         heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
-        _load(f"checkpoint: {args.checkpoint}", heads.load_state_dict, state)
+        heads.load_state_dict(state)
         _eval_checkpoint(out, hierarchy, dataset, idx, heads, args.bins)
         if args.split in ("train", "all"):
-            _write_gate_diagnostics(out, hierarchy, dataset, state, args.checkpoint)
+            _write_gate_diagnostics(out, hierarchy, dataset, state)
     else:
         _eval_from_predictions(out, hierarchy, dataset, idx, Path(args.predictions), args.bins)
     print(f"evaluation written to {out}")
     return 0
 
 
-def _write_gate_diagnostics(out, hierarchy, dataset, state, path) -> None:
-    """Purity / FPR / coverage diagnostics from the history and the log of
-    the checkpoint at `path`. Both are read as resume reads them, one row per
-    sample they name, and the log is gated as training gates it.
+def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
+    """Purity / FPR / coverage diagnostics from the history and the log of a
+    checkpoint state. Both are read as resume reads them, one row per sample
+    they name, and the log is gated as training gates it.
 
     Correctness comes from the --features ground truth: an assignment is
     incorrect when the sample's ground truth lies outside the node's
     subtree, and of unknown correctness (never a false positive) when the
     sample has no ground truth.
     """
-    what = f"checkpoint: {path}"
     log_state, history_state = ({k: state[f"{name}.{k}"] for k in LOG_KEYS} for name in ("log", "history"))
     log = SplLog(np.union1d(log_state["sample_id"], history_state["sample_id"]), hierarchy.depths)
-    _load(what, log.load_state_dict, log_state, history_state)
+    log.load_state_dict(log_state, history_state)
     history = log.history_state()
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
-    cutoffs = _load(what, gate.vector, hierarchy.n_nodes)
+    cutoffs = gate.vector(hierarchy.n_nodes)
 
     gts = dataset.labels_of(history["sample_id"])
     known = gts != NO_LABEL
@@ -374,7 +368,8 @@ def cmd_inspect(args) -> int:
         print(f"hierarchy hash: {dataset.hierarchy_hash:#018x}")
         shown = True
     if args.checkpoint:
-        state = _load("checkpoint", load_checkpoint, args.checkpoint)
+        dim = dataset.dim if args.features else None
+        state = _load("checkpoint", load_checkpoint, args.checkpoint, hierarchy, dim)
         meta = state["meta"]
         print(f"== {args.checkpoint}")
         print(f"epochs completed: {meta['epoch']}")

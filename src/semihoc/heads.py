@@ -307,17 +307,7 @@ class DepthHeads:
         return dict(self._state)
 
     def load_state_dict(self, state: dict) -> None:
-        """Copy the saved arrays into the live ones once each is known to
-        exist with the live shape and dtype; ValueError naming the depth and
-        the parameter otherwise."""
-        for name, dst in self._state.items():
-            src = state.get(name)
-            if src is None or (src.shape, src.dtype) != (dst.shape, dst.dtype):
-                role, depth, param = name.split(".")
-                found = "nothing" if src is None else f"{src.dtype} {src.shape}"
-                raise ValueError(
-                    f"depth {depth[1:]} {role} parameter {param}: checkpoint has {found}, "
-                    f"model needs {dst.dtype} {dst.shape}"
-                )
+        """Copy the saved arrays, which load_checkpoint has checked against
+        these heads' names, shapes and dtype, into the live ones."""
         for name, dst in self._state.items():
             dst[...] = state[name]

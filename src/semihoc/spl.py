@@ -80,12 +80,13 @@ def epoch_dtype(epochs: int) -> np.dtype:
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= epochs)
 
 
-def _checkpoint_rows(sample_ids: np.ndarray, n_nodes: int, state: dict) -> np.ndarray:
-    """The row of each checkpoint triple; ValueError for an unknown sample, the root or a node not in the tree."""
-    if not np.isin(state["sample_id"], sample_ids).all() or np.any((state["node"] < 1) | (state["node"] >= n_nodes)):
-        raise ValueError("checkpoint log names samples or nodes this log has no row or column for")
+def _checkpoint_rows(sample_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of each of the sample ids `ids`; ValueError for one with no row."""
+    known = np.isin(ids, sample_ids)
+    if not known.all():
+        raise ValueError(f"sample {ids[~known][0]} has no row in this log")
     order = np.argsort(sample_ids)
-    return order[np.searchsorted(sample_ids, state["sample_id"], sorter=order)]
+    return order[np.searchsorted(sample_ids, ids, sorter=order)]
 
 
 class SplLog:
@@ -117,14 +118,10 @@ class SplLog:
 
     def load_state_dict(self, log: dict, history: dict) -> None:
         """The current entries from `log` and the entry record from
-        `history`; ValueError for a triple with no row or column, or for two
-        current nodes of one depth for one sample."""
-        n_nodes = len(self.depths)
-        rows = _checkpoint_rows(self.sample_ids, n_nodes, log)
-        cols = self.depths[log["node"]] - 1
-        if len(np.unique(rows * self.node.shape[1] + cols)) != len(rows):
-            raise ValueError("checkpoint log holds two nodes of one depth for one sample")
-        keys = _checkpoint_rows(self.sample_ids, n_nodes, history) * n_nodes + history["node"].astype(np.int64)
+        `history`, triples that load_checkpoint has checked against the tree;
+        ValueError for a sample with no row."""
+        rows, cols = _checkpoint_rows(self.sample_ids, log["sample_id"]), self.depths[log["node"]] - 1
+        keys = _checkpoint_rows(self.sample_ids, history["sample_id"]) * len(self.depths) + history["node"].astype(np.int64)
         self.node[...], self.first[...] = -1, -1
         self.node[rows, cols], self.first[rows, cols] = log["node"], log["epoch"]
         self.entered = [(keys, history["epoch"].astype(self.first.dtype))]
@@ -183,11 +180,7 @@ class AgeGateState:
         """Cutoff per node id in `dtype`. Where none is set it holds infinity,
         or an integer dtype's maximum, which no epoch of a log in that dtype
         exceeds; cutoffs are whole epochs, so `first > cutoff` decides alike.
-        ValueError naming the node for a cutoff on the root or on no node of
-        an n_nodes tree."""
-        outside = [node for node in self.cutoffs if not 1 <= node < n_nodes]
-        if outside:
-            raise ValueError(f"cutoff on node {outside[0]}, which is not a non-root node of the tree")
+        The cutoffs' nodes are non-root nodes of an n_nodes tree."""
         dtype, values = np.dtype(dtype), list(self.cutoffs.values())
         none = math.inf if dtype.kind == "f" else int(np.iinfo(dtype).max)
         if dtype.kind != "f":  # a NaN cutoff gates nothing, like `none`
@@ -200,17 +193,9 @@ class AgeGateState:
         return asdict(self)
 
     def load_state_dict(self, state: dict) -> None:
-        """ValueError naming the node for a cutoff that detect_cutoff cannot
-        give, NaN or negative, and for a bin width that is no integer."""
-        cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
-        for node, t in cutoffs.items():
-            if not t >= 0.0:  # NaN fails too
-                raise ValueError(f"cutoff of node {node} is {t}, not an epoch in [0, inf]")
-        if not float(state["bin_width"]).is_integer():
-            raise ValueError(f"gate bin_width {state['bin_width']} is not an integer")
-        self.bin_width = int(state["bin_width"])
-        self.drop_threshold = float(state["drop_threshold"])
-        self.cutoffs = cutoffs
+        """Copy a gate state that load_checkpoint has checked."""
+        self.bin_width, self.drop_threshold = int(state["bin_width"]), float(state["drop_threshold"])
+        self.cutoffs = {int(c): float(t) for c, t in state["cutoffs"].items()}
 
 
 def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> bool:

@@ -40,6 +40,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,9 +77,6 @@ PREDICT_BATCH = 1024
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 4
 LOG_KEYS = ("sample_id", "node", "epoch")  # a log's entries: log.sample_id, ...
-_META_TYPES = dict(
-    config=dict, hierarchy_hash=int, epoch=int, feature_dim=int, classes=list, streams=dict, loader_pos=int, gate=dict
-)
 
 
 @dataclass
@@ -107,6 +105,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if type(f.default) is int and type(value) is not int:  # a bool too
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.labeled_batch_size < 1 or self.unlabeled_ratio < 1:
             raise ValueError("epochs, batch size and ratio must be positive")
         if self.lr <= 0:
@@ -402,11 +402,14 @@ class Trainer:
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        meta = state["meta"]
-        if meta["hierarchy_hash"] != self.hash:
-            raise ValueError("checkpoint was trained against a different hierarchy")
+        """Copy a state that load_checkpoint has checked against this run's
+        hierarchy and feature dim; ValueError when its config is not this
+        run's or its loader permutation does not cover the labeled split."""
+        meta, n_perm = state["meta"], len(state["loader.perm"])
         if meta["config"] != asdict(self.config):
-            raise ValueError("checkpoint config does not match the requested config")
+            raise ValueError("entry meta: config does not match the requested config")
+        if n_perm not in (0, len(self.labeled_idx)):
+            raise ValueError(f"entry loader.perm holds {n_perm} indices, not 0 or the {len(self.labeled_idx)} labeled rows")
         self.heads.load_state_dict(state)
         self.log.load_state_dict(*({key: state[f"{name}.{key}"] for key in LOG_KEYS} for name in ("log", "history")))
         self.epoch, self.loader.pos = meta["epoch"], meta["loader_pos"]
@@ -521,10 +524,11 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> dict:
-    """The state saved by save_checkpoint, every entry checked; ValueError
-    naming the file and the entry when it is not a complete checkpoint of
-    this version."""
+def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int | None = None) -> dict:
+    """The state saved by save_checkpoint, held to every rule of
+    CHECKPOINT_ENTRIES that a reader with this hierarchy and feature dim,
+    each optional, can check; ValueError naming the file and the entry
+    otherwise."""
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != CHECKPOINT_MAGIC:
@@ -539,56 +543,150 @@ def load_checkpoint(path) -> dict:
                         state[name] = np.asarray(npz[name])  # an entry that is no .npy reads as bytes
                     except Exception as exc:
                         raise ValueError(f"entry {name}: {exc}") from exc
-            _check_entries(state)
+            _check_entries(state, hierarchy, feature_dim)
             return state
         except Exception as exc:  # zipfile and numpy fail on damaged bytes in many ways
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _check_entries(state: dict) -> None:
-    """Parse `meta` in place, then require exactly the arrays it implies:
-    HEAD_DTYPE heads of the recorded shapes, and 1-D integer loader and log
-    arrays, the logs' epochs before meta's and no history pair twice."""
+def _known(source: str, spec: str = ""):
+    """Rule of a key of meta that the reader's `source` gives too: the reader's value, where it has one."""
+    def rule(value, run, name):
+        own = getattr(run, name[5:])
+        return own not in (None, value) and f"{name[5:]} {value:{spec}} does not match the {source}'s {own:{spec}}"
+    return rule
+
+
+def _at_most(high):
+    """Rule of an integer key of meta: in [0, high(run)]."""
+    return lambda value, run, name: not 0 <= value <= high(run) and f"{name[5:]} {value} is outside [0, {high(run)}]"
+
+
+def _outside(name: str, values: np.ndarray, low: int, high) -> str | None:
+    out = values[(values < low) | (values >= high)]
+    return f"entry {name} holds {name.split('.')[1]} {out[0]}, outside [{low}, {high})" if len(out) else None
+
+
+def _gate(gate: dict, run, name) -> str | None:
+    """Cutoffs that detect_cutoff can give, on non-root nodes of the tree, and the config's detector."""
+    for node, t in ((int(node), float(t)) for node, t in gate["cutoffs"].items()):
+        if not t >= 0.0:  # NaN fails too
+            return f"cutoff of node {node} is {t}, not an epoch in [0, inf]"
+        if not 1 <= node < run.n_nodes:
+            return f"cutoff on node {node}, which is not a non-root node of the tree"
+    detector = gate["bin_width"], float(gate["drop_threshold"])
+    if not float(detector[0]).is_integer():
+        return f"gate bin_width {detector[0]} is not an integer"
+    if detector != (run.config.gate_bin_width, run.config.gate_drop_threshold):
+        return "gate bin_width {} and drop_threshold {} differ from the config".format(*detector)
+
+
+def _streams(streams: dict, run, name) -> str | None:
+    """PCG64 states, which StreamSet.load_state_dict sets as they are. Checked by hand: a
+    generator to set them on would load numpy.random, 5 MB, into eval and inspect."""
+    for stream, state in streams.items():
+        try:
+            ints = state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+            valid = state["bit_generator"] == "PCG64" and all(type(i) is int for i in ints)
+            valid = valid and all(0 <= i < 2**bits for i, bits in zip(ints, (128, 128, 1, 32)))
+        except (TypeError, KeyError):
+            valid = False
+        if not valid:
+            return f"RNG stream {stream!r}: not a PCG64 state"
+
+
+def _permutation(perm: np.ndarray, run, name) -> str | None:
+    ok = np.array_equal(np.sort(perm), np.arange(len(perm)))
+    return None if ok else f"entry {name} is neither empty nor a permutation of range({len(perm)})"
+
+
+def _nodes(nodes: np.ndarray, run, name: str) -> str | None:
+    """Non-root nodes of the tree; a sample's history nodes all different, its log nodes of different depths."""
+    if problem := _outside(name, nodes, 1, run.n_nodes):
+        return f"{problem}: checkpoint log names samples or nodes this log has no row or column for"
+    ids, history = run.state[name.replace("node", "sample_id")], name.startswith("history")
+    if not history and run.depths is None:
+        return None
+    keys = nodes if history else run.depths[nodes]
+    order = np.lexsort((keys, ids))
+    for i in order[1:][(ids[order[1:]] == ids[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])][:1]:
+        if history:  # the record keeps the first entry of a (sample, node) pair
+            return f"entries history.* hold sample {ids[i]} node {nodes[i]} twice"
+        return f"checkpoint log holds two nodes of one depth for one sample: sample {ids[i]}, depth {keys[i]}"
+
+
+# Every checkpoint entry, in the order load_checkpoint checks them: name pattern (`meta.<key>` is a
+# key of the JSON object `meta`; `*` stands for log and for history), type (a JSON type, or an
+# array's dtype or dtype kinds), shape (entry_shapes', None for 1-D, or 1-D and as long as the
+# entry named) and value rule: rule(value, run, name) returns the problem or None, and a rule of a
+# key of meta may raise it. `run` holds the entries, meta, the config, and what the reader has of
+# the tree (n_nodes, hierarchy_hash, classes, depths) and of the features (feature_dim): a rule
+# that needs either holds only for a reader that has it.
+CHECKPOINT_ENTRIES = (
+    ("meta.config", dict, None, lambda config, run, name: setattr(run, "config", TrainConfig.from_dict(config))),
+    ("meta.hierarchy_hash", int, None, _known("hierarchy", "#018x")),
+    ("meta.epoch", int, None, _at_most(lambda run: run.config.epochs)),
+    ("meta.gate", dict, None, _gate),
+    ("meta.streams", dict, None, _streams),
+    ("{role}.d{depth}.{param}", HEAD_DTYPE, "entry_shapes", None),
+    ("meta.feature_dim", int, None, _known("feature file")),
+    ("meta.classes", list, None, _known("hierarchy")),
+    ("loader.perm", "iu", None, _permutation),
+    ("meta.loader_pos", int, None, _at_most(lambda run: len(run.state["loader.perm"]))),
+    ("*.sample_id", "iu", None, None),
+    ("*.epoch", "iu", "*.sample_id", lambda epochs, run, name: _outside(name, epochs, 0, run.meta["epoch"])),
+    ("*.node", "iu", "*.sample_id", _nodes),
+)
+
+
+def _check_entries(state: dict, hierarchy: Hierarchy | None, feature_dim: int | None) -> None:
+    """Parse `meta` in place, then hold it and every array to their rows of CHECKPOINT_ENTRIES."""
     if "meta" not in state:
         raise ValueError("missing entry meta")
+    run = SimpleNamespace(state=state, feature_dim=feature_dim, n_nodes=math.inf, hierarchy_hash=None, classes=None, depths=None)
+    if hierarchy is not None:
+        run.n_nodes, run.hierarchy_hash, run.depths = hierarchy.n_nodes, hierarchy_hash(hierarchy), hierarchy.depths
+        run.classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
     try:
-        meta = state["meta"] = json.loads(state["meta"].item())
+        meta = run.meta = state["meta"] = json.loads(state["meta"].item())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        for key, kind in _META_TYPES.items():
-            if not isinstance(meta.get(key), kind):
+        for key, kind in ((pattern[5:], kind) for pattern, kind, _, _ in CHECKPOINT_ENTRIES if pattern.startswith("meta.")):
+            if type(meta.get(key)) is not kind:
                 raise ValueError(f"{key!r} is missing or not a JSON {kind.__name__}")
-        config, gate = TrainConfig.from_dict(meta["config"]), AgeGateState()
-        gate.load_state_dict(meta["gate"])
-        if (gate.bin_width, gate.drop_threshold) != (config.gate_bin_width, config.gate_drop_threshold):
-            raise ValueError(f"gate bin_width {gate.bin_width} and drop_threshold {gate.drop_threshold} differ from the config")
-        if not 0 <= meta["epoch"] <= config.epochs:
-            raise ValueError(f"epoch {meta['epoch']} is outside [0, {config.epochs}]")
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"entry meta: {exc}") from exc
-    expected = entry_shapes(meta["feature_dim"], meta["classes"], meta["config"]["hidden_dim"])
-    expected.update({f"{name}.{key}": None for name in ("log", "history") for key in LOG_KEYS})
-    expected["loader.perm"] = None
-    for name in sorted(expected.keys() | (state.keys() - {"meta"})):
-        if name not in state or name not in expected:
-            raise ValueError(f"{'missing' if name not in state else 'unexpected'} entry {name}")
-        array, shape = state[name], expected[name]
-        if shape is None and (array.dtype.kind not in "iu" or array.ndim != 1):
-            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not a 1-D integer array")
-        if shape is not None and (array.dtype, array.shape) != (HEAD_DTYPE, shape):
-            raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not {HEAD_DTYPE} {shape}")
-    for name in ("log", "history"):
-        if len({len(state[f"{name}.{key}"]) for key in LOG_KEYS}) != 1:
-            raise ValueError(f"entries {name}.* differ in length")
-        epochs = state[f"{name}.epoch"]
-        outside = (epochs < 0) | (epochs >= meta["epoch"])
-        if outside.any():
-            raise ValueError(f"entry {name}.epoch holds epoch {epochs[outside][0]}, outside [0, {meta['epoch']})")
-    ids, nodes = state["history.sample_id"], state["history.node"]
-    order = np.lexsort((nodes, ids))
-    twice = order[1:][(ids[order[1:]] == ids[order[:-1]]) & (nodes[order[1:]] == nodes[order[:-1]])]
-    if len(twice):
-        raise ValueError(f"entries history.* hold sample {ids[twice[0]]} node {nodes[twice[0]]} twice")
+    checked = {"meta"}
+    for pattern, kind, shape, rule in CHECKPOINT_ENTRIES:
+        if pattern.startswith("meta."):
+            try:
+                problem = rule(meta[pattern[5:]], run, pattern)
+            except Exception as exc:
+                problem = exc
+            if problem:
+                raise ValueError(f"entry meta: {problem}")
+            continue
+        names = dict.fromkeys(pattern.replace("*", log) for log in ("log", "history"))
+        if shape == "entry_shapes":  # name -> shape of the config's heads for the reader's features and tree, or meta's
+            dim = meta["feature_dim"] if feature_dim is None else feature_dim
+            names = entry_shapes(dim, run.classes or meta["classes"], run.config.hidden_dim)
+        for name in names:
+            if name not in state:
+                raise ValueError(f"missing entry {name}")
+            array, found = state[name], f"{state[name].dtype} {state[name].shape}"
+            if shape == "entry_shapes":
+                if (array.dtype, array.shape) != (kind, names[name]):
+                    role, depth, param = name.split(".")
+                    raise ValueError(f"entry {name}, depth {depth[1:]} {role} parameter {param}, is {found}, not {kind} {names[name]}")
+            else:
+                along = shape and shape.replace("*", name.split(".")[0])  # the entry it is as long as
+                if array.dtype.kind not in kind or array.ndim != 1 or (along and len(array) != len(state[along])):
+                    raise ValueError(f"entry {name} is {found}, not a 1-D integer array" + (f" as long as {along}" if along else ""))
+            if rule and (problem := rule(array, run, name)):
+                raise ValueError(problem)
+            checked.add(name)
+    if unexpected := sorted(state.keys() - checked):
+        raise ValueError(f"unexpected entry {unexpected[0]}")
 
 
 # -- metrics CSV ------------------------------------------------------------------
@@ -623,19 +721,24 @@ def run_training(
     hierarchy: Hierarchy,
     dataset: FeatureDataset,
     out_dir=None,
-    resume: dict | None = None,
+    resume=None,
     log_fn=None,
 ) -> tuple[list[EpochReport], Trainer]:
     """Train for config.epochs epochs, optionally writing artifacts to out_dir.
 
-    `resume` takes a loaded checkpoint state; training continues from its
-    epoch counter and reproduces the uninterrupted run exactly. The final
-    epoch always evaluates on the test split, as do multiples of
+    `resume` takes a checkpoint path, read against this hierarchy and the
+    dataset's feature dim; training continues from its epoch counter and
+    reproduces the uninterrupted run exactly. An unreadable or refused
+    checkpoint raises a ValueError that starts with "checkpoint: ". The
+    final epoch always evaluates on the test split, as do multiples of
     eval_every.
     """
     trainer = Trainer(config, hierarchy, dataset)
     if resume is not None:
-        trainer.load_state_dict(resume)
+        try:
+            trainer.load_state_dict(load_checkpoint(resume, hierarchy, dataset.dim))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"checkpoint: {exc}") from exc
 
     csv_fh = None
     if out_dir is not None:

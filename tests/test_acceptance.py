@@ -28,7 +28,7 @@ from semihoc.oracles import (
 from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.rng import named_rng
 from semihoc.spl import detect_cutoff
-from semihoc.trainer import TrainConfig, load_checkpoint, run_training
+from semihoc.trainer import TrainConfig, run_training
 
 FAST = os.environ.get("SEMIHOC_ACCEPT_FAST") == "1"
 
@@ -311,8 +311,7 @@ def test_criterion_10_determinism_and_resume(small_training_setup, tmp_path):
         run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
-        state = load_checkpoint(tmp_path / "a" / "ckpt_epoch0003.bin")
-        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "c", resume=state)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "c", resume=tmp_path / "a" / "ckpt_epoch0003.bin")
         full = (tmp_path / "a" / "metrics.csv").read_text().splitlines()
         resumed = (tmp_path / "c" / "metrics.csv").read_text().splitlines()
         assert resumed[1:] == full[4:]

@@ -162,19 +162,22 @@ class TestEval:
         ) == 0
         assert (tmp_path / "tr" / "diagnostics.csv").exists()
 
-    def test_hash_mismatch_refused(self, workspace, tmp_path):
+    def test_hash_mismatch_refused(self, workspace, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(
             "gen", "--out", other, "--seed", 2, "--branching", 2, "--depth", 2,
             "--dim", 8, "--train-per-leaf", 3, "--test-per-leaf", 1,
         ) == 0
-        code = run(
-            "eval", "--checkpoint", workspace / "run" / "ckpt_epoch0003.bin",
-            "--features", other / "features.bin",
-            "--hierarchy", other / "hierarchy.txt",
-            "--out", tmp_path / "bad",
-        )
-        assert code == 2
+        ckpt, inputs = workspace / "run" / "ckpt_epoch0003.bin", ["--features", other / "features.bin"]
+        inputs += ["--hierarchy", other / "hierarchy.txt"]
+        for argv in (
+            ["eval", "--checkpoint", ckpt, *inputs, "--out", tmp_path / "bad"],
+            ["inspect", "--hierarchy", other / "hierarchy.txt", "--checkpoint", ckpt],
+            ["train", *inputs, "--out", tmp_path / "tr", "--resume", ckpt, *WORKSPACE_RUN],
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv[0]
+            assert "entry meta: hierarchy_hash" in capsys.readouterr().err
 
     def test_eval_from_prediction_dump(self, workspace, tmp_path):
         assert run(
@@ -386,6 +389,12 @@ class TestCheckpointEntries:
             ("log-epoch-300", "entry log.epoch holds epoch 300, outside [0, 3)"),
             ("history-epoch-300", "entry history.epoch holds epoch 300, outside [0, 3)"),
             ("repeated-history-pair", "entries history.* hold sample"),
+            ("non-integer-epochs", "entry meta: epochs must be an integer, got 2.5"),
+            ("loader-pos-minus-five", "entry meta: loader_pos -5 is outside [0, "),
+            ("loader-perm-past-the-split", "entry loader.perm is neither empty nor a permutation"),
+            ("loader-perm-short", "entry loader.perm is neither empty nor a permutation"),
+            ("loader-perm-repeated", "entry loader.perm is neither empty nor a permutation"),
+            ("negative-stream-state", "entry meta: RNG stream 'init': not a PCG64 state"),
         ],
     )
     def test_every_reader_exits_two(self, workspace, tmp_path, capsys, kind, named):
@@ -432,6 +441,23 @@ class TestCheckpointEntries:
         elif kind == "repeated-history-pair":  # the dense history kept the last copy, the entry record the first
             for key in LOG_KEYS:
                 entries[f"history.{key}"] = np.append(entries[f"history.{key}"], entries[f"history.{key}"][:1])
+        elif kind in ("non-integer-epochs", "loader-pos-minus-five", "negative-stream-state"):
+            meta = json.loads(entries["meta"].item())
+            if kind == "non-integer-epochs":
+                meta["config"]["epochs"] = 2.5
+            elif kind == "loader-pos-minus-five":  # it ended in a ZeroDivisionError on resume
+                meta["loader_pos"] = -5
+            else:  # it ended in an OverflowError on resume
+                meta["streams"]["init"]["state"]["state"] = -1
+            entries["meta"] = np.array(json.dumps(meta))
+        elif kind.startswith("loader-perm-"):  # each resumed silently or ended in an IndexError
+            perm = entries["loader.perm"]
+            assert len(perm) > 1
+            entries["loader.perm"] = {
+                "loader-perm-past-the-split": np.where(perm == perm.max(), len(perm), perm),
+                "loader-perm-short": perm[perm != 0],
+                "loader-perm-repeated": np.append(perm[:-1], perm[0]),
+            }[kind]
         broken = tmp_path / "broken.bin"
         if kind == "version-2-pickle":
             broken.write_bytes(b"SHCK" + struct.pack("<I", 2) + pickle.dumps({}, protocol=4))
@@ -467,6 +493,8 @@ class TestCheckpointEntries:
         for argv in (
             ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "train", "--split", "train"],
             ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "all", "--split", "all"],
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "test", "--split", "test"],
+            ["inspect", "--hierarchy", workspace / "data" / "hierarchy.txt", "--checkpoint", broken],
             ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *WORKSPACE_RUN],
         ):
             capsys.readouterr()
@@ -500,6 +528,8 @@ class TestCheckpointEntries:
         inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
         for argv in (
             ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev", "--split", "train"],
+            ["eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "test", "--split", "test"],
+            ["inspect", "--hierarchy", workspace / "data" / "hierarchy.txt", "--checkpoint", broken],
             ["train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *WORKSPACE_RUN],
         ):
             capsys.readouterr()
@@ -507,6 +537,24 @@ class TestCheckpointEntries:
             err = capsys.readouterr().err
             assert named in err and "Traceback" not in err
             assert argv[0] == "train" or f"checkpoint: {broken}" in err
+
+    def test_loader_perm_of_another_length_refused_by_resume_only(self, workspace, tmp_path, capsys):
+        """A permutation that does not cover the labeled split is a well-formed
+        entry; only the run that would replay it can refuse it."""
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        meta = json.loads(entries["meta"].item())
+        meta["loader_pos"] = 0
+        entries["meta"], entries["loader.perm"] = np.array(json.dumps(meta)), np.arange(3)
+        broken = tmp_path / "broken.bin"
+        write_checkpoint(broken, entries)
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        assert run("inspect", *inputs, "--checkpoint", broken) == 0
+        assert run("eval", "--checkpoint", broken, *inputs, "--out", tmp_path / "ev", "--split", "all") == 0
+        capsys.readouterr()
+        assert run("train", *inputs, "--out", tmp_path / "tr", "--resume", broken, *WORKSPACE_RUN) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint: entry loader.perm holds 3 indices" in err and "Traceback" not in err
+        assert not any((tmp_path / "tr").iterdir())
 
     def test_layout(self, workspace):
         """Named arrays plus one JSON meta string; the log stays sparse."""
@@ -579,6 +627,17 @@ class TestOptimizerSettings:
         code = run("train", *inputs_of(workspace), "--out", tmp_path / "r", *TRAIN_SMALL, flag, value)
         err = capsys.readouterr().err
         assert code == 1 and flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+    def test_non_integer_config_value_exits_one_naming_the_field(self, workspace, tmp_path, capsys):
+        """2.5 epochs trained 3 and wrote no final checkpoint; 2.5 hidden
+        units ended in a TypeError traceback."""
+        config = tmp_path / "config.json"
+        for field in ("epochs", "hidden_dim"):
+            config.write_text(json.dumps({field: 2.5}))
+            code = run("train", *inputs_of(workspace), "--out", tmp_path / field, "--config", config, "--quiet")
+            err = capsys.readouterr().err
+            assert code == 1 and f"{field} must be an integer, got 2.5" in err and "Traceback" not in err
+            assert not (tmp_path / field).exists()
 
     def test_tau_below_one_half_exits_one_for_subtree_labels(self, workspace, tmp_path, capsys):
         """semihoc's pseudo-labels are chains of one node per depth, which

@@ -216,20 +216,6 @@ class TestSplLog:
         state = log.state_dict()
         assert state["sample_id"].tolist() == [0, 0, 1, 1] and state["node"].tolist() == [2, 3, 1, 2]
 
-    def test_two_nodes_of_one_depth_refused(self):
-        state = {"sample_id": np.array([3, 3]), "node": np.array([CAT, JUNCO]), "epoch": np.array([1, 2])}
-        with pytest.raises(ValueError, match="two nodes of one depth"):
-            new_log().load_state_dict(state, NO_TRIPLES)
-        log = new_log()
-        log.load_state_dict(NO_TRIPLES, state)  # the history may switch branches
-        assert logged(log, CAT, 3, history=True) == 1 and logged(log, JUNCO, 3, history=True) == 2
-
-    def test_root_refused(self):
-        state = {"sample_id": np.array([3]), "node": np.array([ROOT]), "epoch": np.array([1])}
-        for log_state, history_state in ((state, NO_TRIPLES), (NO_TRIPLES, state)):
-            with pytest.raises(ValueError, match="no row or column"):
-                new_log().load_state_dict(log_state, history_state)
-
 
 class TestInPlaceLogUpdates:
     """assign, update_log, apply_gating and update_cutoffs on chain tables,
@@ -375,14 +361,6 @@ class TestUpdateCutoffs:
 
 
 class TestGateState:
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
-    def test_load_refuses_a_cutoff_no_detection_gives(self, bad):
-        gate = AgeGateState(1, 0.2, cutoffs={BIRD: 4.0})
-        state = AgeGateState(2, 0.3, cutoffs={CAT: 0.0, JUNCO: bad, BIRD: math.inf}).state_dict()
-        with pytest.raises(ValueError, match=f"cutoff of node {JUNCO} is"):
-            gate.load_state_dict(state)
-        assert gate == AgeGateState(1, 0.2, cutoffs={BIRD: 4.0})
-
     def test_load_takes_zero_and_infinity(self):
         gate = AgeGateState()
         gate.load_state_dict({"bin_width": 2, "drop_threshold": 0.3, "cutoffs": {str(CAT): 0.0, str(BIRD): math.inf}})

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import fields, replace
@@ -29,6 +30,7 @@ from semihoc.trainer import (
     run_training,
     save_checkpoint,
 )
+from test_cli import read_entries, write_checkpoint
 
 
 def config(**kw):
@@ -81,6 +83,14 @@ class TestConfig:
     def test_negative_weight_decay_refused(self):
         with pytest.raises(ValueError, match="weight_decay must be >= 0"):
             config(weight_decay=-5.0).validate()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig) if type(f.default) is int])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_integer_field_refuses_a_non_integer(self, field, value):
+        """2.5 epochs used to train 3 and write no final checkpoint; 2.5 in
+        the other integer fields ended in a TypeError."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig.from_dict({field: value})
 
     def test_nan_lr_refused_from_dict(self):
         data = dict(vars(reference_train_config("semihoc", 0, 3)), lr=math.nan)
@@ -291,8 +301,7 @@ class TestDeterminismAndResume:
         hierarchy, dataset = tiny_data
         cfg = config(epochs=6, checkpoint_every=3)
         run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "full")
-        state = load_checkpoint(tmp_path / "full" / "ckpt_epoch0003.bin")
-        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=state)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=tmp_path / "full" / "ckpt_epoch0003.bin")
         full = (tmp_path / "full" / "metrics.csv").read_text().splitlines()
         resumed = (tmp_path / "resumed" / "metrics.csv").read_text().splitlines()
         assert resumed[0] == full[0]
@@ -304,8 +313,7 @@ class TestDeterminismAndResume:
         hierarchy, dataset = tiny_data
         cfg = config(epochs=6, checkpoint_every=3, **CHANGING_LOG)
         run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "full")
-        state = load_checkpoint(tmp_path / "full" / "ckpt_epoch0003.bin")
-        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=state)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=tmp_path / "full" / "ckpt_epoch0003.bin")
         full, resumed = (load_checkpoint(tmp_path / run / "ckpt_epoch0006.bin") for run in ("full", "resumed"))
         for name in (f"{log}.{key}" for log in ("log", "history") for key in LOG_KEYS):
             assert full[name].dtype == resumed[name].dtype and np.array_equal(full[name], resumed[name]), name
@@ -365,6 +373,91 @@ class TestDeterminismAndResume:
             other.load_state_dict(load_checkpoint(tmp_path / "c.bin"))
 
 
+def edited_checkpoint(src, dst, edit):
+    """Write to `dst` the checkpoint file `src` with its entries changed by
+    edit(entries, meta), meta being the parsed `meta` entry."""
+    entries = read_entries(src)
+    meta = json.loads(entries["meta"].item())
+    edit(entries, meta)
+    entries["meta"] = np.array(json.dumps(meta))
+    write_checkpoint(dst, entries)
+    return dst
+
+
+def set_triples(entries, name, sample_ids, nodes, epochs):
+    """Replace the log or history triples `name`.* of checkpoint entries, in their dtypes."""
+    for key, values in zip(LOG_KEYS, (sample_ids, nodes, epochs)):
+        entries[f"{name}.{key}"] = np.array(values, dtype=entries[f"{name}.{key}"].dtype)
+
+
+class TestLoadCheckpoint:
+    """load_checkpoint refuses what the loaders it feeds only copy: the heads,
+    the log and its history, and the gate."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tiny_data, tmp_path_factory):
+        """A checkpoint after 3 of 4 epochs, so that epochs 0-2 can be logged."""
+        hierarchy, dataset = tiny_data
+        trainer = Trainer(config(), hierarchy, dataset)
+        for _ in range(3):
+            trainer.run_epoch()
+        path = tmp_path_factory.mktemp("saved") / "ckpt.bin"
+        save_checkpoint(trainer, path)
+        return path
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_load_refuses_a_cutoff_no_detection_gives(self, saved, tmp_path, bad):
+        cutoffs = {"3": 0.0, "6": bad, "2": math.inf}
+        path = edited_checkpoint(saved, tmp_path / "c.bin", lambda entries, meta: meta["gate"].update(cutoffs=cutoffs))
+        with pytest.raises(ValueError, match="entry meta: cutoff of node 6 is"):
+            load_checkpoint(path)
+        cutoffs["6"] = 1.0  # zero, infinity and whole epochs pass
+        path = edited_checkpoint(saved, tmp_path / "c.bin", lambda entries, meta: meta["gate"].update(cutoffs=cutoffs))
+        assert load_checkpoint(path)["meta"]["gate"]["cutoffs"] == cutoffs
+
+    @pytest.mark.parametrize("in_dim, hidden", [(4, 6), (5, 7)])
+    def test_mismatch_names_depth_and_parameter(self, tiny_data, tmp_path, in_dim, hidden):
+        """Heads of in_dim inputs and `hidden` units, read for a 5-feature
+        model whose config says 6 units."""
+        hierarchy, dataset = tiny_data
+        narrow = replace(dataset, features=dataset.features[:, :in_dim].copy())
+        save_checkpoint(Trainer(config(hidden_dim=hidden), hierarchy, narrow), tmp_path / "saved.bin")
+        path = edited_checkpoint(tmp_path / "saved.bin", tmp_path / "c.bin", lambda e, meta: meta["config"].update(hidden_dim=6))
+        with pytest.raises(ValueError, match="depth 1 student parameter w0"):
+            load_checkpoint(path, hierarchy, feature_dim=5)
+
+    def test_wrong_dtype_refused(self, saved, tmp_path):
+        def edit(entries, meta):
+            entries["teacher.d2.b1"] = entries["teacher.d2.b1"].astype(np.float64)
+
+        with pytest.raises(ValueError, match="depth 2 teacher parameter b1"):
+            load_checkpoint(edited_checkpoint(saved, tmp_path / "c.bin", edit))
+
+    def test_root_refused(self, tiny_data, saved, tmp_path):
+        hierarchy, _ = tiny_data
+        for name in ("log", "history"):
+            path = edited_checkpoint(saved, tmp_path / f"{name}.bin", lambda e, meta: set_triples(e, name, [3], [0], [1]))
+            for tree in (None, hierarchy):
+                with pytest.raises(ValueError, match="no row or column"):
+                    load_checkpoint(path, tree)
+
+    def test_two_nodes_of_one_depth_refused(self, tiny_data, saved, tmp_path):
+        """A sample's log is a chain, one node per depth; its history may
+        switch branches. Only a reader with the tree knows the depths."""
+        hierarchy, dataset = tiny_data
+        sample = dataset.sample_ids[dataset.splits == SPLIT_UNLABELED][0]
+        two = ([sample] * 2, np.flatnonzero(hierarchy.depths == 2)[:2], [1, 2])
+        path = edited_checkpoint(saved, tmp_path / "log.bin", lambda e, meta: set_triples(e, "log", *two))
+        with pytest.raises(ValueError, match="two nodes of one depth"):
+            load_checkpoint(path, hierarchy)
+        load_checkpoint(path)
+        path = edited_checkpoint(saved, tmp_path / "history.bin", lambda e, meta: set_triples(e, "history", *two))
+        trainer = Trainer(config(), hierarchy, dataset)
+        trainer.load_state_dict(load_checkpoint(path, hierarchy, dataset.dim))
+        history = trainer.log.history_state()
+        assert history["node"].tolist() == two[1].tolist() and history["epoch"].tolist() == [1, 2]
+
+
 def force_workers(monkeypatch, workers):
     """Have every Trainer made from here on share its steps' depths among
     `workers` threads (at most one per depth), whatever the gate and the cores."""
@@ -400,8 +493,7 @@ class TestDepthWorkers:
         force_workers(monkeypatch, 1)
         run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "full")
         force_workers(monkeypatch, 3)
-        state = load_checkpoint(tmp_path / "full" / "ckpt_epoch0003.bin")
-        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=state)
+        run_training(cfg, hierarchy, dataset, out_dir=tmp_path / "resumed", resume=tmp_path / "full" / "ckpt_epoch0003.bin")
         full, resumed = ((tmp_path / run / "metrics.csv").read_text().splitlines() for run in ("full", "resumed"))
         assert resumed == full[:1] + full[4:]
         final = [(tmp_path / run / "ckpt_epoch0006.bin").read_bytes() for run in ("full", "resumed")]
