@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint")
     group.add_argument("--predictions")
-    p.add_argument("--split", default="test", choices=("test", "train", "all"))
+    p.add_argument("--split", default="test", choices=("test", "train", "all"), help="train: the unlabeled split, no labeled rows")
     p.add_argument("--bins", type=int, default=30)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval)

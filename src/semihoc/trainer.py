@@ -15,11 +15,11 @@ the root). Cutoff detection runs at every epoch end, and the first step
 whose loss at some depth is not finite stops training with a ValueError
 naming the epoch and the depth.
 
-Targets come from the hierarchy's per-depth matrices: a labeled sample at
-node c is supervised at depth d by row c of Q_d. Subtree pseudo-labels are
-chain tables (`spl.assign`) whose assignment masks A give the depth-d
-targets A @ (Q_d * appears_d[:, None]): one-hot at the chain's node in depth
-space d. The student sees, per depth, only the rows that carry a target.
+Every target is a row of the per-depth matrices Q_d: a row supervised at
+node c learns row c of Q_d. A labeled row's c is its label; each method
+fills one (unlabeled rows x depths) table of nodes, -1 for none, in which a
+subtree pseudo-label chain puts its node in depth space d, whose Q_d row is
+one-hot. Each depth's student sees only its rows with a target.
 
 Determinism contract: all randomness flows through named substreams of the
 run seed (weight init, labeled/unlabeled shuffling, labeled/unlabeled
@@ -107,6 +107,8 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if type(f.default) is int and type(value) is not int:  # a bool too
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is float and type(value) is bool:  # True passes every range check as 1
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.epochs < 1 or self.labeled_batch_size < 1 or self.unlabeled_ratio < 1:
             raise ValueError("epochs, batch size and ratio must be positive")
         if self.lr <= 0:
@@ -209,7 +211,6 @@ class Trainer:
         self.opt = OptimizerParams(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
         self.gate = AgeGateState(config.gate_bin_width, config.gate_drop_threshold)
-        self.gating_active = config.method == "semihoc"
         self.epoch = 0
 
         self.labeled_idx = dataset.indices(SPLIT_LABELED)
@@ -233,10 +234,9 @@ class Trainer:
     # -- small helpers -----------------------------------------------------------
 
     def _steps_per_epoch(self) -> int:
-        batch = self.config.labeled_batch_size * self.config.unlabeled_ratio
         if len(self.unlabeled_idx) == 0:
             return max(1, math.ceil(len(self.labeled_idx) / self.config.labeled_batch_size))
-        return math.ceil(len(self.unlabeled_idx) / batch)
+        return math.ceil(len(self.unlabeled_idx) / (self.config.labeled_batch_size * self.config.unlabeled_ratio))
 
     # -- per-method unlabeled target construction ---------------------------------
 
@@ -248,42 +248,31 @@ class Trainer:
         update_log(self.log, rows, assigned, self.epoch)
         return apply_gating(assigned, self.log.first[rows], self._cutoffs)
 
-    def _assign_oracle(self, gts: np.ndarray) -> np.ndarray:
-        """Chain table of every non-root ancestor-or-self of the ground truth."""
-        chains = self.hierarchy.ancestors[gts, 1:]
-        return np.where(np.arange(1, len(self.depths) + 1) <= self.hierarchy.depths[gts, None], chains, -1)
-
-    def _pseudo_targets(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per depth d, the rows of a chain table with a node in depth space d
-        and their one-hot targets at its column. There is at most one: a node
-        deeper than d has no column, a shallower one only as a chain-ending ID leaf."""
-        out = []
+    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
+        """Rows of batch_u by depths: entry (i, d - 1) is the node whose row of
+        Q[d - 1] is row i's depth-d target, -1 for none."""
+        cfg, hierarchy = self.config, self.hierarchy
+        if cfg.method == "supervised":
+            return np.full((0, len(self.depths)), -1)
+        if cfg.method == "spl-oracle":  # every non-root ancestor-or-self of the ground truth
+            gts = self.dataset.labels[batch_u]
+            chains = np.where(np.arange(1, len(self.depths) + 1) <= hierarchy.depths[gts, None], hierarchy.ancestors[gts, 1:], -1)
+        elif cfg.method in SUBTREE_METHODS:
+            chains = self._assign_semihoc(batch_u, x_u)
+        elif cfg.method == "ssl-node":  # the confident argmax node supervises every depth, like a label
+            fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), hierarchy)
+            preds, passing = predict_nodes(fused), fused.max(axis=1) > cfg.tau
+            return np.stack([np.where(passing & q.any(axis=1)[preds], preds, -1) for q in hierarchy.Q], axis=1)
+        else:  # ssl-per-depth: each depth's own confident argmax
+            probs = self.heads.teacher_forward_all(x_u, self.workers)
+            nodes = [np.asarray(hierarchy.depth_space(d))[p.argmax(axis=1)] for d, p in zip(self.depths, probs)]
+            return np.stack([np.where(p.max(axis=1) > cfg.tau, n, -1) for p, n in zip(probs, nodes)], axis=1)
+        # A chain's node in depth space d, at most one: its depth-d node, or a chain-ending ID leaf above depth d.
+        table = np.full_like(chains, -1)
         for d in self.depths:
-            cols = self._columns[d - 1][table].max(axis=1)
-            live = cols >= 0
-            out.append((live, _one_hot(cols[live], len(self.hierarchy.depth_space(d)))))
-        return out
-
-    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray) -> list[tuple]:
-        """Per depth, a mask of the batch rows with a target and their targets."""
-        cfg = self.config
-        if cfg.method in SUBTREE_METHODS:
-            return self._pseudo_targets(self._assign_semihoc(batch_u, x_u))
-        if cfg.method == "spl-oracle":
-            return self._pseudo_targets(self._assign_oracle(self.dataset.labels[batch_u]))
-        if cfg.method == "ssl-node":
-            # the confident argmax node supervises every depth, like a label
-            fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), self.hierarchy)
-            preds = predict_nodes(fused)
-            passing = fused[np.arange(len(preds)), preds] > cfg.tau
-            lives = [passing & q.any(axis=1)[preds] for q in self.hierarchy.Q]
-            return [(live, q[preds[live]]) for live, q in zip(lives, self.hierarchy.Q)]
-        targets = []  # ssl-per-depth: each depth's own confident argmax
-        for probs in self.heads.teacher_forward_all(x_u, self.workers):
-            preds = np.argmax(probs, axis=1)
-            live = probs[np.arange(len(preds)), preds] > cfg.tau
-            targets.append((live, _one_hot(preds[live], probs.shape[1])))
-        return targets
+            rows, at = np.nonzero(self._columns[d - 1][chains] >= 0)
+            table[rows, d - 1] = chains[rows, at]
+        return table
 
     # -- one optimization step ------------------------------------------------------
 
@@ -296,36 +285,28 @@ class Trainer:
         end states are those of drawing depth after depth. A depth with no
         unlabeled target row draws no unlabeled masks."""
         cfg = self.config
-        x_l = self.dataset.features[batch_l]
+        x_l, x_u = self.dataset.features[batch_l], self.dataset.features[batch_u]
         labels_l = self.dataset.labels[batch_l]
-        n_l = len(batch_l)
+        n_l, m_u = len(batch_l), len(batch_u)
+        table = self._unlabeled_targets(batch_u, x_u)
 
-        uses_unlabeled = cfg.method != "supervised"
-        x_u = self.dataset.features[batch_u] if uses_unlabeled else None
-        m_u = len(batch_u) if uses_unlabeled else 0
-
-        d_targets = self._unlabeled_targets(batch_u, x_u) if uses_unlabeled else None
-
-        drop_l = self.streams.get("dropout/labeled")
-        drop_u = self.streams.get("dropout/unlabeled")
+        drop_l, drop_u = (self.streams.get(f"dropout/{name}") for name in ("labeled", "unlabeled"))
         run_l, run_u = (heads_mod.mask_draws(self.heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
-        targets_l = self.hierarchy.Q  # built on first use: here, not in two threads at once
+        targets = self.hierarchy.Q  # built on first use: here, not in two threads at once
 
         def depth_step(d: int) -> tuple[float, float]:
             student = self.heads.students[d - 1]
-            t_l = targets_l[d - 1][labels_l]
             masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l))
-            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, t_l, masks=masks_l)
+            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, targets[d - 1][labels_l], masks=masks_l)
             g *= 1.0 / n_l
 
-            loss_u = 0.0
-            if uses_unlabeled:
-                live, t_live = d_targets[d - 1]
-                if len(t_live):  # forward and backward on the rows with a target, masks drawn for all
-                    masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u), live)
-                    loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], t_live, masks=masks_u)
-                    g += np.multiply(g_u, 1.0 / m_u, out=g_u)
-                    del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
+            loss_u, nodes = 0.0, table[:, d - 1]
+            live = nodes >= 0
+            if live.any():  # forward and backward on the rows with a target, masks drawn for all
+                masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u), live)
+                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], targets[d - 1][nodes[live]], masks=masks_u)
+                g += np.multiply(g_u, 1.0 / m_u, out=g_u)
+                del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
 
             scale = clip_scale([g[s] for s in self.heads.param_slices[d - 1]], GRAD_CLIP_NORM)  # float64 sums per parameter
             self.heads.sgd_step(d, g, self.opt, scale=scale)
@@ -333,8 +314,7 @@ class Trainer:
 
         losses = heads_mod.map_depths(depth_step, self.depths, self.workers)  # in depth order
         drop_l.bit_generator.advance(len(self.depths) * run_l)
-        if uses_unlabeled:
-            drop_u.bit_generator.advance(len(self.depths) * run_u)
+        drop_u.bit_generator.advance(len(self.depths) * run_u)
         self.heads.ema_update_all(cfg.ema_momentum)
         return [l for l, _ in losses], [u for _, u in losses]
 
@@ -346,7 +326,7 @@ class Trainer:
         sum_l = np.zeros(len(self.depths))
         sum_u = np.zeros(len(self.depths))
 
-        if cfg.method == "supervised" or len(self.unlabeled_idx) == 0:
+        if cfg.method == "supervised":
             batches_u = [np.empty(0, dtype=np.int64)] * self._steps_per_epoch()
         else:
             perm = self.streams.get("shuffle/unlabeled").permutation(len(self.unlabeled_idx))
@@ -369,7 +349,7 @@ class Trainer:
             report.spl_total, kept, report.purity, report.avg_depth = log_summary(self.log, self._cutoffs, gts, self.hierarchy)
             report.gated_count = report.spl_total - kept
             report.coverage = kept / report.spl_total if report.spl_total else None
-        if self.gating_active and update_cutoffs(self.gate, self.log, self.epoch):
+        if cfg.method == "semihoc" and update_cutoffs(self.gate, self.log, self.epoch):
             self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
         report.wall_clock = time.perf_counter() - start
         self.epoch += 1
@@ -417,13 +397,6 @@ class Trainer:
         self.streams.load_state_dict(meta["streams"])
         self.gate.load_state_dict(meta["gate"])
         self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
-
-
-def _one_hot(cols: np.ndarray, k: int) -> np.ndarray:
-    """Float64 rows over k classes, each with a single 1 at its entry of `cols`."""
-    out = np.zeros((len(cols), k))
-    out[np.arange(len(cols)), cols] = 1.0
-    return out
 
 
 def keep_freed_memory() -> None:

@@ -377,6 +377,7 @@ class TestCheckpointEntries:
             ("version-3", "unsupported checkpoint version 3"),
             ("nan-lr", "lr must be finite"),
             ("tau-below-one-half", "tau must be >= 0.5"),
+            ("bool-ema-momentum", "entry meta: ema_momentum must be a number, got True"),
             ("nan-cutoff", "entry meta: cutoff of node 1 is nan"),
             ("negative-cutoff", "entry meta: cutoff of node 1 is -2.0"),
             ("zero-gate-bin-width", "entry meta: gate bin_width 0 and drop_threshold 0.01 differ"),
@@ -411,9 +412,9 @@ class TestCheckpointEntries:
             entries["student.d1.w0"] = entries["student.d1.w0"][:1]
         elif kind == "mis-typed":
             entries["velocity.d3.b3"] = entries["velocity.d3.b3"].astype(np.float64)
-        elif kind in ("nan-lr", "tau-below-one-half"):
+        elif kind in ("nan-lr", "tau-below-one-half", "bool-ema-momentum"):
             meta = json.loads(entries["meta"].item())
-            field, value = ("lr", float("nan")) if kind == "nan-lr" else ("tau", 0.4)
+            field, value = {"nan-lr": ("lr", float("nan")), "tau-below-one-half": ("tau", 0.4), "bool-ema-momentum": ("ema_momentum", True)}[kind]
             meta["config"][field] = value
             entries["meta"] = np.array(json.dumps(meta))
         elif kind in ("nan-cutoff", "negative-cutoff"):  # detect_cutoff gives only values in [0, inf]
@@ -638,6 +639,16 @@ class TestOptimizerSettings:
             err = capsys.readouterr().err
             assert code == 1 and f"{field} must be an integer, got 2.5" in err and "Traceback" not in err
             assert not (tmp_path / field).exists()
+
+    def test_true_in_a_float_config_field_exits_one(self, workspace, tmp_path, capsys):
+        """true passed every range check as 1: an ema_momentum of true trained
+        a teacher that never moved."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ema_momentum": True}))
+        code = run("train", *inputs_of(workspace), "--out", tmp_path / "r", "--config", config, "--quiet")
+        err = capsys.readouterr().err
+        assert code == 1 and "ema_momentum must be a number, got True" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_tau_below_one_half_exits_one_for_subtree_labels(self, workspace, tmp_path, capsys):
         """semihoc's pseudo-labels are chains of one node per depth, which

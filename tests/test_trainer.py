@@ -12,9 +12,9 @@ from semihoc import heads as heads_mod
 from semihoc import spl as spl_mod
 from semihoc import trainer as trainer_mod
 from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
-from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
+from semihoc.datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from semihoc.heads import DepthHeads
-from semihoc.hierarchy import Hierarchy, random_tree
+from semihoc.hierarchy import Hierarchy, hierarchy_hash, random_tree
 from semihoc.metrics import confidence_accuracy_bins, spl_purity_and_depth
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 from semihoc.trainer import (
@@ -91,6 +91,13 @@ class TestConfig:
         the other integer fields ended in a TypeError."""
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig) if type(f.default) is float])
+    def test_float_field_refuses_a_bool(self, field):
+        """true passed every range check as 1: `"ema_momentum": true` froze
+        the teacher and `"tau": true` assigned no pseudo-label."""
+        with pytest.raises(ValueError, match=f"{field} must be a number, got True"):
+            TrainConfig.from_dict({field: True})
 
     def test_nan_lr_refused_from_dict(self):
         data = dict(vars(reference_train_config("semihoc", 0, 3)), lr=math.nan)
@@ -211,8 +218,25 @@ class TestDegeneracies:
             assert a.spl_total == b.spl_total and a.gated_count == b.gated_count == 0
 
 
+def chain_targets(trainer, monkeypatch, chains):
+    """The target table of a batch whose gated subtree pseudo-labels are the chain table `chains`."""
+    monkeypatch.setattr(trainer, "_assign_semihoc", lambda batch_u, x_u: chains)
+    return trainer._unlabeled_targets(np.arange(len(chains)), None)
+
+
+def uneven_data():
+    """Root -> {A, B}, B -> {C, D}, with A, C and D ID classes, so that A is
+    also a class of depth 2: one labeled row per class and five unlabeled
+    rows, one of them out of distribution at B."""
+    tree = Hierarchy([-1, 0, 0, 2, 2], ["Root", "A", "B", "C", "D"], id_leaves=[1, 3, 4])
+    splits = np.array([SPLIT_LABELED] * 3 + [SPLIT_UNLABELED] * 5, dtype=np.uint8)
+    features = np.random.default_rng(0).normal(size=(8, 4)).astype(np.float32)
+    labels = np.array([1, 3, 4, 1, 3, 4, 2, 1])
+    return tree, FeatureDataset(features, labels, np.arange(8, dtype=np.uint64), splits, hierarchy_hash(tree))
+
+
 class TestSteps:
-    def test_internal_spl_trains_only_its_depth(self, tiny_data):
+    def test_internal_spl_trains_only_its_depth(self, tiny_data, monkeypatch):
         """A depth-1 chain node only contributes where it lives in a space."""
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
@@ -220,13 +244,11 @@ class TestSteps:
         depth1_node = hierarchy.children[0][0]
         assigned = np.full((1, hierarchy.max_depth), -1)
         assigned[0, 0] = depth1_node
-        targets = trainer._pseudo_targets(assigned)
-        assert targets[0][1].any()
-        for d in trainer.depths[1:]:
-            live, deeper = targets[d - 1]
-            assert not live.any() and not deeper.any()
+        table = chain_targets(trainer, monkeypatch, assigned)
+        assert table[0, 0] == depth1_node and hierarchy.Q[0][table[0, 0]].any()
+        assert (table[0, 1:] == -1).all()
 
-    def test_semihoc_targets_supported_inside_subtree(self, tiny_data):
+    def test_semihoc_targets_supported_inside_subtree(self, tiny_data, monkeypatch):
         """Chain-node targets at depth d are one-hot at the node itself, so
         their support sits inside Subtree(node) ∩ depth space d."""
         hierarchy, dataset = tiny_data
@@ -237,16 +259,17 @@ class TestSteps:
             chain = hierarchy.ancestors_or_self(c)[1:]
             assigned = np.full((1, hierarchy.max_depth), -1)
             assigned[0, : len(chain)] = chain
+            table = chain_targets(trainer, monkeypatch, assigned)
             for d in trainer.depths:
-                live, targets = trainer._pseudo_targets(assigned)[d - 1]
+                node = table[0, d - 1]
                 space = hierarchy.depth_space(d)
-                support = {space[j] for j in np.nonzero(targets[0])[0]} if live[0] else set()
+                support = {space[j] for j in np.nonzero(hierarchy.Q[d - 1][node])[0]} if node >= 0 else set()
                 in_space = [n for n in chain if hierarchy.columns[d - 1, n] >= 0]
                 allowed = set().union(*(set(nodes[hierarchy.in_subtree(nodes, n)].tolist()) for n in in_space))
                 allowed = allowed if support else set()
                 assert support <= (allowed & set(space))
 
-    def test_pseudo_targets_equal_the_matrix_product(self, tiny_data):
+    def test_pseudo_targets_equal_the_matrix_product(self, tiny_data, monkeypatch):
         """A @ (Q_d * appears_d[:, None]) for the assignment mask A of random
         chains with gated holes, on the rows where it is not zero."""
         hierarchy, dataset = tiny_data
@@ -259,18 +282,31 @@ class TestSteps:
         mask = np.zeros((40, hierarchy.n_nodes), dtype=bool)
         rows, cols = np.nonzero(table >= 0)
         mask[rows, table[rows, cols]] = True
-        for d, (live, targets) in zip(trainer.depths, trainer._pseudo_targets(table)):
+        targets = chain_targets(trainer, monkeypatch, table)
+        for d in trainer.depths:
             appears = hierarchy.columns[d - 1] >= 0
             product = mask @ (hierarchy.Q[d - 1] * appears[:, None])
-            assert np.array_equal(live, product.any(axis=1)) and np.array_equal(targets, product[live])
-        assert any(live.any() for live, _ in trainer._pseudo_targets(table))
+            live = targets[:, d - 1] >= 0
+            assert np.array_equal(live, product.any(axis=1))
+            assert np.array_equal(hierarchy.Q[d - 1][targets[live, d - 1]], product[live])
+        assert (targets >= 0).any()
+
+    def test_chain_ending_id_leaf_is_its_node_in_deeper_spaces(self, monkeypatch):
+        hierarchy, dataset = uneven_data()
+        trainer = Trainer(config(), hierarchy, dataset)
+        chains = np.array([[1, -1], [2, 3], [2, -1], [-1, 4], [-1, -1]])
+        assert chain_targets(trainer, monkeypatch, chains).tolist() == [[1, 1], [2, 3], [2, -1], [-1, 4], [-1, -1]]
+        assert np.array_equal(hierarchy.Q[1][1], np.eye(3)[hierarchy.columns[1, 1]])  # one-hot at A's depth-2 class
+        oracle = Trainer(config(method="spl-oracle"), hierarchy, dataset)
+        table = oracle._unlabeled_targets(oracle.unlabeled_idx, dataset.features[oracle.unlabeled_idx])
+        assert table.tolist() == [[1, 1], [2, 3], [2, 4], [2, -1], [1, 1]]
 
     def test_oracle_chain_is_ancestor_path(self, tiny_data):
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(method="spl-oracle"), hierarchy, dataset)
-        some_leaf = sorted(hierarchy.id_leaves)[0]
-        assigned = trainer._assign_oracle(np.array([some_leaf]))[0]
-        assert set(assigned[assigned >= 0].tolist()) == set(hierarchy.ancestors_or_self(some_leaf)[1:])
+        batch_u = trainer.unlabeled_idx[np.isin(dataset.labels[trainer.unlabeled_idx], sorted(hierarchy.id_leaves))][:1]
+        assigned = trainer._unlabeled_targets(batch_u, dataset.features[batch_u])[0]
+        assert set(assigned[assigned >= 0].tolist()) == set(hierarchy.ancestors_or_self(dataset.labels[batch_u[0]])[1:])
 
     def test_oracle_refuses_missing_ground_truth(self, tiny_data):
         hierarchy, dataset = tiny_data
@@ -288,6 +324,40 @@ class TestSteps:
 
         with pytest.raises(ValueError, match="hierarchy"):
             Trainer(config(), hierarchy, replace(dataset, hierarchy_hash=1))
+
+
+class TestUnlabeledTargets:
+    """Every method's unlabeled targets are one table of nodes whose Q rows the student learns."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_entry_is_none_or_a_q_row(self, tiny_data, method):
+        """For the ssl methods, the rows of Q equal the dense targets built
+        without the table: the Q rows of the confident fused argmax where they
+        are not zero, or the one-hot of each depth's confident argmax."""
+        hierarchy, dataset = tiny_data
+        tau = 0.9 if method == "ssl-node" else 0.5  # so that some rows pass and some do not
+        trainer = Trainer(config(method=method, tau=tau), hierarchy, dataset)
+        batch_u = trainer.unlabeled_idx[:16] if method != "supervised" else np.empty(0, dtype=np.int64)
+        x_u = dataset.features[batch_u]
+        table = trainer._unlabeled_targets(batch_u, x_u)
+        assert table.shape == (len(batch_u), hierarchy.max_depth)
+        live = table >= 0
+        assert (table[~live] == -1).all()
+        for d in trainer.depths:
+            assert hierarchy.Q[d - 1][table[live[:, d - 1], d - 1]].any(axis=1).all()
+        if method not in ("ssl-node", "ssl-per-depth"):
+            return
+        probs, rows = trainer.heads.teacher_forward_all(x_u), np.arange(len(batch_u))
+        if method == "ssl-node":
+            fused = fuse_batch(probs, hierarchy)
+            preds = fused.argmax(axis=1)
+            dense = [((fused[rows, preds] > tau) & q.any(axis=1)[preds], q[preds]) for q in hierarchy.Q]
+        else:
+            dense = [(p[rows, p.argmax(axis=1)] > tau, np.eye(p.shape[1])[p.argmax(axis=1)]) for p in probs]
+        for d, (passing, targets) in zip(trainer.depths, dense):
+            assert np.array_equal(live[:, d - 1], passing)
+            assert np.array_equal(hierarchy.Q[d - 1][table[passing, d - 1]], targets[passing])
+        assert live.any() and not live.all()
 
 
 class TestDeterminismAndResume:
@@ -513,11 +583,13 @@ class TestDepthWorkers:
         targets = trainer._unlabeled_targets
 
         def no_depth2_row(batch_u, x_u):
-            out = targets(batch_u, x_u)
-            live, t_live = out[1]
-            assert live.any()  # so that blanking it changes what the step draws
-            out[1] = (np.zeros_like(live), t_live[:0])
-            return out
+            table = targets(batch_u, x_u)
+            if method == "supervised":
+                assert table.shape == (0, hierarchy.max_depth)
+            else:
+                assert (table[:, 1] >= 0).any()  # so that blanking it changes what the step draws
+                table[:, 1] = -1
+            return table
 
         monkeypatch.setattr(trainer, "_unlabeled_targets", no_depth2_row)
         drawn = {}  # (depth, "l" or "u") -> masks, from whichever thread drew them
@@ -533,7 +605,7 @@ class TestDepthWorkers:
         sequential = {name: np.random.default_rng() for name in streams}
         for name, rng in sequential.items():
             rng.bit_generator.state = streams[name].bit_generator.state
-        live = [live for live, _ in targets(batch_u, trainer.dataset.features[batch_u])] if len(batch_u) else None
+        live = (targets(batch_u, trainer.dataset.features[batch_u]) >= 0).T
 
         trainer._train_step(batch_l, batch_u)
 
