@@ -12,6 +12,11 @@ It writes:
 * `reference/checkpoints.sha256`: the SHA-256 of each method's final
   checkpoint (`<method>/ckpt_epoch0030.bin`, in `sha256sum` format), so that
   every method's head weights are compared without keeping 27 MB files;
+* `uneven-tree/<method>/metrics.csv` and `uneven-tree/checkpoints.sha256`:
+  the same for the six methods on a hand-built tree whose ID leaf A sits
+  above the deepest level (root -> {A, B}, B -> {C, D}), 8 epochs evaluated
+  every 2, so that a chain or an argmax ending at A supervises the depth-2
+  head;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
 * `wide-tree-resumed/metrics.csv` and `wide-tree-resumed/checkpoint.sha256`:
@@ -48,19 +53,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 from semihoc import cli  # noqa: E402
 from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
-from semihoc.trainer import METHODS, run_training  # noqa: E402
+from semihoc.datagen import SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset  # noqa: E402
+from semihoc.hierarchy import Hierarchy, hierarchy_hash  # noqa: E402
+from semihoc.trainer import METHODS, TrainConfig, run_training  # noqa: E402
 from workloads import EvalCli, WideTree  # noqa: E402
 
 SEED = 0
 
 
-def reference(out: Path) -> None:
-    hierarchy, dataset = reference_dataset(SEED)
+def every_method(out: Path, hierarchy, dataset, config_of) -> None:
+    """Each method's metrics.csv, and the SHA-256 of its final checkpoint, of the run config_of(method)."""
     hashes = []
     for method in METHODS:
-        config = replace(reference_train_config(method, SEED, epochs=30), eval_every=10)
+        config = config_of(method)
         run_dir = out / method
         run_training(config, hierarchy, dataset, out_dir=run_dir)
         final = f"ckpt_epoch{config.epochs:04d}.bin"
@@ -69,6 +78,32 @@ def reference(out: Path) -> None:
             if path.name != "metrics.csv":
                 path.unlink()
     (out / "checkpoints.sha256").write_text("".join(hashes))
+
+
+def reference(out: Path) -> None:
+    hierarchy, dataset = reference_dataset(SEED)
+    every_method(out, hierarchy, dataset, lambda method: replace(reference_train_config(method, SEED, epochs=30), eval_every=10))
+
+
+def uneven_tree(out: Path) -> None:
+    """Root -> {A, B}, B -> {C, D}: A is an ID leaf at depth 1, so it is also a class of depth 2.
+    Around each class mean, 8 labeled rows per ID leaf and 30 unlabeled and 10 test rows per
+    node, those of B out of distribution."""
+    hierarchy = Hierarchy([-1, 0, 0, 2, 2], ["Root", "A", "B", "C", "D"], id_leaves=[1, 3, 4])
+    rng = np.random.default_rng(SEED)
+    means = {1: [4, 0, 0, 0], 2: [0, 4, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]}
+    labels, splits = [], []
+    for node in means:
+        for split, n in ((SPLIT_LABELED, 8 if node != 2 else 0), (SPLIT_UNLABELED, 30), (SPLIT_TEST, 10)):
+            labels += [node] * n
+            splits += [split] * n
+    labels = np.array(labels)
+    features = (np.array([means[c] for c in labels]) + rng.normal(0.0, 0.5, (len(labels), 4))).astype(np.float32)
+    ids = np.arange(len(labels), dtype=np.uint64)
+    dataset = FeatureDataset(features, labels, ids, np.array(splits, dtype=np.uint8), hierarchy_hash(hierarchy))
+    # ema_momentum 0.9: the teacher follows the student fast enough to label rows at A within 8 epochs
+    config = TrainConfig(epochs=8, labeled_batch_size=8, unlabeled_ratio=2, lr=0.1, ema_momentum=0.9, tau=0.6, hidden_dim=32)
+    every_method(out, hierarchy, dataset, lambda method: replace(config, method=method, seed=SEED, eval_every=2))
 
 
 def wide_tree(out: Path) -> None:
@@ -123,6 +158,7 @@ def main() -> int:
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")
     reference(out / "reference")
+    uneven_tree(out / "uneven-tree")
     wide_tree(out / "wide-tree")
     wide_tree_resumed(out / "wide-tree-resumed")
     eval_cli(out / "eval-cli")

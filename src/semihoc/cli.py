@@ -28,6 +28,7 @@ from .datagen import (
     SPLIT_TEST,
     SPLIT_UNLABELED,
     SyntheticConfig,
+    exceeds_memory,
     generate,
     load_features,
     sample_labeled_subset,
@@ -186,19 +187,19 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
     exact = preds == gts
     in_subtree = known & hierarchy.in_subtree(np.where(known, gts, 0), preds)
     is_id = hierarchy.is_leaf(preds)
-    bin_rows = []
-    for mode, confs, correct in (("node", node_conf, exact), ("subtree", sub_conf, in_subtree)):
-        for panel in ("id", "ood"):
-            sel = known & (is_id if panel == "id" else ~is_id)
-            if not sel.any():
-                continue
-            table = confidence_accuracy_bins(confs[sel], correct[sel], n_bins=bins)
-            for b in range(bins):
-                acc = None if np.isnan(table.accuracy[b]) else float(table.accuracy[b])
-                edges = map(float, table.edges[b : b + 2])
-                bin_rows.append([mode, panel, *edges, acc, float(table.frequency[b]), int(table.counts[b])])
+    def bin_rows():  # written as they come, so that only one panel's bins are held
+        for mode, confs, correct in (("node", node_conf, exact), ("subtree", sub_conf, in_subtree)):
+            for panel in ("id", "ood"):
+                sel = known & (is_id if panel == "id" else ~is_id)
+                if not sel.any():
+                    continue
+                table = confidence_accuracy_bins(confs[sel], correct[sel], n_bins=bins)
+                for b in range(bins):
+                    acc = None if np.isnan(table.accuracy[b]) else float(table.accuracy[b])
+                    edges = map(float, table.edges[b : b + 2])
+                    yield [mode, panel, *edges, acc, float(table.frequency[b]), int(table.counts[b])]
     header = ["mode", "panel", "bin_lo", "bin_hi", "accuracy", "frequency", "count"]
-    _write_csv(out / "confidence_bins.csv", header, bin_rows)
+    _write_csv(out / "confidence_bins.csv", header, bin_rows())
 
 
 def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
@@ -221,6 +222,9 @@ def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
 def cmd_eval(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
+    # _write_eval_reports holds 72 bytes a bin at its peak (tracemalloc), two panels' arrays
+    if problem := exceeds_memory(80 * args.bins, f"the per-bin arrays of --bins {args.bins}"):
+        raise UsageError(problem)
     hierarchy, dataset = _load_inputs(args)
     out = _prepare_out_dir(args.out, args.force)
     idx = _split_indices(dataset, args.split)

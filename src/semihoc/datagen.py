@@ -120,6 +120,21 @@ class SyntheticConfig:
             raise ValueError("ood_fraction must be in (0, 1)")
         if self.root_ood_per_split < 0:
             raise ValueError("root_ood_per_split must be >= 0")
+        nodes = (self.branching ** (self.depth + 1) - 1) // (self.branching - 1)  # of the full tree, before pruning
+        samples = self.branching**self.depth * (self.train_per_leaf + self.test_per_leaf) + 2 * self.root_ood_per_split
+        if problem := exceeds_memory(8 * (nodes + samples) * self.feature_dim, "the float64 draws of the synthetic data"):
+            raise ValueError(problem)
+
+
+def exceeds_memory(nbytes: int, what: str) -> str | None:
+    """The refusal of `what`, which needs `nbytes` bytes, when that is more than this machine's
+    physical memory; None when it is not, or where the OS does not report it."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    size = f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"over 2^{nbytes.bit_length() - 1} bytes"
+    return f"{what} need {size}, more than the {total / 2**30:.3g} GiB of this machine's memory" if nbytes > total else None
 
 
 def _balanced_tree(branching: int, depth: int) -> tuple[np.ndarray, list[list[int]]]:

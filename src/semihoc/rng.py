@@ -28,15 +28,16 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _MASK64, fnv1a_64(name.encode())]))
 
 
-def advanced(gen: np.random.Generator, steps: int) -> np.random.Generator:
-    """A new generator standing where `gen` will after `steps` more steps of
-    its bit generator, one per float64 uniform; `gen` does not move. The
-    stream must hold no buffered 32-bit half, which only integer draws of 32
-    bits or fewer leave behind: advancing drops it."""
-    bits = type(gen.bit_generator)(0)  # a fixed seed: seeding from OS entropy costs more than the copy
-    bits.state = gen.bit_generator.state
-    bits.advance(steps)
-    return np.random.Generator(bits)
+def advanced(gen: np.random.Generator, steps: int, copy: np.random.Generator) -> np.random.Generator:
+    """`copy`, a generator the caller keeps, set to stand where `gen` will
+    after `steps` more steps of its bit generator, one per float64 uniform;
+    `gen` does not move. Setting its state takes about 7 µs, seeding a new
+    PCG64 about 25 µs (timeit, numpy 2.4, 2-core x86 host). The stream must
+    hold no buffered 32-bit half, which only integer draws of 32 bits or
+    fewer leave behind: advancing drops it."""
+    copy.bit_generator.state = gen.bit_generator.state
+    copy.bit_generator.advance(steps)
+    return copy
 
 
 class StreamSet:

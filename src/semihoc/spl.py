@@ -176,17 +176,11 @@ class AgeGateState:
     drop_threshold: float = 0.01
     cutoffs: dict[int, float] = field(default_factory=dict)
 
-    def vector(self, n_nodes: int, dtype=np.float64) -> np.ndarray:
-        """Cutoff per node id in `dtype`. Where none is set it holds infinity,
-        or an integer dtype's maximum, which no epoch of a log in that dtype
-        exceeds; cutoffs are whole epochs, so `first > cutoff` decides alike.
-        The cutoffs' nodes are non-root nodes of an n_nodes tree."""
-        dtype, values = np.dtype(dtype), list(self.cutoffs.values())
-        none = math.inf if dtype.kind == "f" else int(np.iinfo(dtype).max)
-        if dtype.kind != "f":  # a NaN cutoff gates nothing, like `none`
-            values = [math.floor(max(t, np.iinfo(dtype).min)) if t < none else none for t in values]
-        out = np.full(n_nodes, none, dtype=dtype)
-        out[list(self.cutoffs)] = values
+    def vector(self, n_nodes: int) -> np.ndarray:
+        """Cutoff per node id, infinity where none is set. The cutoffs' nodes
+        are non-root nodes of an n_nodes tree."""
+        out = np.full(n_nodes, math.inf)
+        out[list(self.cutoffs)] = list(self.cutoffs.values())
         return out
 
     def state_dict(self) -> dict:

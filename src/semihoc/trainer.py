@@ -40,7 +40,6 @@ import struct
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -219,9 +218,10 @@ class Trainer:
         self.workers = depth_workers(config, len(self.depths), len(self.labeled_idx), len(self.unlabeled_idx))
         # Pseudo-label state: a chain table over (unlabeled row, depth) and the record of its entries.
         self.log = SplLog(dataset.sample_ids[self.unlabeled_idx], hierarchy.depths, epoch_dtype(config.epochs))
-        self._cutoffs = self.gate.vector(hierarchy.n_nodes, self.log.first.dtype)  # rebuilt whenever a cutoff changes
+        self._cutoffs = self.gate.vector(hierarchy.n_nodes)  # rebuilt whenever a cutoff changes
         # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
         self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
+        self._has_target = np.stack([q.any(axis=1) for q in hierarchy.Q], axis=1)  # (node, depth): Q_d's row is not zero
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
         if len(self.labeled_idx) == 0:
@@ -230,6 +230,8 @@ class Trainer:
             raise ValueError("spl-oracle needs ground truth for every unlabeled sample")
 
         self.loader = _LabeledLoader(self.labeled_idx, config.labeled_batch_size, self.streams.get("shuffle/labeled"))
+        # per depth, the generators that each step sets to that depth's runs of the two dropout streams
+        self._mask_rngs = [(np.random.default_rng(0), np.random.default_rng(0)) for _ in self.depths]
 
     # -- small helpers -----------------------------------------------------------
 
@@ -262,7 +264,7 @@ class Trainer:
         elif cfg.method == "ssl-node":  # the confident argmax node supervises every depth, like a label
             fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), hierarchy)
             preds, passing = predict_nodes(fused), fused.max(axis=1) > cfg.tau
-            return np.stack([np.where(passing & q.any(axis=1)[preds], preds, -1) for q in hierarchy.Q], axis=1)
+            return np.where(passing[:, None] & self._has_target[preds], preds[:, None], -1)
         else:  # ssl-per-depth: each depth's own confident argmax
             probs = self.heads.teacher_forward_all(x_u, self.workers)
             nodes = [np.asarray(hierarchy.depth_space(d))[p.argmax(axis=1)] for d, p in zip(self.depths, probs)]
@@ -292,19 +294,18 @@ class Trainer:
 
         drop_l, drop_u = (self.streams.get(f"dropout/{name}") for name in ("labeled", "unlabeled"))
         run_l, run_u = (heads_mod.mask_draws(self.heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
-        targets = self.hierarchy.Q  # built on first use: here, not in two threads at once
 
         def depth_step(d: int) -> tuple[float, float]:
-            student = self.heads.students[d - 1]
-            masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l))
-            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, targets[d - 1][labels_l], masks=masks_l)
+            student, q, (rng_l, rng_u) = self.heads.students[d - 1], self.hierarchy.Q[d - 1], self._mask_rngs[d - 1]
+            masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l, rng_l))
+            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, q[labels_l], masks=masks_l)
             g *= 1.0 / n_l
 
             loss_u, nodes = 0.0, table[:, d - 1]
             live = nodes >= 0
             if live.any():  # forward and backward on the rows with a target, masks drawn for all
-                masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u), live)
-                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], targets[d - 1][nodes[live]], masks=masks_u)
+                masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u, rng_u), live)
+                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], q[nodes[live]], masks=masks_u)
                 g += np.multiply(g_u, 1.0 / m_u, out=g_u)
                 del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
 
@@ -350,7 +351,7 @@ class Trainer:
             report.gated_count = report.spl_total - kept
             report.coverage = kept / report.spl_total if report.spl_total else None
         if cfg.method == "semihoc" and update_cutoffs(self.gate, self.log, self.epoch):
-            self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
+            self._cutoffs = self.gate.vector(self.hierarchy.n_nodes)
         report.wall_clock = time.perf_counter() - start
         self.epoch += 1
         return report
@@ -396,7 +397,7 @@ class Trainer:
         self.loader.perm = np.array(state["loader.perm"], dtype=np.int64)
         self.streams.load_state_dict(meta["streams"])
         self.gate.load_state_dict(meta["gate"])
-        self._cutoffs = self.gate.vector(self.hierarchy.n_nodes, self.log.first.dtype)
+        self._cutoffs = self.gate.vector(self.hierarchy.n_nodes)
 
 
 def keep_freed_memory() -> None:
@@ -498,10 +499,9 @@ def save_checkpoint(trainer: Trainer, path) -> None:
 
 
 def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int | None = None) -> dict:
-    """The state saved by save_checkpoint, held to every rule of
-    CHECKPOINT_ENTRIES that a reader with this hierarchy and feature dim,
-    each optional, can check; ValueError naming the file and the entry
-    otherwise."""
+    """The state saved by save_checkpoint, held by _check_entries to every
+    rule that a reader with this hierarchy and feature dim, each optional,
+    can check; ValueError naming the file and the entry otherwise."""
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != CHECKPOINT_MAGIC:
@@ -522,39 +522,31 @@ def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int |
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _known(source: str, spec: str = ""):
-    """Rule of a key of meta that the reader's `source` gives too: the reader's value, where it has one."""
-    def rule(value, run, name):
-        own = getattr(run, name[5:])
-        return own not in (None, value) and f"{name[5:]} {value:{spec}} does not match the {source}'s {own:{spec}}"
-    return rule
-
-
-def _at_most(high):
-    """Rule of an integer key of meta: in [0, high(run)]."""
-    return lambda value, run, name: not 0 <= value <= high(run) and f"{name[5:]} {value} is outside [0, {high(run)}]"
-
-
 def _outside(name: str, values: np.ndarray, low: int, high) -> str | None:
     out = values[(values < low) | (values >= high)]
     return f"entry {name} holds {name.split('.')[1]} {out[0]}, outside [{low}, {high})" if len(out) else None
 
 
-def _gate(gate: dict, run, name) -> str | None:
+def _differs(key: str, value, own, source: str, spec: str = "") -> str | None:
+    """Problem of a key of meta that the reader's `source` gives too, as `own`: none where it has no value."""
+    return None if own in (None, value) else f"{key} {value:{spec}} does not match the {source}'s {own:{spec}}"
+
+
+def _gate(gate: dict, n_nodes, config: TrainConfig) -> str | None:
     """Cutoffs that detect_cutoff can give, on non-root nodes of the tree, and the config's detector."""
     for node, t in ((int(node), float(t)) for node, t in gate["cutoffs"].items()):
         if not t >= 0.0:  # NaN fails too
             return f"cutoff of node {node} is {t}, not an epoch in [0, inf]"
-        if not 1 <= node < run.n_nodes:
+        if not 1 <= node < n_nodes:
             return f"cutoff on node {node}, which is not a non-root node of the tree"
     detector = gate["bin_width"], float(gate["drop_threshold"])
     if not float(detector[0]).is_integer():
         return f"gate bin_width {detector[0]} is not an integer"
-    if detector != (run.config.gate_bin_width, run.config.gate_drop_threshold):
+    if detector != (config.gate_bin_width, config.gate_drop_threshold):
         return "gate bin_width {} and drop_threshold {} differ from the config".format(*detector)
 
 
-def _streams(streams: dict, run, name) -> str | None:
+def _streams(streams: dict) -> str | None:
     """PCG64 states, which StreamSet.load_state_dict sets as they are. Checked by hand: a
     generator to set them on would load numpy.random, 5 MB, into eval and inspect."""
     for stream, state in streams.items():
@@ -568,19 +560,14 @@ def _streams(streams: dict, run, name) -> str | None:
             return f"RNG stream {stream!r}: not a PCG64 state"
 
 
-def _permutation(perm: np.ndarray, run, name) -> str | None:
-    ok = np.array_equal(np.sort(perm), np.arange(len(perm)))
-    return None if ok else f"entry {name} is neither empty nor a permutation of range({len(perm)})"
-
-
-def _nodes(nodes: np.ndarray, run, name: str) -> str | None:
+def _nodes(name: str, nodes: np.ndarray, ids: np.ndarray, n_nodes, depths: np.ndarray | None) -> str | None:
     """Non-root nodes of the tree; a sample's history nodes all different, its log nodes of different depths."""
-    if problem := _outside(name, nodes, 1, run.n_nodes):
+    if problem := _outside(name, nodes, 1, n_nodes):
         return f"{problem}: checkpoint log names samples or nodes this log has no row or column for"
-    ids, history = run.state[name.replace("node", "sample_id")], name.startswith("history")
-    if not history and run.depths is None:
+    history = name.startswith("history")
+    if not history and depths is None:
         return None
-    keys = nodes if history else run.depths[nodes]
+    keys = nodes if history else depths[nodes]
     order = np.lexsort((keys, ids))
     for i in order[1:][(ids[order[1:]] == ids[order[:-1]]) & (keys[order[1:]] == keys[order[:-1]])][:1]:
         if history:  # the record keeps the first entry of a (sample, node) pair
@@ -588,77 +575,74 @@ def _nodes(nodes: np.ndarray, run, name: str) -> str | None:
         return f"checkpoint log holds two nodes of one depth for one sample: sample {ids[i]}, depth {keys[i]}"
 
 
-# Every checkpoint entry, in the order load_checkpoint checks them: name pattern (`meta.<key>` is a
-# key of the JSON object `meta`; `*` stands for log and for history), type (a JSON type, or an
-# array's dtype or dtype kinds), shape (entry_shapes', None for 1-D, or 1-D and as long as the
-# entry named) and value rule: rule(value, run, name) returns the problem or None, and a rule of a
-# key of meta may raise it. `run` holds the entries, meta, the config, and what the reader has of
-# the tree (n_nodes, hierarchy_hash, classes, depths) and of the features (feature_dim): a rule
-# that needs either holds only for a reader that has it.
-CHECKPOINT_ENTRIES = (
-    ("meta.config", dict, None, lambda config, run, name: setattr(run, "config", TrainConfig.from_dict(config))),
-    ("meta.hierarchy_hash", int, None, _known("hierarchy", "#018x")),
-    ("meta.epoch", int, None, _at_most(lambda run: run.config.epochs)),
-    ("meta.gate", dict, None, _gate),
-    ("meta.streams", dict, None, _streams),
-    ("{role}.d{depth}.{param}", HEAD_DTYPE, "entry_shapes", None),
-    ("meta.feature_dim", int, None, _known("feature file")),
-    ("meta.classes", list, None, _known("hierarchy")),
-    ("loader.perm", "iu", None, _permutation),
-    ("meta.loader_pos", int, None, _at_most(lambda run: len(run.state["loader.perm"]))),
-    ("*.sample_id", "iu", None, None),
-    ("*.epoch", "iu", "*.sample_id", lambda epochs, run, name: _outside(name, epochs, 0, run.meta["epoch"])),
-    ("*.node", "iu", "*.sample_id", _nodes),
-)
+def _integers(state: dict, name: str, along: str | None = None) -> np.ndarray:
+    """Entry `name`, refused unless it is a 1-D integer array, as long as entry `along` where one is named."""
+    if name not in state:
+        raise ValueError(f"missing entry {name}")
+    array = state[name]
+    if array.dtype.kind not in "iu" or array.ndim != 1 or (along and len(array) != len(state[along])):
+        as_long = f" as long as {along}" if along else ""
+        raise ValueError(f"entry {name} is {array.dtype} {array.shape}, not a 1-D integer array{as_long}")
+    return array
 
 
 def _check_entries(state: dict, hierarchy: Hierarchy | None, feature_dim: int | None) -> None:
-    """Parse `meta` in place, then hold it and every array to their rows of CHECKPOINT_ENTRIES."""
+    """Parse `meta` in place, then hold it and every array to the rules of the README's checkpoint
+    table, in the table's order. A rule that needs the tree or the features holds only for a reader
+    that has them."""
     if "meta" not in state:
         raise ValueError("missing entry meta")
-    run = SimpleNamespace(state=state, feature_dim=feature_dim, n_nodes=math.inf, hierarchy_hash=None, classes=None, depths=None)
+    n_nodes, tree_hash, classes, depths = math.inf, None, None, None
     if hierarchy is not None:
-        run.n_nodes, run.hierarchy_hash, run.depths = hierarchy.n_nodes, hierarchy_hash(hierarchy), hierarchy.depths
-        run.classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
+        n_nodes, tree_hash, depths = hierarchy.n_nodes, hierarchy_hash(hierarchy), hierarchy.depths
+        classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
+    kinds = dict(config=dict, hierarchy_hash=int, epoch=int, gate=dict, streams=dict, feature_dim=int, classes=list, loader_pos=int)
     try:
-        meta = run.meta = state["meta"] = json.loads(state["meta"].item())
+        meta = state["meta"] = json.loads(state["meta"].item())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        for key, kind in ((pattern[5:], kind) for pattern, kind, _, _ in CHECKPOINT_ENTRIES if pattern.startswith("meta.")):
+        for key, kind in kinds.items():  # in the order of the table
             if type(meta.get(key)) is not kind:
                 raise ValueError(f"{key!r} is missing or not a JSON {kind.__name__}")
     except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"entry meta: {exc}") from exc
-    checked = {"meta"}
-    for pattern, kind, shape, rule in CHECKPOINT_ENTRIES:
-        if pattern.startswith("meta."):
-            try:
-                problem = rule(meta[pattern[5:]], run, pattern)
-            except Exception as exc:
-                problem = exc
-            if problem:
-                raise ValueError(f"entry meta: {problem}")
-            continue
-        names = dict.fromkeys(pattern.replace("*", log) for log in ("log", "history"))
-        if shape == "entry_shapes":  # name -> shape of the config's heads for the reader's features and tree, or meta's
-            dim = meta["feature_dim"] if feature_dim is None else feature_dim
-            names = entry_shapes(dim, run.classes or meta["classes"], run.config.hidden_dim)
-        for name in names:
-            if name not in state:
-                raise ValueError(f"missing entry {name}")
-            array, found = state[name], f"{state[name].dtype} {state[name].shape}"
-            if shape == "entry_shapes":
-                if (array.dtype, array.shape) != (kind, names[name]):
-                    role, depth, param = name.split(".")
-                    raise ValueError(f"entry {name}, depth {depth[1:]} {role} parameter {param}, is {found}, not {kind} {names[name]}")
-            else:
-                along = shape and shape.replace("*", name.split(".")[0])  # the entry it is as long as
-                if array.dtype.kind not in kind or array.ndim != 1 or (along and len(array) != len(state[along])):
-                    raise ValueError(f"entry {name} is {found}, not a 1-D integer array" + (f" as long as {along}" if along else ""))
-            if rule and (problem := rule(array, run, name)):
-                raise ValueError(problem)
-            checked.add(name)
-    if unexpected := sorted(state.keys() - checked):
+    try:
+        config, epoch = TrainConfig.from_dict(meta["config"]), meta["epoch"]
+        problem = (
+            _differs("hierarchy_hash", meta["hierarchy_hash"], tree_hash, "hierarchy", "#018x")
+            or (not 0 <= epoch <= config.epochs and f"epoch {epoch} is outside [0, {config.epochs}]")
+            or _gate(meta["gate"], n_nodes, config)
+            or _streams(meta["streams"])
+        )
+    except Exception as exc:
+        problem = exc
+    if problem:
+        raise ValueError(f"entry meta: {problem}")
+    # the heads of the config for the reader's features and tree, or meta's
+    heads = entry_shapes(meta["feature_dim"] if feature_dim is None else feature_dim, classes or meta["classes"], config.hidden_dim)
+    for name, shape in heads.items():
+        if name not in state:
+            raise ValueError(f"missing entry {name}")
+        if (state[name].dtype, state[name].shape) != (HEAD_DTYPE, shape):
+            role, depth, param = name.split(".")
+            found = f"{state[name].dtype} {state[name].shape}"
+            raise ValueError(f"entry {name}, depth {depth[1:]} {role} parameter {param}, is {found}, not {HEAD_DTYPE} {shape}")
+    for key, own, source in (("feature_dim", feature_dim, "feature file"), ("classes", classes, "hierarchy")):
+        if problem := _differs(key, meta[key], own, source):
+            raise ValueError(f"entry meta: {problem}")
+    perm = _integers(state, "loader.perm")
+    if not np.array_equal(np.sort(perm), np.arange(len(perm))):
+        raise ValueError(f"entry loader.perm is neither empty nor a permutation of range({len(perm)})")
+    if not 0 <= meta["loader_pos"] <= len(perm):
+        raise ValueError(f"entry meta: loader_pos {meta['loader_pos']} is outside [0, {len(perm)}]")
+    logs = ("log", "history")
+    ids = {log: _integers(state, f"{log}.sample_id") for log in logs}
+    for name in ("log.epoch", "history.epoch", "log.node", "history.node"):
+        log, key = name.split(".")
+        values = _integers(state, name, f"{log}.sample_id")
+        if problem := _outside(name, values, 0, epoch) if key == "epoch" else _nodes(name, values, ids[log], n_nodes, depths):
+            raise ValueError(problem)
+    if unexpected := sorted(state.keys() - {"meta", *heads, "loader.perm", *(f"{log}.{key}" for log in logs for key in LOG_KEYS)}):
         raise ValueError(f"unexpected entry {unexpected[0]}")
 
 

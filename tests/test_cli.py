@@ -61,6 +61,21 @@ class TestGen:
     def test_invalid_config_exit_one(self, tmp_path):
         assert run("gen", "--out", tmp_path / "x", "--ood-fraction", "1.5") == 1
 
+    @pytest.mark.parametrize(
+        "flags, size",
+        [
+            (["--train-per-leaf", 10**12], "GiB"),  # numpy's allocation failed with a traceback
+            (["--branching", 1000, "--depth", 6], "GiB"),  # _balanced_tree looped over 10^18 nodes
+            (["--depth", 700], "over 2^"),  # more bytes than a float holds
+        ],
+    )
+    def test_data_past_the_memory_exit_one_before_any_output(self, tmp_path, capsys, flags, size):
+        """Sizes no machine holds, refused from arithmetic alone: nothing is allocated."""
+        assert run("gen", "--out", tmp_path / "x", *flags) == 1
+        err = capsys.readouterr().err
+        assert "float64 draws of the synthetic data need" in err and size in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_run_dir_contents(self, workspace):
@@ -202,6 +217,17 @@ class TestEval:
         )
         err = capsys.readouterr().err
         assert code == 1 and "--bins" in err and "Traceback" not in err
+        assert not (tmp_path / "ev").exists()
+
+    def test_bins_past_the_memory_exit_one_before_any_output(self, workspace, tmp_path, capsys):
+        """The per-bin arrays of 10^15 bins fit no machine; it wrote the predictions and three reports, then
+        ended in numpy's allocation traceback."""
+        code = run(
+            "eval", "--checkpoint", workspace / "run" / "ckpt_epoch0003.bin", *inputs_of(workspace),
+            "--out", tmp_path / "ev", "--bins", 10**15,
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and f"per-bin arrays of --bins {10**15} need" in err and "GiB" in err and "Traceback" not in err
         assert not (tmp_path / "ev").exists()
 
 
@@ -477,6 +503,42 @@ class TestCheckpointEntries:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert f"checkpoint: {broken}" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("negative-cutoff", "mis-shaped"),
+            ("mis-shaped", "loader-perm-repeated"),
+        ],
+    )
+    def test_two_broken_entries_refused_for_the_first_in_the_table(self, workspace, tmp_path, first, second):
+        """Of two entries each refused alone, the one listed first in the
+        README's checkpoint table is named, by readers with and without the
+        hierarchy and the feature dim."""
+        named = {
+            "negative-cutoff": "entry meta: cutoff of node 1 is -2.0",
+            "mis-shaped": "entry student.d1.w0, depth 1 student parameter w0",
+            "loader-perm-repeated": "entry loader.perm is neither empty nor a permutation",
+        }
+        hierarchy = load_hierarchy(workspace / "data" / "hierarchy.txt")
+        dim = load_features(workspace / "data" / "features.bin", hierarchy).dim
+        cases = (([first], first), ([second], second), ([first, second], first), ([second, first], first))
+        for broken, expected in cases:  # each alone, then both in either order of editing
+            entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+            meta = json.loads(entries["meta"].item())
+            for kind in broken:
+                if kind == "negative-cutoff":
+                    meta["gate"]["cutoffs"]["1"] = -2.0
+                elif kind == "mis-shaped":
+                    entries["student.d1.w0"] = entries["student.d1.w0"][:1]
+                else:
+                    entries["loader.perm"] = np.append(entries["loader.perm"][:-1], entries["loader.perm"][0])
+            entries["meta"] = np.array(json.dumps(meta))
+            write_checkpoint(tmp_path / "broken.bin", entries)
+            for reader in ((), (hierarchy,), (hierarchy, dim)):
+                with pytest.raises(ValueError) as refused:
+                    load_checkpoint(tmp_path / "broken.bin", *reader)
+                assert named[expected] in str(refused.value), (broken, len(reader))
 
     def test_log_with_two_nodes_of_one_depth_exits_two(self, workspace, tmp_path, capsys):
         """eval's gate diagnostics decode the log as resume does, so both

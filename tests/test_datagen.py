@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from semihoc import datagen
 from semihoc.datagen import (
     NO_LABEL,
     SPLIT_LABELED,
@@ -11,6 +12,7 @@ from semihoc.datagen import (
     SPLIT_UNLABELED,
     FeatureFileError,
     SyntheticConfig,
+    exceeds_memory,
     generate,
     load_features,
     sample_labeled_subset,
@@ -108,6 +110,24 @@ class TestGenerate:
             SyntheticConfig(ood_fraction=0.0).validate()
         with pytest.raises(ValueError):
             SyntheticConfig(ood_fraction=1.0).validate()
+
+    def test_draws_past_the_memory_refused(self, monkeypatch):
+        """The draws are (full-tree nodes + samples) x dim float64s: for the
+        default config (121 + 81 x 22) x 32 x 8 = 487,168 bytes, held against
+        a machine of that many bytes and one page less."""
+        assert exceeds_memory(10**30, "x") and exceeds_memory(2**1100, "x").startswith("x need over 2^1100 bytes")
+        config = SyntheticConfig()
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 487_168 // 4}.get)
+        config.validate()
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 487_168 // 4 - 1}.get)
+        with pytest.raises(ValueError, match="float64 draws of the synthetic data need 0.000454 GiB"):
+            config.validate()
+
+        def unreported(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(datagen.os, "sysconf", unreported)
+        assert exceeds_memory(10**30, "x") is None
 
 
 class TestSampleLabeledSubset:

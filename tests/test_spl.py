@@ -58,7 +58,7 @@ def log_chain(log, sample, chain, epoch):
 
 
 def gate_chain(chain, log, gate, sample):
-    gated = apply_gating(table(*chain), log.first[[sample]], gate.vector(7, log.first.dtype))
+    gated = apply_gating(table(*chain), log.first[[sample]], gate.vector(7))
     return tuple(gated[0][gated[0] >= 0].tolist())
 
 
@@ -252,7 +252,7 @@ class TestInPlaceLogUpdates:
             current = dense_history[rows]
             dense_history[rows] = np.where(mask & (current < 0), epoch, current)
 
-            gated = apply_gating(assigned, log.first[rows], gate.vector(n_nodes, dtype))
+            gated = apply_gating(assigned, log.first[rows], gate.vector(n_nodes))
             dense_gated = mask & ~(dense_log[rows] > dense_gate.vector(n_nodes))
             assert np.array_equal(expand(gated, n_nodes), dense_gated)
 
@@ -349,15 +349,6 @@ class TestUpdateCutoffs:
         assert not update_cutoffs(AgeGateState(1, 0.2), log, 5)
         assert seen == [log.first[log.node == c].tolist() for c in range(9) if (log.node == c).any()]
         assert len(seen) > 3
-
-    def test_integer_vector_gates_like_the_float_one(self):
-        gate = AgeGateState(1, 0.2, cutoffs={BIRD: 4.0, CAT: 0.0, DOG: math.nan, JUNCO: 1e9, EAGLE: -7.5})
-        floats = gate.vector(7)
-        for dtype in (np.int8, np.int16, np.int32, np.int64):
-            ints = gate.vector(7, dtype)
-            assert ints.dtype == dtype and ints[MAMMAL] == np.iinfo(dtype).max
-            epochs = np.arange(-1, 127, dtype=dtype)[:, None]
-            assert np.array_equal(epochs > ints, epochs > floats)
 
 
 class TestGateState:
