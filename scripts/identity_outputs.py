@@ -25,6 +25,10 @@ It writes:
   checkpoint, so that the checkpoint round trip of the pseudo-label log is
   covered while age-gating is active, and the resumed velocities, gate and
   log are compared byte for byte;
+* `gen/outputs.sha256`: the SHA-256 of `hierarchy.txt` and `features.bin`
+  from `semihoc gen` for the configs of `GEN_FLAGS`, which together cover
+  root-OOD rows, the keep-one-leaf repair of pruning, `--test-per-leaf 0`,
+  `--dim 1` and `--labels-per-class`;
 * `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
   `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
   of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
@@ -137,6 +141,23 @@ def semihoc(*args: str) -> str:
     return stdout.getvalue()
 
 
+GEN_FLAGS = {
+    "root-ood": ["--branching", "3", "--depth", "3", "--dim", "8", "--root-ood", "5", "--labels-per-class", "3"],
+    # 14 of 16 leaves pruned, so at least six sibling pairs lose both and get one back
+    "repair": ["--branching", "2", "--depth", "4", "--dim", "1", "--ood-fraction", "0.9", "--test-per-leaf", "0"],
+}
+
+
+def gen(out: Path) -> None:
+    hashes = []
+    for name, flags in GEN_FLAGS.items():
+        semihoc("gen", "--out", str(out / name), "--seed", str(SEED), *flags)
+        for file in ("hierarchy.txt", "features.bin"):
+            hashes.append(f"{hashlib.sha256((out / name / file).read_bytes()).hexdigest()}  {name}/{file}\n")
+        shutil.rmtree(out / name)
+    (out / "outputs.sha256").write_text("".join(hashes))
+
+
 def eval_cli(out: Path) -> None:
     state = EvalCli().setup(SEED, out / "work")
     shutil.rmtree(out / "work" / "logs")  # they name absolute paths
@@ -161,6 +182,7 @@ def main() -> int:
     uneven_tree(out / "uneven-tree")
     wide_tree(out / "wide-tree")
     wide_tree_resumed(out / "wide-tree-resumed")
+    gen(out / "gen")
     eval_cli(out / "eval-cli")
     print(f"identity outputs in {out}")
     return 0

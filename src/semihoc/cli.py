@@ -16,6 +16,7 @@ if "numpy" not in sys.modules:
 
 import argparse
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .datagen import (
     sample_labeled_subset,
     save_features,
 )
-from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads
+from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
 from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
@@ -82,12 +83,12 @@ def cmd_gen(args) -> int:
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.labels_per_class is not None and args.labels_per_class < 1:
+        raise UsageError("--labels-per-class must be >= 1")
 
     out = _prepare_out_dir(args.out, args.force)
     hierarchy, dataset = generate(config)
     if args.labels_per_class is not None:
-        if args.labels_per_class < 1:
-            raise UsageError("--labels-per-class must be >= 1")
         dataset = sample_labeled_subset(dataset, hierarchy, args.labels_per_class, config.seed)
     save_hierarchy(hierarchy, out / "hierarchy.txt")
     save_features(dataset, out / "features.bin")
@@ -138,6 +139,10 @@ def _load_inputs(args):
 def cmd_train(args) -> int:
     config = _load_train_config(args)
     hierarchy, dataset = _load_inputs(args)
+    classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
+    nbytes = HEAD_DTYPE.itemsize * sum(map(math.prod, entry_shapes(dataset.dim, classes, config.hidden_dim).values()))
+    if problem := exceeds_memory(nbytes, f"the student, teacher and velocity buffers of hidden_dim {config.hidden_dim}"):
+        raise UsageError(problem)
     out = _prepare_out_dir(args.out, args.force)
 
     if not args.quiet:

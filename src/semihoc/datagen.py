@@ -122,7 +122,10 @@ class SyntheticConfig:
             raise ValueError("root_ood_per_split must be >= 0")
         nodes = (self.branching ** (self.depth + 1) - 1) // (self.branching - 1)  # of the full tree, before pruning
         samples = self.branching**self.depth * (self.train_per_leaf + self.test_per_leaf) + 2 * self.root_ood_per_split
-        if problem := exceeds_memory(8 * (nodes + samples) * self.feature_dim, "the float64 draws of the synthetic data"):
+        # generate's peak. Per node: the float64 means and their draw, and under 1 KiB of tree at any depth that fits.
+        # Per sample: the float64 draw beside the float32 features, or later the features beside 34 bytes of ints.
+        nbytes = nodes * (16 * self.feature_dim + 1024) + samples * max(12 * self.feature_dim, 4 * self.feature_dim + 40)
+        if problem := exceeds_memory(nbytes, "the float64 draws and float32 features of the synthetic data"):
             raise ValueError(problem)
 
 
@@ -137,20 +140,6 @@ def exceeds_memory(nbytes: int, what: str) -> str | None:
     return f"{what} need {size}, more than the {total / 2**30:.3g} GiB of this machine's memory" if nbytes > total else None
 
 
-def _balanced_tree(branching: int, depth: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Parent array of the full balanced tree plus the node ids per level."""
-    levels = [[0]]
-    parents = [-1]
-    for _ in range(depth):
-        nxt = []
-        for p in levels[-1]:
-            for _ in range(branching):
-                nxt.append(len(parents))
-                parents.append(p)
-        levels.append(nxt)
-    return np.array(parents, dtype=np.int64), levels
-
-
 def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
     """Build the pruned hierarchy and its feature dataset, deterministically.
 
@@ -159,69 +148,58 @@ def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
     """
     config.validate()
     rng = named_rng(config.seed, "datagen")
+    b, dim = config.branching, config.feature_dim
+    # the full tree in breadth-first ids: node c > 0 hangs under (c - 1) // b, and level l is starts[l]:starts[l + 1]
+    starts = (b ** np.arange(config.depth + 2) - 1) // (b - 1)
+    n_full, first_leaf = int(starts[-1]), int(starts[-2])
+    n_leaves = n_full - first_leaf
 
-    full_parents, levels = _balanced_tree(config.branching, config.depth)
-    n_full = len(full_parents)
-    leaves = levels[-1]
-
-    means = np.zeros((n_full, config.feature_dim))
-    for c in range(1, n_full):
-        means[c] = means[full_parents[c]] + rng.normal(0.0, config.sigma_level, config.feature_dim)
+    means = np.concatenate((np.zeros((1, dim)), rng.normal(0.0, config.sigma_level, (n_full - 1, dim))))
+    for parent_lo, lo, hi in zip(starts[:-2], starts[1:-1], starts[2:]):  # each level drifts from the one above
+        level = means[lo:hi].reshape(-1, b, dim)
+        level += means[parent_lo:lo, None]
 
     # Choose pruned (OOD) leaves; keep at least one leaf per parent so every
     # internal node of the pruned tree stays internal.
-    n_prune = int(round(config.ood_fraction * len(leaves)))
-    prune = set(int(c) for c in rng.choice(leaves, size=n_prune, replace=False))
-    for kids in np.reshape(leaves, (-1, config.branching)).tolist():  # each last-level parent's children
-        if all(k in prune for k in kids):
-            prune.discard(int(rng.choice(kids)))
-    id_per_parent = np.bincount([full_parents[leaf] for leaf in leaves if leaf not in prune])
-    if (id_per_parent == 1).any():
+    pruned = np.zeros(n_full, dtype=bool)
+    pruned_leaf = pruned[first_leaf:]
+    pruned_leaf[rng.choice(n_leaves, size=int(round(config.ood_fraction * n_leaves)), replace=False)] = True
+    groups = pruned_leaf.reshape(-1, b)  # each last-level parent's children
+    for g in np.flatnonzero(groups.all(axis=1)):
+        groups[g, rng.choice(b)] = False
+    if ((~groups).sum(axis=1) == 1).any():
         warnings.warn("some internal nodes keep only one ID leaf after pruning")
 
-    # Dense re-index of the surviving nodes, original (breadth-first) order.
-    keep = [c for c in range(n_full) if c not in prune]
-    new_id = {c: i for i, c in enumerate(keep)}
-    parents = np.array([-1] + [new_id[int(full_parents[c])] for c in keep[1:]], dtype=np.int64)
-    names = [f"c{c}" for c in keep]
-    id_leaves = [new_id[c] for c in leaves if c not in prune]
-    hierarchy = Hierarchy(parents, names, id_leaves)
-    h_hash = hierarchy_hash(hierarchy)
+    # Dense re-index of the surviving nodes in id order. Only leaves are pruned: a pruned leaf's truth is its parent.
+    new_id = np.cumsum(~pruned) - 1
+    leaves = np.arange(first_leaf, n_full)
+    truth = new_id[np.where(pruned_leaf, (leaves - 1) // b, leaves)]
 
-    def surviving_ancestor(c: int) -> int:
-        while c in prune:
-            c = int(full_parents[c])
-        return new_id[c]
-
-    feats, labels, splits = [], [], []
-    for leaf in leaves:
-        gt = surviving_ancestor(leaf)
-        is_ood = leaf in prune
-        n_train, n_test = config.train_per_leaf, config.test_per_leaf
-        draws = rng.normal(0.0, config.sigma_noise, (n_train + n_test, config.feature_dim))
-        feats.append(means[leaf] + draws)
-        labels.extend([gt] * (n_train + n_test))
-        train_tag = SPLIT_UNLABELED if is_ood else SPLIT_LABELED
-        splits.extend([train_tag] * n_train + [SPLIT_TEST] * n_test)
-
-    if config.root_ood_per_split > 0:
-        direction = rng.normal(0.0, 1.0, config.feature_dim)
+    n_train, n_root = config.train_per_leaf, config.root_ood_per_split
+    per_leaf = n_train + config.test_per_leaf
+    n_rows = n_leaves * per_leaf  # the root-OOD rows follow
+    features = np.empty((n_rows + 2 * n_root, dim), dtype=np.float32)
+    draws = rng.normal(0.0, config.sigma_noise, (n_leaves, per_leaf, dim))
+    draws += means[first_leaf:, None]
+    features[:n_rows] = draws.reshape(n_rows, dim)
+    del draws
+    if n_root > 0:
+        direction = rng.normal(0.0, 1.0, dim)
         direction /= np.linalg.norm(direction)
-        center = 10.0 * config.sigma_level * direction
-        n = 2 * config.root_ood_per_split
-        draws = rng.normal(0.0, config.sigma_noise, (n, config.feature_dim))
-        feats.append(center + draws)
-        labels.extend([0] * n)
-        splits.extend([SPLIT_UNLABELED] * config.root_ood_per_split + [SPLIT_TEST] * config.root_ood_per_split)
+        draws = rng.normal(0.0, config.sigma_noise, (2 * n_root, dim))
+        draws += 10.0 * config.sigma_level * direction
+        features[n_rows:] = draws
 
-    features = np.concatenate(feats).astype(np.float32)
-    dataset = FeatureDataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        sample_ids=np.arange(len(labels), dtype=np.uint64),
-        splits=np.array(splits, dtype=np.uint8),
-        hierarchy_hash=h_hash,
-    )
+    labels = np.zeros(len(features), dtype=np.int64)  # the root's id is 0
+    labels[:n_rows].reshape(n_leaves, per_leaf)[:] = truth[:, None]
+    splits = np.full(len(features), SPLIT_TEST, dtype=np.uint8)
+    splits[:n_rows].reshape(n_leaves, per_leaf)[:, :n_train] = np.where(pruned_leaf, SPLIT_UNLABELED, SPLIT_LABELED)[:, None]
+    splits[n_rows : n_rows + n_root] = SPLIT_UNLABELED
+
+    keep = np.flatnonzero(~pruned)
+    parents = np.concatenate(([-1], new_id[(keep[1:] - 1) // b]))
+    hierarchy = Hierarchy(parents, np.char.add("c", keep.astype(str)).tolist(), truth[~pruned_leaf])
+    dataset = FeatureDataset(features, labels, np.arange(len(features), dtype=np.uint64), splits, hierarchy_hash(hierarchy))
     dataset.validate(hierarchy)
     return hierarchy, dataset
 
@@ -288,6 +266,8 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
             raise FeatureFileError("not a feature file (bad magic)")
         if version != FILE_VERSION:
             raise FeatureFileError(f"unsupported format version {version}")
+        if dim == 0:
+            raise FeatureFileError("header feature dim is 0; a record needs at least one feature")
         record = _record_dtype(dim)
         body = os.fstat(fh.fileno()).st_size - _HEADER.size
         if body < count * record.itemsize:

@@ -65,7 +65,7 @@ class TestGen:
         "flags, size",
         [
             (["--train-per-leaf", 10**12], "GiB"),  # numpy's allocation failed with a traceback
-            (["--branching", 1000, "--depth", 6], "GiB"),  # _balanced_tree looped over 10^18 nodes
+            (["--branching", 1000, "--depth", 6], "GiB"),  # the tree was built by Python loops over 10^18 nodes
             (["--depth", 700], "over 2^"),  # more bytes than a float holds
         ],
     )
@@ -73,7 +73,13 @@ class TestGen:
         """Sizes no machine holds, refused from arithmetic alone: nothing is allocated."""
         assert run("gen", "--out", tmp_path / "x", *flags) == 1
         err = capsys.readouterr().err
-        assert "float64 draws of the synthetic data need" in err and size in err and "Traceback" not in err
+        assert "float64 draws and float32 features of the synthetic data need" in err and size in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
+
+    def test_no_labels_per_class_exit_one_before_any_output(self, tmp_path, capsys):
+        """It generated the data and made --out, then exited 1 and left the directory empty."""
+        assert run("gen", "--out", tmp_path / "x", "--labels-per-class", 0) == 1
+        assert "--labels-per-class must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
 
@@ -96,6 +102,17 @@ class TestTrain:
         assert not capsys.readouterr().out.startswith("blas")
         for name in ("metrics.csv", "config.json"):
             assert (tmp_path / "loud" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+
+    def test_heads_past_the_memory_exit_one_before_any_output(self, workspace, tmp_path, capsys):
+        """Role buffers of hidden 10^7 fit no machine, refused from arithmetic alone; it made --out, then ended
+        in numpy's allocation traceback."""
+        code = run(
+            "train", "--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt",
+            "--out", tmp_path / "r", "--hidden-dim", 10**7, "--quiet",
+        )
+        err = capsys.readouterr().err
+        assert code == 1 and f"velocity buffers of hidden_dim {10**7} need" in err and "GiB" in err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
 
     def test_config_snapshot_reproduces_run(self, workspace, tmp_path):
         snapshot = workspace / "run" / "config.json"

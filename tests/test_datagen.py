@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,15 +113,16 @@ class TestGenerate:
             SyntheticConfig(ood_fraction=1.0).validate()
 
     def test_draws_past_the_memory_refused(self, monkeypatch):
-        """The draws are (full-tree nodes + samples) x dim float64s: for the
-        default config (121 + 81 x 22) x 32 x 8 = 487,168 bytes, held against
-        a machine of that many bytes and one page less."""
+        """generate's peak is counted as full-tree nodes x (16 x dim + 1024)
+        plus samples x max(12 x dim, 4 x dim + 40) bytes: for the default
+        config 121 x 1,536 + 81 x 22 x 384 = 870,144 bytes, held against a
+        machine of that many bytes and one page less."""
         assert exceeds_memory(10**30, "x") and exceeds_memory(2**1100, "x").startswith("x need over 2^1100 bytes")
         config = SyntheticConfig()
-        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 487_168 // 4}.get)
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 870_144 // 4}.get)
         config.validate()
-        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 487_168 // 4 - 1}.get)
-        with pytest.raises(ValueError, match="float64 draws of the synthetic data need 0.000454 GiB"):
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 4, "SC_PHYS_PAGES": 870_144 // 4 - 1}.get)
+        with pytest.raises(ValueError, match="float64 draws and float32 features of the synthetic data need 0.00081 GiB"):
             config.validate()
 
         def unreported(name):
@@ -128,6 +130,24 @@ class TestGenerate:
 
         monkeypatch.setattr(datagen.os, "sysconf", unreported)
         assert exceeds_memory(10**30, "x") is None
+
+
+    @pytest.mark.parametrize("dim, per_leaf, share", [(32, 150, 0.9), (1, 1500, 0.8)])
+    def test_peak_memory_within_the_refused_count(self, monkeypatch, dim, per_leaf, share):
+        """The count that validate holds against the machine bounds generate's tracemalloc peak: within 10%
+        of it where the float64 sample draw dominates, within 20% at dim 1, where the per-sample ints do.
+        It used to hold 2.5 times the count: every per-leaf draw, their concatenation and the float32 copy."""
+        counted = []
+        monkeypatch.setattr(datagen, "exceeds_memory", lambda nbytes, what: counted.append(nbytes))
+        config = SyntheticConfig(feature_dim=dim, train_per_leaf=per_leaf, test_per_leaf=per_leaf // 3, root_ood_per_split=50)
+        generate(replace(config, train_per_leaf=1))  # first-call allocations of numpy's random module are not the data's
+        tracemalloc.start()
+        try:
+            generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert share * counted[-1] <= peak <= counted[-1]
 
 
 class TestSampleLabeledSubset:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihoc.cli import main
+from semihoc.datagen import load_features, save_features
 
 FUZZ = settings(max_examples=30, deadline=None, database=None)
 OFFSETS = st.integers(min_value=0, max_value=2**31)
@@ -107,3 +108,22 @@ class TestDamagedArtifacts:
             code, err = run_quiet(*argv)
             assert code in (0, 2), (argv[0], err)
             assert code == 0 or err.startswith("error: ")
+
+
+def test_feature_dim_zero_exits_two_naming_the_header(files, tmp_path):
+    """A header giving feature dim 0 was accepted: inspect printed `dim: 0` and train ended in a
+    ZeroDivisionError traceback from the weight init."""
+    dataset = load_features(files / "data" / "features.bin")
+    path = tmp_path / "dim0.bin"
+    save_features(type(dataset)(dataset.features[:, :0], dataset.labels, dataset.sample_ids, dataset.splits,
+                                dataset.hierarchy_hash), path)
+    inputs = ["--features", path, "--hierarchy", files / "data" / "hierarchy.txt"]
+    for argv in (
+        ["inspect", *inputs],
+        ["train", *inputs, "--out", tmp_path / "run", "--epochs", 1, "--hidden-dim", 8],
+        ["eval", "--checkpoint", files / "run" / "ckpt_epoch0002.bin", *inputs, "--out", tmp_path / "ev"],
+        ["eval", "--predictions", files / "dump" / "predictions.txt", *inputs, "--out", tmp_path / "rescore"],
+    ):
+        code, err = run_quiet(*argv)
+        assert code == 2 and err == "error: feature file: header feature dim is 0; a record needs at least one feature\n"
+    assert not (tmp_path / "run").exists()
