@@ -17,6 +17,10 @@ It writes:
   above the deepest level (root -> {A, B}, B -> {C, D}), 8 epochs evaluated
   every 2, so that a chain or an argmax ending at A supervises the depth-2
   head;
+* `mirrored-tree/`: the same on its mirror image (root -> {A, B},
+  A -> {C, D}, ID leaves B, C and D), whose depth-2 classes B, C, D are
+  not in preorder (C, D, B), so that a target written into the wrong
+  column shows;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
 * `wide-tree-resumed/metrics.csv` and `wide-tree-resumed/checkpoint.sha256`:
@@ -89,16 +93,22 @@ def reference(out: Path) -> None:
     every_method(out, hierarchy, dataset, lambda method: replace(reference_train_config(method, SEED, epochs=30), eval_every=10))
 
 
-def uneven_tree(out: Path) -> None:
-    """Root -> {A, B}, B -> {C, D}: A is an ID leaf at depth 1, so it is also a class of depth 2.
-    Around each class mean, 8 labeled rows per ID leaf and 30 unlabeled and 10 test rows per
-    node, those of B out of distribution."""
-    hierarchy = Hierarchy([-1, 0, 0, 2, 2], ["Root", "A", "B", "C", "D"], id_leaves=[1, 3, 4])
+# Root -> {A, B}, B -> {C, D}, ID leaves A, C and D; and its mirror image, with ID leaves B, C and D
+UNEVEN = (Hierarchy([-1, 0, 0, 2, 2], ["Root", "A", "B", "C", "D"], id_leaves=[1, 3, 4]),
+          {1: [4, 0, 0, 0], 2: [0, 4, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]})
+MIRRORED = (Hierarchy([-1, 0, 0, 1, 1], ["Root", "A", "B", "C", "D"], id_leaves=[2, 3, 4]),
+            {1: [0, 4, 0, 0], 2: [4, 0, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]})
+
+
+def uneven_tree(out: Path, hierarchy: Hierarchy, means: dict) -> None:
+    """A tree with an ID leaf at depth 1 beside an internal node over two ID leaves, so that the
+    leaf is also a class of depth 2. Around each node's class mean, 8 labeled rows per ID leaf and
+    30 unlabeled and 10 test rows per node, those of the internal node out of distribution."""
     rng = np.random.default_rng(SEED)
-    means = {1: [4, 0, 0, 0], 2: [0, 4, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]}
     labels, splits = [], []
     for node in means:
-        for split, n in ((SPLIT_LABELED, 8 if node != 2 else 0), (SPLIT_UNLABELED, 30), (SPLIT_TEST, 10)):
+        labeled = 8 if node in hierarchy.id_leaves else 0
+        for split, n in ((SPLIT_LABELED, labeled), (SPLIT_UNLABELED, 30), (SPLIT_TEST, 10)):
             labels += [node] * n
             splits += [split] * n
     labels = np.array(labels)
@@ -179,7 +189,8 @@ def main() -> int:
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")
     reference(out / "reference")
-    uneven_tree(out / "uneven-tree")
+    uneven_tree(out / "uneven-tree", *UNEVEN)
+    uneven_tree(out / "mirrored-tree", *MIRRORED)
     wide_tree(out / "wide-tree")
     wide_tree_resumed(out / "wide-tree-resumed")
     gen(out / "gen")

@@ -14,12 +14,8 @@ so that queries work on single nodes and on whole batches alike:
 * for each depth d in 1..D, the classification space at depth d: nodes at
   exactly depth d, plus ID leaves that sit shallower than d (so every depth
   head can always place an ID sample somewhere), with `columns[d-1, c]` the
-  column of node c in that space (-1 when absent);
-* the target matrices `Q[d-1]` (n_nodes x |space_d|): row c is the uniform
-  distribution over the ancestors-or-self and descendants of c inside space
-  d, the cross-entropy target when a sample is supervised at node c, and all
-  zeros when no such relative exists. Restricted to the rows of the space's
-  own nodes, Q[d-1] is the identity;
+  column of node c in that space (-1 when absent), and its columns in preorder
+  with their `tin`: a target row (`targets`) is uniform over one run of them;
 * the group table `groups`: the internal nodes split by depth and child
   count, shallowest first, so that fusion and subtree sums run one array
   operation per group instead of one per node.
@@ -86,6 +82,7 @@ class Hierarchy:
         self.columns = np.full((self.max_depth, self.n_nodes), -1, dtype=np.int64)
         for d, space in enumerate(self._depth_spaces, start=1):
             self.columns[d - 1, list(space)] = np.arange(len(space))
+        self._preorder = [(np.argsort(tins), np.sort(tins)) for tins in (self.tin[list(s)] for s in self._depth_spaces)]
 
     # -- construction helpers -------------------------------------------------
 
@@ -189,17 +186,20 @@ class Hierarchy:
         """The node ids of the classification space at depth d, ascending."""
         return self._depth_spaces[self._check_depth(d) - 1]
 
-    @cached_property
-    def Q(self) -> tuple[np.ndarray, ...]:
-        """Target matrices, one per depth; built on first use."""
-        nodes = np.arange(self.n_nodes)
-        out = []
-        for space in self._depth_spaces:
-            cols = np.asarray(space)
-            support = self.in_subtree(cols[None, :], nodes[:, None]) | self.in_subtree(nodes[:, None], cols[None, :])
-            size = support.sum(axis=1)
-            out.append(support * (1.0 / np.maximum(size, 1))[:, None])
-        return tuple(out)
+    def target_runs(self, d: int, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Per node, the run [lo, hi) of space d's preorder columns in subtree(top), top its depth-d ancestor
+        (itself when shallower): its ancestors-or-self and descendants there, as no ID leaf is a strict ancestor."""
+        tins, top = self._preorder[self._check_depth(d) - 1][1], self.ancestors[self._check_node(nodes), d]
+        return np.searchsorted(tins, self.tin[top]), np.searchsorted(tins, self.tout[top])
+
+    def targets(self, d: int, nodes) -> np.ndarray:
+        """Depth-d targets (nodes.shape + (|space_d|,)) of samples supervised at `nodes`: uniform over each run."""
+        lo, hi = (run.ravel() for run in self.target_runs(d, nodes))
+        order, size = self._preorder[d - 1][0], hi - lo
+        rows, step = np.nonzero(np.arange(size.max(initial=0)) < size[:, None])  # each run entry's row and offset
+        out = np.zeros((len(lo), len(order)))
+        out[rows, order[lo[rows] + step]] = (1.0 / np.maximum(size, 1))[rows]
+        return out.reshape(np.shape(nodes) + (len(order),))
 
     @cached_property
     def groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:

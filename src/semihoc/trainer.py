@@ -15,11 +15,11 @@ the root). Cutoff detection runs at every epoch end, and the first step
 whose loss at some depth is not finite stops training with a ValueError
 naming the epoch and the depth.
 
-Every target is a row of the per-depth matrices Q_d: a row supervised at
-node c learns row c of Q_d. A labeled row's c is its label; each method
-fills one (unlabeled rows x depths) table of nodes, -1 for none, in which a
-subtree pseudo-label chain puts its node in depth space d, whose Q_d row is
-one-hot. Each depth's student sees only its rows with a target.
+A row supervised at node c learns `Hierarchy.targets(d, c)` at each depth
+d. A labeled row's c is its label; each method fills one (unlabeled rows x
+depths) table of nodes, -1 for none, in which a subtree pseudo-label chain
+puts its node in depth space d, whose target is one-hot. Each depth's
+student sees only its rows with a target.
 
 Determinism contract: all randomness flows through named substreams of the
 run seed (weight init, labeled/unlabeled shuffling, labeled/unlabeled
@@ -221,7 +221,7 @@ class Trainer:
         self._cutoffs = self.gate.vector(hierarchy.n_nodes)  # rebuilt whenever a cutoff changes
         # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
         self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
-        self._has_target = np.stack([q.any(axis=1) for q in hierarchy.Q], axis=1)  # (node, depth): Q_d's row is not zero
+        self._has_target = np.stack([np.less(*hierarchy.target_runs(d, np.arange(hierarchy.n_nodes))) for d in self.depths], 1)
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
         if len(self.labeled_idx) == 0:
@@ -251,8 +251,8 @@ class Trainer:
         return apply_gating(assigned, self.log.first[rows], self._cutoffs)
 
     def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
-        """Rows of batch_u by depths: entry (i, d - 1) is the node whose row of
-        Q[d - 1] is row i's depth-d target, -1 for none."""
+        """Rows of batch_u by depths: entry (i, d - 1) is the node whose
+        `Hierarchy.targets` at depth d is row i's depth-d target, -1 for none."""
         cfg, hierarchy = self.config, self.hierarchy
         if cfg.method == "supervised":
             return np.full((0, len(self.depths)), -1)
@@ -296,16 +296,16 @@ class Trainer:
         run_l, run_u = (heads_mod.mask_draws(self.heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
 
         def depth_step(d: int) -> tuple[float, float]:
-            student, q, (rng_l, rng_u) = self.heads.students[d - 1], self.hierarchy.Q[d - 1], self._mask_rngs[d - 1]
+            student, targets, (rng_l, rng_u) = self.heads.students[d - 1], self.hierarchy.targets, self._mask_rngs[d - 1]
             masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l, rng_l))
-            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, q[labels_l], masks=masks_l)
+            loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, targets(d, labels_l), masks=masks_l)
             g *= 1.0 / n_l
 
             loss_u, nodes = 0.0, table[:, d - 1]
             live = nodes >= 0
             if live.any():  # forward and backward on the rows with a target, masks drawn for all
                 masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u, rng_u), live)
-                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], q[nodes[live]], masks=masks_u)
+                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], targets(d, nodes[live]), masks=masks_u)
                 g += np.multiply(g_u, 1.0 / m_u, out=g_u)
                 del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
 

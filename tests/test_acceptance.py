@@ -174,7 +174,7 @@ def test_criterion_5_target_distribution_properties():
                         n for n in range(tree.n_nodes) if depths[n] == d
                     } | {n for n in tree.id_leaves if depths[n] < d}
                     support = relatives & space
-                    t = tree.Q[d - 1][c]
+                    t = tree.targets(d, c)
                     if not support:
                         assert not t.any()
                         continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,7 @@ class TestDepthSpaces:
 
 def support(tree, c, d):
     """Nodes of depth space d where the target row of node c is non-zero."""
-    return {tree.depth_space(d)[j] for j in np.flatnonzero(tree.Q[d - 1][c])}
+    return {tree.depth_space(d)[j] for j in np.flatnonzero(tree.targets(d, c))}
 
 
 class TestSMapping:
@@ -144,17 +146,17 @@ class TestSMapping:
 
 class TestTargetDistribution:
     def test_leaf_one_hot_on_ancestor(self, animals):
-        t = animals.Q[0][JUNCO]
+        t = animals.targets(1, JUNCO)
         assert t[animals.columns[0, BIRD]] == 1.0
         assert t.sum() == 1.0
 
     def test_internal_uniform_over_descendants(self, animals):
-        t = animals.Q[1][MAMMAL]
+        t = animals.targets(2, MAMMAL)
         assert t[animals.columns[1, CAT]] == 0.5
         assert t[animals.columns[1, DOG]] == 0.5
 
     def test_internal_one_hot_at_own_depth(self, animals):
-        assert animals.Q[0][MAMMAL][animals.columns[0, MAMMAL]] == 1.0
+        assert animals.targets(1, MAMMAL)[animals.columns[0, MAMMAL]] == 1.0
 
     def test_empty_mapping_returns_none(self):
         # non-ID leaf at depth 1 dead-ends: no relatives at depth 2
@@ -162,7 +164,7 @@ class TestTargetDistribution:
         parents = [-1, 0, 0, 2]
         tree = Hierarchy(parents, names, id_leaves=[3])
         assert support(tree, 1, 2) == set()
-        assert not tree.Q[1][1].any()
+        assert not tree.targets(2, 1).any()
 
     @given(trees())
     @settings(max_examples=30, deadline=None)
@@ -170,7 +172,7 @@ class TestTargetDistribution:
         for c in range(tree.n_nodes):
             relatives = subtree(tree, c) | set(tree.ancestors_or_self(c))
             for d in range(1, tree.max_depth + 1):
-                t = tree.Q[d - 1][c]
+                t = tree.targets(d, c)
                 expected = relatives & set(tree.depth_space(d))
                 if not expected:
                     assert not t.any()
@@ -183,11 +185,68 @@ class TestTargetDistribution:
     @given(trees())
     @settings(max_examples=30, deadline=None)
     def test_identity_on_space_nodes(self, tree):
-        """Pseudo-label targets rely on Q_d restricted to space d being I."""
+        """Pseudo-label targets rely on the targets of space d's own nodes being I."""
         for d in range(1, tree.max_depth + 1):
             nodes = list(tree.depth_space(d))
-            assert np.array_equal(tree.Q[d - 1][nodes], np.eye(len(nodes)))
+            assert np.array_equal(tree.targets(d, nodes), np.eye(len(nodes)))
             assert np.array_equal(tree.columns[d - 1, nodes], np.arange(len(nodes)))
+
+
+@st.composite
+def relabelled_trees(draw, max_nodes=60):
+    """A random tree with its non-root ids shuffled, so that a child's id can
+    be below its parent's (as load_hierarchy numbers a file that lists a child
+    before its parent), and a random non-empty subset of its leaves as the ID
+    classes, the other leaves out of distribution."""
+    tree = draw(trees(max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    new_id = np.concatenate([[0], 1 + rng.permutation(tree.n_nodes - 1)])
+    parents = np.full(tree.n_nodes, -1)
+    parents[new_id[1:]] = new_id[tree.parents[1:]]
+    leaves = new_id[np.flatnonzero(tree.leaf_mask)]
+    ids = rng.choice(leaves, int(rng.integers(1, len(leaves) + 1)), replace=False)
+    return Hierarchy(parents, [f"n{c}" for c in range(tree.n_nodes)], id_leaves=ids)
+
+
+def dense_targets(tree, d):
+    """Every node's depth-d target row at once: uniform over the space
+    nodes that lie in its subtree or have it in theirs."""
+    nodes, cols = np.arange(tree.n_nodes), np.asarray(tree.depth_space(d))
+    support = tree.in_subtree(cols[None, :], nodes[:, None]) | tree.in_subtree(nodes[:, None], cols[None, :])
+    return support * (1.0 / np.maximum(support.sum(axis=1), 1))[:, None]
+
+
+class TestTargets:
+    @given(relabelled_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_dense_rows(self, tree):
+        """The runs give the dense rows byte for byte, and a non-empty run exactly for a non-zero row."""
+        for d in range(1, tree.max_depth + 1):
+            dense = dense_targets(tree, d)
+            assert tree.targets(d, np.arange(tree.n_nodes)).tobytes() == dense.tobytes()
+            lo, hi = tree.target_runs(d, np.arange(tree.n_nodes))
+            assert np.array_equal(hi > lo, dense.any(axis=1))
+            assert tree.targets(d, np.empty(0, dtype=np.int64)).shape == (0, len(tree.depth_space(d)))
+
+    def test_scalar_node_gives_one_row(self, animals):
+        assert np.array_equal(animals.targets(2, [[MAMMAL]]), animals.targets(2, MAMMAL)[None, None])
+        with pytest.raises(ValueError, match="depth"):
+            animals.targets(3, MAMMAL)
+        with pytest.raises(ValueError, match="invalid node id"):
+            animals.targets(1, [CAT, 7])
+
+    def test_a_deep_full_tree_needs_no_dense_rows(self):
+        """Branching 3, depth 7: 3,280 nodes, whose dense rows would take 86 MB."""
+        parents = np.concatenate([[-1], np.arange(3279) // 3])
+        tracemalloc.start()
+        try:
+            tree = Hierarchy(parents, [f"n{c}" for c in range(3280)], id_leaves=range(1093, 3280))
+            rows = [tree.targets(d, (3 ** d - 1) // 2) for d in range(1, 8)]  # the first node at each depth
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.sum() for row in rows] == [1.0] * 7
+        assert peak < 5e6
 
 
 class TestArrayQueries:

@@ -245,7 +245,7 @@ class TestSteps:
         assigned = np.full((1, hierarchy.max_depth), -1)
         assigned[0, 0] = depth1_node
         table = chain_targets(trainer, monkeypatch, assigned)
-        assert table[0, 0] == depth1_node and hierarchy.Q[0][table[0, 0]].any()
+        assert table[0, 0] == depth1_node and hierarchy.targets(1, table[0, 0]).any()
         assert (table[0, 1:] == -1).all()
 
     def test_semihoc_targets_supported_inside_subtree(self, tiny_data, monkeypatch):
@@ -263,7 +263,7 @@ class TestSteps:
             for d in trainer.depths:
                 node = table[0, d - 1]
                 space = hierarchy.depth_space(d)
-                support = {space[j] for j in np.nonzero(hierarchy.Q[d - 1][node])[0]} if node >= 0 else set()
+                support = {space[j] for j in np.nonzero(hierarchy.targets(d, node))[0]} if node >= 0 else set()
                 in_space = [n for n in chain if hierarchy.columns[d - 1, n] >= 0]
                 allowed = set().union(*(set(nodes[hierarchy.in_subtree(nodes, n)].tolist()) for n in in_space))
                 allowed = allowed if support else set()
@@ -285,10 +285,11 @@ class TestSteps:
         targets = chain_targets(trainer, monkeypatch, table)
         for d in trainer.depths:
             appears = hierarchy.columns[d - 1] >= 0
-            product = mask @ (hierarchy.Q[d - 1] * appears[:, None])
+            q = hierarchy.targets(d, np.arange(hierarchy.n_nodes))  # Q_d: every node's target row
+            product = mask @ (q * appears[:, None])
             live = targets[:, d - 1] >= 0
             assert np.array_equal(live, product.any(axis=1))
-            assert np.array_equal(hierarchy.Q[d - 1][targets[live, d - 1]], product[live])
+            assert np.array_equal(hierarchy.targets(d, targets[live, d - 1]), product[live])
         assert (targets >= 0).any()
 
     def test_chain_ending_id_leaf_is_its_node_in_deeper_spaces(self, monkeypatch):
@@ -296,7 +297,7 @@ class TestSteps:
         trainer = Trainer(config(), hierarchy, dataset)
         chains = np.array([[1, -1], [2, 3], [2, -1], [-1, 4], [-1, -1]])
         assert chain_targets(trainer, monkeypatch, chains).tolist() == [[1, 1], [2, 3], [2, -1], [-1, 4], [-1, -1]]
-        assert np.array_equal(hierarchy.Q[1][1], np.eye(3)[hierarchy.columns[1, 1]])  # one-hot at A's depth-2 class
+        assert np.array_equal(hierarchy.targets(2, 1), np.eye(3)[hierarchy.columns[1, 1]])  # one-hot at A's depth-2 class
         oracle = Trainer(config(method="spl-oracle"), hierarchy, dataset)
         table = oracle._unlabeled_targets(oracle.unlabeled_idx, dataset.features[oracle.unlabeled_idx])
         assert table.tolist() == [[1, 1], [2, 3], [2, 4], [2, -1], [1, 1]]
@@ -327,13 +328,13 @@ class TestSteps:
 
 
 class TestUnlabeledTargets:
-    """Every method's unlabeled targets are one table of nodes whose Q rows the student learns."""
+    """Every method's unlabeled targets are one table of nodes whose target rows the student learns."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_entry_is_none_or_a_q_row(self, tiny_data, method):
-        """For the ssl methods, the rows of Q equal the dense targets built
-        without the table: the Q rows of the confident fused argmax where they
-        are not zero, or the one-hot of each depth's confident argmax."""
+        """For the ssl methods, the target rows equal the dense targets built
+        without the table: the target rows of the confident fused argmax where
+        they are not zero, or the one-hot of each depth's confident argmax."""
         hierarchy, dataset = tiny_data
         tau = 0.9 if method == "ssl-node" else 0.5  # so that some rows pass and some do not
         trainer = Trainer(config(method=method, tau=tau), hierarchy, dataset)
@@ -344,19 +345,20 @@ class TestUnlabeledTargets:
         live = table >= 0
         assert (table[~live] == -1).all()
         for d in trainer.depths:
-            assert hierarchy.Q[d - 1][table[live[:, d - 1], d - 1]].any(axis=1).all()
+            assert hierarchy.targets(d, table[live[:, d - 1], d - 1]).any(axis=1).all()
         if method not in ("ssl-node", "ssl-per-depth"):
             return
         probs, rows = trainer.heads.teacher_forward_all(x_u), np.arange(len(batch_u))
         if method == "ssl-node":
             fused = fuse_batch(probs, hierarchy)
             preds = fused.argmax(axis=1)
-            dense = [((fused[rows, preds] > tau) & q.any(axis=1)[preds], q[preds]) for q in hierarchy.Q]
+            q = [hierarchy.targets(d, preds) for d in trainer.depths]
+            dense = [((fused[rows, preds] > tau) & t.any(axis=1), t) for t in q]
         else:
             dense = [(p[rows, p.argmax(axis=1)] > tau, np.eye(p.shape[1])[p.argmax(axis=1)]) for p in probs]
         for d, (passing, targets) in zip(trainer.depths, dense):
             assert np.array_equal(live[:, d - 1], passing)
-            assert np.array_equal(hierarchy.Q[d - 1][table[passing, d - 1]], targets[passing])
+            assert np.array_equal(hierarchy.targets(d, table[passing, d - 1]), targets[passing])
         assert live.any() and not live.all()
 
 
@@ -774,8 +776,8 @@ class TestTargetRows:
         leaves = sorted(tree.id_leaves)
         ids = rng.choice(leaves, int(rng.integers(1, len(leaves) + 1)), replace=False)
         tree = Hierarchy(tree.parents, tree.names, id_leaves=ids)  # the other leaves out-of-distribution
-        for q in tree.Q:
-            assert q[ids].any(axis=1).all()
+        for d in range(1, tree.max_depth + 1):
+            assert tree.targets(d, ids).any(axis=1).all()
 
 
 def fused_slices(heads, hierarchy, x):
