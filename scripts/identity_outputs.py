@@ -21,6 +21,9 @@ It writes:
   A -> {C, D}, ID leaves B, C and D), whose depth-2 classes B, C, D are
   not in preorder (C, D, B), so that a target written into the wrong
   column shows;
+* `relabelled-tree/`: the same on the uneven tree with its ids permuted
+  (root -> {B, A}, B -> {C, D}, and C, D numbered below B), so that a
+  preorder that assumed a child's id above its parent's shows;
 * `wide-tree/metrics.csv` and `wide-tree/ckpt_epoch0040.bin`: the benchmark's
   `wide-tree` workload at seed 0;
 * `wide-tree-resumed/metrics.csv` and `wide-tree-resumed/checkpoint.sha256`:
@@ -98,6 +101,9 @@ UNEVEN = (Hierarchy([-1, 0, 0, 2, 2], ["Root", "A", "B", "C", "D"], id_leaves=[1
           {1: [4, 0, 0, 0], 2: [0, 4, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]})
 MIRRORED = (Hierarchy([-1, 0, 0, 1, 1], ["Root", "A", "B", "C", "D"], id_leaves=[2, 3, 4]),
             {1: [0, 4, 0, 0], 2: [4, 0, 0, 0], 3: [0, 4, 3, 0], 4: [0, 4, 0, 3]})
+# UNEVEN with its ids permuted, each class mean moved with its node: C and D take ids below their parent B's
+RELABELLED = (Hierarchy([-1, 3, 3, 0, 0], ["Root", "C", "D", "B", "A"], id_leaves=[1, 2, 4]),
+              {1: [0, 4, 3, 0], 2: [0, 4, 0, 3], 3: [0, 4, 0, 0], 4: [4, 0, 0, 0]})
 
 
 def uneven_tree(out: Path, hierarchy: Hierarchy, means: dict) -> None:
@@ -191,6 +197,7 @@ def main() -> int:
     reference(out / "reference")
     uneven_tree(out / "uneven-tree", *UNEVEN)
     uneven_tree(out / "mirrored-tree", *MIRRORED)
+    uneven_tree(out / "relabelled-tree", *RELABELLED)
     wide_tree(out / "wide-tree")
     wide_tree_resumed(out / "wide-tree-resumed")
     gen(out / "gen")

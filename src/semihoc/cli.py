@@ -29,14 +29,13 @@ from .datagen import (
     SPLIT_TEST,
     SPLIT_UNLABELED,
     SyntheticConfig,
-    exceeds_memory,
     generate,
     load_features,
     sample_labeled_subset,
     save_features,
 )
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
-from .hierarchy import hierarchy_hash, load_hierarchy, save_hierarchy
+from .hierarchy import exceeds_memory, hierarchy_hash, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
 from .spl import AgeGateState, SplLog, log_summary

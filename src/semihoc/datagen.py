@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hierarchy import Hierarchy, hierarchy_hash
+from .hierarchy import Hierarchy, exceeds_memory, hierarchy_hash
 from .rng import named_rng
 
 SPLIT_LABELED = 0
@@ -129,17 +129,6 @@ class SyntheticConfig:
             raise ValueError(problem)
 
 
-def exceeds_memory(nbytes: int, what: str) -> str | None:
-    """The refusal of `what`, which needs `nbytes` bytes, when that is more than this machine's
-    physical memory; None when it is not, or where the OS does not report it."""
-    try:
-        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    size = f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"over 2^{nbytes.bit_length() - 1} bytes"
-    return f"{what} need {size}, more than the {total / 2**30:.3g} GiB of this machine's memory" if nbytes > total else None
-
-
 def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
     """Build the pruned hierarchy and its feature dataset, deterministically.
 
@@ -221,12 +210,10 @@ def sample_labeled_subset(
     labels = dataset.labels
 
     splits[train] = SPLIT_UNLABELED
-    for c in sorted(hierarchy.id_leaves):
-        pool = np.nonzero(train & (labels == c))[0]
-        if len(pool) == 0:
-            continue
-        chosen = pool if len(pool) <= n else rng.choice(pool, size=n, replace=False)
-        splits[np.sort(chosen)] = SPLIT_LABELED
+    rows = np.flatnonzero(train & np.isin(labels, list(hierarchy.id_leaves)))
+    rows = rows[np.argsort(labels[rows], kind="stable")]
+    for pool in np.split(rows, np.flatnonzero(np.diff(labels[rows])) + 1):  # one per class, ascending
+        splits[pool if len(pool) <= n else rng.choice(pool, size=n, replace=False)] = SPLIT_LABELED
     return replace(dataset, splits=splits)
 
 

@@ -19,10 +19,15 @@ so that queries work on single nodes and on whole batches alike:
 * the group table `groups`: the internal nodes split by depth and child
   count, shallowest first, so that fusion and subtree sums run one array
   operation per group instead of one per node.
+
+They are built by array operations over `parents`, with no loop over nodes
+(depths by pointer jumping, preorder by sorting the root-to-node paths), and
+a tree whose (nodes x depth) tables would not fit in memory is refused.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +42,17 @@ def _scalar_or_array(value):
     return value.item() if np.ndim(value) == 0 else value
 
 
+def exceeds_memory(nbytes: int, what: str) -> str | None:
+    """The refusal of `what`, which needs `nbytes` bytes, when that is more than this machine's
+    physical memory; None when it is not, or where the OS does not report it."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    size = f"{nbytes / 2**30:.3g} GiB" if nbytes < 2**1000 else f"over 2^{nbytes.bit_length() - 1} bytes"
+    return f"{what} need {size}, more than the {total / 2**30:.3g} GiB of this machine's memory" if nbytes > total else None
+
+
 class Hierarchy:
     """Immutable rooted class tree with precomputed tree algebra.
 
@@ -49,39 +65,47 @@ class Hierarchy:
     """
 
     def __init__(self, parents, names, id_leaves):
-        parents = np.asarray(parents, dtype=np.int64)
-        self.parents = parents
+        self.parents = parents = np.asarray(parents, dtype=np.int64)
         self.names = tuple(names)
         self.id_leaves = frozenset(int(c) for c in id_leaves)
-        self.n_nodes = len(parents)
+        self.n_nodes = n = len(parents)
         self._validate_shape()
 
-        children: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for c in range(1, self.n_nodes):
-            children[parents[c]].append(c)
-        self.children = tuple(tuple(ch) for ch in children)
-        self.leaf_mask = np.array([not ch for ch in self.children])
-        self._euler_tour()
-        self.max_depth = int(self.depths.max())
+        self.leaf_mask = np.bincount(parents[1:], minlength=n) == 0
+        # Pointer jumping: each round, up[c] goes twice as far toward the root, which points to itself, and
+        # depths[c] counts the edges to it. A node that never gets to the root sits on a cycle or under one.
+        up, self.depths = np.maximum(parents, 0), (parents >= 0).astype(np.int64)
+        for _ in range((n - 1).bit_length()):
+            self.depths += self.depths[up]
+            up = up[up]
+        if up.any():
+            raise HierarchyError("parent links contain a cycle")
+        self.max_depth = depth = int(self.depths.max())
         self._validate_id_set()
+        carried = np.isin(np.arange(n), list(self.id_leaves))  # ID leaves, present below their depth
+        # The peak in bytes: 25 a cell of the (n, depth + 1) tables (ancestors, columns, paths and its mask), 8 a path
+        # entry bincount reads, 56 a depth-space entry (int, slot and preorder), 3 KiB a lexsort key, 128 a node.
+        entries = n - 1 + int((depth - self.depths[carried]).sum())
+        nbytes = 25 * n * (depth + 1) + 8 * int(self.depths.sum() + n) + 56 * entries + 3072 * (depth + 1) + 128 * n
+        if problem := exceeds_memory(nbytes, f"the ancestor and path tables of {n} nodes {depth} deep"):
+            raise HierarchyError(problem)
 
-        # Topological order with parents before children (root first), which
-        # is also ascending (depth, id).
-        self.topo_order = tuple(int(i) for i in np.argsort(self.depths, kind="stable"))
-        self.ancestors = np.empty((self.n_nodes, self.max_depth + 1), dtype=np.int64)
-        for c in self.topo_order:
-            if c:
-                self.ancestors[c] = self.ancestors[self.parents[c]]
-            self.ancestors[c, self.depths[c] :] = c
-
-        carried = np.isin(np.arange(self.n_nodes), list(self.id_leaves))  # ID leaves, present below their depth
+        self.ancestors = np.repeat(np.arange(n), depth + 1).reshape(n, depth + 1)
+        for d in range(depth - 1, -1, -1):
+            deeper = self.depths > d
+            self.ancestors[deeper, d] = parents[self.ancestors[deeper, d + 1]]
         self._depth_spaces = tuple(
             tuple(np.flatnonzero((self.depths == d) | (carried & (self.depths < d))).tolist())
-            for d in range(1, self.max_depth + 1)
+            for d in range(1, depth + 1)
         )
-        self.columns = np.full((self.max_depth, self.n_nodes), -1, dtype=np.int64)
+        self.columns = np.full((depth, n), -1, dtype=np.int64)
         for d, space in enumerate(self._depth_spaces, start=1):
             self.columns[d - 1, list(space)] = np.arange(len(space))
+        # Preorder sorts the root-to-node paths, each padded with -1 so that it comes before its extensions
+        # (padded with the node itself, a child whose id is below its parent's would come first).
+        paths = np.where(np.arange(depth + 1) <= self.depths[:, None], self.ancestors, -1)
+        self.tin = np.argsort(np.lexsort(paths.T[::-1]))  # each node's place in preorder
+        self.tout = self.tin + np.bincount(paths[paths >= 0])  # subtree sizes: the paths through each node
         self._preorder = [(np.argsort(tins), np.sort(tins)) for tins in (self.tin[list(s)] for s in self._depth_spaces)]
 
     # -- construction helpers -------------------------------------------------
@@ -97,8 +121,8 @@ class Hierarchy:
             raise HierarchyError("root must be node 0 with parent -1")
         if np.count_nonzero(self.parents == -1) != 1:
             raise HierarchyError("exactly one root allowed")
-        bad = [c for c in range(1, self.n_nodes) if not 0 <= self.parents[c] < self.n_nodes]
-        if bad:
+        bad = 1 + np.flatnonzero((self.parents[1:] < 0) | (self.parents[1:] >= self.n_nodes))
+        if bad.size:
             raise HierarchyError(f"node {bad[0]} has an invalid parent id")
 
     def _validate_id_set(self) -> None:
@@ -111,25 +135,6 @@ class Hierarchy:
             raise HierarchyError("at least one ID class required")
         if len(self.id_leaves) == self.n_nodes:
             raise HierarchyError("ID classes must be a strict subset of the nodes")
-
-    def _euler_tour(self) -> None:
-        """Depth, preorder entry index and subtree end per node, from one walk
-        down from the root; a node the walk misses sits on a parent cycle."""
-        preorder, stack = [], [0]
-        self.depths = np.zeros(self.n_nodes, dtype=np.int64)
-        while stack:
-            c = stack.pop()
-            preorder.append(c)
-            self.depths[list(self.children[c])] = self.depths[c] + 1
-            stack.extend(reversed(self.children[c]))
-        if len(preorder) != self.n_nodes:
-            raise HierarchyError("parent links contain a cycle")
-        self.tin = np.empty(self.n_nodes, dtype=np.int64)
-        self.tin[preorder] = np.arange(self.n_nodes)
-        size = np.ones(self.n_nodes, dtype=np.int64)
-        for c in reversed(preorder[1:]):
-            size[self.parents[c]] += size[c]
-        self.tout = self.tin + size
 
     # -- node queries: each takes a node id or an array of them ------------------
 

@@ -274,6 +274,23 @@ class TestInspect:
     def test_nothing_to_inspect(self):
         assert run("inspect") == 1
 
+    def test_cyclic_hierarchy_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "tree.txt"
+        path.write_text("a\tr\nb\tc\nc\tb\n#id\na\n")
+        assert run("inspect", "--hierarchy", path) == 2
+        err = capsys.readouterr().err
+        assert "hierarchy file: parent links contain a cycle" in err and "Traceback" not in err
+
+    def test_too_deep_hierarchy_exit_two(self, tmp_path, capsys, monkeypatch):
+        """A chain of 50,000 nodes, a 0.7 MB file, ended in numpy's traceback for an 18.6 GiB ancestor table."""
+        path = tmp_path / "chain.txt"
+        path.write_text("".join(f"n{i}\tn{i - 1}\n" for i in range(1, 50000)) + "#id\nn49999\n")
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}.get)
+        assert run("inspect", "--hierarchy", path) == 2
+        err = capsys.readouterr().err
+        assert "hierarchy file: the ancestor and path tables of 50000 nodes 49999 deep need 67.7 GiB" in err
+        assert "Traceback" not in err
+
 
 class TestOracleCheck:
     def test_all_pass(self, capsys):

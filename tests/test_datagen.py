@@ -20,6 +20,7 @@ from semihoc.datagen import (
     save_features,
 )
 from semihoc.hierarchy import hierarchy_hash
+from semihoc.rng import named_rng
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,30 @@ class TestGenerate:
         assert share * counted[-1] <= peak <= counted[-1]
 
 
+def labeled_per_class(dataset, hierarchy, n, seed):
+    """The splits of sample_labeled_subset from one mask and one draw per ID class, ascending."""
+    rng = named_rng(seed, "labeled-subset")
+    splits, train = dataset.splits.copy(), dataset.splits != SPLIT_TEST
+    splits[train] = SPLIT_UNLABELED
+    for c in sorted(hierarchy.id_leaves):
+        pool = np.flatnonzero(train & (dataset.labels == c))
+        if len(pool):
+            splits[pool if len(pool) <= n else rng.choice(pool, size=n, replace=False)] = SPLIT_LABELED
+    return splits
+
+
 class TestSampleLabeledSubset:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (4, 5), (1000, 2)])
+    def test_equal_to_a_draw_per_class(self, reference, n, seed):
+        """Also with the rows shuffled, so that a class's rows are neither adjacent nor in label order."""
+        hierarchy, dataset = reference
+        order = np.random.default_rng(seed).permutation(len(dataset))
+        shuffled = replace(dataset, features=dataset.features[order], labels=dataset.labels[order],
+                           sample_ids=dataset.sample_ids[order], splits=dataset.splits[order])
+        for rows in (dataset, shuffled):
+            assert np.array_equal(sample_labeled_subset(rows, hierarchy, n, seed).splits,
+                                  labeled_per_class(rows, hierarchy, n, seed))
+
     def test_exact_count(self, reference):
         hierarchy, dataset = reference
         out = sample_labeled_subset(dataset, hierarchy, 4, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihoc import hierarchy as hierarchy_mod
 from semihoc.hierarchy import (
     Hierarchy,
     HierarchyError,
@@ -263,7 +264,7 @@ class TestArrayQueries:
             x, y = int(a[i]), int(b[i])
             assert lca[i] == tree.lca(x, y) and dist[i] == tree.tree_distance(x, y)
             assert inside[i] == (y in tree.ancestors_or_self(x)) == tree.in_subtree(x, y)
-            assert leaf[i] == (not tree.children[x]) == tree.is_leaf(x)
+            assert leaf[i] == (x not in tree.parents) == tree.is_leaf(x)
 
     def test_scalars_come_back_as_python_values(self, animals):
         assert type(animals.lca(CAT, DOG)) is int
@@ -307,12 +308,74 @@ class TestValidation:
             Hierarchy([-1, 0], ["r", "a"], id_leaves=[0, 1])
 
     def test_cycle_detected(self):
-        with pytest.raises(HierarchyError):
-            Hierarchy([-1, 2, 1], ["r", "a", "b"], id_leaves=[1])
+        for parents in ([-1, 2, 1], [-1, 0, 3, 2, 2], [-1, 1]):  # a cycle, a node hanging off one, a self-parent
+            with pytest.raises(HierarchyError, match="parent links contain a cycle"):
+                Hierarchy(parents, [f"n{c}" for c in range(len(parents))], id_leaves=[1])
 
     def test_single_root(self):
         with pytest.raises(HierarchyError):
             Hierarchy([-1, -1, 0], ["r", "a", "b"], id_leaves=[2])
+
+
+def walked_arrays(parents):
+    """depths, tin, tout, ancestors and leaf_mask from one walk down from the root, node by node: children
+    in id order, each node's ancestor row copied from its parent's, and subtree sizes summed up the preorder."""
+    n = len(parents)
+    children = [[] for _ in range(n)]
+    for c in range(1, n):
+        children[parents[c]].append(c)
+    preorder, stack, depths = [], [0], np.zeros(n, dtype=np.int64)
+    while stack:
+        c = stack.pop()
+        preorder.append(c)
+        depths[children[c]] = depths[c] + 1
+        stack.extend(reversed(children[c]))
+    tin = np.empty(n, dtype=np.int64)
+    tin[preorder] = np.arange(n)
+    size = np.ones(n, dtype=np.int64)
+    for c in reversed(preorder[1:]):
+        size[parents[c]] += size[c]
+    ancestors = np.empty((n, depths.max() + 1), dtype=np.int64)
+    for c in preorder:
+        if c:
+            ancestors[c] = ancestors[parents[c]]
+        ancestors[c, depths[c]:] = c
+    return depths, tin, tin + size, ancestors, np.array([not ch for ch in children])
+
+
+class TestConstruction:
+    @given(relabelled_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_equal_the_walk(self, tree):
+        """The array operations over parents give the walk's arrays, also where a child's id is below its
+        parent's, which a preorder that padded each path with its own node would put first."""
+        names = ("depths", "tin", "tout", "ancestors", "leaf_mask")
+        for name, walked in zip(names, walked_arrays(tree.parents)):
+            built = getattr(tree, name)
+            assert built.dtype == walked.dtype and np.array_equal(built, walked), name
+
+    @pytest.mark.parametrize("parents", [np.arange(-1, 799), np.concatenate([[-1], np.arange(3279) // 3])],
+                             ids=["chain-800", "full-b3-d7"])
+    def test_peak_memory_within_the_refused_count(self, monkeypatch, parents):
+        """The count held against the machine bounds the constructor's tracemalloc peak, within 25%."""
+        counted = []
+        monkeypatch.setattr(hierarchy_mod, "exceeds_memory", lambda nbytes, what: counted.append(nbytes))
+        names = [f"n{c}" for c in range(len(parents))]
+        leaves = np.flatnonzero(np.bincount(parents[1:], minlength=len(parents)) == 0)
+        Hierarchy([-1, 0, 0], ["r", "a", "b"], id_leaves=[1])  # numpy's first-call allocations are not the tree's
+        tracemalloc.start()
+        try:
+            Hierarchy(parents, names, leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * counted[-1] <= peak <= counted[-1]
+
+    def test_too_deep_for_memory_refused(self, monkeypatch):
+        """A chain of 50,000 nodes would need 67.7 GiB of (nodes x depth) tables: refused before they are allocated."""
+        monkeypatch.setattr(hierarchy_mod.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}.get)
+        with pytest.raises(HierarchyError, match="tables of 50000 nodes 49999 deep need 67.7 GiB, more than the 4 GiB"):
+            Hierarchy(np.arange(-1, 49999), [f"n{c}" for c in range(50000)], id_leaves=[49999])
 
 
 class TestTextFormat:

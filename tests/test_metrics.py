@@ -226,17 +226,18 @@ class TestAgainstOracles:
         tree = random_tree(rng, int(rng.integers(5, 60)))
         preds = rng.integers(0, tree.n_nodes, 80)
         gts = rng.integers(0, tree.n_nodes, 80)
+        children = [np.flatnonzero(tree.parents == c).tolist() for c in range(tree.n_nodes)]
         groups = {}
         for p, g in zip(preds, gts):
             groups.setdefault(int(g), []).append(bfs_distance(tree, int(p), int(g)))
-        id_means = [np.mean(v) for c, v in sorted(groups.items()) if not tree.children[c]]
-        ood_means = [np.mean(v) for c, v in sorted(groups.items()) if tree.children[c]]
+        id_means = [np.mean(v) for c, v in sorted(groups.items()) if not children[c]]
+        ood_means = [np.mean(v) for c, v in sorted(groups.items()) if children[c]]
         report = bmhd(preds, gts, tree)
         assert report.id == (float(np.mean(id_means)) if id_means else None)
         assert report.ood == (float(np.mean(ood_means)) if ood_means else None)
 
         for subset in ("id", "ood"):
-            rows = [i for i in range(80) if (not tree.children[int(preds[i])]) == (subset == "id")]
+            rows = [i for i in range(80) if (not children[int(preds[i])]) == (subset == "id")]
             expected = np.zeros((tree.max_depth + 1, tree.max_depth + 1))
             for i in rows:
                 anc = ancestor_set_lca(tree, int(preds[i]), int(gts[i]))

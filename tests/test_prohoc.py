@@ -14,6 +14,11 @@ EPS = STOP_EPS
 # iteration per node, kept only as the oracle the level-wise code must match
 # bit for bit -------------------------------------------------------------------
 
+def topo_order(hierarchy):
+    """The nodes with parents before children (root first): ascending (depth, id)."""
+    return np.argsort(hierarchy.depths, kind="stable").tolist()
+
+
 def reference_fuse(depth_outputs, hierarchy, eps=STOP_EPS):
     outputs = [np.atleast_2d(np.asarray(out, dtype=np.float64)) for out in depth_outputs]
     n = outputs[0].shape[0]
@@ -21,8 +26,8 @@ def reference_fuse(depth_outputs, hierarchy, eps=STOP_EPS):
     mass = np.zeros((n, hierarchy.n_nodes))
     mass[:, 0] = 1.0
 
-    for a in hierarchy.topo_order:
-        children = hierarchy.children[a]
+    for a in topo_order(hierarchy):
+        children = np.flatnonzero(hierarchy.parents == a).tolist()
         if not children:
             probs[:, a] = mass[:, a]
             continue
@@ -49,7 +54,7 @@ def reference_fuse(depth_outputs, hierarchy, eps=STOP_EPS):
 
 def reference_subtree_confidences(probs, hierarchy):
     conf = np.atleast_2d(np.asarray(probs, dtype=np.float64)).copy()
-    for c in reversed(hierarchy.topo_order):
+    for c in reversed(topo_order(hierarchy)):
         p = hierarchy.parents[c]
         if p >= 0:
             conf[:, p] += conf[:, c]

@@ -241,7 +241,7 @@ class TestSteps:
         hierarchy, dataset = tiny_data
         trainer = Trainer(config(), hierarchy, dataset)
 
-        depth1_node = hierarchy.children[0][0]
+        depth1_node = int(np.flatnonzero(hierarchy.parents == 0)[0])  # the root's first child
         assigned = np.full((1, hierarchy.max_depth), -1)
         assigned[0, 0] = depth1_node
         table = chain_targets(trainer, monkeypatch, assigned)
