@@ -32,6 +32,11 @@ It writes:
   checkpoint, so that the checkpoint round trip of the pseudo-label log is
   covered while age-gating is active, and the resumed velocities, gate and
   log are compared byte for byte;
+* `hierarchies/<name>.txt`: the standard output of `semihoc inspect
+  --hierarchy` on each hand-built tree (`uneven`, `mirrored`,
+  `relabelled`) as `save_hierarchy` writes it, so that the depth-space sizes
+  with a carried ID leaf and the content hash of a tree numbered out of file
+  order are compared;
 * `gen/outputs.sha256`: the SHA-256 of `hierarchy.txt` and `features.bin`
   from `semihoc gen` for the configs of `GEN_FLAGS`, which together cover
   root-OOD rows, the keep-one-leaf repair of pruning, `--test-per-leaf 0`,
@@ -69,7 +74,7 @@ import numpy as np  # noqa: E402
 from semihoc import cli  # noqa: E402
 from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
 from semihoc.datagen import SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset  # noqa: E402
-from semihoc.hierarchy import Hierarchy, hierarchy_hash  # noqa: E402
+from semihoc.hierarchy import Hierarchy, save_hierarchy  # noqa: E402
 from semihoc.trainer import METHODS, TrainConfig, run_training  # noqa: E402
 from workloads import EvalCli, WideTree  # noqa: E402
 
@@ -120,7 +125,7 @@ def uneven_tree(out: Path, hierarchy: Hierarchy, means: dict) -> None:
     labels = np.array(labels)
     features = (np.array([means[c] for c in labels]) + rng.normal(0.0, 0.5, (len(labels), 4))).astype(np.float32)
     ids = np.arange(len(labels), dtype=np.uint64)
-    dataset = FeatureDataset(features, labels, ids, np.array(splits, dtype=np.uint8), hierarchy_hash(hierarchy))
+    dataset = FeatureDataset(features, labels, ids, np.array(splits, dtype=np.uint8), hierarchy.hash)
     # ema_momentum 0.9: the teacher follows the student fast enough to label rows at A within 8 epochs
     config = TrainConfig(epochs=8, labeled_batch_size=8, unlabeled_ratio=2, lr=0.1, ema_momentum=0.9, tau=0.6, hidden_dim=32)
     every_method(out, hierarchy, dataset, lambda method: replace(config, method=method, seed=SEED, eval_every=2))
@@ -174,6 +179,15 @@ def gen(out: Path) -> None:
     (out / "outputs.sha256").write_text("".join(hashes))
 
 
+def hierarchies(out: Path) -> None:
+    out.mkdir(parents=True)
+    os.chdir(out)  # relative paths, as inspect prints the path it reads
+    for name, (hierarchy, _) in {"uneven": UNEVEN, "mirrored": MIRRORED, "relabelled": RELABELLED}.items():
+        save_hierarchy(hierarchy, f"{name}.hierarchy")
+        Path(f"{name}.txt").write_text(semihoc("inspect", "--hierarchy", f"{name}.hierarchy"))
+        os.remove(f"{name}.hierarchy")
+
+
 def eval_cli(out: Path) -> None:
     state = EvalCli().setup(SEED, out / "work")
     shutil.rmtree(out / "work" / "logs")  # they name absolute paths
@@ -201,6 +215,7 @@ def main() -> int:
     wide_tree(out / "wide-tree")
     wide_tree_resumed(out / "wide-tree-resumed")
     gen(out / "gen")
+    hierarchies(out / "hierarchies")
     eval_cli(out / "eval-cli")
     print(f"identity outputs in {out}")
     return 0

@@ -35,7 +35,7 @@ from .datagen import (
     save_features,
 )
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
-from .hierarchy import exceeds_memory, hierarchy_hash, load_hierarchy, save_hierarchy
+from .hierarchy import exceeds_memory, load_hierarchy, save_hierarchy
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
 from .spl import AgeGateState, SplLog, log_summary
@@ -138,8 +138,7 @@ def _load_inputs(args):
 def cmd_train(args) -> int:
     config = _load_train_config(args)
     hierarchy, dataset = _load_inputs(args)
-    classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
-    nbytes = HEAD_DTYPE.itemsize * sum(map(math.prod, entry_shapes(dataset.dim, classes, config.hidden_dim).values()))
+    nbytes = HEAD_DTYPE.itemsize * sum(map(math.prod, entry_shapes(dataset.dim, hierarchy.classes, config.hidden_dim).values()))
     if problem := exceeds_memory(nbytes, f"the student, teacher and velocity buffers of hidden_dim {config.hidden_dim}"):
         raise UsageError(problem)
     out = _prepare_out_dir(args.out, args.force)
@@ -367,7 +366,7 @@ def cmd_inspect(args) -> int:
         hierarchy = _load("hierarchy file", load_hierarchy, args.hierarchy)
         print(f"== {args.hierarchy}")
         print(hierarchy.summary())
-        print(f"content hash: {hierarchy_hash(hierarchy):#018x}")
+        print(f"content hash: {hierarchy.hash:#018x}")
         shown = True
     if args.features:
         dataset = _load("feature file", load_features, args.features, hierarchy)

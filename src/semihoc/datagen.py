@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hierarchy import Hierarchy, exceeds_memory, hierarchy_hash
+from .hierarchy import Hierarchy, exceeds_memory
 from .rng import named_rng
 
 SPLIT_LABELED = 0
@@ -71,7 +71,7 @@ class FeatureDataset:
         bad = np.flatnonzero((self.labels != NO_LABEL) & ((self.labels < 0) | (self.labels >= hierarchy.n_nodes)))
         if len(bad):
             raise FeatureFileError(f"record {bad[0] + 1}: unknown node id {int(self.labels[bad[0]])}")
-        bad = np.flatnonzero((self.splits == SPLIT_LABELED) & ~np.isin(self.labels, list(hierarchy.id_leaves)))
+        bad = np.flatnonzero((self.splits == SPLIT_LABELED) & ~np.isin(self.labels, hierarchy.id_leaves))
         if len(bad):
             sample = int(self.sample_ids[bad[0]])
             raise FeatureFileError(f"sample {sample}: labeled-train ground truth must be an ID leaf")
@@ -188,7 +188,7 @@ def generate(config: SyntheticConfig) -> tuple[Hierarchy, FeatureDataset]:
     keep = np.flatnonzero(~pruned)
     parents = np.concatenate(([-1], new_id[(keep[1:] - 1) // b]))
     hierarchy = Hierarchy(parents, np.char.add("c", keep.astype(str)).tolist(), truth[~pruned_leaf])
-    dataset = FeatureDataset(features, labels, np.arange(len(features), dtype=np.uint64), splits, hierarchy_hash(hierarchy))
+    dataset = FeatureDataset(features, labels, np.arange(len(features), dtype=np.uint64), splits, hierarchy.hash)
     dataset.validate(hierarchy)
     return hierarchy, dataset
 
@@ -210,7 +210,7 @@ def sample_labeled_subset(
     labels = dataset.labels
 
     splits[train] = SPLIT_UNLABELED
-    rows = np.flatnonzero(train & np.isin(labels, list(hierarchy.id_leaves)))
+    rows = np.flatnonzero(train & np.isin(labels, hierarchy.id_leaves))
     rows = rows[np.argsort(labels[rows], kind="stable")]
     for pool in np.split(rows, np.flatnonzero(np.diff(labels[rows])) + 1):  # one per class, ascending
         splits[pool if len(pool) <= n else rng.choice(pool, size=n, replace=False)] = SPLIT_LABELED
@@ -279,10 +279,7 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
     labels[labels == _NO_LABEL_U32] = NO_LABEL
     dataset = FeatureDataset(records["features"], labels, sample_ids, records["split"], h_hash)
     if hierarchy is not None:
-        expected = hierarchy_hash(hierarchy)
-        if expected != h_hash:
-            raise FeatureFileError(
-                f"hierarchy hash mismatch: file has {h_hash:#018x}, hierarchy is {expected:#018x}"
-            )
+        if hierarchy.hash != h_hash:
+            raise FeatureFileError(f"hierarchy hash mismatch: file has {h_hash:#018x}, hierarchy is {hierarchy.hash:#018x}")
         dataset.validate(hierarchy)
     return dataset

@@ -49,7 +49,7 @@ def param_shapes(in_dim: int, out_dim: int, hidden: int) -> list[tuple[int, ...]
     return [shape for i in range(N_LAYERS) for shape in ((widths[i], widths[i + 1]), (widths[i + 1],))]
 
 
-def entry_shapes(feature_dim: int, classes: list[int], hidden: int) -> dict[str, tuple[int, ...]]:
+def entry_shapes(feature_dim: int, classes: list[int] | tuple[int, ...], hidden: int) -> dict[str, tuple[int, ...]]:
     """Checkpoint name (`teacher.d2.w0`) -> shape of every array of heads with
     classes[d - 1] outputs at depth d, in DepthHeads.state_dict order."""
     return {
@@ -252,15 +252,14 @@ class DepthHeads:
 
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
         self.depths = list(range(1, hierarchy.max_depth + 1))
-        classes = [len(hierarchy.depth_space(d)) for d in self.depths]
-        shapes = [param_shapes(feature_dim, k, hidden) for k in classes]  # per depth, as flat_views takes
+        shapes = [param_shapes(feature_dim, k, hidden) for k in hierarchy.classes]  # per depth, as flat_views takes
         self.segments = _runs(sum(map(math.prod, s)) for s in shapes)
         # per depth, the slice of each parameter (w0, b0, w1, ...) in a segment or a flat gradient, made once
         self.param_slices = [_runs(map(math.prod, s)) for s in shapes]
         self.buffers = {role: np.zeros(self.segments[-1].stop, HEAD_DTYPE) for role in ROLES}
         views = {(d, role): flat_views(self.buffers[role][seg], s)  # depth by depth, role by role
                  for d, seg, s in zip(self.depths, self.segments, shapes) for role in ROLES}
-        self._state = dict(zip(entry_shapes(feature_dim, classes, hidden), sum(views.values(), []), strict=True))
+        self._state = dict(zip(entry_shapes(feature_dim, hierarchy.classes, hidden), sum(views.values(), []), strict=True))
         self.students, self.teachers = (
             [(views[d, role][0::2], views[d, role][1::2], dropout) for d in self.depths] for role in ROLES[:2]
         )

@@ -7,18 +7,22 @@ nodes are the possible out-of-distribution prediction targets.
 Every tree fact is held once, as an array precomputed from the parent links,
 so that queries work on single nodes and on whole batches alike:
 
+* the ID classes `id_leaves`: their ids, sorted and unique;
 * Euler-tour intervals `tin`/`tout`: x lies in subtree(c) exactly when
   tin[c] <= tin[x] < tout[c];
 * the ancestor table `ancestors[c, d]`: the ancestor of c at depth d, or c
   itself for d deeper than c, from which `lca` and `tree_distance` follow;
 * for each depth d in 1..D, the classification space at depth d: nodes at
   exactly depth d, plus ID leaves that sit shallower than d (so every depth
-  head can always place an ID sample somewhere), with `columns[d-1, c]` the
-  column of node c in that space (-1 when absent), and its columns in preorder
-  with their `tin`: a target row (`targets`) is uniform over one run of them;
+  head can always place an ID sample somewhere), held only as
+  `columns[d-1, c]`, the column of node c in that space (-1 when absent);
+  `depth_space(d)` and the sizes `classes` are read off it, and its columns
+  in preorder with their `tin` make a target row (`targets`) uniform over
+  one run of them;
 * the group table `groups`: the internal nodes split by depth and child
   count, shallowest first, so that fusion and subtree sums run one array
-  operation per group instead of one per node.
+  operation per group instead of one per node;
+* the content `hash` of the saved file, computed at the first read.
 
 They are built by array operations over `parents`, with no loop over nodes
 (depths by pointer jumping, preorder by sorting the root-to-node paths), and
@@ -28,9 +32,12 @@ a tree whose (nodes x depth) tables would not fit in memory is refused.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
+
+from .rng import fnv1a_64
 
 
 class HierarchyError(ValueError):
@@ -67,7 +74,7 @@ class Hierarchy:
     def __init__(self, parents, names, id_leaves):
         self.parents = parents = np.asarray(parents, dtype=np.int64)
         self.names = tuple(names)
-        self.id_leaves = frozenset(int(c) for c in id_leaves)
+        self.id_leaves = np.unique(np.asarray(id_leaves, dtype=np.int64))
         self.n_nodes = n = len(parents)
         self._validate_shape()
 
@@ -82,11 +89,11 @@ class Hierarchy:
             raise HierarchyError("parent links contain a cycle")
         self.max_depth = depth = int(self.depths.max())
         self._validate_id_set()
-        carried = np.isin(np.arange(n), list(self.id_leaves))  # ID leaves, present below their depth
+        carried = np.isin(np.arange(n), self.id_leaves)  # ID leaves, present below their depth
         # The peak in bytes: 25 a cell of the (n, depth + 1) tables (ancestors, columns, paths and its mask), 8 a path
-        # entry bincount reads, 56 a depth-space entry (int, slot and preorder), 3 KiB a lexsort key, 128 a node.
+        # entry bincount reads, 16 a depth-space entry (its preorder column and tin), 3 KiB a lexsort key, 64 a node.
         entries = n - 1 + int((depth - self.depths[carried]).sum())
-        nbytes = 25 * n * (depth + 1) + 8 * int(self.depths.sum() + n) + 56 * entries + 3072 * (depth + 1) + 128 * n
+        nbytes = 25 * n * (depth + 1) + 8 * int(self.depths.sum() + n) + 16 * entries + 3072 * (depth + 1) + 64 * n
         if problem := exceeds_memory(nbytes, f"the ancestor and path tables of {n} nodes {depth} deep"):
             raise HierarchyError(problem)
 
@@ -94,19 +101,21 @@ class Hierarchy:
         for d in range(depth - 1, -1, -1):
             deeper = self.depths > d
             self.ancestors[deeper, d] = parents[self.ancestors[deeper, d + 1]]
-        self._depth_spaces = tuple(
-            tuple(np.flatnonzero((self.depths == d) | (carried & (self.depths < d))).tolist())
-            for d in range(1, depth + 1)
-        )
-        self.columns = np.full((depth, n), -1, dtype=np.int64)
-        for d, space in enumerate(self._depth_spaces, start=1):
-            self.columns[d - 1, list(space)] = np.arange(len(space))
+        # Depth space d holds the nodes at depth d and the ID leaves above it; a member's column counts the members before it.
+        levels = np.arange(1, depth + 1)[:, None]
+        member = np.where(carried, self.depths <= levels, self.depths == levels)
+        self.classes = tuple(member.sum(axis=1).tolist())  # per depth, the size of its space
+        self.columns = member.cumsum(axis=1)
+        self.columns -= 1
+        self.columns[~member] = -1
         # Preorder sorts the root-to-node paths, each padded with -1 so that it comes before its extensions
         # (padded with the node itself, a child whose id is below its parent's would come first).
         paths = np.where(np.arange(depth + 1) <= self.depths[:, None], self.ancestors, -1)
-        self.tin = np.argsort(np.lexsort(paths.T[::-1]))  # each node's place in preorder
+        preorder = np.lexsort(paths.T[::-1])
+        self.tin = np.argsort(preorder)  # each node's place in preorder
         self.tout = self.tin + np.bincount(paths[paths >= 0])  # subtree sizes: the paths through each node
-        self._preorder = [(np.argsort(tins), np.sort(tins)) for tins in (self.tin[list(s)] for s in self._depth_spaces)]
+        # per depth space, its columns in preorder and their tins
+        self._preorder = [(row[row >= 0], np.flatnonzero(row >= 0)) for row in (cols[preorder] for cols in self.columns)]
 
     # -- construction helpers -------------------------------------------------
 
@@ -126,14 +135,15 @@ class Hierarchy:
             raise HierarchyError(f"node {bad[0]} has an invalid parent id")
 
     def _validate_id_set(self) -> None:
-        for c in self.id_leaves:
-            if not 0 <= c < self.n_nodes:
-                raise HierarchyError(f"ID class id {c} out of range")
-            if not self.leaf_mask[c]:
-                raise HierarchyError(f"ID class {self.names[c]!r} is not a leaf")
-        if not self.id_leaves:
+        """Range, then leaf, then empty, then strict subset; naming the smallest bad id."""
+        ids = self.id_leaves
+        if (bad := ids[(ids < 0) | (ids >= self.n_nodes)]).size:
+            raise HierarchyError(f"ID class id {bad[0]} out of range")
+        if (bad := ids[~self.leaf_mask[ids]]).size:
+            raise HierarchyError(f"ID class {self.names[bad[0]]!r} is not a leaf")
+        if not ids.size:
             raise HierarchyError("at least one ID class required")
-        if len(self.id_leaves) == self.n_nodes:
+        if ids.size == self.n_nodes:
             raise HierarchyError("ID classes must be a strict subset of the nodes")
 
     # -- node queries: each takes a node id or an array of them ------------------
@@ -187,9 +197,9 @@ class Hierarchy:
             raise ValueError(f"depth {d} out of range 1..{self.max_depth}")
         return d
 
-    def depth_space(self, d: int) -> tuple[int, ...]:
+    def depth_space(self, d: int) -> np.ndarray:
         """The node ids of the classification space at depth d, ascending."""
-        return self._depth_spaces[self._check_depth(d) - 1]
+        return np.flatnonzero(self.columns[self._check_depth(d) - 1] >= 0)
 
     def target_runs(self, d: int, nodes) -> tuple[np.ndarray, np.ndarray]:
         """Per node, the run [lo, hi) of space d's preorder columns in subtree(top), top its depth-d ancestor
@@ -220,15 +230,19 @@ class Hierarchy:
                 out.append((d, self.parents[kids[:, 0]], kids, self.columns[d - 1, kids]))
         return tuple(out)
 
+    @cached_property
+    def hash(self) -> int:
+        """FNV-1a of `hierarchy_bytes`: the content hash that feature files and checkpoints record."""
+        return fnv1a_64(hierarchy_bytes(self))
+
     def summary(self) -> str:
         n_leaves = int(self.leaf_mask.sum())
         lines = [
             f"nodes: {self.n_nodes}",
             f"max depth: {self.max_depth}",
-            f"leaves: {n_leaves} (ID classes: {len(self.id_leaves)})",
+            f"leaves: {n_leaves} (ID classes: {self.id_leaves.size})",
             f"internal nodes: {self.n_nodes - n_leaves}",
-            "depth space sizes: "
-            + ", ".join(f"d{d}={len(self.depth_space(d))}" for d in range(1, self.max_depth + 1)),
+            "depth space sizes: " + ", ".join(f"d{d}={k}" for d, k in enumerate(self.classes, start=1)),
         ]
         return "\n".join(lines)
 
@@ -271,31 +285,19 @@ def load_hierarchy(path) -> Hierarchy:
         raise HierarchyError("no edges found")
 
     child_names = [c for c, _ in edges]
-    if len(set(child_names)) != len(child_names):
-        dup = next(c for c in child_names if child_names.count(c) > 1)
+    counts = Counter(child_names)
+    if len(counts) != len(child_names):
+        dup = next(c for c in child_names if counts[c] > 1)
         raise HierarchyError(f"node {dup!r} defined more than once")
-    parent_names = {p for _, p in edges}
-    roots = parent_names - set(child_names)
+    roots = {p for _, p in edges} - counts.keys()
     if len(roots) != 1:
         raise HierarchyError(f"expected exactly one root, found {sorted(roots)}")
-    root = roots.pop()
 
-    ids = {root: 0}
-    for c, _ in edges:
-        ids[c] = len(ids)
-    names = [None] * len(ids)
-    parents = np.full(len(ids), -1, dtype=np.int64)
-    names[0] = root
-    for c, p in edges:
-        names[ids[c]] = c
-        parents[ids[c]] = ids[p]
-
-    id_leaves = []
-    for name in id_names:
-        if name not in ids:
-            raise HierarchyError(f"ID class {name!r} does not appear in the tree")
-        id_leaves.append(ids[name])
-    return Hierarchy(parents, names, id_leaves)
+    names = [roots.pop(), *child_names]
+    ids = dict(zip(names, range(len(names))))
+    if unknown := [name for name in id_names if name not in ids]:
+        raise HierarchyError(f"ID class {unknown[0]!r} does not appear in the tree")
+    return Hierarchy([-1] + [ids[p] for _, p in edges], names, [ids[name] for name in id_names])
 
 
 def save_hierarchy(hierarchy: Hierarchy, path) -> None:
@@ -308,14 +310,8 @@ def hierarchy_bytes(hierarchy: Hierarchy) -> bytes:
     """Canonical file content of a hierarchy, as saved and as hashed."""
     names = hierarchy.names
     lines = [f"{names[c]}\t{names[hierarchy.parents[c]]}" for c in range(1, hierarchy.n_nodes)]
-    lines += ["#id"] + [names[c] for c in sorted(hierarchy.id_leaves)]
+    lines += ["#id"] + [names[c] for c in hierarchy.id_leaves.tolist()]
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def hierarchy_hash(hierarchy: Hierarchy) -> int:
-    from .rng import fnv1a_64
-
-    return fnv1a_64(hierarchy_bytes(hierarchy))
 
 
 def random_tree(rng: np.random.Generator, n_nodes: int, recent_bias: int = 5) -> Hierarchy:

@@ -149,7 +149,7 @@ def check_fusion(cases: int, seed: int, fault: bool = False) -> OracleResult:
         tree = random_tree(rng, int(rng.integers(4, 60)))
         outputs = []
         for d in range(1, tree.max_depth + 1):
-            raw = rng.random((1, len(tree.depth_space(d)))) + 1e-9
+            raw = rng.random((1, tree.classes[d - 1])) + 1e-9
             outputs.append(raw / raw.sum(axis=1, keepdims=True))
         probs = fuse_batch(outputs, tree)[0]
         if fault:

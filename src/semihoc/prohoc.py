@@ -43,8 +43,8 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy) -> np.ndar
         raise ValueError(f"expected {hierarchy.max_depth} depth outputs, got {len(depth_outputs)}")
     outputs = [np.asarray(out, dtype=np.float64) for out in depth_outputs]
     for d, out in enumerate(outputs, start=1):
-        if out.shape[1] != len(hierarchy.depth_space(d)):
-            raise ValueError(f"depth {d} output has {out.shape[1]} classes, space has {len(hierarchy.depth_space(d))}")
+        if out.shape[1] != hierarchy.classes[d - 1]:
+            raise ValueError(f"depth {d} output has {out.shape[1]} classes, space has {hierarchy.classes[d - 1]}")
     n = outputs[0].shape[0]
     if any(out.shape[0] != n for out in outputs):
         raise ValueError("depth outputs disagree on the batch size")

@@ -46,7 +46,7 @@ import numpy as np
 from . import heads as heads_mod
 from .datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from .heads import HEAD_DTYPE, DepthHeads, OptimizerParams, entry_shapes
-from .hierarchy import Hierarchy, hierarchy_hash
+from .hierarchy import Hierarchy
 from .metrics import bmhd
 from .prohoc import fuse_batch, predict_nodes
 from .rng import StreamSet, advanced
@@ -193,15 +193,13 @@ class Trainer:
     def __init__(self, config: TrainConfig, hierarchy: Hierarchy, dataset: FeatureDataset):
         config.validate()
         keep_freed_memory()  # for library callers too, not only the CLI
-        expected = hierarchy_hash(hierarchy)
-        if dataset.hierarchy_hash != expected:
-            hashes = f"{dataset.hierarchy_hash:#018x} != {expected:#018x}"
+        if dataset.hierarchy_hash != hierarchy.hash:
+            hashes = f"{dataset.hierarchy_hash:#018x} != {hierarchy.hash:#018x}"
             raise ValueError(f"dataset was built against a different hierarchy (hash {hashes})")
         dataset.validate(hierarchy)
         self.config = config
         self.hierarchy = hierarchy
         self.dataset = dataset
-        self.hash = expected
 
         self.streams = StreamSet(config.seed)
         self.heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
@@ -219,8 +217,6 @@ class Trainer:
         # Pseudo-label state: a chain table over (unlabeled row, depth) and the record of its entries.
         self.log = SplLog(dataset.sample_ids[self.unlabeled_idx], hierarchy.depths, epoch_dtype(config.epochs))
         self._cutoffs = self.gate.vector(hierarchy.n_nodes)  # rebuilt whenever a cutoff changes
-        # depth-space column per (depth, node), with a -1 column at the end that node -1 reads
-        self._columns = np.pad(hierarchy.columns, ((0, 0), (0, 1)), constant_values=-1)
         self._has_target = np.stack([np.less(*hierarchy.target_runs(d, np.arange(hierarchy.n_nodes))) for d in self.depths], 1)
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
@@ -267,12 +263,12 @@ class Trainer:
             return np.where(passing[:, None] & self._has_target[preds], preds[:, None], -1)
         else:  # ssl-per-depth: each depth's own confident argmax
             probs = self.heads.teacher_forward_all(x_u, self.workers)
-            nodes = [np.asarray(hierarchy.depth_space(d))[p.argmax(axis=1)] for d, p in zip(self.depths, probs)]
+            nodes = [hierarchy.depth_space(d)[p.argmax(axis=1)] for d, p in zip(self.depths, probs)]
             return np.stack([np.where(p.max(axis=1) > cfg.tau, n, -1) for p, n in zip(probs, nodes)], axis=1)
         # A chain's node in depth space d, at most one: its depth-d node, or a chain-ending ID leaf above depth d.
         table = np.full_like(chains, -1)
         for d in self.depths:
-            rows, at = np.nonzero(self._columns[d - 1][chains] >= 0)
+            rows, at = np.nonzero((chains >= 0) & (hierarchy.columns[d - 1][chains] >= 0))
             table[rows, d - 1] = chains[rows, at]
         return table
 
@@ -374,8 +370,8 @@ class Trainer:
         JSON-able dict, and the arrays. The head and velocity entries are
         views into the heads' three role buffers and the loader's is its live
         array, not copies; the logs are their sparse triples."""
-        meta = {"config": asdict(self.config), "hierarchy_hash": self.hash, "epoch": self.epoch}
-        meta.update(feature_dim=self.dataset.dim, classes=[len(self.hierarchy.depth_space(d)) for d in self.depths])
+        meta = {"config": asdict(self.config), "hierarchy_hash": self.hierarchy.hash, "epoch": self.epoch}
+        meta.update(feature_dim=self.dataset.dim, classes=list(self.hierarchy.classes))
         meta.update(streams=self.streams.state_dict(), loader_pos=self.loader.pos, gate=self.gate.state_dict())
         state = {"meta": meta, **self.heads.state_dict(), "loader.perm": self.loader.perm}
         for name, triples in (("log", self.log.state_dict()), ("history", self.log.history_state())):
@@ -594,8 +590,7 @@ def _check_entries(state: dict, hierarchy: Hierarchy | None, feature_dim: int | 
         raise ValueError("missing entry meta")
     n_nodes, tree_hash, classes, depths = math.inf, None, None, None
     if hierarchy is not None:
-        n_nodes, tree_hash, depths = hierarchy.n_nodes, hierarchy_hash(hierarchy), hierarchy.depths
-        classes = [len(hierarchy.depth_space(d)) for d in range(1, hierarchy.max_depth + 1)]
+        n_nodes, tree_hash, classes, depths = hierarchy.n_nodes, hierarchy.hash, list(hierarchy.classes), hierarchy.depths
     kinds = dict(config=dict, hierarchy_hash=int, epoch=int, gate=dict, streams=dict, feature_dim=int, classes=list, loader_pos=int)
     try:
         meta = state["meta"] = json.loads(state["meta"].item())

@@ -1,6 +1,7 @@
 import json
 import pickle
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from semihoc import cli
+from semihoc import hierarchy as hierarchy_mod
 from semihoc.cli import main
 from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
@@ -290,6 +292,36 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "hierarchy file: the ancestor and path tables of 50000 nodes 49999 deep need 67.7 GiB" in err
         assert "Traceback" not in err
+
+    def test_name_repeated_on_the_last_of_20001_lines_exits_two_at_once(self, tmp_path, capsys):
+        """Counting every name's copies, once for each name, took 10.2 s to find the repeat."""
+        path = tmp_path / "tree.txt"
+        path.write_text("".join(f"n{i}\tr\n" for i in range(1, 20000)) + "n19999\tr\n#id\n")
+        start = time.perf_counter()
+        assert run("inspect", "--hierarchy", path) == 2
+        assert time.perf_counter() - start < 5
+        assert "hierarchy file: node 'n19999' defined more than once" in capsys.readouterr().err
+
+
+class TestHashedOnce:
+    def test_each_command_hashes_the_tree_once(self, workspace, tmp_path, monkeypatch):
+        """The tree's content hash is computed once per command, however many files check it."""
+        data, hashed = workspace / "data", []
+        tree_bytes, real = (data / "hierarchy.txt").read_bytes(), hierarchy_mod.fnv1a_64
+        monkeypatch.setattr(hierarchy_mod, "fnv1a_64", lambda content: hashed.append(content) or real(content))
+        inputs = ["--features", data / "features.bin", "--hierarchy", data / "hierarchy.txt"]
+        train = ["train", *inputs, "--epochs", 2, "--checkpoint-every", 1, "--hidden-dim", 32, "--quiet"]
+        ckpt = tmp_path / "run" / "ckpt_epoch0001.bin"
+        commands = {
+            "train": [*train, "--out", tmp_path / "run"],
+            "train --resume": [*train, "--out", tmp_path / "resumed", "--resume", ckpt],
+            "eval --checkpoint": ["eval", "--checkpoint", ckpt, *inputs, "--out", tmp_path / "eval"],
+            "inspect": ["inspect", *inputs, "--checkpoint", ckpt],
+        }
+        for name, argv in commands.items():
+            hashed.clear()
+            assert run(*argv) == 0, name
+            assert hashed == [tree_bytes], name
 
 
 class TestOracleCheck:

@@ -19,7 +19,6 @@ from semihoc.datagen import (
     sample_labeled_subset,
     save_features,
 )
-from semihoc.hierarchy import hierarchy_hash
 from semihoc.rng import named_rng
 
 

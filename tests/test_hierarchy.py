@@ -9,7 +9,6 @@ from semihoc import hierarchy as hierarchy_mod
 from semihoc.hierarchy import (
     Hierarchy,
     HierarchyError,
-    hierarchy_hash,
     load_hierarchy,
     random_tree,
     save_hierarchy,
@@ -89,10 +88,10 @@ class TestLcaAndDistance:
 
 class TestDepthSpaces:
     def test_depth1(self, animals):
-        assert animals.depth_space(1) == (MAMMAL, BIRD)
+        assert animals.depth_space(1).tolist() == [MAMMAL, BIRD]
 
     def test_depth2(self, animals):
-        assert animals.depth_space(2) == (CAT, DOG, EAGLE, JUNCO)
+        assert animals.depth_space(2).tolist() == [CAT, DOG, EAGLE, JUNCO]
 
     def test_out_of_range(self, animals):
         with pytest.raises(ValueError):
@@ -316,6 +315,14 @@ class TestValidation:
         with pytest.raises(HierarchyError):
             Hierarchy([-1, -1, 0], ["r", "a", "b"], id_leaves=[2])
 
+    def test_several_bad_ids_name_the_smallest(self):
+        """r -> {a -> b, c -> d}: the range is checked before the leaves, and each check names its smallest id."""
+        parents, names = [-1, 0, 1, 0, 3], ["r", "a", "b", "c", "d"]
+        with pytest.raises(HierarchyError, match="^ID class 'a' is not a leaf$"):
+            Hierarchy(parents, names, id_leaves=[3, 1])
+        with pytest.raises(HierarchyError, match="^ID class id -2 out of range$"):
+            Hierarchy(parents, names, id_leaves=[7, 3, -2])
+
 
 def walked_arrays(parents):
     """depths, tin, tout, ancestors and leaf_mask from one walk down from the root, node by node: children
@@ -343,6 +350,20 @@ def walked_arrays(parents):
     return depths, tin, tin + size, ancestors, np.array([not ch for ch in children])
 
 
+def tuple_node_sets(tree, given):
+    """The ID set and the depth spaces as the constructor once held them, node by node: a frozenset of the
+    given ids, and per depth d a tuple of the nodes at depth d and the ID leaves above it, ascending, with
+    each member's column its place in that tuple."""
+    ids = frozenset(int(c) for c in given)
+    spaces = tuple(tuple(c for c in range(tree.n_nodes) if tree.depths[c] == d or (c in ids and tree.depths[c] < d))
+                   for d in range(1, tree.max_depth + 1))
+    columns = np.full((tree.max_depth, tree.n_nodes), -1, dtype=np.int64)
+    for d, space in enumerate(spaces, start=1):
+        for j, c in enumerate(space):
+            columns[d - 1, c] = j
+    return ids, spaces, columns
+
+
 class TestConstruction:
     @given(relabelled_trees())
     @settings(max_examples=100, deadline=None)
@@ -354,8 +375,24 @@ class TestConstruction:
             built = getattr(tree, name)
             assert built.dtype == walked.dtype and np.array_equal(built, walked), name
 
-    @pytest.mark.parametrize("parents", [np.arange(-1, 799), np.concatenate([[-1], np.arange(3279) // 3])],
-                             ids=["chain-800", "full-b3-d7"])
+    @given(relabelled_trees(), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_node_sets_equal_the_tuples(self, tree, seed):
+        """id_leaves, columns, depth_space and classes hold what the frozenset and the per-depth tuples held,
+        also for ID classes given out of order and twice."""
+        given = np.random.default_rng(seed).permutation(np.repeat(tree.id_leaves, 2)).tolist()
+        built = Hierarchy(tree.parents, tree.names, given)
+        ids, spaces, columns = tuple_node_sets(built, given)
+        assert built.id_leaves.dtype == np.int64 and built.id_leaves.tolist() == sorted(ids)
+        assert built.columns.dtype == np.int64 and np.array_equal(built.columns, columns)
+        assert tuple(tuple(built.depth_space(d).tolist()) for d in range(1, built.max_depth + 1)) == spaces
+        assert built.classes == tuple(map(len, spaces))
+
+    @pytest.mark.parametrize("parents", [
+        np.arange(-1, 799),
+        np.concatenate([[-1], np.arange(3279) // 3]),
+        np.concatenate([[-1], np.zeros(2700, dtype=np.int64), [0], np.arange(2701, 2999)]),
+    ], ids=["chain-800", "full-b3-d7", "leaves-beside-chain-299"])
     def test_peak_memory_within_the_refused_count(self, monkeypatch, parents):
         """The count held against the machine bounds the constructor's tracemalloc peak, within 25%."""
         counted = []
@@ -385,8 +422,8 @@ class TestTextFormat:
         back = load_hierarchy(path)
         assert back.names == animals.names
         assert np.array_equal(back.parents, animals.parents)
-        assert back.id_leaves == animals.id_leaves
-        assert hierarchy_hash(back) == hierarchy_hash(animals)
+        assert np.array_equal(back.id_leaves, animals.id_leaves)
+        assert back.hash == animals.hash
 
     def test_missing_id_section(self, tmp_path):
         path = tmp_path / "tree.txt"
@@ -410,4 +447,11 @@ class TestTextFormat:
         path = tmp_path / "tree.txt"
         path.write_text("a\tr\na\tr\n#id\na\n")
         with pytest.raises(HierarchyError, match="more than once"):
+            load_hierarchy(path)
+
+    def test_duplicate_child_named_first_in_file_order(self, tmp_path):
+        """Children a, b, b, a: a is the first name in the file that occurs twice, though b repeats first."""
+        path = tmp_path / "tree.txt"
+        path.write_text("a\tr\nb\tr\nb\tr\na\tr\n#id\na\n")
+        with pytest.raises(HierarchyError, match="^node 'a' defined more than once$"):
             load_hierarchy(path)

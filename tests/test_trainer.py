@@ -14,7 +14,7 @@ from semihoc import trainer as trainer_mod
 from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
 from semihoc.datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
 from semihoc.heads import DepthHeads
-from semihoc.hierarchy import Hierarchy, hierarchy_hash, random_tree
+from semihoc.hierarchy import Hierarchy, random_tree
 from semihoc.metrics import confidence_accuracy_bins, spl_purity_and_depth
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 from semihoc.trainer import (
@@ -232,7 +232,7 @@ def uneven_data():
     splits = np.array([SPLIT_LABELED] * 3 + [SPLIT_UNLABELED] * 5, dtype=np.uint8)
     features = np.random.default_rng(0).normal(size=(8, 4)).astype(np.float32)
     labels = np.array([1, 3, 4, 1, 3, 4, 2, 1])
-    return tree, FeatureDataset(features, labels, np.arange(8, dtype=np.uint64), splits, hierarchy_hash(tree))
+    return tree, FeatureDataset(features, labels, np.arange(8, dtype=np.uint64), splits, tree.hash)
 
 
 class TestSteps:
