@@ -115,6 +115,7 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     for block, probs in predict_blocks(trainer.heads, hierarchy, dataset.features, idx):
         preds[block] = predict_nodes(probs)
         conf[block] = np.take_along_axis(subtree_confidences(probs, hierarchy), preds[block, None], axis=1)[:, 0]
+        del probs  # before predict_blocks computes the next block
 
     ood = np.flatnonzero(~hierarchy.is_leaf(preds))
     if not len(ood):

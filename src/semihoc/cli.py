@@ -35,7 +35,7 @@ from .datagen import (
     save_features,
 )
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
-from .hierarchy import exceeds_memory, load_hierarchy, save_hierarchy
+from .hierarchy import exceeds_memory, load_hierarchy, save_hierarchy, sorted_unique
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
 from .spl import AgeGateState, SplLog, log_summary
@@ -138,6 +138,8 @@ def _load_inputs(args):
 def cmd_train(args) -> int:
     config = _load_train_config(args)
     hierarchy, dataset = _load_inputs(args)
+    if problem := exceeds_memory(4 * len(dataset) * dataset.dim, f"the vectors of {len(dataset)} records at dim {dataset.dim}"):
+        raise DataError(f"feature file: {problem}")  # training reads them all, eval and inspect one block at most
     nbytes = HEAD_DTYPE.itemsize * sum(map(math.prod, entry_shapes(dataset.dim, hierarchy.classes, config.hidden_dim).values()))
     if problem := exceeds_memory(nbytes, f"the student, teacher and velocity buffers of hidden_dim {config.hidden_dim}"):
         raise UsageError(problem)
@@ -219,6 +221,7 @@ def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
             sub_conf[block] = np.take_along_axis(conf, preds[block, None], axis=1)[:, 0]
             ids = dataset.sample_ids[idx[block]]
             fh.write(format_prediction_block(hierarchy, ids, preds[block], node_conf[block], conf))
+            del probs, conf  # before predict_blocks computes the next block
     _write_eval_reports(out, hierarchy, preds, dataset.labels[idx], node_conf, sub_conf, bins)
 
 
@@ -259,7 +262,7 @@ def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
     sample has no ground truth.
     """
     log_state, history_state = ({k: state[f"{name}.{k}"] for k in LOG_KEYS} for name in ("log", "history"))
-    log = SplLog(np.union1d(log_state["sample_id"], history_state["sample_id"]), hierarchy.depths)
+    log = SplLog(sorted_unique(np.concatenate((log_state["sample_id"], history_state["sample_id"]))), hierarchy.depths)
     log.load_state_dict(log_state, history_state)
     history = log.history_state()
     gate = AgeGateState()

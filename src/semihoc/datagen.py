@@ -7,6 +7,8 @@ tree are close in feature space. A random subset of leaves is then pruned
 from the hierarchy handed to the model; samples of pruned leaves keep living
 in the unlabeled/test splits with their deepest surviving ancestor as ground
 truth, which makes them out-of-distribution at internal nodes.
+
+A feature file is read in chunks of 1024 records, keeping its id, label and split columns; `FeatureRows` reads vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hierarchy import Hierarchy, exceeds_memory
+from .hierarchy import Hierarchy, exceeds_memory, sorted_unique
 from .rng import named_rng
 
 SPLIT_LABELED = 0
@@ -40,7 +42,7 @@ class FeatureFileError(ValueError):
 class FeatureDataset:
     """Feature vectors with ground-truth nodes, stable ids and split tags."""
 
-    features: np.ndarray  # (n, dim) float32
+    features: np.ndarray  # (n, dim) float32, or the FeatureRows of a feature file
     labels: np.ndarray  # (n,) int64 node ids, NO_LABEL when unknown
     sample_ids: np.ndarray  # (n,) uint64, unique
     splits: np.ndarray  # (n,) uint8
@@ -66,7 +68,7 @@ class FeatureDataset:
         return out
 
     def validate(self, hierarchy: Hierarchy) -> None:
-        if len(np.unique(self.sample_ids)) != len(self):
+        if len(sorted_unique(self.sample_ids)) != len(self):
             raise FeatureFileError("duplicate sample ids")
         bad = np.flatnonzero((self.labels != NO_LABEL) & ((self.labels < 0) | (self.labels >= hierarchy.n_nodes)))
         if len(bad):
@@ -89,7 +91,7 @@ class FeatureDataset:
             lines.append(row)
         if hierarchy is not None:
             labeled = self.labels[self.labels != NO_LABEL]
-            ood_nodes = np.unique(labeled[~hierarchy.is_leaf(labeled)])
+            ood_nodes = sorted_unique(labeled[~hierarchy.is_leaf(labeled)])
             lines.append(f"distinct OOD ground-truth nodes: {len(ood_nodes)}")
         return "\n".join(lines)
 
@@ -220,6 +222,7 @@ def sample_labeled_subset(
 # -- binary feature file ----------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIQIQ")
+_CHUNK = 1024  # records read at a time: one predict_blocks block (trainer.PREDICT_BATCH)
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -235,6 +238,29 @@ def save_features(dataset: FeatureDataset, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FILE_MAGIC, FILE_VERSION, len(dataset), dataset.dim, dataset.hierarchy_hash))
         records.tofile(fh)
+
+
+class FeatureRows:
+    """A feature file's (n, dim) float32 vectors: `rows[key]` reads, in chunks, what indexing them in memory gives."""
+
+    def __init__(self, path, count: int, dim: int):
+        self.path, self.shape, self._record = os.path.abspath(path), (count, dim), _record_dtype(dim)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:]
+
+    def __getitem__(self, key) -> np.ndarray:
+        (rows, *cols), (n, dim), record = key if isinstance(key, tuple) else (key,), self.shape, self._record
+        np.broadcast_to(0, n)[rows]  # numpy's IndexError for a row index that is out of range, or not one
+        rows = np.arange(n)[rows] if isinstance(rows, slice) or np.asarray(rows).dtype == bool else np.asarray(rows, np.intp)
+        order = np.argsort(flat := rows.ravel() % max(n, 1), kind="stable")
+        wanted, out, i = flat[order], np.empty((len(flat), dim), dtype=np.float32), 0
+        while i < len(wanted):  # from the next row wanted through the last one wanted within _CHUNK records
+            start, end = wanted[i], np.searchsorted(wanted, wanted[i] + _CHUNK)
+            chunk = np.fromfile(self.path, record, wanted[end - 1] + 1 - start, offset=_HEADER.size + start * record.itemsize)
+            out[order[i:end]] = chunk["features"][wanted[i:end] - start]
+            i = end
+        return out.reshape(rows.shape + (dim,))[(slice(None),) * rows.ndim + tuple(cols)]
 
 
 def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
@@ -261,23 +287,24 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
             raise FeatureFileError(f"record {body // record.itemsize + 1}: truncated file")
         if body > count * record.itemsize:
             raise FeatureFileError("trailing bytes after the declared sample count")
-        records = np.fromfile(fh, dtype=record, count=count)
-
-    bad = np.flatnonzero(records["split"] > SPLIT_TEST)
-    if len(bad):
-        raise FeatureFileError(f"record {bad[0] + 1}: invalid split tag {records['split'][bad[0]]}")
-    bad = np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))
-    if len(bad):
-        raise FeatureFileError(f"record {bad[0] + 1}: non-finite feature value")
-    sample_ids = records["sample_id"]
+        if problem := exceeds_memory(17 * count, f"the id, label and split columns of {count} records"):
+            raise FeatureFileError(problem)
+        (sample_ids, labels, splits), non_finite = (np.empty(count, t) for t in (np.uint64, np.int64, np.uint8)), []
+        for start in range(0, count, _CHUNK):
+            records = np.fromfile(fh, dtype=record, count=min(_CHUNK, count - start))
+            if len(bad := np.flatnonzero(records["split"] > SPLIT_TEST)):
+                raise FeatureFileError(f"record {start + bad[0] + 1}: invalid split tag {records['split'][bad[0]]}")
+            non_finite += (start + np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))[:1]).tolist()
+            for column, name in ((sample_ids, "sample_id"), (labels, "label"), (splits, "split")):
+                column[start : start + _CHUNK] = records[name]
+    if non_finite:  # the first, now that no record has a bad split tag
+        raise FeatureFileError(f"record {non_finite[0] + 1}: non-finite feature value")
     order = np.argsort(sample_ids, kind="stable")
     repeats = order[1:][sample_ids[order[1:]] == sample_ids[order[:-1]]]
     if len(repeats):
         raise FeatureFileError(f"record {repeats.min() + 1}: duplicate sample id {sample_ids[repeats.min()]}")
-
-    labels = records["label"].astype(np.int64)
     labels[labels == _NO_LABEL_U32] = NO_LABEL
-    dataset = FeatureDataset(records["features"], labels, sample_ids, records["split"], h_hash)
+    dataset = FeatureDataset(FeatureRows(path, count, dim), labels, sample_ids, splits, h_hash)
     if hierarchy is not None:
         if hierarchy.hash != h_hash:
             raise FeatureFileError(f"hierarchy hash mismatch: file has {h_hash:#018x}, hierarchy is {hierarchy.hash:#018x}")

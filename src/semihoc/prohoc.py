@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, sorted_unique
 
 STOP_EPS = 1e-4
 
@@ -111,7 +111,7 @@ def format_prediction_block(
     chains = np.take_along_axis(subtree_conf, paths, axis=1)
     depths = hierarchy.depths[preds]
     lines = [""] * len(preds)
-    for depth in np.unique(depths).tolist():
+    for depth in sorted_unique(depths).tolist():
         rows = np.flatnonzero(depths == depth)
         fmt = "{}\t{}\t{!r}\t" + ",".join(["{}:{!r}"] * (depth + 1)) + "\n"
         cols = [sample_ids[rows], preds[rows], node_conf[rows]]

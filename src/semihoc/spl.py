@@ -82,11 +82,13 @@ def epoch_dtype(epochs: int) -> np.dtype:
 
 def _checkpoint_rows(sample_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The row of each of the sample ids `ids`; ValueError for one with no row."""
-    known = np.isin(ids, sample_ids)
+    order = np.argsort(sample_ids)
+    at = np.searchsorted(sample_ids, ids, sorter=order)
+    known = at < len(order)  # and then the id found there is the one sought; np.isin would import numpy.ma
+    known[known] = sample_ids[order[at[known]]] == ids[known]
     if not known.all():
         raise ValueError(f"sample {ids[~known][0]} has no row in this log")
-    order = np.argsort(sample_ids)
-    return order[np.searchsorted(sample_ids, ids, sorter=order)]
+    return order[at]
 
 
 class SplLog:

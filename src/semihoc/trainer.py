@@ -38,7 +38,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +199,7 @@ class Trainer:
         dataset.validate(hierarchy)
         self.config = config
         self.hierarchy = hierarchy
-        self.dataset = dataset
+        self.dataset = dataset = replace(dataset, features=np.asarray(dataset.features))  # a file's vectors, read once
 
         self.streams = StreamSet(config.seed)
         self.heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
@@ -360,6 +360,7 @@ class Trainer:
         preds = np.empty(len(idx), dtype=np.int64)
         for block, fused in predict_blocks(self.heads, self.hierarchy, self.dataset.features, idx):
             preds[block] = predict_nodes(fused)
+            del fused  # before predict_blocks computes the next block
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
         return report.id, report.ood, report.mix
 

@@ -1,13 +1,18 @@
 import json
+import os
 import pickle
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semihoc
 from semihoc import cli
 from semihoc import hierarchy as hierarchy_mod
 from semihoc.cli import main
@@ -15,7 +20,7 @@ from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
 from semihoc.prohoc import subtree_confidences
-from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, TrainConfig, blas_library, load_checkpoint, predict_dataset
+from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, PREDICT_BATCH, TrainConfig, blas_library, load_checkpoint, predict_dataset
 
 
 def run(*argv):
@@ -250,6 +255,29 @@ class TestEval:
         assert not (tmp_path / "ev").exists()
 
 
+class TestFeatureMemory:
+    def test_training_refuses_vectors_past_the_memory_where_eval_and_inspect_hold_the_columns(
+        self, large_split, tmp_path, capsys, monkeypatch
+    ):
+        """20,480 rows at dim 8: train reads 655,360 bytes of vectors, eval and inspect keep 348,160 of columns."""
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}.get)  # 512 KiB
+        assert run("train", *inputs_of(large_split), "--out", tmp_path / "run", "--quiet") == 2
+        err = capsys.readouterr().err
+        message = "feature file: the vectors of 20480 records at dim 8 need 0.00061 GiB, more than the 0.000488 GiB"
+        assert message in err and "Traceback" not in err and not (tmp_path / "run").exists()
+        assert run("inspect", *inputs_of(large_split)) == 0
+        assert run(
+            "eval", "--checkpoint", large_split / "run" / "ckpt_epoch0001.bin", *inputs_of(large_split),
+            "--out", tmp_path / "ev", "--split", "all",
+        ) == 0
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64}.get)  # 256 KiB
+        capsys.readouterr()
+        assert run("inspect", *inputs_of(large_split)) == 2
+        err = capsys.readouterr().err
+        assert "feature file: the id, label and split columns of 20480 records need 0.000324 GiB" in err
+        assert "Traceback" not in err
+
+
 class TestInspect:
     def test_inspect_all(self, workspace, capsys):
         assert run(
@@ -292,6 +320,23 @@ class TestInspect:
         err = capsys.readouterr().err
         assert "hierarchy file: the ancestor and path tables of 50000 nodes 49999 deep need 67.7 GiB" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval-checkpoint", "eval-predictions", "inspect"])
+    def test_no_command_imports_numpy_ma(self, workspace, tmp_path, command):
+        """numpy 2.4's plain np.unique, np.union1d and sort-kind np.isin import numpy.ma: 1.3 MiB and 15 ms a process."""
+        ckpt, dump = workspace / "run" / "ckpt_epoch0003.bin", tmp_path / "dump" / "predictions.txt"
+        assert run("eval", "--checkpoint", ckpt, *inputs_of(workspace), "--out", dump.parent, "--split", "all") == 0
+        argv = {
+            "eval-checkpoint": ["eval", "--checkpoint", ckpt, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all"],
+            "eval-predictions": ["eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all"],
+            "inspect": ["inspect", *inputs_of(workspace), "--checkpoint", ckpt],
+        }[command]
+        script = "import sys; from semihoc import cli; code = cli.main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+        src = str(Path(semihoc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_name_repeated_on_the_last_of_20001_lines_exits_two_at_once(self, tmp_path, capsys):
         """Counting every name's copies, once for each name, took 10.2 s to find the repeat."""
@@ -931,6 +976,63 @@ class TestStreamedEval:
         conf = subtree_confidences(probs, hierarchy)
         expected = "".join(reference_dump_line(hierarchy, *row) for row in zip(subset.sample_ids, probs, conf))
         assert (tmp_path / "ev" / "predictions.txt").read_text() == expected
+
+    def test_sparse_split_reads_at_most_a_block_of_records_at_once(self, large_split, tmp_path, monkeypatch):
+        """The unlabeled rows are 298 of every 320: each block's span is read in chunks, keeping only its rows."""
+        hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")
+        n_rows = len(load_features(large_split / "data" / "features.bin", hierarchy))
+        reads, fromfile = [], np.fromfile
+
+        def counted(*args, **kwargs):
+            records = fromfile(*args, **kwargs)
+            if records.dtype.names and "features" in records.dtype.names:
+                reads.append(len(records))
+            return records
+
+        monkeypatch.setattr(np, "fromfile", counted)
+        assert run(
+            "eval", "--checkpoint", large_split / "run" / "ckpt_epoch0001.bin", *inputs_of(large_split),
+            "--out", tmp_path / "ev", "--split", "train",
+        ) == 0
+        checked, vectors = reads[: -(-n_rows // PREDICT_BATCH)], reads[-(-n_rows // PREDICT_BATCH) :]
+        assert sum(checked) == n_rows and max(reads) <= PREDICT_BATCH
+        n_unlabeled = len((tmp_path / "ev" / "predictions.txt").read_text().splitlines())
+        assert n_unlabeled < sum(vectors) <= n_rows and len(vectors) > -(-n_unlabeled // PREDICT_BATCH)
+
+    @pytest.fixture(scope="class")
+    def two_dims(self, large_split, tmp_path_factory):
+        """large_split's 20,480 rows at dim 512 and at dim 8 (the first 8 of the same vectors), each with a checkpoint."""
+        root = tmp_path_factory.mktemp("dims")
+        dataset = load_features(large_split / "data" / "features.bin")
+        wide = np.random.default_rng(5).standard_normal((len(dataset), 512), dtype=np.float32)
+        wide[:, :8] = dataset.features[:]
+        for dim in (8, 512):
+            save_features(replace(dataset, features=wide[:, :dim]), root / f"dim{dim}.bin")
+            assert run(
+                "train", "--features", root / f"dim{dim}.bin", "--hierarchy", large_split / "data" / "hierarchy.txt",
+                "--out", root / f"run{dim}", "--method", "supervised", "--epochs", 1, "--labeled-batch-size", 32,
+                "--hidden-dim", 16, "--seed", 0, "--quiet",
+            ) == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_peak_memory_does_not_grow_with_dim(self, large_split, two_dims, tmp_path, command):
+        """The dim-512 vectors alone are 41.9 MB; both commands read them one block at most at a time."""
+        peaks = {}
+        for dim in (8, 512):
+            ckpt = two_dims / f"run{dim}" / "ckpt_epoch0001.bin"
+            inputs = ["--features", two_dims / f"dim{dim}.bin", "--hierarchy", large_split / "data" / "hierarchy.txt"]
+            argv = ["inspect", *inputs, "--checkpoint", ckpt]
+            if command == "eval":
+                argv = ["eval", *inputs, "--checkpoint", ckpt, "--out", tmp_path / f"ev{dim}", "--split", "all"]
+            tracemalloc.start()
+            try:
+                code = run(*argv)
+                peaks[dim] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert abs(peaks[512] - peaks[8]) < 8e6, peaks
 
     def test_peak_memory_below_one_node_matrix(self, large_split, tmp_path):
         hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")

@@ -20,6 +20,7 @@ from semihoc.datagen import (
     save_features,
 )
 from semihoc.rng import named_rng
+from semihoc.trainer import PREDICT_BATCH
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +334,91 @@ class TestFeatureFile:
         save_features(replace(dataset, splits=splits), path)
         with pytest.raises(FeatureFileError, match="record 10: invalid split tag 7"):
             load_features(path)
+
+
+@pytest.fixture(scope="module")
+def three_chunks():
+    """2,430 rows: a feature file of three read chunks."""
+    return generate(SyntheticConfig(branching=3, depth=4, feature_dim=4, train_per_leaf=20, test_per_leaf=10))[1]
+
+
+def count_reads(monkeypatch) -> list[int]:
+    """The record count of every np.fromfile call from now on."""
+    counts, fromfile = [], np.fromfile
+
+    def counted(*args, **kwargs):
+        records = fromfile(*args, **kwargs)
+        counts.append(len(records))
+        return records
+
+    monkeypatch.setattr(np, "fromfile", counted)
+    return counts
+
+
+class TestChunkedReader:
+    """load_features checks a file in chunks of PREDICT_BATCH records and keeps no vector; FeatureRows reads them."""
+
+    def test_split_tag_in_a_later_chunk_is_reported_before_an_earlier_non_finite_value(self, three_chunks, tmp_path):
+        features, splits = three_chunks.features.copy(), three_chunks.splits.copy()
+        features[5, 1], splits[2000] = np.nan, 9
+        save_features(replace(three_chunks, features=features, splits=splits), tmp_path / "f.bin")
+        with pytest.raises(FeatureFileError, match="^record 2001: invalid split tag 9$"):
+            load_features(tmp_path / "f.bin")
+
+    def test_first_non_finite_value_across_chunks(self, three_chunks, tmp_path):
+        features = three_chunks.features.copy()
+        features[2100, 0], features[1500, 3] = np.inf, np.nan
+        save_features(replace(three_chunks, features=features), tmp_path / "f.bin")
+        with pytest.raises(FeatureFileError, match="^record 1501: non-finite feature value$"):
+            load_features(tmp_path / "f.bin")
+
+    def test_duplicate_id_across_chunks_names_the_first_repeat_in_file_order(self, three_chunks, tmp_path):
+        ids = three_chunks.sample_ids.copy()
+        ids[2000], ids[2300] = ids[10], ids[1200]
+        save_features(replace(three_chunks, sample_ids=ids), tmp_path / "f.bin")
+        with pytest.raises(FeatureFileError, match="^record 2001: duplicate sample id 10$"):
+            load_features(tmp_path / "f.bin")
+        ids = three_chunks.sample_ids.copy()
+        ids[1100] = ids[2400]
+        save_features(replace(three_chunks, sample_ids=ids), tmp_path / "f.bin")
+        with pytest.raises(FeatureFileError, match="^record 2401: duplicate sample id 2400$"):
+            load_features(tmp_path / "f.bin")
+
+    def test_rows_read_as_indexing_in_memory_reads_them(self, three_chunks, tmp_path):
+        save_features(three_chunks, tmp_path / "f.bin")
+        rows, memory = load_features(tmp_path / "f.bin").features, three_chunks.features
+        gen = np.random.default_rng(3)
+        keys = [
+            gen.permutation(len(memory)), np.sort(gen.choice(len(memory), 700, replace=False)), gen.integers(0, 2430, 50),
+            7, -1, np.int64(2429), [3, 3, 0], [], slice(None), slice(2400, 5, -9), gen.random(len(memory)) < 0.1,
+            gen.integers(-2430, 2430, (6, 5)), (slice(None), slice(None, 2)), (gen.permutation(100), 3), (-5, [0, 2]),
+        ]
+        for key in keys:
+            got, want = rows[key], memory[key]
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.asarray(rows), memory) and rows.shape == memory.shape
+        for key in (2430, -2431, [0, 2430], np.array([1.0]), np.ones(5, dtype=bool)):
+            with pytest.raises(IndexError):
+                rows[key]
+
+    def test_loading_keeps_the_columns_and_reads_at_most_a_block_at_once(self, three_chunks, tmp_path, monkeypatch):
+        save_features(three_chunks, tmp_path / "f.bin")
+        reads = count_reads(monkeypatch)
+        dataset = load_features(tmp_path / "f.bin")
+        assert reads == [1024, 1024, 382]
+        assert not any(isinstance(value, np.ndarray) and value.ndim == 2 for value in vars(dataset.features).values())
+        reads.clear()
+        sparse = np.sort(np.random.default_rng(0).choice(len(dataset), 900, replace=False))
+        assert np.array_equal(dataset.features[sparse], three_chunks.features[sparse])
+        assert max(reads) <= PREDICT_BATCH and len(reads) == 3  # the span of 2,430 records, in chunks
+
+    def test_columns_past_the_memory_refused_before_reading(self, three_chunks, tmp_path, monkeypatch):
+        """17 bytes a row: 41,310 for 2,430 rows."""
+        save_features(three_chunks, tmp_path / "f.bin")
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 41_310}.get)
+        assert len(load_features(tmp_path / "f.bin")) == 2430
+        monkeypatch.setattr(datagen.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 41_309}.get)
+        reads = count_reads(monkeypatch)
+        with pytest.raises(FeatureFileError, match="^the id, label and split columns of 2430 records need 3.85e-05 GiB"):
+            load_features(tmp_path / "f.bin")
+        assert reads == []

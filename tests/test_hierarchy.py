@@ -265,6 +265,41 @@ class TestArrayQueries:
             assert inside[i] == (y in tree.ancestors_or_self(x)) == tree.in_subtree(x, y)
             assert leaf[i] == (x not in tree.parents) == tree.is_leaf(x)
 
+    @given(trees(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lca_matches_a_walk_up_the_parents(self, tree, seed):
+        """Over broadcast arrays of any shape: the first ancestor-or-self of b, climbing parent links, on a's path."""
+
+        def walk(a: int, b: int) -> int:
+            path = set()
+            while a != -1:
+                path.add(a)
+                a = int(tree.parents[a])
+            while b not in path:
+                b = int(tree.parents[b])
+            return b
+
+        gen = np.random.default_rng(seed)
+        a, b = gen.integers(tree.n_nodes, size=(4, 1)), gen.integers(tree.n_nodes, size=(1, 6))
+        got = tree.lca(a, b)
+        assert got.shape == (4, 6) and got.dtype == np.int64
+        assert got.tolist() == [[walk(int(x), int(y)) for y in b[0]] for x in a[:, 0]]
+        x, y = int(a[0, 0]), int(b[0, 0])
+        assert tree.lca(x, y) == walk(x, y) and tree.lca(a[:, 0], y).tolist() == [walk(int(v), y) for v in a[:, 0]]
+
+    def test_lca_gathers_no_pairs_by_depth_table(self):
+        """A 40-deep tree: the two (100,000 pairs x 41 depths) int64 ancestor tables peaked at 70 MB."""
+        tree = Hierarchy(np.arange(-1, 40), [f"n{i}" for i in range(41)], [40])
+        a, b = np.random.default_rng(0).integers(41, size=(2, 100_000))
+        tracemalloc.start()
+        try:
+            got = tree.lca(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.minimum(a, b))  # on a chain, the shallower node
+        assert peak < 5 * 8 * len(a)
+
     def test_scalars_come_back_as_python_values(self, animals):
         assert type(animals.lca(CAT, DOG)) is int
         assert type(animals.tree_distance(CAT, DOG)) is int
