@@ -44,7 +44,12 @@ It writes:
 * `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
   `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
   of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
-  standard output of `semihoc inspect` (`inspect.txt`).
+  standard output of `semihoc inspect` (`inspect.txt`);
+* `eval-wide/`: the same `eval-<split>/` and `rescore-<split>/` outputs for
+  `--split test` and `all` from the `wide-tree` run's final checkpoint, over
+  its data. Its 656 nodes split each block of rows into fusion chunks, which
+  the 105-node tree of `eval-cli` never does, and every chain value in a dump
+  goes out through `repr`, so a differing bit shows.
 
 The program and the benchmark's workload definitions are imported from this
 checkout's `src/` and `perfbench/`. BLAS runs on one thread, as in the
@@ -73,7 +78,7 @@ import numpy as np  # noqa: E402
 
 from semihoc import cli  # noqa: E402
 from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
-from semihoc.datagen import SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset  # noqa: E402
+from semihoc.datagen import SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset, save_features  # noqa: E402
 from semihoc.hierarchy import Hierarchy, save_hierarchy  # noqa: E402
 from semihoc.trainer import METHODS, TrainConfig, run_training  # noqa: E402
 from workloads import EvalCli, WideTree  # noqa: E402
@@ -202,6 +207,20 @@ def eval_cli(out: Path) -> None:
     Path("inspect.txt").write_text(semihoc("inspect", *inputs, "--checkpoint", ckpt))
 
 
+def eval_wide(out: Path, checkpoint: Path) -> None:
+    hierarchy, dataset, _ = WideTree().make(SEED)
+    out.mkdir(parents=True)
+    os.chdir(out)  # relative paths, as in eval_cli
+    save_hierarchy(hierarchy, "hierarchy.txt")
+    save_features(dataset, "features.bin")
+    ckpt, inputs = os.path.relpath(checkpoint), ["--features", "features.bin", "--hierarchy", "hierarchy.txt"]
+    for split in ("test", "all"):
+        semihoc("eval", "--checkpoint", ckpt, *inputs, "--out", f"eval-{split}", "--split", split)
+        semihoc("eval", "--predictions", f"eval-{split}/predictions.txt", *inputs, "--out", f"rescore-{split}", "--split", split)
+    os.remove("hierarchy.txt")
+    os.remove("features.bin")
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         sys.exit("usage: python3 scripts/identity_outputs.py <dir>")
@@ -217,6 +236,7 @@ def main() -> int:
     gen(out / "gen")
     hierarchies(out / "hierarchies")
     eval_cli(out / "eval-cli")
+    eval_wide(out / "eval-wide", out / "wide-tree" / "ckpt_epoch0040.bin")
     print(f"identity outputs in {out}")
     return 0
 

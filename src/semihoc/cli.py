@@ -30,6 +30,7 @@ from .datagen import (
     SPLIT_UNLABELED,
     SyntheticConfig,
     generate,
+    id_rows,
     load_features,
     sample_labeled_subset,
     save_features,
@@ -342,7 +343,7 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
     if not len(dump):
         raise DataError("prediction dump covers no samples of the selected split")
 
-    unknown = ~np.isin(dump["sample_id"], dataset.sample_ids)
+    unknown = id_rows(dataset.sample_ids, dump["sample_id"]) < 0
     if unknown.any():
         first = dump[np.argmax(unknown)]
         raise DataError(f"prediction dump line {first['line']}: unknown sample id {first['sample_id']}")
@@ -352,7 +353,7 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
         dup = dump[repeat.min()]
         first = dump["line"][np.argmax(dump["sample_id"] == dup["sample_id"])]
         raise DataError(f"prediction dump line {dup['line']}: duplicate sample id {dup['sample_id']} (first on line {first})")
-    dump = dump[np.isin(dump["sample_id"], dataset.sample_ids[idx])]
+    dump = dump[id_rows(dataset.sample_ids[idx], dump["sample_id"]) >= 0]
     if not len(dump):
         raise DataError("prediction dump covers no samples of the selected split")
     gts = dataset.labels_of(dump["sample_id"])

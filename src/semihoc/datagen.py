@@ -38,6 +38,17 @@ class FeatureFileError(ValueError):
     """Raised for malformed or inconsistent feature files."""
 
 
+def id_rows(sample_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of each of `ids` in the unique `sample_ids`, -1 for none; np.isin on sparse ids imports numpy.ma."""
+    order = np.argsort(sample_ids)
+    at = np.searchsorted(sample_ids, ids, sorter=order)
+    known = at < len(order)  # and then the id found there is the one sought
+    known[known] = sample_ids[order[at[known]]] == ids[known]
+    rows = np.full(len(ids), -1)
+    rows[known] = order[at[known]]
+    return rows
+
+
 @dataclass
 class FeatureDataset:
     """Feature vectors with ground-truth nodes, stable ids and split tags."""
@@ -60,11 +71,9 @@ class FeatureDataset:
 
     def labels_of(self, sample_ids) -> np.ndarray:
         """Ground truth per sample id; NO_LABEL for ids this dataset lacks."""
-        sample_ids = np.asarray(sample_ids, dtype=self.sample_ids.dtype)
-        present = np.isin(sample_ids, self.sample_ids)
-        order = np.argsort(self.sample_ids)
-        out = np.full(len(sample_ids), NO_LABEL, dtype=np.int64)
-        out[present] = self.labels[order[np.searchsorted(self.sample_ids, sample_ids[present], sorter=order)]]
+        rows = id_rows(self.sample_ids, np.asarray(sample_ids, dtype=self.sample_ids.dtype))
+        out = np.full(len(rows), NO_LABEL, dtype=np.int64)
+        out[rows >= 0] = self.labels[rows[rows >= 0]]
         return out
 
     def validate(self, hierarchy: Hierarchy) -> None:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datagen import NO_LABEL
+from .datagen import NO_LABEL, id_rows
 from .hierarchy import Hierarchy
 from .metrics import spl_purity_and_depth
 from .prohoc import subtree_confidences
@@ -82,13 +82,10 @@ def epoch_dtype(epochs: int) -> np.dtype:
 
 def _checkpoint_rows(sample_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The row of each of the sample ids `ids`; ValueError for one with no row."""
-    order = np.argsort(sample_ids)
-    at = np.searchsorted(sample_ids, ids, sorter=order)
-    known = at < len(order)  # and then the id found there is the one sought; np.isin would import numpy.ma
-    known[known] = sample_ids[order[at[known]]] == ids[known]
-    if not known.all():
-        raise ValueError(f"sample {ids[~known][0]} has no row in this log")
-    return order[at]
+    rows = id_rows(sample_ids, ids)
+    if (rows < 0).any():
+        raise ValueError(f"sample {ids[rows < 0][0]} has no row in this log")
+    return rows
 
 
 class SplLog:

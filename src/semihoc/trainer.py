@@ -38,6 +38,7 @@ import math
 import os
 import struct
 import time
+import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -69,9 +70,12 @@ GRAD_CLIP_NORM = 5.0
 # The reference config (612 rows at hidden 512: 1.6e8) shares; wide-tree (640 rows at 64) does not.
 PARALLEL_WORK = 1 << 27
 
-# Rows per block of predict_blocks, the one loop that forwards and fuses the teacher outside
-# training, so that a caller that streams holds one block's node distributions at a time.
+# predict_blocks, the one loop that forwards and fuses the teacher outside training, forwards
+# PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the rows of the matmul. It
+# fuses a block in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by row,
+# so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
 PREDICT_BATCH = 1024
+FUSE_BYTES = 1 << 20
 
 CHECKPOINT_MAGIC = b"SHCK"
 CHECKPOINT_VERSION = 4
@@ -468,14 +472,25 @@ def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
 
 def predict_blocks(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray):
     """Yield (slice of `rows`, fused teacher node distributions of those rows
-    of `features`) per PREDICT_BATCH rows, in order."""
+    of `features`) per chunk, in order: each block of PREDICT_BATCH rows the
+    teacher forwards is fused in the fewest chunks of at most FUSE_BYTES, and
+    at least 3 rows, of sizes within a row of each other. So no chunk has a
+    lone row its block lacks: numpy sums a lone row's 8+ children pairwise."""
+    most = max(3, FUSE_BYTES // (8 * hierarchy.n_nodes))
     for start in range(0, len(rows), PREDICT_BATCH):
-        block = slice(start, start + PREDICT_BATCH)
-        yield block, fuse_batch(heads.teacher_forward_all(features[rows[block]]), hierarchy)
+        outputs = heads.teacher_forward_all(features[rows[start : start + PREDICT_BATCH]])
+        n = len(outputs[0])
+        chunks = -(-n // most)
+        for lo, hi in ((n * i // chunks, n * (i + 1) // chunks) for i in range(chunks)):
+            fused = fuse_batch([out[lo:hi] for out in outputs], hierarchy)
+            if hi == n:
+                del outputs  # released before the block's last chunk is yielded
+            yield slice(start + lo, start + hi), fused
+            del fused  # before the next chunk is computed
 
 
 def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray) -> np.ndarray:
-    """Fused teacher node distributions for a whole feature matrix: the blocks of predict_blocks, joined."""
+    """Fused teacher node distributions for a whole feature matrix: the chunks of predict_blocks, joined."""
     blocks = [fused for _, fused in predict_blocks(heads, hierarchy, features, np.arange(len(features)))]
     return np.concatenate(blocks) if blocks else np.zeros((0, hierarchy.n_nodes))
 
@@ -508,6 +523,9 @@ def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int |
                 raise ValueError(f"unsupported checkpoint version {version}")
             state = {}
             with np.load(fh) as npz:  # object arrays are refused by default
+                for info in npz.zip.infolist():  # np.savez stores entries; a deflated one can expand 1,000-fold
+                    if info.compress_type != zipfile.ZIP_STORED:
+                        raise ValueError(f"entry {info.filename.removesuffix('.npy')} is compressed, not stored")
                 for name in npz.files:
                     try:
                         state[name] = np.asarray(npz[name])  # an entry that is no .npy reads as bytes

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import semihoc
 from semihoc import cli
 from semihoc import hierarchy as hierarchy_mod
 from semihoc.cli import main
-from semihoc.datagen import SPLIT_UNLABELED, load_features, save_features
+from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, SyntheticConfig, generate, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
 from semihoc.hierarchy import load_hierarchy
 from semihoc.prohoc import subtree_confidences
@@ -331,12 +332,26 @@ class TestInspect:
             "eval-predictions": ["eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all"],
             "inspect": ["inspect", *inputs_of(workspace), "--checkpoint", ckpt],
         }[command]
-        script = "import sys; from semihoc import cli; code = cli.main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
-        src = str(Path(semihoc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert not imports_numpy_ma(argv)
+
+    def test_sparse_ids_import_no_numpy_ma(self, workspace, tmp_path):
+        """On random 63-bit sample ids, np.isin sorts, and imports numpy.ma; one argsort and searchsorted do not."""
+        hierarchy = load_hierarchy(workspace / "data" / "hierarchy.txt")
+        dataset = load_features(workspace / "data" / "features.bin", hierarchy)
+        ids = np.random.default_rng(3).integers(0, 2**63, len(dataset), dtype=np.uint64)
+        assert len(set(ids.tolist())) == len(ids)
+        sparse = replace(dataset, features=dataset.features[:], sample_ids=ids)
+        save_features(sparse, tmp_path / "sparse.bin")
+        inputs = ["--features", tmp_path / "sparse.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        ckpt, dump = workspace / "run" / "ckpt_epoch0003.bin", tmp_path / "dump" / "predictions.txt"
+        assert run("eval", "--checkpoint", ckpt, *inputs, "--out", dump.parent, "--split", "all") == 0
+        assert run("eval", "--checkpoint", ckpt, *inputs, "--out", tmp_path / "test", "--split", "test") == 0
+        assert not imports_numpy_ma(["eval", "--predictions", dump, *inputs, "--out", tmp_path / "ev", "--split", "test"])
+        for report in ("bmhd.csv", "confidence_bins.csv"):  # the dump's test rows, picked out by id
+            assert (tmp_path / "ev" / report).read_bytes() == (tmp_path / "test" / report).read_bytes()
+        truth = dict(zip(ids.tolist(), sparse.labels.tolist()))
+        asked = np.concatenate([ids[::-3], [0, 2**63 + 5], ids[:4]]).astype(np.uint64)
+        assert sparse.labels_of(asked).tolist() == [truth.get(i, NO_LABEL) for i in asked.tolist()]
 
     def test_name_repeated_on_the_last_of_20001_lines_exits_two_at_once(self, tmp_path, capsys):
         """Counting every name's copies, once for each name, took 10.2 s to find the repeat."""
@@ -476,6 +491,40 @@ class TestBrokenCheckpoint:
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert "checkpoint:" in err and str(broken) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["extra", "loader.perm"])
+    def test_deflated_entry_refused_before_it_is_read(self, workspace, tmp_path, capsys, name):
+        """Two checkpoints that differ only in the compression of one entry, 16 MiB of zeros: the
+        stored one is read in full and refused for its contents, the deflated one from the zip
+        directory. A deflated entry expands about 1,000-fold: a 0.86 MB file filled 192 MB."""
+        entries = {**read_entries(workspace / "run" / "ckpt_epoch0003.bin"), name: np.zeros(1 << 21)}
+        peaks, errors = {}, {}
+        for compression in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+            path = tmp_path / f"{compression}.bin"
+            with open(path, "wb") as fh:
+                fh.write(b"SHCK" + struct.pack("<I", CHECKPOINT_VERSION))
+                with zipfile.ZipFile(fh, "w") as zf:
+                    for entry, array in entries.items():
+                        info = zipfile.ZipInfo(f"{entry}.npy")
+                        info.compress_type = compression if entry == name else zipfile.ZIP_STORED
+                        with zf.open(info, "w", force_zip64=True) as member:
+                            np.lib.format.write_array(member, array)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"entry {name}") as errors[compression]:
+                    load_checkpoint(path)
+                peaks[compression] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[zipfile.ZIP_STORED] > 16 << 20 and peaks[zipfile.ZIP_DEFLATED] < 5e6, peaks
+        assert "compressed" not in str(errors[zipfile.ZIP_STORED].value)
+        assert str(errors[zipfile.ZIP_DEFLATED].value) == f"{path}: entry {name} is compressed, not stored"
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (["inspect", "--checkpoint", path], ["eval", "--checkpoint", path, *inputs, "--out", tmp_path / "ev"]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert f"checkpoint: {path}: entry {name} is compressed, not stored" in err and "Traceback" not in err
 
 
 def read_entries(path):
@@ -791,6 +840,16 @@ class TestHeadShapes:
         assert code == 2 and "depth 1 student parameter w0" in err
 
 
+def imports_numpy_ma(argv) -> bool:
+    """Whether the command `argv`, run to exit 0 in a fresh process, imports numpy.ma."""
+    script = "import sys; from semihoc import cli; code = cli.main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    src = str(Path(semihoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
 def inputs_of(workspace):
     return ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
 
@@ -1033,6 +1092,22 @@ class TestStreamedEval:
                 tracemalloc.stop()
             assert code == 0
         assert abs(peaks[512] - peaks[8]) < 8e6, peaks
+
+    def test_peak_memory_on_a_3281_node_tree(self, tmp_path):
+        """gen --branching 5 --depth 5: one block's teacher outputs take 26.9 MB, and a block's fused
+        arrays as many again each; fused in chunks of FUSE_BYTES, the whole eval stays near the first."""
+        hierarchy, dataset = generate(SyntheticConfig(branching=5, depth=5, feature_dim=8, train_per_leaf=1, test_per_leaf=1, seed=0))
+        heads = DepthHeads(hierarchy, dataset.dim, hidden=16)
+        heads.init_params(np.random.default_rng(0))
+        idx = dataset.indices(SPLIT_TEST)
+        assert hierarchy.n_nodes == 3281 and len(idx) > 2 * PREDICT_BATCH
+        tracemalloc.start()
+        try:
+            cli._eval_checkpoint(tmp_path, hierarchy, dataset, idx, heads, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6, peak
 
     def test_peak_memory_below_one_node_matrix(self, large_split, tmp_path):
         hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")

@@ -12,12 +12,22 @@ from semihoc import heads as heads_mod
 from semihoc import spl as spl_mod
 from semihoc import trainer as trainer_mod
 from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config
-from semihoc.datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
+from semihoc.datagen import (
+    NO_LABEL,
+    SPLIT_LABELED,
+    SPLIT_TEST,
+    SPLIT_UNLABELED,
+    FeatureDataset,
+    SyntheticConfig,
+    generate,
+    sample_labeled_subset,
+)
 from semihoc.heads import DepthHeads
 from semihoc.hierarchy import Hierarchy, random_tree
-from semihoc.metrics import confidence_accuracy_bins, spl_purity_and_depth
+from semihoc.metrics import bmhd, confidence_accuracy_bins, spl_purity_and_depth
 from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
 from semihoc.trainer import (
+    FUSE_BYTES,
     GRAD_CLIP_NORM,
     LOG_KEYS,
     METHODS,
@@ -846,3 +856,46 @@ class TestPredictBlocks:
         if n:
             for f in fields(table):
                 assert getattr(table, f.name).tobytes() == getattr(expected_table, f.name).tobytes()
+
+
+# 384 nodes: a root over 20 nodes over 363 leaves (37 of 400 pruned as OOD). predict_blocks fuses a
+# block in chunks of at most 341 rows; 341-row chunks would leave a block of 1024 a lone row, whose
+# sums over 8 or more children differ in the last bits
+CHUNKED_TREE = SyntheticConfig(branching=20, depth=2, feature_dim=8, train_per_leaf=2, test_per_leaf=1, ood_fraction=0.0925, seed=1)
+
+
+class TestPredictChunks:
+    @pytest.fixture(scope="class")
+    def chunked(self):
+        hierarchy, dataset = generate(CHUNKED_TREE)
+        assert hierarchy.n_nodes == 384 and FUSE_BYTES // (8 * hierarchy.n_nodes) == 341
+        dataset = sample_labeled_subset(dataset, hierarchy, 1, seed=1)
+        return hierarchy, dataset, run_training(config(epochs=1, ema_momentum=0.5), hierarchy, dataset)[1]
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_chunks_tile_the_blocks_and_join_to_the_sliced_reference(self, chunked, n):
+        hierarchy, dataset, trained = chunked
+        features = with_test_rows(dataset, 2 * PREDICT_BATCH + 50, seed=n).features
+        rows = np.random.default_rng(n).permutation(len(features))[:n]
+        slices, chunks = zip(*predict_blocks(trained.heads, hierarchy, features, rows)) if n else ((), ())
+        assert [i for chunk in slices for i in range(n)[chunk]] == list(range(n))
+        assert all(s.start // PREDICT_BATCH == (s.stop - 1) // PREDICT_BATCH for s in slices)  # within a forward
+        assert [len(c) for c in chunks] == [len(range(n)[s]) for s in slices]
+        assert all(c.nbytes <= FUSE_BYTES for c in chunks) and len(slices) >= 3 * (n // PREDICT_BATCH)
+        expected = fused_slices(trained.heads, hierarchy, features[rows]).tobytes()
+        assert (np.concatenate(chunks) if n else np.zeros((0, hierarchy.n_nodes))).tobytes() == expected
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_streamed_evaluate_and_ood_bins_equal_the_whole_split(self, chunked, n):
+        hierarchy, dataset, trained = chunked
+        trainer = Trainer(trained.config, hierarchy, with_test_rows(dataset, n, seed=n))
+        trainer.heads.load_state_dict(trained.heads.state_dict())
+        table, overall = ood_subtree_bins(trainer)
+        expected_table, expected_overall = whole_split_ood_bins(trainer)
+        assert (table is None) == (n == 0) and overall == expected_overall
+        for f in fields(table) if n else ():
+            assert getattr(table, f.name).tobytes() == getattr(expected_table, f.name).tobytes()
+        idx = trainer.test_idx[trainer.dataset.labels[trainer.test_idx] != NO_LABEL]
+        report = bmhd(predict_nodes(fused_slices(trainer.heads, hierarchy, trainer.dataset.features[idx])),
+                      trainer.dataset.labels[idx], hierarchy)
+        assert trainer.evaluate() == ((report.id, report.ood, report.mix) if len(idx) else (None, None, None))
