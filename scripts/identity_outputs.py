@@ -39,8 +39,9 @@ It writes:
   order are compared;
 * `gen/outputs.sha256`: the SHA-256 of `hierarchy.txt` and `features.bin`
   from `semihoc gen` for the configs of `GEN_FLAGS`, which together cover
-  root-OOD rows, the keep-one-leaf repair of pruning, `--test-per-leaf 0`,
-  `--dim 1` and `--labels-per-class`;
+  every flag's default (`defaults`, no flag but `--seed`), root-OOD rows,
+  the keep-one-leaf repair of pruning, `--test-per-leaf 0`, `--dim 1` and
+  `--labels-per-class`;
 * `eval-cli/`: the benchmark's `eval-cli` inputs at seed 0, and for every
   `--split` the outputs of `semihoc eval --checkpoint` (`eval-<split>/`) and
   of `semihoc eval --predictions` on its dump (`rescore-<split>/`), and the
@@ -168,6 +169,7 @@ def semihoc(*args: str) -> str:
 
 
 GEN_FLAGS = {
+    "defaults": [],
     "root-ood": ["--branching", "3", "--depth", "3", "--dim", "8", "--root-ood", "5", "--labels-per-class", "3"],
     # 14 of 16 leaves pruned, so at least six sibling pairs lose both and get one back
     "repair": ["--branching", "2", "--depth", "4", "--dim", "1", "--ood-fraction", "0.9", "--test-per-leaf", "0"],

@@ -253,19 +253,18 @@ def cmd_eval(args) -> int:
 
 
 def _write_gate_diagnostics(out, hierarchy, dataset, state) -> None:
-    """Purity / FPR / coverage diagnostics from the history and the log of a
-    checkpoint state. Both are read as resume reads them, one row per sample
-    they name, and the log is gated as training gates it.
+    """Purity / FPR / coverage diagnostics of a checkpoint state: FPR and
+    coverage count the history's records as stored, and purity is taken over
+    the log read as resume reads it and gated as training gates it.
 
     Correctness comes from the --features ground truth: an assignment is
     incorrect when the sample's ground truth lies outside the node's
     subtree, and of unknown correctness (never a false positive) when the
     sample has no ground truth.
     """
-    log_state, history_state = ({k: state[f"{name}.{k}"] for k in LOG_KEYS} for name in ("log", "history"))
-    log = SplLog(sorted_unique(np.concatenate((log_state["sample_id"], history_state["sample_id"]))), hierarchy.depths)
-    log.load_state_dict(log_state, history_state)
-    history = log.history_state()
+    log_state, history = ({k: state[f"{name}.{k}"] for k in LOG_KEYS} for name in ("log", "history"))
+    log = SplLog(sorted_unique(np.concatenate((log_state["sample_id"], history["sample_id"]))), hierarchy.depths)
+    log.load_state_dict(log_state, history)
     gate = AgeGateState()
     gate.load_state_dict(state["meta"]["gate"])
     cutoffs = gate.vector(hierarchy.n_nodes)
@@ -312,7 +311,7 @@ def _prediction_fields(line: str, n_nodes: int) -> list:
     return fields
 
 
-_DUMP_CHUNK = 1 << 18  # bytes of the dump read at a time
+_DUMP_READ_BYTES = 1 << 18  # bytes of the dump read at a time
 
 
 def _read_dump(path: Path, n_nodes: int) -> np.ndarray:
@@ -320,10 +319,10 @@ def _read_dump(path: Path, n_nodes: int) -> np.ndarray:
     in blocks of lines into one array sized by the file's line breaks. A block
     ends at a newline, so `splitlines` splits it as it splits the whole file."""
     with open(path, "rb") as fh:
-        bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(_DUMP_CHUNK), b""))
+        bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in iter(lambda: fh.read(_DUMP_READ_BYTES), b""))
         fh.seek(0)
         dump, count, lineno = np.empty(bound, dtype=_DUMP_DTYPE), 0, 0
-        for block in iter(lambda: fh.readlines(_DUMP_CHUNK), []):
+        for block in iter(lambda: fh.readlines(_DUMP_READ_BYTES), []):
             for lineno, line in enumerate(b"".join(block).splitlines(), start=lineno + 1):
                 try:
                     line = line.decode("utf-8")  # a UnicodeDecodeError is a ValueError
@@ -364,20 +363,19 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
 
 
 def cmd_inspect(args) -> int:
-    shown = False
+    if not (args.hierarchy or args.features or args.checkpoint):
+        raise UsageError("nothing to inspect: pass --hierarchy, --features and/or --checkpoint")
     hierarchy = None
     if args.hierarchy:
         hierarchy = _load("hierarchy file", load_hierarchy, args.hierarchy)
         print(f"== {args.hierarchy}")
         print(hierarchy.summary())
         print(f"content hash: {hierarchy.hash:#018x}")
-        shown = True
     if args.features:
         dataset = _load("feature file", load_features, args.features, hierarchy)
         print(f"== {args.features}")
         print(dataset.summary(hierarchy))
         print(f"hierarchy hash: {dataset.hierarchy_hash:#018x}")
-        shown = True
     if args.checkpoint:
         dim = dataset.dim if args.features else None
         state = _load("checkpoint", load_checkpoint, args.checkpoint, hierarchy, dim)
@@ -393,9 +391,6 @@ def cmd_inspect(args) -> int:
         for d in range(1, len(meta["classes"]) + 1):
             student, teacher = (l2_norm([state[f"{role}.d{d}.w{i}"] for i in range(N_LAYERS)]) for role in ROLES[:2])
             print(f"depth {d} weight norm: student {student:.6g}  teacher {teacher:.6g}")
-        shown = True
-    if not shown:
-        raise UsageError("nothing to inspect: pass --hierarchy, --features and/or --checkpoint")
     return 0
 
 
@@ -426,16 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic hierarchy + feature file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--branching", type=int, default=3)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32, dest="feature_dim")
-    p.add_argument("--train-per-leaf", type=int, default=14)
-    p.add_argument("--test-per-leaf", type=int, default=8)
-    p.add_argument("--sigma-level", type=float, default=1.0)
-    p.add_argument("--sigma-noise", type=float, default=0.9)
-    p.add_argument("--ood-fraction", type=float, default=0.2)
-    p.add_argument("--root-ood", type=int, default=0, dest="root_ood_per_split")
+    renamed = {"feature_dim": "--dim", "root_ood_per_split": "--root-ood"}
+    for f in sorted(fields(SyntheticConfig), key=lambda f: f.name != "seed"):  # a flag per field, --seed first
+        p.add_argument(renamed.get(f.name, "--" + f.name.replace("_", "-")), type=type(f.default), default=f.default, dest=f.name)
     p.add_argument("--labels-per-class", type=int, default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen)

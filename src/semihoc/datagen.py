@@ -8,7 +8,7 @@ from the hierarchy handed to the model; samples of pruned leaves keep living
 in the unlabeled/test splits with their deepest surviving ancestor as ground
 truth, which makes them out-of-distribution at internal nodes.
 
-A feature file is read in chunks of 1024 records, keeping its id, label and split columns; `FeatureRows` reads vectors.
+A feature file is read in chunks of PREDICT_BATCH records, keeping its id, label and split columns; `FeatureRows` reads vectors.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def sample_labeled_subset(
 # -- binary feature file ----------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIQIQ")
-_CHUNK = 1024  # records read at a time: one predict_blocks block (trainer.PREDICT_BATCH)
+PREDICT_BATCH = 1024  # rows of each teacher forward of trainer.predict_blocks, and records of each feature-file read
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -264,8 +264,8 @@ class FeatureRows:
         rows = np.arange(n)[rows] if isinstance(rows, slice) or np.asarray(rows).dtype == bool else np.asarray(rows, np.intp)
         order = np.argsort(flat := rows.ravel() % max(n, 1), kind="stable")
         wanted, out, i = flat[order], np.empty((len(flat), dim), dtype=np.float32), 0
-        while i < len(wanted):  # from the next row wanted through the last one wanted within _CHUNK records
-            start, end = wanted[i], np.searchsorted(wanted, wanted[i] + _CHUNK)
+        while i < len(wanted):  # from the next row wanted through the last one wanted within PREDICT_BATCH records
+            start, end = wanted[i], np.searchsorted(wanted, wanted[i] + PREDICT_BATCH)
             chunk = np.fromfile(self.path, record, wanted[end - 1] + 1 - start, offset=_HEADER.size + start * record.itemsize)
             out[order[i:end]] = chunk["features"][wanted[i:end] - start]
             i = end
@@ -299,13 +299,13 @@ def load_features(path, hierarchy: Hierarchy | None = None) -> FeatureDataset:
         if problem := exceeds_memory(17 * count, f"the id, label and split columns of {count} records"):
             raise FeatureFileError(problem)
         (sample_ids, labels, splits), non_finite = (np.empty(count, t) for t in (np.uint64, np.int64, np.uint8)), []
-        for start in range(0, count, _CHUNK):
-            records = np.fromfile(fh, dtype=record, count=min(_CHUNK, count - start))
+        for start in range(0, count, PREDICT_BATCH):
+            records = np.fromfile(fh, dtype=record, count=min(PREDICT_BATCH, count - start))
             if len(bad := np.flatnonzero(records["split"] > SPLIT_TEST)):
                 raise FeatureFileError(f"record {start + bad[0] + 1}: invalid split tag {records['split'][bad[0]]}")
             non_finite += (start + np.flatnonzero(~np.isfinite(records["features"]).all(axis=1))[:1]).tolist()
             for column, name in ((sample_ids, "sample_id"), (labels, "label"), (splits, "split")):
-                column[start : start + _CHUNK] = records[name]
+                column[start : start + PREDICT_BATCH] = records[name]
     if non_finite:  # the first, now that no record has a bad split tag
         raise FeatureFileError(f"record {non_finite[0] + 1}: non-finite feature value")
     order = np.argsort(sample_ids, kind="stable")

@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,13 +229,6 @@ def map_depths(fn, items: list, workers: int) -> list:
     return results
 
 
-@dataclass
-class OptimizerParams:
-    lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-
-
 class DepthHeads:
     """Student and teacher heads for every hierarchy depth, with the
     student's SGD velocities, in one HEAD_DTYPE buffer per role of ROLES.
@@ -276,7 +268,7 @@ class DepthHeads:
         by `workers` threads as map_depths shares them."""
         return map_depths(lambda teacher: forward(teacher, x), self.teachers, workers)
 
-    def sgd_step(self, d: int, g: np.ndarray, opt: OptimizerParams, scale: float = 1.0) -> None:
+    def sgd_step(self, d: int, g: np.ndarray, lr: float, momentum: float, weight_decay: float, scale: float = 1.0) -> None:
         """Classic SGD-momentum update of depth d's student, weight decay
         folded into the gradient, in place over its segment; `g` is its flat
         gradient, as backward gives it, and is used up as scratch.
@@ -286,10 +278,10 @@ class DepthHeads:
         seg = self.segments[d - 1]
         theta, v = self.buffers["student"][seg], self.buffers["velocity"][seg]
         g *= scale
-        g += theta * opt.weight_decay
-        v *= opt.momentum
+        g += theta * weight_decay
+        v *= momentum
         v += g
-        theta -= np.multiply(v, opt.lr, out=g)
+        theta -= np.multiply(v, lr, out=g)
 
     def ema_update_all(self, momentum: float) -> None:
         """theta_t <- m*theta_t + (1-m)*theta_s, in place, a depth segment at

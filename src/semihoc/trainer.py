@@ -43,10 +43,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import heads as heads_mod
-from .datagen import NO_LABEL, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
-from .heads import HEAD_DTYPE, DepthHeads, OptimizerParams, entry_shapes
+from .datagen import NO_LABEL, PREDICT_BATCH, SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset
+from .heads import HEAD_DTYPE, DepthHeads, entry_shapes
 from .hierarchy import Hierarchy
 from .metrics import bmhd
 from .prohoc import fuse_batch, predict_nodes
@@ -71,10 +72,9 @@ GRAD_CLIP_NORM = 5.0
 PARALLEL_WORK = 1 << 27
 
 # predict_blocks, the one loop that forwards and fuses the teacher outside training, forwards
-# PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the rows of the matmul. It
-# fuses a block in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by row,
-# so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
-PREDICT_BATCH = 1024
+# datagen.PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the rows of the matmul.
+# It fuses a block in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by
+# row, so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
 FUSE_BYTES = 1 << 20
 
 CHECKPOINT_MAGIC = b"SHCK"
@@ -209,7 +209,6 @@ class Trainer:
         self.heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
         self.heads.init_params(self.streams.get("init"))
         self.depths = self.heads.depths
-        self.opt = OptimizerParams(lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
 
         self.gate = AgeGateState(config.gate_bin_width, config.gate_drop_threshold)
         self.epoch = 0
@@ -310,7 +309,7 @@ class Trainer:
                 del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
 
             scale = clip_scale([g[s] for s in self.heads.param_slices[d - 1]], GRAD_CLIP_NORM)  # float64 sums per parameter
-            self.heads.sgd_step(d, g, self.opt, scale=scale)
+            self.heads.sgd_step(d, g, cfg.lr, cfg.momentum, cfg.weight_decay, scale=scale)
             return loss_l / n_l, loss_u / m_u if m_u else 0.0
 
         losses = heads_mod.map_depths(depth_step, self.depths, self.workers)  # in depth order
@@ -521,11 +520,16 @@ def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int |
             (version,) = struct.unpack("<I", fh.read(4))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            state = {}
+            state, size = {}, os.fstat(fh.fileno()).st_size
             with np.load(fh) as npz:  # object arrays are refused by default
                 for info in npz.zip.infolist():  # np.savez stores entries; a deflated one can expand 1,000-fold
+                    name = info.filename.removesuffix(".npy")
                     if info.compress_type != zipfile.ZIP_STORED:
-                        raise ValueError(f"entry {info.filename.removesuffix('.npy')} is compressed, not stored")
+                        raise ValueError(f"entry {name} is compressed, not stored")
+                    try:
+                        _check_claim(npz.zip, info, size)
+                    except Exception as exc:
+                        raise ValueError(f"entry {name}: {exc}") from exc
                 for name in npz.files:
                     try:
                         state[name] = np.asarray(npz[name])  # an entry that is no .npy reads as bytes
@@ -535,6 +539,20 @@ def load_checkpoint(path, hierarchy: Hierarchy | None = None, feature_dim: int |
             return state
         except Exception as exc:  # zipfile and numpy fail on damaged bytes in many ways
             raise ValueError(f"{path}: {exc}") from exc
+
+
+def _check_claim(archive: zipfile.ZipFile, info: zipfile.ZipInfo, size: int) -> None:
+    """ValueError for a stored .npy member whose header, the only part read, claims more bytes of array
+    data than the member or the `size`-byte file holds after it: numpy reserves a claim before it reads."""
+    with archive.open(info) as fp:
+        if fp.read(len(npy_format.MAGIC_PREFIX)) != npy_format.MAGIC_PREFIX:
+            return  # not .npy: np.load reads it as bytes, which _check_entries refuses
+        fp.seek(0)
+        version = npy_format.read_magic(fp)
+        shape, _, dtype = (npy_format.read_array_header_1_0 if version == (1, 0) else npy_format.read_array_header_2_0)(fp)
+        claim, held = math.prod(shape) * dtype.itemsize, min(info.file_size, size) - fp.tell()
+    if claim > held and not dtype.hasobject:  # an object array is pickled, and refused unread
+        raise ValueError(f"header claims {claim} bytes of array data, the entry holds {held}")
 
 
 def _outside(name: str, values: np.ndarray, low: int, high) -> str | None:

@@ -19,7 +19,7 @@ from semihoc import hierarchy as hierarchy_mod
 from semihoc.cli import main
 from semihoc.datagen import NO_LABEL, SPLIT_TEST, SPLIT_UNLABELED, SyntheticConfig, generate, load_features, save_features
 from semihoc.heads import ROLES, DepthHeads
-from semihoc.hierarchy import load_hierarchy
+from semihoc.hierarchy import load_hierarchy, save_hierarchy
 from semihoc.prohoc import subtree_confidences
 from semihoc.trainer import CHECKPOINT_VERSION, LOG_KEYS, PREDICT_BATCH, TrainConfig, blas_library, load_checkpoint, predict_dataset
 
@@ -89,6 +89,15 @@ class TestGen:
         assert run("gen", "--out", tmp_path / "x", "--labels-per-class", 0) == 1
         assert "--labels-per-class must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_no_optional_flag_writes_the_default_config(self, tmp_path):
+        """Every flag's default is SyntheticConfig's: gen with --out alone writes generate(SyntheticConfig())."""
+        assert run("gen", "--out", tmp_path / "cli") == 0
+        hierarchy, dataset = generate(SyntheticConfig())
+        save_hierarchy(hierarchy, tmp_path / "hierarchy.txt")
+        save_features(dataset, tmp_path / "features.bin")
+        for name in ("hierarchy.txt", "features.bin"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestTrain:
@@ -525,6 +534,42 @@ class TestBrokenCheckpoint:
             assert run(*argv) == 2
             err = capsys.readouterr().err
             assert f"checkpoint: {path}: entry {name} is compressed, not stored" in err and "Traceback" not in err
+
+
+    def test_over_claiming_header_refused_before_it_is_reserved(self, workspace, tmp_path, capsys):
+        """A meta.npy whose header claims 50,000,000 float64 over 8 bytes of data: numpy reserved
+        the 400 MB it claims before its short read failed. Its honest twin loads."""
+        entries = read_entries(workspace / "run" / "ckpt_epoch0003.bin")
+        paths = {kind: tmp_path / f"{kind}.bin" for kind in ("honest", "over")}
+        for kind, path in paths.items():
+            with open(path, "wb") as fh:
+                fh.write(b"SHCK" + struct.pack("<I", CHECKPOINT_VERSION))
+                with zipfile.ZipFile(fh, "w") as zf:
+                    for entry, array in (entries if kind == "honest" else {"meta": None}).items():
+                        with zf.open(f"{entry}.npy", "w") as member:
+                            if array is not None:
+                                np.lib.format.write_array(member, array)
+                            else:
+                                header = {"descr": "<f8", "fortran_order": False, "shape": (50_000_000,)}
+                                np.lib.format.write_array_header_1_0(member, header)
+                                member.write(bytes(8))
+        state, original = load_checkpoint(paths["honest"]), load_checkpoint(workspace / "run" / "ckpt_epoch0003.bin")
+        assert state.keys() == original.keys() and state["meta"] == original["meta"]
+        assert all(np.array_equal(state[k], original[k]) for k in entries if k != "meta")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{paths['over']}: entry meta: header claims 400000000 bytes"):
+                load_checkpoint(paths["over"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+        inputs = ["--features", workspace / "data" / "features.bin", "--hierarchy", workspace / "data" / "hierarchy.txt"]
+        for argv in (["inspect", "--checkpoint", paths["over"]], ["eval", "--checkpoint", paths["over"], *inputs, "--out", tmp_path / "ev"]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert f"checkpoint: {paths['over']}: entry meta: header claims" in err and "Traceback" not in err
 
 
 def read_entries(path):
@@ -965,7 +1010,7 @@ class TestPredictionDumpErrors:
         ends = [b"\n", b"\r\n", b"\r", b"\n\n", b"\n \t\n", b"\r\r\n"]
         data = b"".join(line.encode() + ends[i % len(ends)] for i, line in enumerate(dump_lines[:40]))
         dump = tmp_path / "predictions.txt"
-        monkeypatch.setattr(cli, "_DUMP_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_DUMP_READ_BYTES", chunk)
         for tail in (b"", dump_lines[40].encode(), dump_lines[40].encode() + b"\r"):
             dump.write_bytes(data + tail)
             records = [

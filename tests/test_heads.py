@@ -345,14 +345,14 @@ class TestSgd:
     def test_zero_gradient_no_decay_keeps_params(self, animals):
         heads = random_heads(animals, np.random.default_rng(23))
         set_depth(heads, 1, 1.0)
-        heads.sgd_step(1, zero_grad(heads, 1), H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.0))
+        heads.sgd_step(1, zero_grad(heads, 1), 0.1, 0.9, 0.0)
         assert np.all(heads.buffers["student"][heads.segments[0]] == 1.0)
 
     def test_single_step_formula(self, animals):
         heads = random_heads(animals, np.random.default_rng(24))
         set_depth(heads, 2, 2.0)
         g = np.full_like(zero_grad(heads, 2), 0.5)
-        heads.sgd_step(2, g, H.OptimizerParams(lr=0.1, momentum=0.9, weight_decay=0.01))
+        heads.sgd_step(2, g, 0.1, 0.9, 0.01)
         # v = g + wd*theta = 0.5 + 0.02; theta = 2 - 0.1*0.52
         assert np.allclose(heads.buffers["student"][heads.segments[1]], 2.0 - 0.1 * 0.52)
 
@@ -364,14 +364,14 @@ class TestSgd:
         set_depth(heads, 1, 0.0)
         for _ in range(2):  # a fresh gradient each step: sgd_step uses it as scratch
             g = np.ones_like(zero_grad(heads, 1))
-            heads.sgd_step(1, g, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=0.0))
+            heads.sgd_step(1, g, lr, mu, 0.0)
         assert np.allclose(heads.buffers["student"][heads.segments[0]], -lr * (1.0 + (1.0 + mu)))
 
     def test_scale_applies_to_gradient_only(self, animals):
         heads = random_heads(animals, np.random.default_rng(26))
         set_depth(heads, 1, 1.0)
         g = np.full_like(zero_grad(heads, 1), 4.0)
-        heads.sgd_step(1, g, H.OptimizerParams(lr=1.0, momentum=0.0, weight_decay=0.0), scale=0.25)
+        heads.sgd_step(1, g, 1.0, 0.0, 0.0, scale=0.25)
         assert np.all(heads.buffers["student"][heads.segments[0]] == 0.0)
 
     def test_in_place_update_is_the_formula_bit_for_bit(self, animals):
@@ -387,7 +387,7 @@ class TestSgd:
         theta, v = depth_arrays(heads, "student", d), depth_arrays(heads, "velocity", d)
         v_ref = [mu * vi + (scale * gi + wd * ti) for vi, gi, ti in zip(v, grads, theta)]
         theta_ref = [ti - lr * vi for ti, vi in zip(theta, v_ref)]
-        heads.sgd_step(d, g, H.OptimizerParams(lr=lr, momentum=mu, weight_decay=wd), scale=scale)
+        heads.sgd_step(d, g, lr, mu, wd, scale=scale)
         assert all(a.dtype == np.float32 for a in v_ref + theta_ref)
         assert all(np.array_equal(a, b) for a, b in zip(v + theta, v_ref + theta_ref, strict=True))
         changed = {name for name, a in heads.state_dict().items() if not np.array_equal(a, before[name])}
@@ -399,13 +399,12 @@ class TestSgd:
         the gradient itself is the scratch, not a copy of it."""
         hierarchy, dataset = reference_dataset(0)
         heads = H.DepthHeads(hierarchy, dataset.dim, hidden=reference_train_config("semihoc", 0).hidden_dim)
-        opt = H.OptimizerParams(lr=0.01)
         for d, seg in zip(heads.depths, heads.segments):
             g = np.ones(seg.stop - seg.start, H.HEAD_DTYPE)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                heads.sgd_step(d, g, opt, scale=0.5)
+                heads.sgd_step(d, g, 0.01, 0.9, 0.001, scale=0.5)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -550,6 +549,6 @@ class TestFloat32Heads:
         rng = np.random.default_rng(22)
         heads = random_heads(animals, rng)
         g = rng.normal(0, 1, zero_grad(heads, 1).shape).astype(np.float32)
-        heads.sgd_step(1, g, H.OptimizerParams(lr=0.1, weight_decay=0.001), scale=0.5)
+        heads.sgd_step(1, g, 0.1, 0.9, 0.001, scale=0.5)
         heads.ema_update_all(0.9)
         assert {a.dtype for a in heads.buffers.values()} == {np.dtype(np.float32)}

@@ -170,10 +170,10 @@ class TestGradientClipping:
         calls = []  # (raw gradient norm, scale) per sgd_step
         original = DepthHeads.sgd_step
 
-        def spy(heads, d, g, opt, scale=1.0):
+        def spy(heads, d, g, lr, momentum, weight_decay, scale=1.0):
             views = [g[s] for s in heads.param_slices[d - 1]]  # per parameter, before sgd_step uses g as scratch
             calls.append((math.sqrt(sum(float((v.astype(np.float64) ** 2).sum()) for v in views)), scale))
-            return original(heads, d, g, opt, scale)
+            return original(heads, d, g, lr, momentum, weight_decay, scale)
 
         monkeypatch.setattr(DepthHeads, "sgd_step", spy)
         fresh = Trainer(config(method="spl-oracle"), hierarchy, dataset)
