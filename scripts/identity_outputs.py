@@ -9,6 +9,12 @@ It writes:
 
 * `reference/<method>/metrics.csv`: the six methods on `reference_dataset(0)`,
   30 epochs, evaluated every 10;
+* `reference/<method>/ood_bins.txt`, and one beside every other
+  `metrics.csv` below: the final teacher's `benchmark.ood_subtree_bins(trainer,
+  n_bins=20)` table, a line per bin (its edges, accuracy, frequency and count)
+  and the overall accuracy, every float through `repr`, or `none` when no test
+  row is predicted OOD. No other output covers that function; the acceptance
+  suite only checks thresholds on it;
 * `reference/checkpoints.sha256`: the SHA-256 of each method's final
   checkpoint (`<method>/ckpt_epoch0030.bin`, in `sha256sum` format), so that
   every method's head weights are compared without keeping 27 MB files;
@@ -78,7 +84,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from semihoc import cli  # noqa: E402
-from semihoc.benchmark import reference_dataset, reference_train_config  # noqa: E402
+from semihoc.benchmark import ood_subtree_bins, reference_dataset, reference_train_config  # noqa: E402
 from semihoc.datagen import SPLIT_LABELED, SPLIT_TEST, SPLIT_UNLABELED, FeatureDataset, save_features  # noqa: E402
 from semihoc.hierarchy import Hierarchy, save_hierarchy  # noqa: E402
 from semihoc.trainer import METHODS, TrainConfig, run_training  # noqa: E402
@@ -87,18 +93,35 @@ from workloads import EvalCli, WideTree  # noqa: E402
 SEED = 0
 
 
+def write_ood_bins(run_dir: Path, trainer) -> None:
+    """`ood_bins.txt`: the final teacher's `ood_subtree_bins(trainer, n_bins=20)`, a line per bin (its
+    edges, accuracy, frequency and count) and then the overall accuracy, every float through repr;
+    `none` when no test row is predicted OOD."""
+    table, overall = ood_subtree_bins(trainer, n_bins=20)
+    text = "none\n"
+    if table is not None:
+        edges = table.edges.tolist()
+        bins = zip(edges, edges[1:], table.accuracy.tolist(), table.frequency.tolist(), table.counts.tolist())
+        text = "bin_lo bin_hi accuracy frequency count\n"
+        text += "".join(f"{lo!r} {hi!r} {acc!r} {freq!r} {count}\n" for lo, hi, acc, freq, count in bins)
+        text += f"overall {overall!r}\n"
+    (run_dir / "ood_bins.txt").write_text(text)
+
+
 def every_method(out: Path, hierarchy, dataset, config_of) -> None:
-    """Each method's metrics.csv, and the SHA-256 of its final checkpoint, of the run config_of(method)."""
+    """Each method's metrics.csv and OOD bin table, and the SHA-256 of its final checkpoint, of the run
+    config_of(method)."""
     hashes = []
     for method in METHODS:
         config = config_of(method)
         run_dir = out / method
-        run_training(config, hierarchy, dataset, out_dir=run_dir)
+        trainer = run_training(config, hierarchy, dataset, out_dir=run_dir)[1]
         final = f"ckpt_epoch{config.epochs:04d}.bin"
         hashes.append(f"{hashlib.sha256((run_dir / final).read_bytes()).hexdigest()}  {method}/{final}\n")
         for path in run_dir.iterdir():
             if path.name != "metrics.csv":
                 path.unlink()
+        write_ood_bins(run_dir, trainer)
     (out / "checkpoints.sha256").write_text("".join(hashes))
 
 
@@ -139,7 +162,7 @@ def uneven_tree(out: Path, hierarchy: Hierarchy, means: dict) -> None:
 
 def wide_tree(out: Path) -> None:
     hierarchy, dataset, config = WideTree().make(SEED)
-    run_training(config, hierarchy, dataset, out_dir=out)
+    write_ood_bins(out, run_training(config, hierarchy, dataset, out_dir=out)[1])
     (out / "config.json").unlink()
 
 
@@ -148,13 +171,14 @@ def wide_tree_resumed(out: Path) -> None:
     config = replace(config, checkpoint_every=20)
     full = out / "uninterrupted"
     run_training(config, hierarchy, dataset, out_dir=full)
-    run_training(config, hierarchy, dataset, out_dir=out, resume=full / "ckpt_epoch0020.bin")
+    trainer = run_training(config, hierarchy, dataset, out_dir=out, resume=full / "ckpt_epoch0020.bin")[1]
     shutil.rmtree(full)
     final = f"ckpt_epoch{config.epochs:04d}.bin"
     digest = hashlib.sha256((out / final).read_bytes()).hexdigest()
     for path in out.iterdir():
         if path.name != "metrics.csv":
             path.unlink()
+    write_ood_bins(out, trainer)
     (out / "checkpoint.sha256").write_text(f"{digest}  {final}\n")
 
 

@@ -16,8 +16,7 @@ import numpy as np
 from .datagen import NO_LABEL, SPLIT_TEST, FeatureDataset, SyntheticConfig, generate, sample_labeled_subset
 from .hierarchy import Hierarchy
 from .metrics import confidence_accuracy_bins
-from .prohoc import predict_nodes, subtree_confidences
-from .trainer import EpochReport, TrainConfig, Trainer, predict_blocks, run_training
+from .trainer import EpochReport, TrainConfig, Trainer, predict_rows, run_training
 
 REFERENCE_SEEDS = (0, 1, 2)
 LABELS_PER_CLASS = 10
@@ -105,18 +104,12 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     """Subtree-confidence/accuracy table for test samples predicted as OOD.
 
     Correctness here is subtree membership (the ground truth lies inside the
-    predicted node's subtree), the property pseudo-labeling relies on. Only
-    each sample's prediction and its subtree confidence outlive a block.
+    predicted node's subtree), the property pseudo-labeling relies on.
     """
     dataset = trainer.dataset
     hierarchy = trainer.hierarchy
     idx = dataset.indices(SPLIT_TEST)
-    preds, conf = np.empty(len(idx), dtype=np.int64), np.empty(len(idx))
-    for block, probs in predict_blocks(trainer.heads, hierarchy, dataset.features, idx):
-        preds[block] = predict_nodes(probs)
-        conf[block] = np.take_along_axis(subtree_confidences(probs, hierarchy), preds[block, None], axis=1)[:, 0]
-        del probs  # before predict_blocks computes the next block
-
+    preds, _, conf = predict_rows(trainer.heads, hierarchy, dataset.features, idx)
     ood = np.flatnonzero(~hierarchy.is_leaf(preds))
     if not len(ood):
         return None, None

@@ -38,9 +38,9 @@ from .datagen import (
 from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
 from .hierarchy import exceeds_memory, load_hierarchy, save_hierarchy, sorted_unique
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
-from .prohoc import format_prediction_block, predict_nodes, subtree_confidences
+from .prohoc import format_prediction_block
 from .spl import AgeGateState, SplLog, log_summary
-from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_blocks, run_training
+from .trainer import LOG_KEYS, METHODS, TrainConfig, format_field, l2_norm, load_checkpoint, predict_rows, run_training
 from .trainer import blas_library, blas_threads, depth_workers, keep_freed_memory
 
 
@@ -209,20 +209,12 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
 
 
 def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
-    """predictions.txt and the reports of a checkpoint, streamed block by
-    block: only the predicted node, its probability and its subtree
-    confidence outlive a block."""
-    preds = np.empty(len(idx), dtype=np.int64)
-    node_conf, sub_conf = np.empty(len(idx)), np.empty(len(idx))
+    """predictions.txt, written chunk by chunk as predict_rows scores the
+    split, and the reports of a checkpoint."""
     with open(out / "predictions.txt", "w", encoding="utf-8") as fh:
-        for block, probs in predict_blocks(heads, hierarchy, dataset.features, idx):
-            conf = subtree_confidences(probs, hierarchy)
-            preds[block] = predict_nodes(probs)
-            node_conf[block] = np.take_along_axis(probs, preds[block, None], axis=1)[:, 0]
-            sub_conf[block] = np.take_along_axis(conf, preds[block, None], axis=1)[:, 0]
-            ids = dataset.sample_ids[idx[block]]
-            fh.write(format_prediction_block(hierarchy, ids, preds[block], node_conf[block], conf))
-            del probs, conf  # before predict_blocks computes the next block
+        def write(block, preds, node_conf, conf):
+            fh.write(format_prediction_block(hierarchy, dataset.sample_ids[idx[block]], preds, node_conf, conf))
+        preds, node_conf, sub_conf = predict_rows(heads, hierarchy, dataset.features, idx, write)
     _write_eval_reports(out, hierarchy, preds, dataset.labels[idx], node_conf, sub_conf, bins)
 
 
@@ -339,23 +331,22 @@ def _eval_from_predictions(out, hierarchy, dataset, idx, path: Path, bins: int) 
         dump = _read_dump(path, hierarchy.n_nodes)
     except OSError as exc:
         raise DataError(f"prediction dump: {exc}")
-    if not len(dump):
-        raise DataError("prediction dump covers no samples of the selected split")
-
-    unknown = id_rows(dataset.sample_ids, dump["sample_id"]) < 0
-    if unknown.any():
-        first = dump[np.argmax(unknown)]
+    rows = id_rows(dataset.sample_ids, dump["sample_id"])  # each line's dataset row
+    if (rows < 0).any():
+        first = dump[np.argmax(rows < 0)]
         raise DataError(f"prediction dump line {first['line']}: unknown sample id {first['sample_id']}")
-    order = np.argsort(dump["sample_id"], kind="stable")
-    repeat = order[1:][dump["sample_id"][order[1:]] == dump["sample_id"][order[:-1]]]
+    order = np.argsort(rows, kind="stable")
+    repeat = order[1:][rows[order[1:]] == rows[order[:-1]]]
     if len(repeat):
         dup = dump[repeat.min()]
-        first = dump["line"][np.argmax(dump["sample_id"] == dup["sample_id"])]
+        first = dump["line"][np.argmax(rows == rows[repeat.min()])]
         raise DataError(f"prediction dump line {dup['line']}: duplicate sample id {dup['sample_id']} (first on line {first})")
-    dump = dump[id_rows(dataset.sample_ids[idx], dump["sample_id"]) >= 0]
-    if not len(dump):
+    in_split = np.zeros(len(dataset), dtype=bool)
+    in_split[idx] = True
+    keep = in_split[rows]
+    if not keep.any():
         raise DataError("prediction dump covers no samples of the selected split")
-    gts = dataset.labels_of(dump["sample_id"])
+    dump, gts = dump[keep], dataset.labels[rows[keep]]
     _write_eval_reports(out, hierarchy, dump["node"], gts, dump["confidence"], dump["subtree_confidence"], bins)
 
 

@@ -77,12 +77,6 @@ def fuse_batch(depth_outputs: list[np.ndarray], hierarchy: Hierarchy) -> np.ndar
     return probs.T
 
 
-def predict_nodes(probs: np.ndarray) -> np.ndarray:
-    """Row-wise argmax over a batch of node distributions; exact ties go to
-    the smallest node id."""
-    return np.argmax(probs, axis=1)
-
-
 def subtree_confidences(probs: np.ndarray, hierarchy: Hierarchy) -> np.ndarray:
     """Per-node subtree probability sums, accumulated bottom-up.
 

@@ -50,7 +50,7 @@ from .datagen import NO_LABEL, PREDICT_BATCH, SPLIT_LABELED, SPLIT_TEST, SPLIT_U
 from .heads import HEAD_DTYPE, DepthHeads, entry_shapes
 from .hierarchy import Hierarchy
 from .metrics import bmhd
-from .prohoc import fuse_batch, predict_nodes
+from .prohoc import fuse_batch, subtree_confidences
 from .rng import StreamSet, advanced
 from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, log_summary, update_cutoffs, update_log
 
@@ -71,8 +71,8 @@ GRAD_CLIP_NORM = 5.0
 # The reference config (612 rows at hidden 512: 1.6e8) shares; wide-tree (640 rows at 64) does not.
 PARALLEL_WORK = 1 << 27
 
-# predict_blocks, the one loop that forwards and fuses the teacher outside training, forwards
-# datagen.PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the rows of the matmul.
+# predict_blocks, the chunker under predict_rows (the one scorer of the teacher outside training),
+# forwards datagen.PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the matmul's rows.
 # It fuses a block in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by
 # row, so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
 FUSE_BYTES = 1 << 20
@@ -262,7 +262,7 @@ class Trainer:
             chains = self._assign_semihoc(batch_u, x_u)
         elif cfg.method == "ssl-node":  # the confident argmax node supervises every depth, like a label
             fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), hierarchy)
-            preds, passing = predict_nodes(fused), fused.max(axis=1) > cfg.tau
+            preds, passing = fused.argmax(axis=1), fused.max(axis=1) > cfg.tau
             return np.where(passing[:, None] & self._has_target[preds], preds[:, None], -1)
         else:  # ssl-per-depth: each depth's own confident argmax
             probs = self.heads.teacher_forward_all(x_u, self.workers)
@@ -360,10 +360,7 @@ class Trainer:
         idx = self.test_idx[self.dataset.labels[self.test_idx] != NO_LABEL]
         if len(idx) == 0:
             return None, None, None
-        preds = np.empty(len(idx), dtype=np.int64)
-        for block, fused in predict_blocks(self.heads, self.hierarchy, self.dataset.features, idx):
-            preds[block] = predict_nodes(fused)
-            del fused  # before predict_blocks computes the next block
+        preds, _, _ = predict_rows(self.heads, self.hierarchy, self.dataset.features, idx)
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
         return report.id, report.ood, report.mix
 
@@ -486,6 +483,25 @@ def predict_blocks(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray
                 del outputs  # released before the block's last chunk is yielded
             yield slice(start + lo, start + hi), fused
             del fused  # before the next chunk is computed
+
+
+def predict_rows(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray, write=None):
+    """(predicted node, its probability, its subtree confidence) of each of
+    `rows` of `features` under the fused teacher: the argmax node, ties to
+    the smallest id. Each chunk of predict_blocks, with its subtree sums,
+    goes to `write(block, preds, node_conf, conf)` when one is given, and is
+    dropped before the next: only the three per-row arrays outlive a chunk."""
+    preds = np.empty(len(rows), dtype=np.int64)
+    node_conf, sub_conf = np.empty(len(rows)), np.empty(len(rows))
+    for block, fused in predict_blocks(heads, hierarchy, features, rows):
+        preds[block] = fused.argmax(axis=1)
+        node_conf[block] = np.take_along_axis(fused, preds[block, None], axis=1)[:, 0]
+        conf = subtree_confidences(fused, hierarchy)  # after the gathers: before them, wide-tree's RSS rose 1 MB
+        sub_conf[block] = np.take_along_axis(conf, preds[block, None], axis=1)[:, 0]
+        if write is not None:
+            write(block, preds[block], node_conf[block], conf)
+        del fused, conf  # before predict_blocks computes the next chunk
+    return preds, node_conf, sub_conf
 
 
 def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray) -> np.ndarray:

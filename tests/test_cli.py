@@ -1002,6 +1002,40 @@ class TestPredictionDumpErrors:
         expected = f"prediction dump line {len(dump_lines) + 1}: duplicate sample id {sid} (first on line 1)"
         assert code == 2 and expected in err and "Traceback" not in err
 
+    def test_blank_dump_covers_no_samples(self, workspace, tmp_path, capsys):
+        dump = tmp_path / "predictions.txt"
+        dump.write_text("\n \t\n\n")
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "test")
+        err = capsys.readouterr().err
+        assert code == 2 and "prediction dump covers no samples of the selected split" in err and "Traceback" not in err
+
+    def test_dump_of_another_split_covers_no_samples(self, workspace, tmp_path, capsys):
+        ckpt = workspace / "run" / "ckpt_epoch0003.bin"
+        assert run("eval", "--checkpoint", ckpt, *inputs_of(workspace), "--out", tmp_path / "train", "--split", "train") == 0
+        dump = tmp_path / "train" / "predictions.txt"
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "test")
+        err = capsys.readouterr().err
+        assert code == 2 and "prediction dump covers no samples of the selected split" in err and "Traceback" not in err
+
+    def test_duplicate_outside_the_split_exits_two_naming_both_lines(self, workspace, dump_lines, tmp_path, capsys):
+        dataset = load_features(workspace / "data" / "features.bin")
+        sid = str(dataset.sample_ids[dataset.splits != SPLIT_TEST][0])
+        first = [line.split("\t")[0] for line in dump_lines].index(sid)
+        dump = tmp_path / "predictions.txt"
+        dump.write_text("\n".join(dump_lines + [dump_lines[first]]) + "\n")
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "test")
+        err = capsys.readouterr().err
+        expected = f"prediction dump line {len(dump_lines) + 1}: duplicate sample id {sid} (first on line {first + 1})"
+        assert code == 2 and expected in err and "Traceback" not in err
+
+    def test_unknown_id_reported_before_an_earlier_duplicate(self, workspace, dump_lines, tmp_path, capsys):
+        unknown = "\t".join(["999999", *dump_lines[0].split("\t")[1:]])
+        dump = tmp_path / "predictions.txt"
+        dump.write_text("\n".join(dump_lines[:3] + dump_lines[:1] + [unknown]) + "\n")
+        code = run("eval", "--predictions", dump, *inputs_of(workspace), "--out", tmp_path / "ev", "--split", "all")
+        err = capsys.readouterr().err
+        assert code == 2 and "prediction dump line 5: unknown sample id 999999" in err and "duplicate" not in err
+
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
     def test_block_reader_splits_and_numbers_lines_as_the_whole_file(
         self, workspace, dump_lines, tmp_path, monkeypatch, chunk

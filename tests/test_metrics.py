@@ -201,14 +201,14 @@ class TestConfidenceBins:
 
     def test_subtree_conf_at_least_node_conf(self, animals):
         # superset sum: argmax node's subtree confidence >= its own mass
-        from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
+        from semihoc.prohoc import fuse_batch, subtree_confidences
 
         rng = np.random.default_rng(4)
         for _ in range(20):
             d1 = rng.random((1, 2)) + 1e-9
             d2 = rng.random((1, 4)) + 1e-9
             probs = fuse_batch([d1 / d1.sum(), d2 / d2.sum()], animals)[0]
-            node = predict_nodes(probs[None])[0]
+            node = probs[None].argmax(axis=1)[0]
             conf = subtree_confidences(probs[None], animals)[0]
             assert conf[node] >= probs[node]
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihoc.hierarchy import Hierarchy, random_tree
-from semihoc.prohoc import STOP_EPS, format_prediction_block, fuse_batch, predict_nodes, subtree_confidences
+from semihoc.prohoc import STOP_EPS, format_prediction_block, fuse_batch, subtree_confidences
 
 ROOT, MAMMAL, BIRD, CAT, DOG, EAGLE, JUNCO = range(7)
 EPS = STOP_EPS
@@ -143,13 +143,13 @@ class TestFuse:
         assert p[MAMMAL] == p[BIRD]
         assert np.isclose(p[CAT], 0.25 * EPS * EPS)
         assert p[CAT] == p[DOG] == p[EAGLE] == p[JUNCO]
-        assert predict_nodes(p[None])[0] == ROOT
+        assert p[None].argmax(axis=1)[0] == ROOT
 
     def test_one_hot_path_concentrates_on_leaf(self, animals):
         p = fuse_batch([np.array([[0.0, 1.0]]), np.array([[0.0, 0.0, 0.0, 1.0]])], animals)[0]
         assert p[JUNCO] >= 1 - 3 * EPS
         assert p.sum() - p[JUNCO] <= 3 * EPS
-        assert predict_nodes(p[None])[0] == JUNCO
+        assert p[None].argmax(axis=1)[0] == JUNCO
 
     def test_always_normalized(self, animals):
         rng = np.random.default_rng(0)
@@ -192,7 +192,7 @@ class TestFuse:
         # all depth outputs one-hot along Cat's ancestor path
         d1 = np.array([[1.0, 0.0]])
         d2 = np.array([[1.0, 0.0, 0.0, 0.0]])
-        assert predict_nodes(fuse_batch([d1, d2], animals))[0] == CAT
+        assert fuse_batch([d1, d2], animals).argmax(axis=1)[0] == CAT
 
     def test_batch_matches_single(self, animals):
         rng = np.random.default_rng(1)
@@ -210,11 +210,11 @@ class TestPredictNode:
     def test_concentrated(self, animals):
         p = np.zeros(7)
         p[JUNCO] = 1.0
-        assert predict_nodes(p[None])[0] == JUNCO
+        assert p[None].argmax(axis=1)[0] == JUNCO
 
     def test_tie_breaks_to_smaller_id(self):
         p = np.array([0.1, 0.4, 0.4, 0.1, 0.0])
-        assert predict_nodes(p[None])[0] == 1
+        assert p[None].argmax(axis=1)[0] == 1
 
 
 class TestSubtreeConfidences:
@@ -250,7 +250,7 @@ def reference_dump_line(hierarchy, sample_id, probs, conf):
 
 def assert_block_matches_rows(tree, sample_ids, probs):
     conf = subtree_confidences(probs, tree)
-    preds = predict_nodes(probs)
+    preds = probs.argmax(axis=1)
     block = format_prediction_block(tree, sample_ids, preds, probs[np.arange(len(preds)), preds], conf)
     assert block == "".join(reference_dump_line(tree, *row) for row in zip(sample_ids, probs, conf))
     return block
@@ -277,7 +277,7 @@ class TestPredictionBlock:
     def test_root_argmax_has_a_one_entry_chain(self, animals):
         outputs = [np.full((4, len(animals.depth_space(d))), 0.5) for d in (1, 2)]
         probs = fuse_batch(outputs, animals)
-        assert (predict_nodes(probs) == ROOT).all()
+        assert (probs.argmax(axis=1) == ROOT).all()
         block = assert_block_matches_rows(animals, np.arange(4, dtype=np.uint64), probs)
         assert all(line.split("\t")[3].count(":") == 1 for line in block.splitlines())
 
@@ -286,7 +286,7 @@ class TestPredictionBlock:
         rng = np.random.default_rng(9)
         probs = rng.random((200, tree.n_nodes)) ** 8
         probs /= probs.sum(axis=1, keepdims=True)
-        assert len(np.unique(tree.depths[predict_nodes(probs)])) > 2
+        assert len(np.unique(tree.depths[probs.argmax(axis=1)])) > 2
         assert_block_matches_rows(tree, rng.permutation(200).astype(np.uint64), probs)
 
     def test_empty_block(self, animals):

@@ -25,7 +25,7 @@ from semihoc.datagen import (
 from semihoc.heads import DepthHeads
 from semihoc.hierarchy import Hierarchy, random_tree
 from semihoc.metrics import bmhd, confidence_accuracy_bins, spl_purity_and_depth
-from semihoc.prohoc import fuse_batch, predict_nodes, subtree_confidences
+from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.trainer import (
     FUSE_BYTES,
     GRAD_CLIP_NORM,
@@ -37,6 +37,7 @@ from semihoc.trainer import (
     load_checkpoint,
     predict_blocks,
     predict_dataset,
+    predict_rows,
     run_training,
     save_checkpoint,
 )
@@ -803,7 +804,7 @@ def whole_split_ood_bins(trainer, n_bins=20):
     dataset, hierarchy = trainer.dataset, trainer.hierarchy
     idx = dataset.indices(SPLIT_TEST)
     probs = fused_slices(trainer.heads, hierarchy, dataset.features[idx])
-    preds = predict_nodes(probs)
+    preds = probs.argmax(axis=1)
     conf = subtree_confidences(probs, hierarchy)
     ood = np.flatnonzero(~hierarchy.is_leaf(preds))
     if not len(ood):
@@ -896,6 +897,48 @@ class TestPredictChunks:
         for f in fields(table) if n else ():
             assert getattr(table, f.name).tobytes() == getattr(expected_table, f.name).tobytes()
         idx = trainer.test_idx[trainer.dataset.labels[trainer.test_idx] != NO_LABEL]
-        report = bmhd(predict_nodes(fused_slices(trainer.heads, hierarchy, trainer.dataset.features[idx])),
+        report = bmhd(fused_slices(trainer.heads, hierarchy, trainer.dataset.features[idx]).argmax(axis=1),
                       trainer.dataset.labels[idx], hierarchy)
         assert trainer.evaluate() == ((report.id, report.ood, report.mix) if len(idx) else (None, None, None))
+
+
+# The benchmark's wide-tree data at seed 0: 656 nodes, so predict_blocks fuses each block of 1,024 rows
+# in 6 chunks of at most 199 rows
+WIDE_TREE = SyntheticConfig(branching=5, depth=4, feature_dim=32, train_per_leaf=6, test_per_leaf=2,
+                            sigma_level=0.5, sigma_noise=0.45, ood_fraction=0.2, seed=0)
+
+
+class TestPredictRows:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        hierarchy, dataset = generate(WIDE_TREE)
+        assert hierarchy.n_nodes == 656 and -(-PREDICT_BATCH // (FUSE_BYTES // (8 * hierarchy.n_nodes))) == 6
+        dataset = sample_labeled_subset(dataset, hierarchy, 2, seed=0)
+        return hierarchy, dataset, run_training(config(epochs=1, hidden_dim=64), hierarchy, dataset)[1]
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_scores_equal_the_gathers_over_the_joined_matrix(self, wide, n):
+        hierarchy, dataset, trained = wide
+        rows = np.random.default_rng(n).permutation(len(dataset))[:n]
+        preds, node_conf, sub_conf = predict_rows(trained.heads, hierarchy, dataset.features, rows)
+        fused = predict_dataset(trained.heads, hierarchy, dataset.features[rows])
+        expected = fused.argmax(axis=1)
+        assert preds.dtype == np.int64 and preds.tobytes() == expected.tobytes()
+        assert node_conf.tobytes() == np.take_along_axis(fused, expected[:, None], axis=1)[:, 0].tobytes()
+        conf = subtree_confidences(fused, hierarchy)
+        assert sub_conf.tobytes() == np.take_along_axis(conf, expected[:, None], axis=1)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+    def test_write_gets_each_chunk_once_in_row_order(self, wide, n):
+        hierarchy, dataset, trained = wide
+        rows = np.random.default_rng(n).permutation(len(dataset))[:n]
+        calls = []
+        scores = predict_rows(trained.heads, hierarchy, dataset.features, rows, lambda *args: calls.append(args))
+        chunks = [block for block, _ in predict_blocks(trained.heads, hierarchy, dataset.features, rows)]
+        assert [block for block, *_ in calls] == chunks
+        assert [i for block in chunks for i in range(n)[block]] == list(range(n))
+        assert len(chunks) >= 6 * (n // PREDICT_BATCH)
+        fused = predict_dataset(trained.heads, hierarchy, dataset.features[rows])
+        for block, preds, node_conf, conf in calls:
+            assert preds.tobytes() == scores[0][block].tobytes() and node_conf.tobytes() == scores[1][block].tobytes()
+            assert conf.tobytes() == subtree_confidences(fused[block], hierarchy).tobytes()
