@@ -106,10 +106,9 @@ def ood_subtree_bins(trainer: Trainer, n_bins: int = 20):
     Correctness here is subtree membership (the ground truth lies inside the
     predicted node's subtree), the property pseudo-labeling relies on.
     """
-    dataset = trainer.dataset
-    hierarchy = trainer.hierarchy
+    dataset, hierarchy = trainer.dataset, trainer.hierarchy
     idx = dataset.indices(SPLIT_TEST)
-    preds, _, conf = predict_rows(trainer.heads, hierarchy, dataset.features, idx)
+    preds, _, conf = predict_rows(trainer.heads.teachers, hierarchy, dataset.features, idx)
     ood = np.flatnonzero(~hierarchy.is_leaf(preds))
     if not len(ood):
         return None, None

@@ -35,7 +35,7 @@ from .datagen import (
     sample_labeled_subset,
     save_features,
 )
-from .heads import HEAD_DTYPE, N_LAYERS, ROLES, DepthHeads, entry_shapes
+from .heads import HEAD_DTYPE, ROLES, entry_shapes, role_heads
 from .hierarchy import exceeds_memory, load_hierarchy, save_hierarchy, sorted_unique
 from .metrics import bmhd, confidence_accuracy_bins, decomposition_matrix, gate_fpr_coverage
 from .prohoc import format_prediction_block
@@ -108,7 +108,7 @@ def _load_train_config(args) -> TrainConfig:
             data = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise UsageError(f"config file {args.config} not found")
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON or nested too deep
             raise UsageError(f"config file {args.config}: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
@@ -208,13 +208,13 @@ def _write_eval_reports(out, hierarchy, preds, gts, node_conf, sub_conf, bins) -
     _write_csv(out / "confidence_bins.csv", header, bin_rows())
 
 
-def _eval_checkpoint(out, hierarchy, dataset, idx, heads, bins) -> None:
+def _eval_checkpoint(out, hierarchy, dataset, idx, teachers, bins) -> None:
     """predictions.txt, written chunk by chunk as predict_rows scores the
-    split, and the reports of a checkpoint."""
+    split under a checkpoint's own teacher arrays, and the reports."""
     with open(out / "predictions.txt", "w", encoding="utf-8") as fh:
         def write(block, preds, node_conf, conf):
             fh.write(format_prediction_block(hierarchy, dataset.sample_ids[idx[block]], preds, node_conf, conf))
-        preds, node_conf, sub_conf = predict_rows(heads, hierarchy, dataset.features, idx, write)
+        preds, node_conf, sub_conf = predict_rows(teachers, hierarchy, dataset.features, idx, write)
     _write_eval_reports(out, hierarchy, preds, dataset.labels[idx], node_conf, sub_conf, bins)
 
 
@@ -232,10 +232,7 @@ def cmd_eval(args) -> int:
 
     if args.checkpoint:
         state = _load("checkpoint", load_checkpoint, args.checkpoint, hierarchy, dataset.dim)
-        config = TrainConfig.from_dict(state["meta"]["config"])
-        heads = DepthHeads(hierarchy, dataset.dim, hidden=config.hidden_dim, dropout=config.dropout)
-        heads.load_state_dict(state)
-        _eval_checkpoint(out, hierarchy, dataset, idx, heads, args.bins)
+        _eval_checkpoint(out, hierarchy, dataset, idx, role_heads(state, "teacher", hierarchy.max_depth), args.bins)
         if args.split in ("train", "all"):
             _write_gate_diagnostics(out, hierarchy, dataset, state)
     else:
@@ -379,9 +376,9 @@ def cmd_inspect(args) -> int:
         finite = [t for t in meta["gate"]["cutoffs"].values() if t != float("inf")]
         print(f"finite cutoffs: {len(finite)}")
         print(f"head dtype: {HEAD_DTYPE}")  # load_checkpoint has checked every head entry's
-        for d in range(1, len(meta["classes"]) + 1):
-            student, teacher = (l2_norm([state[f"{role}.d{d}.w{i}"] for i in range(N_LAYERS)]) for role in ROLES[:2])
-            print(f"depth {d} weight norm: student {student:.6g}  teacher {teacher:.6g}")
+        students, teachers = (role_heads(state, role, len(meta["classes"])) for role in ROLES[:2])
+        for d, (student, teacher) in enumerate(zip(students, teachers), start=1):
+            print(f"depth {d} weight norm: student {l2_norm(student[0]):.6g}  teacher {l2_norm(teacher[0]):.6g}")
     return 0
 
 

@@ -6,10 +6,11 @@ the input features and on every hidden activation. A head is a
 and the dropout rate; its sizes and dtype are read off the arrays. A dropout
 mask already carries the inverted-dropout scale: each entry is 0 or
 1/(1 - rate), so one multiply applies it. A head computes in the dtype of its
-parameters: inputs, masks, activations and gradients follow it. The trainer's
-heads are views into the role buffers of DepthHeads, in float32
-(HEAD_DTYPE), which about halves the cost of their matmuls; the logits are
-cast up to float64 before the softmax, so the probabilities, the loss and the
+parameters: inputs, masks, activations and gradients follow it. role_heads
+makes heads of checkpoint entries' arrays, not copies: the trainer's of the
+role buffers of DepthHeads, eval's of a checkpoint's own teacher arrays, both
+float32 (HEAD_DTYPE), which about halves the cost of their matmuls; the logits
+are cast up to float64 before the softmax, so the probabilities, the loss and the
 logit gradient are float64 whatever the head's dtype. The gradient oracle
 checks float64 heads through the same forward and backward code against
 central finite differences at tight tolerances. The trainer hands the
@@ -40,6 +41,7 @@ LOGIT_CLIP = 50.0
 N_LAYERS = 4
 HEAD_DTYPE = np.dtype(np.float32)  # of DepthHeads' parameters, velocities and checkpoint entries
 ROLES = ("student", "teacher", "velocity")
+ENTRY_NAME = "{role}.d{d}.{kind}{layer}"  # of a head parameter in a checkpoint: `teacher.d2.w0`, kind w or b
 
 
 def param_shapes(in_dim: int, out_dim: int, hidden: int) -> list[tuple[int, ...]]:
@@ -49,14 +51,21 @@ def param_shapes(in_dim: int, out_dim: int, hidden: int) -> list[tuple[int, ...]
 
 
 def entry_shapes(feature_dim: int, classes: list[int] | tuple[int, ...], hidden: int) -> dict[str, tuple[int, ...]]:
-    """Checkpoint name (`teacher.d2.w0`) -> shape of every array of heads with
+    """Checkpoint name (ENTRY_NAME) -> shape of every array of heads with
     classes[d - 1] outputs at depth d, in DepthHeads.state_dict order."""
     return {
-        f"{role}.d{d}.{'wb'[i % 2]}{i // 2}": shape
+        ENTRY_NAME.format(role=role, d=d, kind="wb"[i % 2], layer=i // 2): shape
         for d, n_classes in enumerate(classes, start=1)
         for role in ROLES
         for i, shape in enumerate(param_shapes(feature_dim, n_classes, hidden))
     }
+
+
+def role_heads(entries: dict, role: str, n_depths: int, dropout: float = 0.0) -> list[tuple]:
+    """The heads of `role` at depths 1..n_depths, of the arrays of `entries` under their entry_shapes names, not copies."""
+    name = functools.partial(ENTRY_NAME.format, role=role)
+    return [(*([entries[name(d=d, kind=kind, layer=layer)] for layer in range(N_LAYERS)] for kind in "wb"), dropout)
+            for d in range(1, n_depths + 1)]
 
 
 def init_weights(weights: list[np.ndarray], rng: np.random.Generator) -> None:
@@ -235,11 +244,11 @@ class DepthHeads:
 
     A role buffer is depth-major: depth d's parameters, in param_shapes
     order, are the contiguous segment `segments[d - 1]`, so an optimizer or
-    EMA step is a few whole-segment updates. Every head array and checkpoint
-    entry is a view into its role buffer. The teacher
-    starts as a copy of the student and is only ever touched by EMA updates;
-    the optimizer state lives here so checkpoints can capture the whole
-    training state in one place.
+    EMA step is a few whole-segment updates. Every checkpoint entry is a view
+    into its role buffer, and role_heads makes the heads of those views. The
+    teacher starts as a copy of the student and is only ever touched by EMA
+    updates; the optimizer state lives here so checkpoints can capture the
+    whole training state in one place.
     """
 
     def __init__(self, hierarchy, feature_dim: int, hidden: int = 512, dropout: float = 0.0):
@@ -249,12 +258,9 @@ class DepthHeads:
         # per depth, the slice of each parameter (w0, b0, w1, ...) in a segment or a flat gradient, made once
         self.param_slices = [_runs(map(math.prod, s)) for s in shapes]
         self.buffers = {role: np.zeros(self.segments[-1].stop, HEAD_DTYPE) for role in ROLES}
-        views = {(d, role): flat_views(self.buffers[role][seg], s)  # depth by depth, role by role
-                 for d, seg, s in zip(self.depths, self.segments, shapes) for role in ROLES}
-        self._state = dict(zip(entry_shapes(feature_dim, hierarchy.classes, hidden), sum(views.values(), []), strict=True))
-        self.students, self.teachers = (
-            [(views[d, role][0::2], views[d, role][1::2], dropout) for d in self.depths] for role in ROLES[:2]
-        )
+        views = [v for seg, s in zip(self.segments, shapes) for role in ROLES for v in flat_views(self.buffers[role][seg], s)]
+        self._state = dict(zip(entry_shapes(feature_dim, hierarchy.classes, hidden), views, strict=True))
+        self.students, self.teachers = (role_heads(self._state, role, len(self.depths), dropout) for role in ROLES[:2])
 
     def init_params(self, rng: np.random.Generator) -> None:
         """He-uniform student weights, drawn depth by depth, next to the zero
@@ -264,8 +270,7 @@ class DepthHeads:
         self.buffers["teacher"][...] = self.buffers["student"]
 
     def teacher_forward_all(self, x: np.ndarray, workers: int = 1) -> list[np.ndarray]:
-        """Eval-mode teacher probabilities at every depth, the depths shared
-        by `workers` threads as map_depths shares them."""
+        """Eval-mode teacher probabilities at every depth, the depths shared by `workers` threads as map_depths shares them."""
         return map_depths(lambda teacher: forward(teacher, x), self.teachers, workers)
 
     def sgd_step(self, d: int, g: np.ndarray, lr: float, momentum: float, weight_decay: float, scale: float = 1.0) -> None:

@@ -71,10 +71,9 @@ GRAD_CLIP_NORM = 5.0
 # The reference config (612 rows at hidden 512: 1.6e8) shares; wide-tree (640 rows at 64) does not.
 PARALLEL_WORK = 1 << 27
 
-# predict_blocks, the chunker under predict_rows (the one scorer of the teacher outside training),
-# forwards datagen.PREDICT_BATCH rows at a time, fixed as the teacher's bits depend on the matmul's rows.
-# It fuses a block in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by
-# row, so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
+# predict_blocks fuses each block of datagen.PREDICT_BATCH rows the teacher forwards (its bits depend on
+# the matmul's rows) in chunks of (rows x n_nodes) float64 of at most FUSE_BYTES: fusion goes row by row,
+# so a caller that streams holds one block's teacher outputs and one chunk's fused rows at a time.
 FUSE_BYTES = 1 << 20
 
 CHECKPOINT_MAGIC = b"SHCK"
@@ -360,7 +359,7 @@ class Trainer:
         idx = self.test_idx[self.dataset.labels[self.test_idx] != NO_LABEL]
         if len(idx) == 0:
             return None, None, None
-        preds, _, _ = predict_rows(self.heads, self.hierarchy, self.dataset.features, idx)
+        preds, _, _ = predict_rows(self.heads.teachers, self.hierarchy, self.dataset.features, idx)
         report = bmhd(preds, self.dataset.labels[idx], self.hierarchy)
         return report.id, report.ood, report.mix
 
@@ -466,15 +465,16 @@ def clip_scale(grads: list[np.ndarray], max_norm: float) -> float:
     return max_norm / norm if norm > max_norm else 1.0
 
 
-def predict_blocks(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray):
-    """Yield (slice of `rows`, fused teacher node distributions of those rows
-    of `features`) per chunk, in order: each block of PREDICT_BATCH rows the
-    teacher forwards is fused in the fewest chunks of at most FUSE_BYTES, and
-    at least 3 rows, of sizes within a row of each other. So no chunk has a
-    lone row its block lacks: numpy sums a lone row's 8+ children pairwise."""
+def predict_blocks(teachers: list[tuple], hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray):
+    """Yield (slice of `rows`, fused node distributions of those rows of `features` under the teacher
+    heads of depths 1..D) per chunk, in order: each block of PREDICT_BATCH rows the teachers forward is
+    fused in the fewest chunks of at most FUSE_BYTES, and at least 3 rows, of sizes within a row of each
+    other. So no chunk has a lone row its block lacks: numpy sums a lone row's 8+ children pairwise."""
     most = max(3, FUSE_BYTES // (8 * hierarchy.n_nodes))
     for start in range(0, len(rows), PREDICT_BATCH):
-        outputs = heads.teacher_forward_all(features[rows[start : start + PREDICT_BATCH]])
+        x = features[rows[start : start + PREDICT_BATCH]]
+        outputs = [heads_mod.forward(teacher, x) for teacher in teachers]
+        del x  # before the next block's vectors are read
         n = len(outputs[0])
         chunks = -(-n // most)
         for lo, hi in ((n * i // chunks, n * (i + 1) // chunks) for i in range(chunks)):
@@ -485,15 +485,14 @@ def predict_blocks(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray
             del fused  # before the next chunk is computed
 
 
-def predict_rows(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray, write=None):
-    """(predicted node, its probability, its subtree confidence) of each of
-    `rows` of `features` under the fused teacher: the argmax node, ties to
-    the smallest id. Each chunk of predict_blocks, with its subtree sums,
-    goes to `write(block, preds, node_conf, conf)` when one is given, and is
-    dropped before the next: only the three per-row arrays outlive a chunk."""
+def predict_rows(teachers: list[tuple], hierarchy: Hierarchy, features: np.ndarray, rows: np.ndarray, write=None):
+    """(predicted node, its probability, its subtree confidence) of each of `rows` of `features` under
+    the fused teacher heads, as predict_blocks takes them: the argmax node, ties to the smallest id. Each
+    chunk of predict_blocks, with its subtree sums, goes to `write(block, preds, node_conf, conf)` when
+    one is given, and is dropped before the next: only the three per-row arrays outlive a chunk."""
     preds = np.empty(len(rows), dtype=np.int64)
     node_conf, sub_conf = np.empty(len(rows)), np.empty(len(rows))
-    for block, fused in predict_blocks(heads, hierarchy, features, rows):
+    for block, fused in predict_blocks(teachers, hierarchy, features, rows):
         preds[block] = fused.argmax(axis=1)
         node_conf[block] = np.take_along_axis(fused, preds[block, None], axis=1)[:, 0]
         conf = subtree_confidences(fused, hierarchy)  # after the gathers: before them, wide-tree's RSS rose 1 MB
@@ -506,7 +505,7 @@ def predict_rows(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray, 
 
 def predict_dataset(heads: DepthHeads, hierarchy: Hierarchy, features: np.ndarray) -> np.ndarray:
     """Fused teacher node distributions for a whole feature matrix: the chunks of predict_blocks, joined."""
-    blocks = [fused for _, fused in predict_blocks(heads, hierarchy, features, np.arange(len(features)))]
+    blocks = [fused for _, fused in predict_blocks(heads.teachers, hierarchy, features, np.arange(len(features)))]
     return np.concatenate(blocks) if blocks else np.zeros((0, hierarchy.n_nodes))
 
 

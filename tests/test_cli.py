@@ -154,6 +154,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "learning_rate" in err and "lr" in err
 
+    @pytest.mark.parametrize("data", [b'{"method": "supervised"} \xe9', b"[" * 100_000], ids=["latin1", "deep"])
+    def test_undecodable_config_exits_one_naming_the_file(self, workspace, tmp_path, capsys, data):
+        """A --config of bytes that are not UTF-8, or of JSON nested past the recursion limit, ended
+        train in a UnicodeDecodeError or RecursionError traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert run("train", *inputs_of(workspace), "--out", tmp_path / "r", "--config", bad) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {bad}: ")
+        assert not (tmp_path / "r").exists()
+
+    def test_config_directory_exits_one_naming_the_file(self, workspace, tmp_path, capsys):
+        """A directory given as --config exited 2 with an OSError message that did not name the config."""
+        assert run("train", *inputs_of(workspace), "--out", tmp_path / "r", "--config", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {tmp_path}: ") and "Is a directory" in err
+        assert not (tmp_path / "r").exists()
+
     def test_resume_equals_uninterrupted(self, workspace, tmp_path):
         args = [
             "train", "--features", workspace / "data" / "features.bin",
@@ -1182,11 +1199,33 @@ class TestStreamedEval:
         assert hierarchy.n_nodes == 3281 and len(idx) > 2 * PREDICT_BATCH
         tracemalloc.start()
         try:
-            cli._eval_checkpoint(tmp_path, hierarchy, dataset, idx, heads, 20)
+            cli._eval_checkpoint(tmp_path, hierarchy, dataset, idx, heads.teachers, 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 45e6, peak
+
+    def test_peak_memory_within_one_and_a_half_checkpoints(self, tmp_path):
+        """Heads of hidden 256 make up nearly all of the checkpoint. eval forwards the checkpoint's own
+        teacher arrays; a copy of the whole state into a student, teacher and velocity buffer peaked
+        at 2.1 times the file's size."""
+        assert run(
+            "gen", "--out", tmp_path / "data", "--seed", 1, "--branching", 2, "--depth", 2, "--dim", 8,
+            "--train-per-leaf", 4, "--test-per-leaf", 2, "--labels-per-class", 2,
+        ) == 0
+        assert run(
+            "train", *inputs_of(tmp_path), "--out", tmp_path / "run", "--method", "supervised", "--epochs", 1,
+            "--labeled-batch-size", 8, "--hidden-dim", 256, "--seed", 0, "--quiet",
+        ) == 0
+        ckpt = tmp_path / "run" / "ckpt_epoch0001.bin"
+        tracemalloc.start()
+        try:
+            code = run("eval", "--checkpoint", ckpt, *inputs_of(tmp_path), "--out", tmp_path / "ev", "--split", "all")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * ckpt.stat().st_size, (peak, ckpt.stat().st_size)
 
     def test_peak_memory_below_one_node_matrix(self, large_split, tmp_path):
         hierarchy = load_hierarchy(large_split / "data" / "hierarchy.txt")

@@ -4,11 +4,14 @@ Every truncation or single-byte change of a small feature file, of a 2-epoch
 checkpoint, of the hierarchy file or of an `eval` prediction dump is fed to
 `inspect`, `eval --checkpoint` and `eval --predictions`, run in-process. Each
 run must exit 0 or 2, and a truncated feature file or checkpoint must always
-exit 2 with a message.
+exit 2 with a message. The `train --config` file that made the checkpoint is
+damaged the same ways: `train` must exit 0, 1 (a config error) or 2, and a
+config cut before its last byte (the newline) must exit 1.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -32,14 +35,15 @@ def run_quiet(*argv) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
+    config = {"epochs": 2, "labeled_batch_size": 4, "unlabeled_ratio": 2, "hidden_dim": 8, "tau": 0.6, "seed": 0}
+    (root / "config.json").write_text(json.dumps(config, indent=2) + "\n")  # as train writes its config.json
     assert run_quiet(
         "gen", "--out", root / "data", "--seed", 3, "--branching", 2, "--depth", 2, "--dim", 4,
         "--train-per-leaf", 4, "--test-per-leaf", 2, "--labels-per-class", 2,
     )[0] == 0
     assert run_quiet(
         "train", "--features", root / "data" / "features.bin", "--hierarchy", root / "data" / "hierarchy.txt",
-        "--out", root / "run", "--epochs", 2, "--labeled-batch-size", 4, "--unlabeled-ratio", 2,
-        "--hidden-dim", 8, "--tau", 0.6, "--seed", 0, "--quiet",
+        "--out", root / "run", "--config", root / "config.json", "--quiet",
     )[0] == 0
     assert run_quiet(
         "eval", "--checkpoint", root / "run" / "ckpt_epoch0002.bin", "--features", root / "data" / "features.bin",
@@ -56,6 +60,7 @@ def damaged(files, name: str, offset: int, mask: int | None) -> dict:
         "checkpoint": files / "run" / "ckpt_epoch0002.bin",
         "hierarchy": files / "data" / "hierarchy.txt",
         "predictions": files / "dump" / "predictions.txt",
+        "config": files / "config.json",
     }
     data = bytearray(paths[name].read_bytes())
     offset %= len(data)
@@ -72,6 +77,9 @@ def commands(files, name: str, offset: int, mask: int | None):
     """Every command that reads the damaged input `name`."""
     paths = damaged(files, name, offset, mask)
     inputs = ["--features", paths["features"], "--hierarchy", paths["hierarchy"]]
+    if name == "config":
+        yield ["train", *inputs, "--config", paths["config"], "--out", files / "tr", "--force", "--quiet"]
+        return
     out = ["--out", files / "ev", "--split", "all", "--force"]
     if name != "predictions":
         yield ["inspect", *inputs, "--checkpoint", paths["checkpoint"]]
@@ -107,6 +115,23 @@ class TestDamagedArtifacts:
         for argv in commands(files, name, offset, mask):
             code, err = run_quiet(*argv)
             assert code in (0, 2), (argv[0], err)
+            assert code == 0 or err.startswith("error: ")
+
+    @FUZZ
+    @given(offset=OFFSETS)
+    def test_truncated_config_exits_one_with_message(self, files, offset):
+        size = (files / "config.json").stat().st_size
+        for argv in commands(files, "config", offset, None):
+            code, err = run_quiet(*argv)
+            assert code == (0 if offset % size == size - 1 else 1), (offset % size, err)
+            assert code == 0 or err.startswith("error: config file ")
+
+    @FUZZ
+    @given(offset=OFFSETS, mask=MASKS)
+    def test_changed_config_byte_exits_zero_one_or_two(self, files, offset, mask):
+        for argv in commands(files, "config", offset, mask):
+            code, err = run_quiet(*argv)
+            assert code in (0, 1, 2), (argv[0], err)
             assert code == 0 or err.startswith("error: ")
 
 

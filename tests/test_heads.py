@@ -498,6 +498,30 @@ class TestDepthHeadsState:
         assert {a.dtype for a in heads.state_dict().values()} == {np.dtype(np.float32)}
 
 
+class TestRoleHeads:
+    def test_heads_are_the_entries_not_copies(self, animals):
+        classes = [len(animals.depth_space(d)) for d in range(1, animals.max_depth + 1)]
+        entries = {name: np.ones(shape, np.float32) for name, shape in H.entry_shapes(5, classes, 6).items()}
+        for role in H.ROLES:
+            heads = H.role_heads(entries, role, animals.max_depth, dropout=0.25)
+            assert len(heads) == animals.max_depth
+            for d, (weights, biases, dropout) in enumerate(heads, start=1):
+                assert dropout == 0.25
+                names = [f"{role}.d{d}.{kind}{layer}" for layer in range(H.N_LAYERS) for kind in "wb"]
+                arrays = [a for pair in zip(weights, biases) for a in pair]
+                assert [a.shape for a in arrays] == H.param_shapes(5, classes[d - 1], 6)
+                for name, array in zip(names, arrays, strict=True):
+                    assert array is entries[name] and np.shares_memory(array, entries[name])
+        entries["teacher.d2.w1"][0, 0] = 7.0  # a write to an entry shows in the head
+        assert H.role_heads(entries, "teacher", 2)[1][0][1][0, 0] == 7.0
+
+    def test_depth_heads_are_role_heads_of_their_state(self, animals):
+        heads = H.DepthHeads(animals, 5, hidden=6, dropout=0.5)
+        for role, own in (("student", heads.students), ("teacher", heads.teachers)):
+            for mine, made in zip(own, H.role_heads(heads.state_dict(), role, len(heads.depths), 0.5), strict=True):
+                assert mine[2] == made[2] and all(a is b for a, b in zip(mine[0] + mine[1], made[0] + made[1], strict=True))
+
+
 def float32_twin(head):
     weights, biases, dropout = head
     return [w.astype(np.float32) for w in weights], [b.astype(np.float32) for b in biases], dropout

@@ -838,7 +838,7 @@ class TestPredictBlocks:
         hierarchy, dataset = tiny_data
         features = with_test_rows(dataset, 2 * PREDICT_BATCH + 50, seed=n).features
         rows = np.random.default_rng(n).permutation(len(features))[:n]
-        slices, blocks = zip(*predict_blocks(trained.heads, hierarchy, features, rows)) if n else ((), ())
+        slices, blocks = zip(*predict_blocks(trained.heads.teachers, hierarchy, features, rows)) if n else ((), ())
         assert [i for block in slices for i in range(n)[block]] == list(range(n))
         assert [len(b) for b in blocks] == [len(range(n)[block]) for block in slices]
         assert all(len(b) == PREDICT_BATCH for b in blocks[:-1])
@@ -878,7 +878,7 @@ class TestPredictChunks:
         hierarchy, dataset, trained = chunked
         features = with_test_rows(dataset, 2 * PREDICT_BATCH + 50, seed=n).features
         rows = np.random.default_rng(n).permutation(len(features))[:n]
-        slices, chunks = zip(*predict_blocks(trained.heads, hierarchy, features, rows)) if n else ((), ())
+        slices, chunks = zip(*predict_blocks(trained.heads.teachers, hierarchy, features, rows)) if n else ((), ())
         assert [i for chunk in slices for i in range(n)[chunk]] == list(range(n))
         assert all(s.start // PREDICT_BATCH == (s.stop - 1) // PREDICT_BATCH for s in slices)  # within a forward
         assert [len(c) for c in chunks] == [len(range(n)[s]) for s in slices]
@@ -920,7 +920,7 @@ class TestPredictRows:
     def test_scores_equal_the_gathers_over_the_joined_matrix(self, wide, n):
         hierarchy, dataset, trained = wide
         rows = np.random.default_rng(n).permutation(len(dataset))[:n]
-        preds, node_conf, sub_conf = predict_rows(trained.heads, hierarchy, dataset.features, rows)
+        preds, node_conf, sub_conf = predict_rows(trained.heads.teachers, hierarchy, dataset.features, rows)
         fused = predict_dataset(trained.heads, hierarchy, dataset.features[rows])
         expected = fused.argmax(axis=1)
         assert preds.dtype == np.int64 and preds.tobytes() == expected.tobytes()
@@ -933,8 +933,8 @@ class TestPredictRows:
         hierarchy, dataset, trained = wide
         rows = np.random.default_rng(n).permutation(len(dataset))[:n]
         calls = []
-        scores = predict_rows(trained.heads, hierarchy, dataset.features, rows, lambda *args: calls.append(args))
-        chunks = [block for block, _ in predict_blocks(trained.heads, hierarchy, dataset.features, rows)]
+        scores = predict_rows(trained.heads.teachers, hierarchy, dataset.features, rows, lambda *args: calls.append(args))
+        chunks = [block for block, _ in predict_blocks(trained.heads.teachers, hierarchy, dataset.features, rows)]
         assert [block for block, *_ in calls] == chunks
         assert [i for block in chunks for i in range(n)[block]] == list(range(n))
         assert len(chunks) >= 6 * (n // PREDICT_BATCH)
