@@ -7,10 +7,10 @@ and the dropout rate; its sizes and dtype are read off the arrays. A dropout
 mask already carries the inverted-dropout scale: each entry is 0 or
 1/(1 - rate), so one multiply applies it. A head computes in the dtype of its
 parameters: inputs, masks, activations and gradients follow it. role_heads
-makes heads of checkpoint entries' arrays, not copies: the trainer's of the
-role buffers of DepthHeads, eval's of a checkpoint's own teacher arrays, both
-float32 (HEAD_DTYPE), which about halves the cost of their matmuls; the logits
-are cast up to float64 before the softmax, so the probabilities, the loss and the
+makes heads of checkpoint entries, not copies: the trainer's are views into
+the role buffers of DepthHeads, eval's are a checkpoint's own teacher arrays.
+Both are float32 (HEAD_DTYPE), which about halves the cost of their matmuls;
+the logits are cast up to float64 before the softmax, so the probabilities, the loss and the
 logit gradient are float64 whatever the head's dtype. The gradient oracle
 checks float64 heads through the same forward and backward code against
 central finite differences at tight tolerances. The trainer hands the
@@ -63,9 +63,9 @@ def entry_shapes(feature_dim: int, classes: list[int] | tuple[int, ...], hidden:
 
 def role_heads(entries: dict, role: str, n_depths: int, dropout: float = 0.0) -> list[tuple]:
     """The heads of `role` at depths 1..n_depths, of the arrays of `entries` under their entry_shapes names, not copies."""
-    name = functools.partial(ENTRY_NAME.format, role=role)
-    return [(*([entries[name(d=d, kind=kind, layer=layer)] for layer in range(N_LAYERS)] for kind in "wb"), dropout)
-            for d in range(1, n_depths + 1)]
+    def arrays(d, kind):
+        return [entries[ENTRY_NAME.format(role=role, d=d, kind=kind, layer=layer)] for layer in range(N_LAYERS)]
+    return [(arrays(d, "w"), arrays(d, "b"), dropout) for d in range(1, n_depths + 1)]
 
 
 def init_weights(weights: list[np.ndarray], rng: np.random.Generator) -> None:

@@ -474,7 +474,7 @@ def predict_blocks(teachers: list[tuple], hierarchy: Hierarchy, features: np.nda
     for start in range(0, len(rows), PREDICT_BATCH):
         x = features[rows[start : start + PREDICT_BATCH]]
         outputs = [heads_mod.forward(teacher, x) for teacher in teachers]
-        del x  # before the next block's vectors are read
+        del x  # not held through fusion
         n = len(outputs[0])
         chunks = -(-n // most)
         for lo, hi in ((n * i // chunks, n * (i + 1) // chunks) for i in range(chunks)):
