@@ -2,9 +2,10 @@
 
 Each oracle re-derives a result through a different route than the library
 code it checks: shortest paths by breadth-first search instead of ancestor
-climbing, lowest common ancestors by ancestor-set intersection, cutoffs from
-an explicit histogram with a prefix-maximum scan, and gradients by central
-finite differences. The runners below drive the oracles on seeded random
+climbing, lowest common ancestors by ancestor-set intersection, each node's
+cutoff from a histogram of its own epochs with a prefix-maximum scan instead
+of one count table over all nodes, and gradients by central finite
+differences. The runners below drive the oracles on seeded random
 instances; `fault` wires in a deliberate corruption so the check itself can
 be shown to catch regressions.
 """
@@ -21,7 +22,7 @@ from . import heads as heads_mod
 from .hierarchy import Hierarchy, random_tree
 from .prohoc import fuse_batch, subtree_confidences
 from .rng import named_rng
-from .spl import detect_cutoff
+from .spl import AgeGateState, SplLog, update_cutoffs
 
 
 def tree_adjacency(hierarchy: Hierarchy) -> list[list[int]]:
@@ -155,35 +156,43 @@ def check_fusion(cases: int, seed: int, fault: bool = False) -> OracleResult:
         if fault:
             probs = probs * 1.001
         conf = subtree_confidences(probs[None], tree)[0]
-        ok = abs(probs.sum() - 1.0) <= 1e-9 and probs.min() >= 0.0
-        for c in range(1, tree.n_nodes):
-            if conf[c] > conf[int(tree.parents[c])]:
-                ok = False
-        if not ok:
+        total, low = float(probs.sum()), float(probs.min())
+        rising = np.flatnonzero(conf[1:] > conf[tree.parents[1:]]) + 1
+        problem = (not abs(total - 1.0) <= 1e-9 and f"sum {total} is not 1") or (not low >= 0.0 and f"mass {low} is negative")
+        problem = problem or (len(rising) and f"node {rising[0]}'s subtree confidence exceeds its parent's")
+        if problem:
             failures += 1
             if not detail:
-                detail = f"sum was {probs.sum()!r} on a {tree.n_nodes}-node tree"
+                detail = f"{problem} on a {tree.n_nodes}-node tree"
     return OracleResult("fusion-normalization", cases, failures, detail)
 
 
 def check_cutoff(cases: int, seed: int, fault: bool = False) -> OracleResult:
-    """detect_cutoff vs the histogram-and-scan oracle on random epoch lists."""
+    """update_cutoffs on random logs and earlier cutoffs vs the histogram-and-scan
+    oracle, node by node: a cutoff is kept where it tightens, in the earlier
+    node's place or else after the earlier ones, in ascending id."""
     rng = named_rng(seed, "oracle-cutoff")
     failures = 0
     detail = ""
     for _ in range(cases):
-        current = int(rng.integers(0, 60))
-        n = int(rng.integers(0, 40))
-        epochs = rng.integers(0, current + 1, size=n).tolist()
+        current, n_nodes = int(rng.integers(0, 60)), int(rng.integers(2, 8))
+        nodes = rng.integers(0, n_nodes, int(rng.integers(0, 40)))  # 0 for no entry
         width = int(rng.integers(1, 6))
         gamma = float(rng.uniform(0.01, 0.95))
-        got = detect_cutoff(epochs, current, width, gamma)
+        log, logged = SplLog(np.arange(len(nodes)), np.ones(n_nodes, np.int64)), nodes > 0
+        log.node[logged, 0], log.first[logged, 0] = nodes[logged], rng.integers(0, current + 1, logged.sum())
+        earlier = {int(c): float(rng.integers(0, current + 2)) for c in rng.permutation(n_nodes) if c and rng.random() < 0.3}
+        gate = AgeGateState(width, gamma, dict(earlier))
+        changed = update_cutoffs(gate, log, current)
         if fault:
-            got = got + width if math.isfinite(got) else 0.0
-        if got != histogram_scan_cutoff(epochs, current, width, gamma):
+            gate.cutoffs = {c: t + width for c, t in gate.cutoffs.items()} or {1: 0.0}
+        scanned = {c: histogram_scan_cutoff(log.first[log.node == c], current, width, gamma) for c in range(1, n_nodes)}
+        want = earlier | {c: t for c, t in scanned.items() if t < earlier.get(c, math.inf)}
+        if list(gate.cutoffs.items()) != list(want.items()) or changed != (want != earlier):
             failures += 1
             if not detail:
-                detail = f"epochs={epochs} E={current} w={width} gamma={gamma:.3f}"
+                epochs = log.first[:, 0].tolist()
+                detail = f"nodes={nodes.tolist()} epochs={epochs} earlier={earlier} E={current} w={width} gamma={gamma:.3f}"
     return OracleResult("cutoff-detection", cases, failures, detail)
 
 

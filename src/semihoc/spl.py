@@ -20,8 +20,9 @@ keep collecting new, increasingly deep assignments late in training, well
 after the initial wave of correct ones. Per node we detect the first
 significant drop after the assignment-frequency peak (histogram over
 first-assignment epochs) and block any assignment that happened after that
-cutoff. Cutoffs only ever tighten; reopening a node later would defeat the
-purpose of the gate.
+cutoff. All logged nodes' histograms are one (nodes x bins) count table,
+scanned at once. Cutoffs only ever tighten; reopening a node later would
+defeat the purpose of the gate.
 """
 
 from __future__ import annotations
@@ -139,34 +140,6 @@ def update_log(log: SplLog, rows: np.ndarray, assigned: np.ndarray, epoch: int) 
     log.node[rows], log.first[rows] = assigned, first
 
 
-def detect_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: float) -> float:
-    """First histogram bin whose count drops below a fraction of the peak.
-
-    Epochs are binned into consecutive width-w bins anchored at zero and
-    covering [0, current_epoch], empty bins included. Scanning in order, a
-    bin that exceeds the running maximum raises it; otherwise a count
-    strictly below drop_threshold * maximum ends the scan and its left edge
-    is returned. Returns infinity when no such drop occurs.
-    """
-    if bin_width < 1:
-        raise ValueError("bin width must be >= 1")
-    if not 0.0 < drop_threshold < 1.0:
-        raise ValueError("drop threshold must be in (0, 1)")
-    epochs = np.asarray(epochs, dtype=np.int64)
-    outside = (epochs < 0) | (epochs > current_epoch)
-    if outside.any():
-        raise ValueError(f"assignment epoch {epochs[outside][0]} outside [0, {current_epoch}]")
-    counts = np.bincount(epochs // bin_width, minlength=current_epoch // bin_width + 1)
-
-    max_count = 0
-    for i, count in enumerate(counts.tolist()):
-        if count > max_count:
-            max_count = count
-        elif count < drop_threshold * max_count:
-            return float(i * bin_width)
-    return math.inf
-
-
 @dataclass
 class AgeGateState:
     """Per-node cutoff epochs plus the detector hyperparameters."""
@@ -192,19 +165,35 @@ class AgeGateState:
 
 
 def update_cutoffs(state: AgeGateState, log: SplLog, current_epoch: int) -> bool:
-    """End-of-epoch cutoff detection over each node's logged epochs; a cutoff
-    can only ever decrease. True when some cutoff changed."""
-    nodes = log.node.ravel()
-    logged = np.flatnonzero(nodes >= 0)
-    order = logged[np.argsort(nodes[logged], kind="stable")]  # grouped by node, rows ascending inside a group
-    nodes, epochs = nodes[order], log.first.ravel()[order]
-    starts = np.flatnonzero(np.diff(nodes, prepend=-1))
-    changed = False
-    for node, node_epochs in zip(nodes[starts].tolist(), np.split(epochs, starts[1:])):
-        detected = detect_cutoff(node_epochs, current_epoch, state.bin_width, state.drop_threshold)
-        if detected < state.cutoffs.get(node, math.inf):
-            state.cutoffs[node], changed = detected, True
-    return changed
+    """End-of-epoch cutoff detection for every logged node at once; a cutoff
+    can only ever decrease. True when some cutoff changed.
+
+    A node's first-assignment epochs are counted in width-w bins anchored at
+    zero over [0, current_epoch]. Its cutoff is the left edge of the first bin
+    below drop_threshold times the largest count before it. Nodes given their
+    first cutoff go after the others, in ascending id. The (nodes x bins)
+    count table is built in chunks of nodes no larger than the log's node table.
+    """
+    logged = log.node >= 0
+    epochs = log.first[logged].astype(np.int64)
+    outside = (epochs < 0) | (epochs > current_epoch)
+    if outside.any():
+        raise ValueError(f"assignment epoch {epochs[outside][0]} outside [0, {current_epoch}]")
+    nodes, rank = np.unique(log.node[logged], return_inverse=True)
+    n_bins = current_epoch // state.bin_width + 1
+    keys = np.sort(rank * n_bins + epochs // state.bin_width)
+    chunk = max(1, log.node.size // n_bins)
+    cutoffs = np.full(len(nodes), math.inf)
+    for lo in range(0, len(nodes), chunk):
+        rows = min(chunk, len(nodes) - lo)
+        a, b = np.searchsorted(keys, [lo * n_bins, (lo + rows) * n_bins])
+        counts = np.bincount(keys[a:b] - lo * n_bins, minlength=rows * n_bins).reshape(rows, n_bins)
+        below = counts[:, 1:] < state.drop_threshold * np.maximum.accumulate(counts, axis=1)[:, :-1]
+        cutoffs[lo : lo + rows] = np.where(below, np.arange(1, n_bins) * state.bin_width, math.inf).min(axis=1, initial=math.inf)
+    found = np.isfinite(cutoffs)
+    tighter = {c: t for c, t in zip(nodes[found].tolist(), cutoffs[found].tolist()) if t < state.cutoffs.get(c, math.inf)}
+    state.cutoffs.update(tighter)  # a tightened node keeps its place
+    return bool(tighter)
 
 
 def apply_gating(assigned: np.ndarray, first: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:

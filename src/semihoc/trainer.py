@@ -581,7 +581,7 @@ def _differs(key: str, value, own, source: str, spec: str = "") -> str | None:
 
 
 def _gate(gate: dict, n_nodes, config: TrainConfig) -> str | None:
-    """Cutoffs that detect_cutoff can give, on non-root nodes of the tree, and the config's detector."""
+    """Cutoffs that update_cutoffs can give, on non-root nodes of the tree, and the config's detector."""
     for node, t in ((int(node), float(t)) for node, t in gate["cutoffs"].items()):
         if not t >= 0.0:  # NaN fails too
             return f"cutoff of node {node} is {t}, not an epoch in [0, inf]"

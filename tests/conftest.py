@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from semihoc.datagen import SyntheticConfig, generate, sample_labeled_subset
 from semihoc.hierarchy import Hierarchy
+from semihoc.spl import AgeGateState, SplLog, update_cutoffs
 
 
 def example_tree() -> Hierarchy:
@@ -10,6 +13,15 @@ def example_tree() -> Hierarchy:
     names = ["Root", "Mammal", "Bird", "Cat", "Dog", "Eagle", "Junco"]
     parents = [-1, 0, 0, 1, 1, 2, 2]
     return Hierarchy(parents, names, id_leaves=[3, 4, 5, 6])
+
+
+def one_node_cutoff(epochs, current_epoch: int, bin_width: int, drop_threshold: float) -> float:
+    """The cutoff update_cutoffs gives node 1 of a log holding it on one row per epoch in `epochs`."""
+    log = SplLog(np.arange(len(epochs)), np.array([0, 1]))
+    log.node[:, 0], log.first[:, 0] = 1, epochs
+    gate = AgeGateState(bin_width, drop_threshold)
+    update_cutoffs(gate, log, current_epoch)
+    return gate.cutoffs.get(1, math.inf)
 
 
 @pytest.fixture(scope="session")

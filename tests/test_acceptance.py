@@ -4,7 +4,6 @@ Criteria 7-9 rerun the reference synthetic benchmark (three seeds, several
 minutes); set SEMIHOC_ACCEPT_FAST=1 to skip those during development.
 """
 
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -12,8 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import one_node_cutoff
 from semihoc import heads as heads_mod
-from semihoc import spl as spl_mod
+from semihoc import trainer as trainer_mod
 from semihoc.benchmark import REFERENCE_SEEDS, ood_subtree_bins, run_arm, seed_mean
 from semihoc.datagen import SyntheticConfig, generate, sample_labeled_subset
 from semihoc.hierarchy import random_tree
@@ -27,7 +27,6 @@ from semihoc.oracles import (
 )
 from semihoc.prohoc import fuse_batch, subtree_confidences
 from semihoc.rng import named_rng
-from semihoc.spl import detect_cutoff
 from semihoc.trainer import TrainConfig, run_training
 
 FAST = os.environ.get("SEMIHOC_ACCEPT_FAST") == "1"
@@ -87,15 +86,15 @@ def test_criterion_2_fusion_normalization():
 
 def test_criterion_3_cutoff_oracle():
     with criterion(3, "cutoff-detection oracle, 10000 epoch lists"):
-        assert detect_cutoff([1, 1, 2, 2, 2, 3, 10], 10, 1, 0.2) == 4
-        assert detect_cutoff([5, 5, 5], 20, 1, 0.5) == 6
+        assert one_node_cutoff([1, 1, 2, 2, 2, 3, 10], 10, 1, 0.2) == 4
+        assert one_node_cutoff([5, 5, 5], 20, 1, 0.5) == 6
         rng = named_rng(103, "accept-cutoff")
         for _ in range(10_000):
             current = int(rng.integers(0, 60))
             epochs = rng.integers(0, current + 1, size=int(rng.integers(0, 40))).tolist()
             width = int(rng.integers(1, 6))
             gamma = float(rng.uniform(0.01, 0.95))
-            assert detect_cutoff(epochs, current, width, gamma) == histogram_scan_cutoff(
+            assert one_node_cutoff(epochs, current, width, gamma) == histogram_scan_cutoff(
                 epochs, current, width, gamma
             )
 
@@ -215,7 +214,7 @@ def test_criterion_6_degeneracy_equivalences(small_training_setup, monkeypatch):
             assert all(u == 0.0 for u in a.loss_unlabeled)
 
         r_nogate, _ = run_training(_cfg(method="semihoc-no-gate"), hierarchy, dataset)
-        monkeypatch.setattr(spl_mod, "detect_cutoff", lambda *a, **k: math.inf)
+        monkeypatch.setattr(trainer_mod, "update_cutoffs", lambda *a: False)
         r_inf, _ = run_training(_cfg(), hierarchy, dataset)
         for a, b in zip(r_nogate, r_inf):
             assert a.loss_labeled == b.loss_labeled

@@ -410,17 +410,21 @@ class TestHashedOnce:
             assert hashed == [tree_bytes], name
 
 
+ORACLE_CHECKS = {"tree": "tree-algebra", "fusion": "fusion-normalization", "cutoff": "cutoff-detection", "gradient": "gradient-check"}
+
+
 class TestOracleCheck:
     def test_all_pass(self, capsys):
         assert run("oracle-check", "--cases", 20, "--seed", 7) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
 
-    @pytest.mark.parametrize("fault", ["tree", "fusion", "cutoff", "gradient"])
+    @pytest.mark.parametrize("fault", list(ORACLE_CHECKS))
     def test_injected_fault_detected(self, fault, capsys):
+        """The injected check fails, and only it."""
         assert run("oracle-check", "--cases", 10, "--seed", 7, "--inject-fault", fault) == 2
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+        verdicts = {line.split()[1].rstrip(":"): line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        assert verdicts == {name: "FAIL" if key == fault else "PASS" for key, name in ORACLE_CHECKS.items()}
 
     @pytest.mark.parametrize("cases", [0, -2])
     def test_cases_below_one_exit_one(self, capsys, cases):
@@ -665,7 +669,7 @@ class TestCheckpointEntries:
             field, value = {"nan-lr": ("lr", float("nan")), "tau-below-one-half": ("tau", 0.4), "bool-ema-momentum": ("ema_momentum", True)}[kind]
             meta["config"][field] = value
             entries["meta"] = np.array(json.dumps(meta))
-        elif kind in ("nan-cutoff", "negative-cutoff"):  # detect_cutoff gives only values in [0, inf]
+        elif kind in ("nan-cutoff", "negative-cutoff"):  # update_cutoffs gives only values in [0, inf]
             meta = json.loads(entries["meta"].item())
             meta["gate"]["cutoffs"]["1"] = float("nan") if kind == "nan-cutoff" else -2.0
             entries["meta"] = np.array(json.dumps(meta))

@@ -4,9 +4,12 @@ Every truncation or single-byte change of a small feature file, of a 2-epoch
 checkpoint, of the hierarchy file or of an `eval` prediction dump is fed to
 `inspect`, `eval --checkpoint` and `eval --predictions`, run in-process. Each
 run must exit 0 or 2, and a truncated feature file or checkpoint must always
-exit 2 with a message. The `train --config` file that made the checkpoint is
-damaged the same ways: `train` must exit 0, 1 (a config error) or 2, and a
-config cut before its last byte (the newline) must exit 1.
+exit 2 with a message. The run's epoch-1 checkpoint is damaged the same ways
+and resumed for its last epoch by `train --resume`, so that a damaged log or
+gate that loads goes through a training epoch and its cutoff update. The
+`train --config` file that made the checkpoints is damaged the same ways:
+`train` must exit 0, 1 (a config error) or 2, and a config cut before its
+last byte (the newline) must exit 1.
 """
 
 import contextlib
@@ -35,7 +38,7 @@ def run_quiet(*argv) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    config = {"epochs": 2, "labeled_batch_size": 4, "unlabeled_ratio": 2, "hidden_dim": 8, "tau": 0.6, "seed": 0}
+    config = {"epochs": 2, "labeled_batch_size": 4, "unlabeled_ratio": 2, "hidden_dim": 8, "tau": 0.6, "seed": 0, "checkpoint_every": 1}
     (root / "config.json").write_text(json.dumps(config, indent=2) + "\n")  # as train writes its config.json
     assert run_quiet(
         "gen", "--out", root / "data", "--seed", 3, "--branching", 2, "--depth", 2, "--dim", 4,
@@ -58,6 +61,7 @@ def damaged(files, name: str, offset: int, mask: int | None) -> dict:
     paths = {
         "features": files / "data" / "features.bin",
         "checkpoint": files / "run" / "ckpt_epoch0002.bin",
+        "resume": files / "run" / "ckpt_epoch0001.bin",
         "hierarchy": files / "data" / "hierarchy.txt",
         "predictions": files / "dump" / "predictions.txt",
         "config": files / "config.json",
@@ -77,8 +81,9 @@ def commands(files, name: str, offset: int, mask: int | None):
     """Every command that reads the damaged input `name`."""
     paths = damaged(files, name, offset, mask)
     inputs = ["--features", paths["features"], "--hierarchy", paths["hierarchy"]]
-    if name == "config":
-        yield ["train", *inputs, "--config", paths["config"], "--out", files / "tr", "--force", "--quiet"]
+    if name in ("config", "resume"):
+        resume = ["--resume", paths["resume"]] if name == "resume" else []
+        yield ["train", *inputs, "--config", paths["config"], *resume, "--out", files / "tr", "--force", "--quiet"]
         return
     out = ["--out", files / "ev", "--split", "all", "--force"]
     if name != "predictions":
@@ -89,7 +94,7 @@ def commands(files, name: str, offset: int, mask: int | None):
 
 
 class TestDamagedArtifacts:
-    @pytest.mark.parametrize("name", ["features", "checkpoint"])
+    @pytest.mark.parametrize("name", ["features", "checkpoint", "resume"])
     @FUZZ
     @given(offset=OFFSETS)
     def test_truncation_exits_two_with_message(self, files, name, offset):
@@ -108,7 +113,7 @@ class TestDamagedArtifacts:
             assert code in (0, 2), (argv[0], err)
             assert code == 0 or err.startswith("error: ")
 
-    @pytest.mark.parametrize("name", ["features", "checkpoint", "hierarchy", "predictions"])
+    @pytest.mark.parametrize("name", ["features", "checkpoint", "resume", "hierarchy", "predictions"])
     @FUZZ
     @given(offset=OFFSETS, mask=MASKS)
     def test_changed_byte_exits_zero_or_two(self, files, name, offset, mask):

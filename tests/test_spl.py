@@ -1,12 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import example_tree
-from semihoc import spl as spl_mod
+from conftest import example_tree, one_node_cutoff
 from semihoc.hierarchy import random_tree
 from semihoc.oracles import histogram_scan_cutoff
 from semihoc.prohoc import fuse_batch, subtree_confidences
@@ -16,7 +16,6 @@ from semihoc.spl import (
     apply_gating,
     assign,
     compute_spls_batch,
-    detect_cutoff,
     update_cutoffs,
     update_log,
 )
@@ -261,10 +260,10 @@ class TestInPlaceLogUpdates:
                 for c in range(n_nodes):
                     column = dense_log[:, c]
                     if (column >= 0).any():
-                        detected = detect_cutoff(column[column >= 0], epoch, 1, 0.5)
+                        detected = histogram_scan_cutoff(column[column >= 0], epoch, 1, 0.5)
                         if detected < dense_gate.cutoffs.get(c, math.inf):
                             dense_gate.cutoffs[c] = detected
-                assert gate.cutoffs == dense_gate.cutoffs
+                assert list(gate.cutoffs.items()) == list(dense_gate.cutoffs.items())
 
         assert log.first.dtype == dense_log.dtype
         for state, dense in ((log.state_dict(), dense_log), (log.history_state(), dense_history)):
@@ -274,28 +273,30 @@ class TestInPlaceLogUpdates:
 
 
 class TestDetectCutoff:
+    """update_cutoffs' detection on a log holding a single node."""
+
     def test_empty_list(self):
-        assert detect_cutoff([], 10, 1, 0.2) == math.inf
+        assert one_node_cutoff([], 10, 1, 0.2) == math.inf
 
     def test_documented_trace(self):
         # bins 0..10; counts 0,2,3,1,0,...: max=3 at bin 2; bin 3 count 1
         # is not below 0.6; bin 4 count 0 is -> left edge 4
-        assert detect_cutoff([1, 1, 2, 2, 2, 3, 10], 10, 1, 0.2) == 4
+        assert one_node_cutoff([1, 1, 2, 2, 2, 3, 10], 10, 1, 0.2) == 4
 
     def test_leading_zero_bins_never_trigger(self):
-        assert detect_cutoff([5, 5, 5], 20, 1, 0.5) == 6
+        assert one_node_cutoff([5, 5, 5], 20, 1, 0.5) == 6
 
     def test_growing_counts_return_inf(self):
-        assert detect_cutoff([0, 1, 1, 2, 2, 2], 2, 1, 0.5) == math.inf
+        assert one_node_cutoff([0, 1, 1, 2, 2, 2], 2, 1, 0.5) == math.inf
 
     def test_count_equal_to_threshold_continues(self):
         # bin 1 count equals gamma*max exactly: strict < means no cutoff
         # there; the zero bin after it triggers instead
-        assert detect_cutoff([0, 0, 0, 0, 1, 1], 2, 1, 0.5) == 2
+        assert one_node_cutoff([0, 0, 0, 0, 1, 1], 2, 1, 0.5) == 2
 
     def test_bin_width(self):
         # width 2: bins [0,2),[2,4),[4,6): counts 3,0 -> edge 2
-        assert detect_cutoff([0, 0, 1], 4, 2, 0.5) == 2
+        assert one_node_cutoff([0, 0, 1], 4, 2, 0.5) == 2
 
     @given(st.integers(0, 20_000))
     @settings(max_examples=300, deadline=None)
@@ -305,11 +306,11 @@ class TestDetectCutoff:
         epochs = rng.integers(0, current + 1, size=int(rng.integers(0, 30))).tolist()
         w = int(rng.integers(1, 5))
         gamma = float(rng.uniform(0.01, 0.95))
-        assert detect_cutoff(epochs, current, w, gamma) == histogram_scan_cutoff(epochs, current, w, gamma)
+        assert one_node_cutoff(epochs, current, w, gamma) == histogram_scan_cutoff(epochs, current, w, gamma)
 
     def test_epoch_beyond_current_rejected(self):
         with pytest.raises(ValueError):
-            detect_cutoff([11], 10, 1, 0.2)
+            one_node_cutoff([11], 10, 1, 0.2)
 
 
 class TestUpdateCutoffs:
@@ -335,20 +336,53 @@ class TestUpdateCutoffs:
         update_cutoffs(gate, log, 12)  # detector alone would say 6
         assert gate.vector(7)[BIRD] == 4.0
 
-    def test_each_logged_node_gets_its_column(self, monkeypatch):
+    def test_each_logged_node_gets_its_column(self):
         rng = np.random.default_rng(23)
         tree = random_tree(rng, 9)
         log = SplLog(np.arange(40), tree.depths, np.int8)
         ends = rng.integers(1, 9, 40)
         within = np.arange(1, tree.max_depth + 1) <= tree.depths[ends, None]
         log.node[...] = np.where(within, tree.ancestors[ends, 1:], -1)
-        log.node[log.node == 4] = -1  # a node with no entry is not scanned
+        log.node[log.node == 4] = -1  # a node with no entry gets no cutoff
         log.first[...] = np.where(log.node >= 0, rng.integers(0, 6, log.node.shape), -1)
-        seen = []
-        monkeypatch.setattr(spl_mod, "detect_cutoff", lambda epochs, *args: seen.append(list(epochs)) or math.inf)
-        assert not update_cutoffs(AgeGateState(1, 0.2), log, 5)
-        assert seen == [log.first[log.node == c].tolist() for c in range(9) if (log.node == c).any()]
-        assert len(seen) > 3
+        gate = AgeGateState(1, 0.2)
+        scanned = {c: histogram_scan_cutoff(log.first[log.node == c], 5, 1, 0.2) for c in range(9) if (log.node == c).any()}
+        assert update_cutoffs(gate, log, 5) == any(t < math.inf for t in scanned.values())
+        assert list(gate.cutoffs.items()) == [(c, t) for c, t in scanned.items() if t < math.inf]
+        assert len(scanned) > 3 and 4 not in scanned
+
+    def test_new_nodes_go_last_in_ascending_id_and_tightened_ones_stay(self):
+        """The checkpoint's meta holds the cutoffs dict, so its order is part of the checkpoint."""
+        log, gate = new_log(), AgeGateState(1, 0.5)
+        for sample, node, epoch in [(0, JUNCO, 0), (1, JUNCO, 0), (3, EAGLE, 0), (4, EAGLE, 1), (5, EAGLE, 2),
+                                    (6, MAMMAL, 1), (7, MAMMAL, 2), (8, MAMMAL, 3), (9, MAMMAL, 4)]:
+            log_chain(log, sample, (node,), epoch)
+        assert update_cutoffs(gate, log, 4)  # Mammal's counts 0, 1, 1, 1, 1 never drop
+        assert list(gate.cutoffs.items()) == [(EAGLE, 3.0), (JUNCO, 1.0)]
+        assert not update_cutoffs(gate, log, 4)
+
+        log_chain(log, 5, (), 5)  # Eagle's epoch-2 entry goes, so its cutoff tightens to 2
+        log_chain(log, 2, (BIRD,), 5)
+        log_chain(log, 10, (DOG,), 5)
+        assert update_cutoffs(gate, log, 6)
+        assert list(gate.cutoffs.items()) == [(EAGLE, 2.0), (JUNCO, 1.0), (MAMMAL, 5.0), (BIRD, 6.0), (DOG, 6.0)]
+        assert all(type(t) is float for t in gate.cutoffs.values())
+
+    def test_peak_memory_stays_within_ten_logs(self):
+        """The (nodes x bins) table of 2,000 nodes over 400 epochs takes 40 times the log's node
+        table; built in chunks, update_cutoffs' peak stays within 10 times it."""
+        rng = np.random.default_rng(5)
+        log = SplLog(np.arange(10_000), np.full(2_001, 2), np.int16)
+        log.node[...] = rng.integers(1, 2_001, log.node.shape)
+        log.first[...] = rng.integers(0, 400, log.node.shape)
+        assert len(np.unique(log.node)) * 400 * 8 >= 20 * log.node.nbytes
+        tracemalloc.start()
+        try:
+            update_cutoffs(AgeGateState(1, 0.5), log, 399)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * log.node.nbytes
 
 
 class TestGateState:
