@@ -23,9 +23,12 @@ pseudo-labels and evaluation. A head's gradient is one flat vector laid out
 like its DepthHeads segment, which sgd_step uses up as scratch. Forward,
 backward, SGD and EMA work in place on fresh buffers wherever the result is
 the same float as the out-of-place expression. The depth heads of a step
-are independent of each other, so map_depths can share them out to threads:
-numpy's BLAS calls and large elementwise loops run without the interpreter
-lock, and each head computes exactly as it would alone.
+are independent of each other, so map_depths can share their work out to
+threads, each free thread pulling the next item: numpy's BLAS calls and large
+elementwise loops run without the interpreter lock, and each head computes
+exactly as it would alone. The unlabeled rows of a batch train a depth only
+where they carry a target, and sample_masks draws the dropout uniforms of
+those rows alone, passing the stream over the others' draws.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -42,6 +46,10 @@ N_LAYERS = 4
 HEAD_DTYPE = np.dtype(np.float32)  # of DepthHeads' parameters, velocities and checkpoint entries
 ROLES = ("student", "teacher", "velocity")
 ENTRY_NAME = "{role}.d{d}.{kind}{layer}"  # of a head parameter in a checkpoint: `teacher.d2.w0`, kind w or b
+# What sample_masks' run path pays per run of live rows, an advance and a draw call in each of the four mask
+# layers, in uniforms' time: 10-16 us against about 4 ns a uniform (2 cores, numpy 2.4.6, 484 scattered rows at
+# hidden 64 and 512), so drawing run by run is the faster at up to about 30% live rows at hidden 512 and 5% at 64.
+RUN_DRAWS = 4096
 
 
 def param_shapes(in_dim: int, out_dim: int, hidden: int) -> list[tuple[int, ...]]:
@@ -86,15 +94,44 @@ def sample_masks(head: tuple, n: int, rng: np.random.Generator, live: np.ndarray
     keep-mask times the inverted-dropout scale 1/(1 - rate), so 0 or 1/(1 - rate),
     in the head's dtype. The uniforms are drawn and compared in float64 whatever
     that dtype, so the keep decisions and the stream's use do not depend on it.
-    A boolean row mask `live` keeps only its rows, `[m[live] for m in masks]`,
-    from uniforms drawn for all n rows, so the stream moves alike."""
+    A boolean row mask `live` keeps only its rows: the masks are
+    `[m[live] for m in masks]` of the all-rows draw, and the stream ends where
+    that draw leaves it. When the live rows come in few runs against the dead
+    rows (_draws_live_runs), each mask layer draws only the runs' uniforms and
+    advances the stream over the dead rows' draws, one PCG64 step each."""
     weights, _, dropout = head
-    scale = weights[0].dtype.type(1.0 / (1.0 - dropout))
-    masks = []
-    for shape in _mask_shapes(head, n):
-        keep = rng.random(shape) >= dropout
-        masks.append(np.multiply(keep if live is None else keep[live], scale, dtype=weights[0].dtype))
+    dtype = weights[0].dtype
+    scale = dtype.type(1.0 / (1.0 - dropout))
+    runs = _draws_live_runs(head, live) if live is not None else None
+    masks, skip = [], 0  # skip: the draws of dead rows passed over and not yet advanced
+    for rows, cols in _mask_shapes(head, n):
+        if runs is None:
+            keep = rng.random((rows, cols)) >= dropout
+            keep = keep if live is None else keep[live]
+        else:
+            u, at, pos = np.empty((np.count_nonzero(live), cols)), 0, 0  # at: rows of u drawn; pos: rows passed
+            for start, stop in runs:
+                skip += (start - pos) * cols
+                if skip:
+                    rng.bit_generator.advance(skip)
+                rng.random(out=u[at : at + stop - start])
+                at, pos, skip = at + stop - start, stop, 0
+            skip += (rows - pos) * cols
+            keep = u >= dropout
+        masks.append(np.multiply(keep, scale, dtype=dtype))
+    if skip:
+        rng.bit_generator.advance(skip)
     return masks
+
+
+def _draws_live_runs(head: tuple, live: np.ndarray) -> list[tuple[int, int]] | None:
+    """The runs [start, stop) of consecutive live rows, when drawing them run by run beats drawing every row:
+    a run costs about RUN_DRAWS uniforms' time over the four layers, and a dead row saves mask_draws(head, 1).
+    None otherwise."""
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).tolist()  # where runs start and stop
+    runs = list(zip(edges[::2], edges[1::2]))
+    dead = len(live) - sum(stop - start for start, stop in runs)
+    return runs if len(runs) * RUN_DRAWS < dead * mask_draws(head, 1) else None
 
 
 def mask_draws(head: tuple, n: int) -> int:
@@ -160,22 +197,32 @@ def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarr
     return [flat[run].reshape(shape) for run, shape in zip(_runs(map(math.prod, shapes)), shapes)]
 
 
-def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> np.ndarray:
+def backward(head: tuple, cache: dict, d_logits: np.ndarray, add_to: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     """Gradient w.r.t. all parameters in one fresh vector of the head's dtype,
     laid out like a DepthHeads segment (w0, b0, w1, ...), given the loss
     gradient at the logits; each parameter's part is written in place, at
-    offsets walked down from the end by the parameters' sizes."""
+    offsets walked down from the end by the parameters' sizes. Given
+    `add_to`, a vector laid out alike, each part is instead computed apart,
+    multiplied by `scale` and added to its place there, and `add_to` is
+    returned: the floats of `add_to += gradient * scale` on whole vectors,
+    with one layer's parts alive at a time instead of a second gradient."""
     weights, biases, _ = head
     masks, inputs = cache["masks"], cache["inputs"]
-    grad = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), weights[0].dtype)
+    dtype = weights[0].dtype
+    grad = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)), dtype) if add_to is None else add_to
     stop = grad.size  # end of the next part down: views built per call cost more than the matmuls of small heads
-    delta = (d_logits * cache["clip_mask"]).astype(weights[0].dtype, copy=False)
+    delta = (d_logits * cache["clip_mask"]).astype(dtype, copy=False)
     for layer in range(N_LAYERS - 1, -1, -1):
         w, b = weights[layer], biases[layer]
-        delta.sum(axis=0, out=grad[stop - b.size : stop])
-        stop -= b.size
-        np.matmul(inputs[layer].T, delta, out=grad[stop - w.size : stop].reshape(w.shape))
-        stop -= w.size
+        parts = grad[stop - b.size : stop], grad[stop - b.size - w.size : stop - b.size]
+        outs = parts if add_to is None else (np.empty(b.size, dtype), np.empty(w.size, dtype))
+        delta.sum(axis=0, out=outs[0])
+        np.matmul(inputs[layer].T, delta, out=outs[1].reshape(w.shape))
+        if add_to is not None:
+            for part, out in zip(parts, outs):
+                part += np.multiply(out, scale, out=out)
+            del out, outs  # not held through the next layer's delta
+        stop -= b.size + w.size
         if layer == 0:
             break
         delta = delta @ weights[layer].T
@@ -186,10 +233,11 @@ def backward(head: tuple, cache: dict, d_logits: np.ndarray) -> np.ndarray:
 
 
 def ce_loss_and_grad(
-    head: tuple, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None
+    head: tuple, x: np.ndarray, targets: np.ndarray, masks: list[np.ndarray] | None = None, add_to=None, scale: float = 1.0
 ) -> tuple[float, np.ndarray]:
     """Summed soft-target cross-entropy and its flat parameter gradient, as
-    backward gives it; `masks` as in forward_cached, None for evaluation mode.
+    backward gives it, `add_to` and `scale` included; `masks` as in
+    forward_cached, None for evaluation mode.
 
     `targets` has one float64 row per row of `x` over the head's classes; a
     row sums to one (a single target) or to an integer k (k unit-mass targets
@@ -202,7 +250,7 @@ def ce_loss_and_grad(
     loss = float(-(targets * np.log(p)).sum())
     d_logits = p * targets.sum(axis=1, keepdims=True)
     d_logits -= targets
-    return loss, backward(head, cache, d_logits)
+    return loss, backward(head, cache, d_logits, add_to, scale)
 
 
 @functools.cache
@@ -216,25 +264,38 @@ def _pool():
 
 
 def map_depths(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items], the items dealt round-robin to `workers`
-    threads: worker k calls fn on items k, k + workers, ... in turn. The
-    calling thread is worker 0 and a process-wide thread pool runs the
-    others. Items of different workers run at the same time, so fn must not
-    let two items write the same memory. The results come back in the order
-    of `items` once every worker is done."""
-    shares = [items[k::workers] for k in range(min(workers, len(items)))]
-    if len(shares) <= 1:
+    """[fn(item) for item in items] on up to `workers` threads: the calling
+    thread and the others from a process-wide pool each take the next item
+    not yet taken whenever they are free, so a long item does not hold back
+    the ones after it. Items on different threads run at the same time, so fn
+    must not let two items write the same memory. The results come back in
+    the order of `items` once every thread is done; a thread whose item
+    raised takes no more, and the error of the first such item is raised."""
+    n_threads = min(workers, len(items))
+    if n_threads <= 1:
         return [fn(item) for item in items]
-    pending = [_pool().submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]]
+    results, errors, lock, untaken = [None] * len(items), {}, threading.Lock(), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = next(untaken, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    pending = [_pool().submit(work) for _ in range(n_threads - 1)]
     try:
-        parts = [[fn(item) for item in shares[0]]]
+        work()
     finally:
         for future in pending:
-            future.exception()  # waits: no worker outlives the call, even when the calling thread's share raised
-    parts += [future.result() for future in pending]
-    results = [None] * len(items)
-    for k, part in enumerate(parts):
-        results[k :: len(parts)] = part
+            future.result()  # waits: no thread outlives the call
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -269,10 +330,6 @@ class DepthHeads:
             init_weights(weights, rng)
         self.buffers["teacher"][...] = self.buffers["student"]
 
-    def teacher_forward_all(self, x: np.ndarray, workers: int = 1) -> list[np.ndarray]:
-        """Eval-mode teacher probabilities at every depth, the depths shared by `workers` threads as map_depths shares them."""
-        return map_depths(lambda teacher: forward(teacher, x), self.teachers, workers)
-
     def sgd_step(self, d: int, g: np.ndarray, lr: float, momentum: float, weight_decay: float, scale: float = 1.0) -> None:
         """Classic SGD-momentum update of depth d's student, weight decay
         folded into the gradient, in place over its segment; `g` is its flat
@@ -288,14 +345,13 @@ class DepthHeads:
         v += g
         theta -= np.multiply(v, lr, out=g)
 
-    def ema_update_all(self, momentum: float) -> None:
-        """theta_t <- m*theta_t + (1-m)*theta_s, in place, a depth segment at
-        a time: a temporary of the whole buffer would raise peak memory by a
-        role's size."""
-        for seg in self.segments:
-            teacher = self.buffers["teacher"][seg]
-            teacher *= momentum
-            teacher += self.buffers["student"][seg] * (1.0 - momentum)
+    def ema_update(self, d: int, momentum: float) -> None:
+        """theta_t <- m*theta_t + (1-m)*theta_s over depth d's segment, in
+        place: its only temporary is the segment's (1-m)*theta_s."""
+        seg = self.segments[d - 1]
+        teacher = self.buffers["teacher"][seg]
+        teacher *= momentum
+        teacher += self.buffers["student"][seg] * (1.0 - momentum)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Every student, teacher and velocity array under its checkpoint

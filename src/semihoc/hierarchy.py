@@ -213,9 +213,17 @@ class Hierarchy:
         tins, top = self._preorder[self._check_depth(d) - 1][1], self.ancestors[self._check_node(nodes), d]
         return np.searchsorted(tins, self.tin[top]), np.searchsorted(tins, self.tout[top])
 
+    @cached_property
+    def run_table(self) -> np.ndarray:
+        """(depth - 1, lo/hi, node): target_runs of every node at every depth, built at first use. Nothing
+        builds it eagerly: a tree that is only generated, saved or loaded never pays for it."""
+        nodes = np.arange(self.n_nodes)
+        return np.stack([np.stack(self.target_runs(d, nodes)) for d in range(1, self.max_depth + 1)])
+
     def targets(self, d: int, nodes) -> np.ndarray:
-        """Depth-d targets (nodes.shape + (|space_d|,)) of samples supervised at `nodes`: uniform over each run."""
-        lo, hi = (run.ravel() for run in self.target_runs(d, nodes))
+        """Depth-d targets (nodes.shape + (|space_d|,)) of samples supervised at `nodes`: uniform over each
+        run, read off run_table."""
+        lo, hi = self.run_table[self._check_depth(d) - 1][:, self._check_node(nodes).ravel()]
         order, size = self._preorder[d - 1][0], hi - lo
         rows, step = np.nonzero(np.arange(size.max(initial=0)) < size[:, None])  # each run entry's row and offset
         out = np.zeros((len(lo), len(order)))

@@ -13,7 +13,10 @@ head's hidden ReLUs dead for good (seen on the reference benchmark, where a
 depth-1 head collapsed to a uniform output and every prediction stopped at
 the root). Cutoff detection runs at every epoch end, and the first step
 whose loss at some depth is not finite stops training with a ValueError
-naming the epoch and the depth.
+naming the epoch and the depth. A step runs on the depth workers in two
+phases: the teacher's forward passes and each depth's labeled pass, then,
+once the pseudo-labels are set on the calling thread, each depth's
+unlabeled pass, SGD step and EMA update.
 
 A row supervised at node c learns `Hierarchy.targets(d, c)` at each depth
 d. A labeled row's c is its label; each method fills one (unlabeled rows x
@@ -33,6 +36,7 @@ masks as methods that do.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -56,18 +60,22 @@ from .spl import AgeGateState, SplLog, apply_gating, assign, epoch_dtype, log_su
 
 METHODS = ("semihoc", "semihoc-no-gate", "supervised", "ssl-node", "ssl-per-depth", "spl-oracle")
 SUBTREE_METHODS = ("semihoc", "semihoc-no-gate")  # whose pseudo-labels are chain tables, so tau >= 1/2
+TEACHER_METHODS = (*SUBTREE_METHODS, "ssl-node", "ssl-per-depth")  # whose pseudo-labels come from the teacher heads
 
 # Upper bound on the global L2 norm of one depth head's gradient per step.
 GRAD_CLIP_NORM = 5.0
 
 # A depth's matmul work per step, (labeled + unlabeled batch rows) x hidden^2 multiply-adds, from
 # which the depths of a step share the cores: numpy keeps the interpreter lock on small arrays, so
-# below it threads lose. run_training on a 2-core host, 1 BLAS thread, seconds serial -> 2 workers:
+# below it threads lose. run_training on a 2-core host, 1 BLAS thread, seconds serial -> 2 workers,
+# measured on the earlier one-phase step with the depths dealt round-robin:
 #
 #   hidden                        64           128          256          384          512          768
 #   reference data, 40/30 epochs  0.35 -> 0.76 0.63 -> 1.31 1.48 -> 2.11 2.08 -> 1.97 4.15 -> 3.35 8.18 -> 5.29
 #   wide-tree data, 10 epochs     -            1.66 -> 2.59 2.83 -> 3.33
 #
+# The two-phase step, semihoc on the reference data for 30 epochs, medians of 4 alternating runs:
+# hidden 256 0.63 -> 0.59, 384 1.40 -> 0.84, 512 2.60 -> 1.83.
 # The reference config (612 rows at hidden 512: 1.6e8) shares; wide-tree (640 rows at 64) does not.
 PARALLEL_WORK = 1 << 27
 
@@ -219,7 +227,7 @@ class Trainer:
         # Pseudo-label state: a chain table over (unlabeled row, depth) and the record of its entries.
         self.log = SplLog(dataset.sample_ids[self.unlabeled_idx], hierarchy.depths, epoch_dtype(config.epochs))
         self._cutoffs = self.gate.vector(hierarchy.n_nodes)  # rebuilt whenever a cutoff changes
-        self._has_target = np.stack([np.less(*hierarchy.target_runs(d, np.arange(hierarchy.n_nodes))) for d in self.depths], 1)
+        self._has_target = np.less(*hierarchy.run_table.transpose(1, 2, 0))  # (node, depth); builds the table on this thread
         if config.method != "supervised" and len(self.unlabeled_idx) == 0:
             raise ValueError(f"method {config.method!r} needs a non-empty unlabeled split")
         if len(self.labeled_idx) == 0:
@@ -240,17 +248,18 @@ class Trainer:
 
     # -- per-method unlabeled target construction ---------------------------------
 
-    def _assign_semihoc(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
+    def _assign_semihoc(self, batch_u: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
         """Log this batch's subtree pseudo-labels and return them gated."""
-        fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), self.hierarchy)
-        assigned = assign(fused, self.hierarchy, self.config.tau)
+        assigned = assign(fuse_batch(probs, self.hierarchy), self.hierarchy, self.config.tau)
         rows = np.searchsorted(self.unlabeled_idx, batch_u)
         update_log(self.log, rows, assigned, self.epoch)
         return apply_gating(assigned, self.log.first[rows], self._cutoffs)
 
-    def _unlabeled_targets(self, batch_u: np.ndarray, x_u: np.ndarray) -> np.ndarray:
+    def _unlabeled_targets(self, batch_u: np.ndarray, probs: list[np.ndarray] | None) -> np.ndarray:
         """Rows of batch_u by depths: entry (i, d - 1) is the node whose
-        `Hierarchy.targets` at depth d is row i's depth-d target, -1 for none."""
+        `Hierarchy.targets` at depth d is row i's depth-d target, -1 for none.
+        `probs` holds the teacher's eval-mode outputs of the rows at depths
+        1..D, which the TEACHER_METHODS read and the others ignore."""
         cfg, hierarchy = self.config, self.hierarchy
         if cfg.method == "supervised":
             return np.full((0, len(self.depths)), -1)
@@ -258,13 +267,12 @@ class Trainer:
             gts = self.dataset.labels[batch_u]
             chains = np.where(np.arange(1, len(self.depths) + 1) <= hierarchy.depths[gts, None], hierarchy.ancestors[gts, 1:], -1)
         elif cfg.method in SUBTREE_METHODS:
-            chains = self._assign_semihoc(batch_u, x_u)
+            chains = self._assign_semihoc(batch_u, probs)
         elif cfg.method == "ssl-node":  # the confident argmax node supervises every depth, like a label
-            fused = fuse_batch(self.heads.teacher_forward_all(x_u, self.workers), hierarchy)
+            fused = fuse_batch(probs, hierarchy)
             preds, passing = fused.argmax(axis=1), fused.max(axis=1) > cfg.tau
             return np.where(passing[:, None] & self._has_target[preds], preds[:, None], -1)
         else:  # ssl-per-depth: each depth's own confident argmax
-            probs = self.heads.teacher_forward_all(x_u, self.workers)
             nodes = [hierarchy.depth_space(d)[p.argmax(axis=1)] for d, p in zip(self.depths, probs)]
             return np.stack([np.where(p.max(axis=1) > cfg.tau, n, -1) for p, n in zip(probs, nodes)], axis=1)
         # A chain's node in depth space d, at most one: its depth-d node, or a chain-ending ID leaf above depth d.
@@ -277,44 +285,60 @@ class Trainer:
     # -- one optimization step ------------------------------------------------------
 
     def _train_step(self, batch_l: np.ndarray, batch_u: np.ndarray) -> tuple[list[float], list[float]]:
-        """One step of every depth's student, the depths shared by self.workers
-        threads. Each depth's dropout masks are one run of `dropout/labeled`
-        and one of `dropout/unlabeled`, in depth order, so depth d draws from
-        a copy of each stream advanced past the runs of the depths before it,
-        and the streams then move past all D runs: the masks and the streams'
-        end states are those of drawing depth after depth. A depth with no
-        unlabeled target row draws no unlabeled masks."""
-        cfg = self.config
+        """One step of every depth's student and teacher, in two calls of
+        map_depths on self.workers threads with the pseudo-labels between
+        them. The first runs the teacher forwards of the unlabeled rows, for
+        the TEACHER_METHODS, and each depth's labeled pass; the second runs
+        each depth's unlabeled pass on its rows with a target, its SGD step
+        and its EMA update. Each depth's dropout masks are one run of
+        `dropout/labeled` and one of `dropout/unlabeled`, in depth order, so
+        depth d draws from a copy of each stream advanced past the runs of
+        the depths before it, and the streams then move past all D runs: the
+        masks and the streams' end states are those of drawing depth after
+        depth. A depth with no unlabeled target row draws no unlabeled masks."""
+        cfg, heads, targets = self.config, self.heads, self.hierarchy.targets
         x_l, x_u = self.dataset.features[batch_l], self.dataset.features[batch_u]
         labels_l = self.dataset.labels[batch_l]
         n_l, m_u = len(batch_l), len(batch_u)
-        table = self._unlabeled_targets(batch_u, x_u)
-
         drop_l, drop_u = (self.streams.get(f"dropout/{name}") for name in ("labeled", "unlabeled"))
-        run_l, run_u = (heads_mod.mask_draws(self.heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
+        run_l, run_u = (heads_mod.mask_draws(heads.students[0], n) for n in (n_l, m_u))  # alike at every depth
 
-        def depth_step(d: int) -> tuple[float, float]:
-            student, targets, (rng_l, rng_u) = self.heads.students[d - 1], self.hierarchy.targets, self._mask_rngs[d - 1]
+        def labeled_pass(d: int) -> tuple[float, np.ndarray]:
+            student, (rng_l, _) = heads.students[d - 1], self._mask_rngs[d - 1]
             masks_l = heads_mod.sample_masks(student, n_l, advanced(drop_l, (d - 1) * run_l, rng_l))
             loss_l, g = heads_mod.ce_loss_and_grad(student, x_l, targets(d, labels_l), masks=masks_l)
             g *= 1.0 / n_l
+            return loss_l / n_l, g
 
+        teachers = heads.teachers if cfg.method in TEACHER_METHODS else []
+        jobs = [functools.partial(heads_mod.forward, t, x_u) for t in teachers]
+        jobs += [functools.partial(labeled_pass, d) for d in self.depths]
+        done = heads_mod.map_depths(lambda job: job(), jobs, self.workers)
+        labeled = done[len(teachers) :]  # per depth, its mean labeled loss and gradient, given up by depth_step
+        table = self._unlabeled_targets(batch_u, done[: len(teachers)])
+        del done  # the teacher outputs, used up
+
+        def depth_step(d: int) -> tuple[float, float]:
+            student, (_, rng_u) = heads.students[d - 1], self._mask_rngs[d - 1]
+            loss_l, g = labeled[d - 1]
+            labeled[d - 1] = None
             loss_u, nodes = 0.0, table[:, d - 1]
             live = nodes >= 0
-            if live.any():  # forward and backward on the rows with a target, masks drawn for all
+            if live.any():  # forward and backward on the rows with a target, masks drawn for those; g += gradient / m_u
                 masks_u = heads_mod.sample_masks(student, m_u, advanced(drop_u, (d - 1) * run_u, rng_u), live)
-                loss_u, g_u = heads_mod.ce_loss_and_grad(student, x_u[live], targets(d, nodes[live]), masks=masks_u)
-                g += np.multiply(g_u, 1.0 / m_u, out=g_u)
-                del g_u, masks_u  # freed before the SGD step allocates its weight-decay term
+                x, t = x_u[live], targets(d, nodes[live])
+                loss_u = heads_mod.ce_loss_and_grad(student, x, t, masks=masks_u, add_to=g, scale=1.0 / m_u)[0]
+                del masks_u, x, t  # freed before the SGD step allocates its weight-decay term
 
-            scale = clip_scale([g[s] for s in self.heads.param_slices[d - 1]], GRAD_CLIP_NORM)  # float64 sums per parameter
-            self.heads.sgd_step(d, g, cfg.lr, cfg.momentum, cfg.weight_decay, scale=scale)
-            return loss_l / n_l, loss_u / m_u if m_u else 0.0
+            scale = clip_scale([g[s] for s in heads.param_slices[d - 1]], GRAD_CLIP_NORM)  # float64 sums per parameter
+            heads.sgd_step(d, g, cfg.lr, cfg.momentum, cfg.weight_decay, scale=scale)
+            del g  # used up as scratch, freed before the EMA's temporary
+            heads.ema_update(d, cfg.ema_momentum)
+            return loss_l, loss_u / m_u if m_u else 0.0
 
         losses = heads_mod.map_depths(depth_step, self.depths, self.workers)  # in depth order
         drop_l.bit_generator.advance(len(self.depths) * run_l)
         drop_u.bit_generator.advance(len(self.depths) * run_u)
-        self.heads.ema_update_all(cfg.ema_momentum)
         return [l for l, _ in losses], [u for _, u in losses]
 
     # -- epochs -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -170,6 +171,25 @@ class TestFlatGradient:
         assert all(np.shares_memory(v, grad) for v in views)
         assert all(np.array_equal(v, e) for v, e in zip(views, expected, strict=True))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_add_to_is_the_scaled_sum_of_whole_vectors_bit_for_bit(self, dtype, mode):
+        """add_to += gradient * scale part by part, as the trainer adds an
+        unlabeled gradient over M rows to the labeled one."""
+        rng = np.random.default_rng(30)
+        head = small_head(rng, in_dim=7, hidden=16, classes=4, dropout=0.3)
+        head = tuple([p.astype(dtype) for p in arrays] for arrays in head[:2]) + (head[2],)
+        x = rng.normal(0, 1, (11, 7))
+        t = np.eye(4)[rng.integers(0, 4, 11)]
+        masks = H.sample_masks(head, 11, rng) if mode == "train" else None
+        loss, grad = H.ce_loss_and_grad(head, x, t, masks=masks)
+        base = rng.normal(0, 1, grad.shape).astype(dtype)
+        expected = base.copy()
+        expected += np.multiply(grad, 1.0 / 37, out=grad)
+        loss_added, added = H.ce_loss_and_grad(head, x, t, masks=masks, add_to=base, scale=1.0 / 37)
+        assert added is base and loss_added == loss
+        assert added.dtype == dtype and np.array_equal(added, expected)
+
     def test_layout_is_a_depth_segment(self, animals):
         """Depth d's segment, split as a gradient, is the student's own arrays."""
         heads = random_heads(animals, np.random.default_rng(29))
@@ -271,18 +291,88 @@ class TestMasks:
         assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
         assert compact.bit_generator.state == full.bit_generator.state
 
+    @pytest.mark.parametrize("draws_per_run", [0, H.RUN_DRAWS, 10**12])  # run path always, as chosen, never
+    @pytest.mark.parametrize("n", [1, 2, 61])
+    @pytest.mark.parametrize("pattern", ["contiguous", "scattered"])
+    @pytest.mark.parametrize("share", [0.0, 0.05, 0.3, 0.7, 1.0])
+    def test_either_path_gives_the_all_rows_masks_and_stream(self, monkeypatch, draws_per_run, n, pattern, share):
+        """Drawing run by run and drawing all rows, whichever the rule picks,
+        give the masks and the generator state of the all-rows draw, from mid-stream."""
+        monkeypatch.setattr(H, "RUN_DRAWS", draws_per_run)
+        head = make_head(5, 3, hidden=16, dropout=0.3, dtype=np.float32)
+        k = round(share * n)
+        rows = np.arange(n // 3, n // 3 + k) % n if pattern == "contiguous" else np.random.default_rng(n).permutation(n)[:k]
+        live = np.isin(np.arange(n), rows)
+        full, compact = np.random.default_rng(17), np.random.default_rng(17)
+        for rng in (full, compact):
+            rng.random(13)
+        masks = H.sample_masks(head, n, full)
+        masks_live = H.sample_masks(head, n, compact, live)
+        assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
+        assert [m.shape for m in masks_live] == [(live.sum(), 5)] + [(live.sum(), 16)] * 3
+        assert compact.bit_generator.state == full.bit_generator.state
+
+    def test_few_live_rows_draw_only_their_uniforms(self):
+        """At 5% scattered live rows of a reference-sized head, each mask
+        layer draws at most live rows x columns uniforms, and the stream
+        still ends where the all-rows draw leaves it."""
+        head, n = make_head(32, 3, hidden=512, dropout=0.3, dtype=np.float32), 484
+        live = np.isin(np.arange(n), np.random.default_rng(18).permutation(n)[: n // 20])
+
+        class Counting:
+            """A generator that exposes only `random` and `bit_generator`, counting the uniforms drawn."""
+
+            def __init__(self, rng):
+                self.bit_generator, self._rng, self.drawn = rng.bit_generator, rng, 0
+
+            def random(self, size=None, out=None):
+                values = self._rng.random(size, out=out)
+                self.drawn += values.size
+                return values
+
+        counting, full = Counting(np.random.default_rng(19)), np.random.default_rng(19)
+        masks_live = H.sample_masks(head, n, counting, live)
+        masks = H.sample_masks(head, n, full)
+        assert counting.drawn <= live.sum() * sum(cols for _, cols in H._mask_shapes(head, 1))
+        assert all(np.array_equal(m_live, m[live]) for m_live, m in zip(masks_live, masks, strict=True))
+        assert counting.bit_generator.state == full.bit_generator.state
+
 
 class TestMapDepths:
-    def test_results_in_order_with_the_caller_as_worker_zero(self):
-        caller, threads = threading.current_thread(), {}
+    def test_results_in_order_each_item_once_on_at_most_workers_threads(self):
+        """More threads than cores switching every 10 us: an item taken twice
+        or never would show in the calls."""
+        calls, interval = [], sys.getswitchinterval()
 
         def fn(item):
-            threads[item] = threading.current_thread()
+            calls.append((item, threading.current_thread()))
             return item * item
 
-        assert H.map_depths(fn, list(range(7)), 3) == [i * i for i in range(7)]
-        assert all((threads[i] is caller) == (i % 3 == 0) for i in range(7))
+        try:
+            sys.setswitchinterval(1e-5)
+            assert H.map_depths(fn, list(range(300)), 4) == [i * i for i in range(300)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(item for item, _ in calls) == list(range(300))
+        assert len({thread for _, thread in calls}) <= 4
         assert H.map_depths(fn, [5], 4) == [25] and H.map_depths(fn, [], 2) == []
+
+    def test_a_free_worker_pulls_the_items_behind_a_long_one(self):
+        """Item 0 waits until items 1-3 are done: only a second worker that
+        pulls them can finish it. Dealt round-robin to 2 workers, item 2 would
+        wait behind item 0 and item 0 would time out."""
+        finished, done_1_to_3, lock = [], threading.Event(), threading.Lock()
+
+        def fn(item):
+            if item == 0:
+                return done_1_to_3.wait(timeout=10)
+            with lock:
+                finished.append(item)
+                if len(finished) == 3:
+                    done_1_to_3.set()
+            return item
+
+        assert H.map_depths(fn, [0, 1, 2, 3], 2) == [True, 1, 2, 3]
 
     def test_an_error_in_any_share_propagates_after_all_finish(self):
         done = []
@@ -411,24 +501,29 @@ class TestSgd:
             assert peak - base <= g.nbytes + 4096, (d, peak - base, g.nbytes)
 
 
+def ema_every_depth(heads, momentum):
+    for d in heads.depths:
+        heads.ema_update(d, momentum)
+
+
 class TestEma:
-    """DepthHeads.ema_update_all moves every teacher array toward its student."""
+    """DepthHeads.ema_update, depth by depth, moves every teacher array toward its student."""
 
     def test_momentum_one_keeps_teacher(self, animals):
         heads = random_heads(animals, np.random.default_rng(9))
         before = heads.buffers["teacher"].copy()
-        heads.ema_update_all(1.0)
+        ema_every_depth(heads, 1.0)
         assert np.array_equal(heads.buffers["teacher"], before)
 
     def test_momentum_zero_copies_student(self, animals):
         heads = random_heads(animals, np.random.default_rng(10))
-        heads.ema_update_all(0.0)
+        ema_every_depth(heads, 0.0)
         assert np.array_equal(heads.buffers["teacher"], heads.buffers["student"])
 
     def test_small_update(self, animals):
         heads = H.DepthHeads(animals, 2, hidden=2)
         heads.buffers["student"][...] = 1.0
-        heads.ema_update_all(0.999)
+        ema_every_depth(heads, 0.999)
         assert np.allclose(heads.buffers["teacher"], 0.001)
 
     def test_in_place_update_is_the_formula_bit_for_bit(self, animals):
@@ -439,7 +534,7 @@ class TestEma:
             for name, a in state.items()
             if name.startswith("teacher.")
         }
-        heads.ema_update_all(0.999)
+        ema_every_depth(heads, 0.999)
         assert all(np.array_equal(state[f"teacher.{key}"], a) for key, a in expected.items())
         assert {a.dtype for a in expected.values()} == {np.dtype(np.float32)}
 
@@ -449,8 +544,16 @@ class TestEma:
         m = 0.9
         gap0 = np.abs(t - s).max()
         for _ in range(10):
-            heads.ema_update_all(m)
+            ema_every_depth(heads, m)
         assert np.abs(t - s).max() <= gap0 * m**10 * (1 + 1e-5)
+
+    def test_one_depth_moves_only_its_teacher(self, animals):
+        heads = random_heads(animals, np.random.default_rng(12))
+        before = heads.state_dict()
+        before = {name: a.copy() for name, a in before.items()}
+        heads.ema_update(2, 0.5)
+        changed = {name for name, a in heads.state_dict().items() if not np.array_equal(a, before[name])}
+        assert changed and all(name.startswith("teacher.d2.") for name in changed)
 
 
 class TestDepthHeadsState:
@@ -574,5 +677,5 @@ class TestFloat32Heads:
         heads = random_heads(animals, rng)
         g = rng.normal(0, 1, zero_grad(heads, 1).shape).astype(np.float32)
         heads.sgd_step(1, g, 0.1, 0.9, 0.001, scale=0.5)
-        heads.ema_update_all(0.9)
+        ema_every_depth(heads, 0.9)
         assert {a.dtype for a in heads.buffers.values()} == {np.dtype(np.float32)}

@@ -228,6 +228,25 @@ class TestTargets:
             assert np.array_equal(hi > lo, dense.any(axis=1))
             assert tree.targets(d, np.empty(0, dtype=np.int64)).shape == (0, len(tree.depth_space(d)))
 
+    @given(relabelled_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_the_run_table_gives_the_rows_of_target_runs(self, tree):
+        """run_table holds target_runs of every node at every depth, and the
+        rows targets reads off it are uniform over those runs of the space's
+        columns in preorder, byte for byte."""
+        nodes = np.arange(tree.n_nodes)
+        for d in range(1, tree.max_depth + 1):
+            lo, hi = tree.target_runs(d, nodes)
+            assert tree.run_table[d - 1].tobytes() == np.stack((lo, hi)).tobytes()
+            in_preorder = tree.columns[d - 1][np.argsort(tree.tin)]
+            in_preorder = in_preorder[in_preorder >= 0]
+            expected = np.zeros((tree.n_nodes, len(in_preorder)))
+            for c in nodes:
+                expected[c, in_preorder[lo[c] : hi[c]]] = 1.0 / max(hi[c] - lo[c], 1)
+            assert tree.targets(d, nodes).tobytes() == expected.tobytes()
+            shuffled = np.random.default_rng(d).permutation(tree.n_nodes)
+            assert tree.targets(d, shuffled).tobytes() == expected[shuffled].tobytes()
+
     def test_scalar_node_gives_one_row(self, animals):
         assert np.array_equal(animals.targets(2, [[MAMMAL]]), animals.targets(2, MAMMAL)[None, None])
         with pytest.raises(ValueError, match="depth"):
